@@ -21,7 +21,8 @@ from typing import Any
 
 from repro.core.placement import NodeSortedLayout
 from repro.core.shared_buffer import SharedBuffer
-from repro.core.sync import BarrierSync, SyncPolicy
+from repro.core.sync import BarrierSync, SyncPolicy, sync_from_signature
+from repro.mpi.collectives.replay import sync_signature
 from repro.mpi.constants import UNDEFINED
 from repro.mpi.shm import win_allocate_shared
 
@@ -50,7 +51,7 @@ class HybridContext:
 
     __slots__ = (
         "comm", "shm", "bridge", "layout", "default_sync", "_buffers",
-        "_socket_tier",
+        "_socket_tier", "_sync_sig",
     )
 
     def __init__(self, comm, shm, bridge, layout: NodeSortedLayout,
@@ -62,6 +63,9 @@ class HybridContext:
         self.default_sync = default_sync
         self._buffers: dict[Any, SharedBuffer] = {}
         self._socket_tier = None
+        #: ``(policy, its replay descriptor)`` of the sync policy last
+        #: used — built once per policy object, not once per call.
+        self._sync_sig: tuple = (None, None)
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -233,17 +237,28 @@ class HybridContext:
         return buf
 
     # -- collective operations (delegates) --------------------------------------
-    def _replayed(self, op: str, sig, inner):
-        """Route a hybrid collective through the job's replay session.
+    def _replayed(self, op: str, gen, sync, *call):
+        """Route hybrid collective *gen* through the job's replay
+        session; with replay off *gen* is returned as is and nothing is
+        encoded.
 
-        The i-variants bypass this (they run as background processes and
-        veto replay via the non-blocking counter instead)."""
+        *call* is the public call's positional arguments as a pocket
+        simulation re-issues them (see :func:`_reissue`): each shared
+        buffer as its slot-size tuple, and None in the sync position —
+        the effective policy's descriptor travels in front instead and
+        becomes the rebuilt context's default.  The i-variants bypass
+        this (they run as background processes and veto replay via the
+        non-blocking counter instead)."""
         sess = self.comm.ctx.job.replay
         if sess is None:
-            result = yield from inner()
-            return result
-        result = yield from sess.run(self.comm, op, sig, inner)
-        return result
+            return gen
+        sync = sync or self.default_sync
+        if self._sync_sig[0] is not sync:
+            self._sync_sig = (sync, sync_signature(sync))
+        sd = self._sync_sig[1]
+        return sess.run(
+            self.comm, op, None if sd is None else (sd, *call), gen, _reissue
+        )
 
     def allgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
                   pipelined: bool | None = None,
@@ -254,55 +269,38 @@ class HybridContext:
         ``pipelined=True`` forces the chunked bridge exchange; ``None``
         (default) lets the rank's selection policy pick the variant."""
         from repro.core.allgather import hy_allgather
-        from repro.mpi.collectives.replay import sync_signature
 
-        sd = sync_signature(sync or self.default_sync)
-        sig = None if sd is None else (
-            "hyag", tuple(buf.slot_sizes), sd, pipelined, chunk_bytes,
-            pack_datatypes,
-        )
         yield from self._replayed(
-            "hy_allgather", sig,
-            lambda: hy_allgather(
+            "hy_allgather",
+            hy_allgather(
                 self, buf, sync=sync, pipelined=pipelined,
                 chunk_bytes=chunk_bytes, pack_datatypes=pack_datatypes,
             ),
+            sync, buf.slot_sizes, None, pipelined, chunk_bytes,
+            pack_datatypes,
         )
 
     def bcast(self, buf: SharedBuffer, root: int = 0,
               sync: SyncPolicy | None = None):
         """Coroutine: hybrid broadcast over *buf* (paper Fig 6)."""
         from repro.core.bcast import hy_bcast
-        from repro.mpi.collectives.replay import sync_signature
 
-        sd = sync_signature(sync or self.default_sync)
-        sig = None if sd is None else (
-            "hybc", tuple(buf.slot_sizes), sd, root,
-        )
         yield from self._replayed(
-            "hy_bcast", sig,
-            lambda: hy_bcast(self, buf, root=root, sync=sync),
+            "hy_bcast", hy_bcast(self, buf, root=root, sync=sync),
+            sync, buf.slot_sizes, root, None,
         )
 
     def allreduce(self, contribution, nbytes: int,
                   op=None, sync: SyncPolicy | None = None):
         """Coroutine: hybrid allreduce extension; returns result payload."""
         from repro.core.reduce import hy_allreduce
-        from repro.mpi.collectives.replay import (
-            payload_signature,
-            sync_signature,
-        )
         from repro.mpi.constants import ReduceOp
 
         rop = op or ReduceOp.SUM
-        sd = sync_signature(sync or self.default_sync)
-        psig = payload_signature(contribution)
-        sig = None if sd is None or psig is None else (
-            "hyar", sd, psig, int(nbytes), rop,
-        )
         result = yield from self._replayed(
-            "hy_allreduce", sig,
-            lambda: hy_allreduce(self, contribution, nbytes, rop, sync=sync),
+            "hy_allreduce",
+            hy_allreduce(self, contribution, nbytes, rop, sync=sync),
+            sync, contribution, int(nbytes), rop, None,
         )
         return result
 
@@ -320,7 +318,7 @@ class HybridContext:
         from repro.mpi.nonblocking import spawn_collective
 
         comm = self.comm
-        return spawn_collective(comm, op, comm._collective(op, nbytes, gen))
+        return spawn_collective(comm, op, comm._timed(op, nbytes, gen))
 
     def iallgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
                    pipelined: bool | None = None,
@@ -370,3 +368,24 @@ class HybridContext:
             f"leader={self.is_leader}, comm={self.comm.name!r})"
         )
 
+
+def _reissue(comm, op: str, sd: tuple, *args):
+    """Replay recipe (coroutine, run by a pocket simulation on its own
+    world *comm*): rebuild what the recorded ``hy_*`` call stood on —
+    the context, with the recorded sync policy as its default, and a
+    shared buffer per slot-size tuple; one-off activities excluded from
+    timing exactly as the paper's §5 excludes them — and return the
+    zero-argument call that issues *op* with the decoded *args*."""
+    # One policy object for the whole pocket job: FlagSync keeps its
+    # flag cells on the instance, so per-rank copies would never meet.
+    sync = comm.shared_cache.setdefault(
+        ("_hy_replay_sync", sd), sync_from_signature(sd)
+    )
+    hctx = yield from HybridContext.create(comm, default_sync=sync)
+    call = []
+    for a in args:
+        if type(a) is tuple:
+            a = yield from hctx._alloc(a)
+        call.append(a)
+    method = getattr(hctx, op.removeprefix("hy_"))
+    return lambda: method(*call)

@@ -36,7 +36,8 @@ class SharedBuffer:
     layout:
         Node-major slot layout of the parent communicator.
     slot_sizes:
-        Bytes per slot, indexed by *slot* (node-major order).
+        Bytes per slot, indexed by *slot* (node-major order); kept as a
+        tuple fixed at allocation (the replay layer keys on it as is).
     my_rank:
         This rank's parent-comm rank.
     node:
@@ -63,7 +64,7 @@ class SharedBuffer:
             raise ValueError("one slot size per rank required")
         self.win = win
         self.layout = layout
-        self.slot_sizes = list(slot_sizes)
+        self.slot_sizes = tuple(slot_sizes)
         self.slot_offsets: list[int] = []
         off = 0
         for s in self.slot_sizes:

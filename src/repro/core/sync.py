@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.simulator import Event
 
-__all__ = ["SyncPolicy", "BarrierSync", "FlagSync"]
+__all__ = ["SyncPolicy", "BarrierSync", "FlagSync", "sync_from_signature"]
 
 
 class SyncPolicy(ABC):
@@ -52,6 +52,11 @@ class BarrierSync(SyncPolicy):
     """Heavy-weight: MPI_Barrier over the shared-memory communicator."""
 
     name = "barrier"
+
+    def replay_signature(self) -> tuple:
+        """Everything that determines this policy's simulated cost (see
+        :func:`repro.mpi.collectives.replay.sync_signature`)."""
+        return ("barrier",)
 
     def pre_exchange(self, hybrid):
         yield from hybrid.shm.barrier()
@@ -120,6 +125,10 @@ class FlagSync(SyncPolicy):
         self._cells: dict[Any, dict[str, _FlagCell]] = {}
         self._epochs: dict[Any, int] = {}
 
+    def replay_signature(self) -> tuple:
+        """Everything that determines this policy's simulated cost."""
+        return ("flags", self.flag_latency)
+
     # Each HybridContext gets its own cell namespace, keyed by the shm
     # communicator's shared identity.
     def _cell(self, hybrid, name: str) -> _FlagCell:
@@ -165,3 +174,9 @@ class FlagSync(SyncPolicy):
         # leader releases.
         yield from self.pre_exchange(hybrid)
         yield from self.post_exchange(hybrid)
+
+
+def sync_from_signature(desc: tuple) -> SyncPolicy:
+    """A fresh policy from its ``replay_signature`` (replay pockets
+    rebuild the recorded call's policy from the cache key)."""
+    return BarrierSync() if desc[0] == "barrier" else FlagSync(desc[1])

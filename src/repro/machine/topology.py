@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from functools import lru_cache
 
 import networkx as nx
 
@@ -45,6 +44,9 @@ class Topology(ABC):
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
         self._graph: nx.Graph | None = None
+        # (router, router) -> hops, memoized per instance so the cache
+        # dies with the topology (and its graph) instead of pinning it.
+        self._hops: dict[tuple[object, object], int] = {}
 
     @property
     def graph(self) -> nx.Graph:
@@ -78,12 +80,16 @@ class Topology(ABC):
         nodes = nx.shortest_path(self.graph, self.attachment(src), self.attachment(dst))
         return list(itertools.pairwise(nodes))
 
-    @lru_cache(maxsize=65536)
     def _router_hops(self, a: object, b: object) -> int:
         if a == b:
             # Same router: one hop up and down through it, counted as 1.
             return 1
-        return nx.shortest_path_length(self.graph, a, b) + 1
+        hops = self._hops.get((a, b))
+        if hops is None:
+            hops = self._hops[a, b] = (
+                nx.shortest_path_length(self.graph, a, b) + 1
+            )
+        return hops
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

@@ -1,7 +1,9 @@
 """Collective dispatch: registry-backed runtime algorithm selection.
 
-Each ``dispatch_*`` coroutine is the entry point :class:`repro.mpi.comm.Comm`
-calls.  It charges the per-call software overhead, builds a
+Each ``run_*`` coroutine is the body :class:`repro.mpi.comm.Comm` hands
+to its single collective entry point (``Comm._collective``, where
+profiling and the replay layer sit).  It charges the per-call software
+overhead, builds a
 :class:`~repro.mpi.collectives.registry.CollRequest`, asks the rank's
 :class:`~repro.mpi.collectives.registry.SelectionPolicy` (default: the
 MPICH-style :class:`TableSelection` decision tables over the
@@ -30,23 +32,17 @@ from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import nbytes_of
 
 __all__ = [
-    "dispatch_allgather",
-    "dispatch_exscan",
-    "dispatch_reduce_scatter",
-    "dispatch_allgatherv",
-    "dispatch_alltoall",
-    "dispatch_barrier",
-    "dispatch_bcast",
-    "dispatch_gather",
-    "dispatch_reduce",
-    "dispatch_allreduce",
-    "dispatch_scan",
-    "dispatch_scatter",
+    "run_allgather",
+    "run_allgatherv",
+    "run_alltoall",
+    "run_barrier",
+    "run_bcast",
+    "run_gather",
+    "run_reduce",
+    "run_reduction",
+    "run_scatter",
     "registry",
 ]
-
-# Back-compat alias: structural predicate now lives in the registry.
-_spans_hierarchy = registry.spans_hierarchy
 
 
 def _overhead(comm):
@@ -79,7 +75,7 @@ def _select(comm, req: CollRequest):
 # allgather family
 # ---------------------------------------------------------------------------
 
-def _run_allgather(comm, payload: Any, tag: int):
+def run_allgather(comm, payload: Any, tag: int):
     """Regular allgather; returns the per-rank payload list."""
     yield from _overhead(comm)
     if comm.size == 1:
@@ -109,7 +105,7 @@ def _agree_total(comm, nbytes: int, tag: int):
     return results[comm.rank]
 
 
-def _run_allgatherv(comm, payload: Any, tag: int,
+def run_allgatherv(comm, payload: Any, tag: int,
                         total: int | None = None):
     """Irregular allgather; returns the per-rank payload list.
 
@@ -136,7 +132,7 @@ def _run_allgatherv(comm, payload: Any, tag: int,
 # bcast
 # ---------------------------------------------------------------------------
 
-def _run_bcast(comm, payload: Any, root: int, tag: int):
+def run_bcast(comm, payload: Any, root: int, tag: int):
     """Broadcast; returns the payload on every rank.
 
     MPI semantics: *every* rank supplies a payload of the message size
@@ -175,7 +171,7 @@ def _deliver_bcast(recvbuf: Any, result: Any) -> Any:
 # gather / scatter
 # ---------------------------------------------------------------------------
 
-def _run_gather(comm, payload: Any, root: int, tag: int,
+def run_gather(comm, payload: Any, root: int, tag: int,
                     irregular: bool = False):
     """Gather to *root*; returns the ordered payload list there."""
     yield from _overhead(comm)
@@ -195,7 +191,7 @@ def _run_gather(comm, payload: Any, root: int, tag: int,
     return result.as_list(comm.size)
 
 
-def _run_scatter(comm, payloads: list[Any] | None, root: int, tag: int):
+def run_scatter(comm, payloads: list[Any] | None, root: int, tag: int):
     """Scatter from *root*; returns this rank's payload."""
     yield from _overhead(comm)
     if comm.size == 1:
@@ -216,7 +212,7 @@ def _run_scatter(comm, payloads: list[Any] | None, root: int, tag: int):
 # reductions
 # ---------------------------------------------------------------------------
 
-def _run_reduce(comm, payload: Any, op: ReduceOp, root: int, tag: int):
+def run_reduce(comm, payload: Any, op: ReduceOp, root: int, tag: int):
     """Reduce to *root*."""
     yield from _overhead(comm)
     if comm.size == 1:
@@ -230,57 +226,19 @@ def _run_reduce(comm, payload: Any, op: ReduceOp, root: int, tag: int):
     return result
 
 
-def _run_allreduce(comm, payload: Any, op: ReduceOp, tag: int):
-    """Allreduce on every rank."""
+def run_reduction(comm, name: str, payload: Any, op: ReduceOp, tag: int):
+    """The rootless reductions; *name* is the registry operation:
+    ``allreduce`` (result on every rank), ``scan`` (inclusive prefix:
+    linear chain for tiny comms, log-round doubling otherwise),
+    ``exscan`` (exclusive prefix; rank 0 — and a single-rank
+    communicator — receives None) or ``reduce_scatter`` (block form:
+    rank i receives the reduction of block i)."""
     yield from _overhead(comm)
     if comm.size == 1:
-        return payload
+        return None if name == "exscan" else payload
     nbytes = nbytes_of(payload)
     algo, span = _select(
-        comm, CollRequest(op="allreduce", nbytes=nbytes, total=nbytes)
-    )
-    result = yield from algo.fn(comm, payload, op, tag)
-    trace_end(comm, span)
-    return result
-
-
-def _run_scan(comm, payload: Any, op: ReduceOp, tag: int):
-    """Inclusive prefix scan: linear chain for tiny comms, log-round
-    doubling otherwise."""
-    yield from _overhead(comm)
-    if comm.size == 1:
-        return payload
-    nbytes = nbytes_of(payload)
-    algo, span = _select(
-        comm, CollRequest(op="scan", nbytes=nbytes, total=nbytes)
-    )
-    result = yield from algo.fn(comm, payload, op, tag)
-    trace_end(comm, span)
-    return result
-
-
-def _run_exscan(comm, payload: Any, op: ReduceOp, tag: int):
-    """Exclusive prefix scan (rank 0 receives None)."""
-    yield from _overhead(comm)
-    if comm.size == 1:
-        return None
-    nbytes = nbytes_of(payload)
-    algo, span = _select(
-        comm, CollRequest(op="exscan", nbytes=nbytes, total=nbytes)
-    )
-    result = yield from algo.fn(comm, payload, op, tag)
-    trace_end(comm, span)
-    return result
-
-
-def _run_reduce_scatter(comm, payload: Any, op: ReduceOp, tag: int):
-    """Block reduce-scatter: rank i receives the reduction of block i."""
-    yield from _overhead(comm)
-    if comm.size == 1:
-        return payload
-    nbytes = nbytes_of(payload)
-    algo, span = _select(
-        comm, CollRequest(op="reduce_scatter", nbytes=nbytes, total=nbytes)
+        comm, CollRequest(op=name, nbytes=nbytes, total=nbytes)
     )
     result = yield from algo.fn(comm, payload, op, tag)
     trace_end(comm, span)
@@ -291,7 +249,7 @@ def _run_reduce_scatter(comm, payload: Any, op: ReduceOp, tag: int):
 # barrier / alltoall
 # ---------------------------------------------------------------------------
 
-def _run_barrier(comm, tag: int):
+def run_barrier(comm, tag: int):
     """Barrier: shm-flag tree on one node, hierarchical across nodes,
     dissemination otherwise.  (The flat dissemination runner charges the
     per-call software overhead; the shm paths model cheaper entry.)"""
@@ -302,7 +260,7 @@ def _run_barrier(comm, tag: int):
     trace_end(comm, span)
 
 
-def _run_alltoall(comm, payloads: list[Any], tag: int):
+def run_alltoall(comm, payloads: list[Any], tag: int):
     """All-to-all personalized exchange."""
     yield from _overhead(comm)
     if comm.size == 1:
@@ -313,147 +271,4 @@ def _run_alltoall(comm, payloads: list[Any], tag: int):
     )
     result = yield from algo.fn(comm, payloads, tag)
     trace_end(comm, span)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Replay-aware entry points
-# ---------------------------------------------------------------------------
-# The public ``dispatch_*`` names wrap the ``_run_*`` bodies above with
-# the macro-event replay layer (:mod:`repro.mpi.collectives.replay`):
-# when the job carries a ReplaySession, world-covering dispatches park
-# until the end of their entry timestep and — if all ranks arrived
-# simultaneously on a quiescent engine — are replayed from the record
-# cache in O(nranks) instead of simulated.  Everything else (no session,
-# sub-communicators, staggered entries, non-replayable payloads) runs
-# the body unchanged.
-
-from repro.mpi.collectives.replay import (  # noqa: E402
-    payload_signature as _psig,
-)
-
-
-def _dispatch(comm, op, sig, inner):
-    sess = comm.ctx.job.replay
-    if sess is None:
-        result = yield from inner()
-        return result
-    result = yield from sess.run(comm, op, sig, inner)
-    return result
-
-
-def _sig(kind: str, psig, *rest):
-    # A None payload signature (data-carrying payload) vetoes the whole
-    # dispatch; the session still parks so the veto is collective.
-    return None if psig is None else (kind, psig) + rest
-
-
-def dispatch_allgather(comm, payload: Any, tag: int):
-    """Replay-aware :func:`_run_allgather`."""
-    result = yield from _dispatch(
-        comm, "allgather", _sig("ag", _psig(payload)),
-        lambda: _run_allgather(comm, payload, tag),
-    )
-    return result
-
-
-def dispatch_allgatherv(comm, payload: Any, tag: int,
-                        total: int | None = None):
-    """Replay-aware :func:`_run_allgatherv`."""
-    result = yield from _dispatch(
-        comm, "allgatherv", _sig("agv", _psig(payload), total),
-        lambda: _run_allgatherv(comm, payload, tag, total),
-    )
-    return result
-
-
-def dispatch_bcast(comm, payload: Any, root: int, tag: int):
-    """Replay-aware :func:`_run_bcast`."""
-    result = yield from _dispatch(
-        comm, "bcast", _sig("bc", _psig(payload), root),
-        lambda: _run_bcast(comm, payload, root, tag),
-    )
-    return result
-
-
-def dispatch_gather(comm, payload: Any, root: int, tag: int,
-                    irregular: bool = False):
-    """Replay-aware :func:`_run_gather`."""
-    result = yield from _dispatch(
-        comm, "gatherv" if irregular else "gather",
-        _sig("ga", _psig(payload), root, irregular),
-        lambda: _run_gather(comm, payload, root, tag, irregular),
-    )
-    return result
-
-
-def dispatch_scatter(comm, payloads: list[Any] | None, root: int, tag: int):
-    """Replay-aware :func:`_run_scatter`."""
-    result = yield from _dispatch(
-        comm, "scatter", _sig("sc", _psig(payloads), root),
-        lambda: _run_scatter(comm, payloads, root, tag),
-    )
-    return result
-
-
-def dispatch_reduce(comm, payload: Any, op: ReduceOp, root: int, tag: int):
-    """Replay-aware :func:`_run_reduce`."""
-    result = yield from _dispatch(
-        comm, "reduce", _sig("rd", _psig(payload), op, root),
-        lambda: _run_reduce(comm, payload, op, root, tag),
-    )
-    return result
-
-
-def dispatch_allreduce(comm, payload: Any, op: ReduceOp, tag: int):
-    """Replay-aware :func:`_run_allreduce`."""
-    result = yield from _dispatch(
-        comm, "allreduce", _sig("ar", _psig(payload), op),
-        lambda: _run_allreduce(comm, payload, op, tag),
-    )
-    return result
-
-
-def dispatch_scan(comm, payload: Any, op: ReduceOp, tag: int):
-    """Replay-aware :func:`_run_scan`."""
-    result = yield from _dispatch(
-        comm, "scan", _sig("sn", _psig(payload), op),
-        lambda: _run_scan(comm, payload, op, tag),
-    )
-    return result
-
-
-def dispatch_exscan(comm, payload: Any, op: ReduceOp, tag: int):
-    """Replay-aware :func:`_run_exscan`."""
-    result = yield from _dispatch(
-        comm, "exscan", _sig("ex", _psig(payload), op),
-        lambda: _run_exscan(comm, payload, op, tag),
-    )
-    return result
-
-
-def dispatch_reduce_scatter(comm, payload: Any, op: ReduceOp, tag: int):
-    """Replay-aware :func:`_run_reduce_scatter`."""
-    result = yield from _dispatch(
-        comm, "reduce_scatter", _sig("rs", _psig(payload), op),
-        lambda: _run_reduce_scatter(comm, payload, op, tag),
-    )
-    return result
-
-
-def dispatch_barrier(comm, tag: int):
-    """Replay-aware :func:`_run_barrier`."""
-    result = yield from _dispatch(
-        comm, "barrier", ("bar",),
-        lambda: _run_barrier(comm, tag),
-    )
-    return result
-
-
-def dispatch_alltoall(comm, payloads: list[Any], tag: int):
-    """Replay-aware :func:`_run_alltoall`."""
-    result = yield from _dispatch(
-        comm, "alltoall", _sig("a2a", _psig(payloads)),
-        lambda: _run_alltoall(comm, payloads, tag),
-    )
     return result

@@ -22,7 +22,7 @@ runtime the same structure:
     policy for unlisted operations and inapplicable forces.
 
 The policy travels on the rank context (``ctx.policy``, threaded through
-:class:`~repro.mpi.runtime.MPIJob`); the ``dispatch_*`` entry points in
+:class:`~repro.mpi.runtime.MPIJob`); the ``run_*`` bodies in
 :mod:`repro.mpi.collectives` consult it for every call and record the
 decision — operation, algorithm, policy, bytes — in the job trace.
 

@@ -35,10 +35,16 @@ replay off, so first-occurrence cost — which includes that setup —
 stays bit-identical.  From the second occurrence on, a cache miss
 triggers a *pocket simulation* (:meth:`ReplaySession._record`): a
 fresh nested :class:`~repro.mpi.runtime.MPIJob` on the same machine
-spec rebuilds the dispatch from its signature vector, pays the one-off
-setup plus one warm run (mirroring the live job's never-replayed first
-execution), parks all ranks quiescently, then re-runs the dispatch
-once from a simultaneous release in the live arrival permutation.  The
+spec decodes each rank's signature back into the call's arguments
+(:func:`call_arguments`) and re-issues *the public call the live rank
+made* — ``getattr(comm, op)(*args)``, or for the hybrid collectives the
+call a recipe from :mod:`repro.core.hierarchy` rebuilds (context and
+shared buffers are one-off setup, excluded from the record as the
+paper's §5 excludes them).  It pays one warm run (mirroring the live
+job's never-replayed first execution), parks all ranks quiescently,
+then re-issues the call once more from a simultaneous release in the
+live arrival permutation.  There is no per-operation table: whatever
+reaches :meth:`ReplaySession.run` with an encodable call is replayable.  The
 deltas of that steady-state run — per-rank tick durations, counter and
 traffic increments, span templates, profile increments — form the
 record, which is applied to the live job immediately (the miss itself
@@ -69,7 +75,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple
-from typing import Any, Callable
+from typing import Any
 
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
@@ -88,6 +94,8 @@ __all__ = [
     "ReplayVerifyError",
     "payload_signature",
     "sync_signature",
+    "call_signature",
+    "call_arguments",
     "replay_key",
     "cache_stats",
     "clear_cache",
@@ -174,25 +182,57 @@ def payload_signature(payload: Any):
 def sync_signature(sync: Any):
     """Keyable descriptor of an on-node sync policy, or None.
 
-    Only the two modelled policies are replayable; a user-defined
-    subclass could carry hidden state the signature cannot capture, so
-    it vetoes replay.
+    A policy is replayable when *its own class* declares a
+    ``replay_signature`` method (the two modelled policies do); a
+    subclass could carry hidden state the inherited signature cannot
+    capture, so it vetoes replay until it declares its own.
     """
-    from repro.core.sync import BarrierSync, FlagSync
-
-    if type(sync) is BarrierSync:
-        return ("barrier",)
-    if type(sync) is FlagSync:
-        return ("flags", sync.flag_latency)
-    return None
+    describe = vars(type(sync)).get("replay_signature")
+    return None if describe is None else describe(sync)
 
 
-def _sync_from(desc):
-    from repro.core.sync import BarrierSync, FlagSync
+#: Types that are their own signature (bools are ints).
+_PLAIN = (int, str, ReduceOp)
 
-    if desc[0] == "barrier":
-        return BarrierSync()
-    return FlagSync(desc[1])
+
+def call_signature(args: tuple):
+    """Replay-safe signature of one rank's call, or None (veto).
+
+    The one encoder for every collective: payloads (:class:`Bytes`,
+    None, lists) encode through :func:`payload_signature`, plain scalars
+    (ints, bools, :class:`ReduceOp`) are their own signature, and so is
+    a tuple of plain values — a descriptor the caller encoded itself
+    (``HybridContext`` hands over a shared buffer as its slot-size tuple
+    and a sync policy as its :func:`sync_signature`).  Anything else —
+    an ndarray — has no signature and vetoes replay for the dispatch.
+    """
+    sig = []
+    for a in args:
+        if not (isinstance(a, _PLAIN) or (
+            type(a) is tuple and a and isinstance(a[0], _PLAIN)
+        )):
+            a = payload_signature(a)
+            if a is None:
+                return None
+        sig.append(a)
+    return tuple(sig)
+
+
+def call_arguments(sig: tuple) -> list:
+    """Inverse of :func:`call_signature`: payload signatures become
+    payloads again; scalars and descriptors stay as they are (only the
+    caller that encoded a descriptor knows what it rebuilds into)."""
+    args = []
+    for s in sig:
+        kind = s[0] if type(s) is tuple else None
+        if kind == "none":
+            s = None
+        elif kind == "b":
+            s = Bytes(s[1])
+        elif kind == "lb":
+            s = [None if n < 0 else Bytes(n) for n in s[1]]
+        args.append(s)
+    return args
 
 
 def replay_key(prefix: tuple, op: str, sigs: tuple, offsets: tuple,
@@ -279,69 +319,97 @@ def _snapshot(job):
     )
 
 
+class _Window:
+    """A job's observable state at a quiescent instant, and what one
+    dispatch adds to it — measured the same way in a pocket (to build a
+    record) and in the live job (to verify one)."""
+
+    __slots__ = ("job", "t0_ticks", "counters", "per_pair", "spans",
+                 "profiles")
+
+    def __init__(self, job):
+        self.job = job
+        self.t0_ticks = round(job.engine.now * _INV_TICK)
+        self.counters, self.per_pair, _ = _snapshot(job)
+        self.spans = len(job.tracer.records) if job.tracer is not None else 0
+        self.profiles = [
+            {o: (s.calls, s.bytes, s.time)
+             for o, s in ctx.profile.ops.items()}
+            for ctx in job.contexts
+        ]
+
+    def deltas(self):
+        """``(counters, per_pair, max_hops, spans, profiles)`` added
+        since the baseline; *spans* is the raw record slice (None when
+        untraced), *profiles* per rank the sorted ``(op, dcalls, dbytes,
+        dtime)`` increments.  Every quantity on the tick grid at
+        benchmark magnitudes sums exactly in binary floating point, so
+        plain deltas reproduce live accumulation bit-for-bit."""
+        job = self.job
+        counters, end_pairs, max_hops = _snapshot(job)
+        per_pair = {}
+        for pair, (c, b) in end_pairs.items():
+            c0, b0 = self.per_pair.get(pair, (0, 0.0))
+            if c != c0 or b != b0:
+                per_pair[pair] = (c - c0, b - b0)
+        profiles = []
+        for ctx, before in zip(job.contexts, self.profiles):
+            delta = []
+            for o, s in ctx.profile.ops.items():
+                c0, b0, t0 = before.get(o, (0, 0.0, 0.0))
+                if (s.calls, s.bytes, s.time) != (c0, b0, t0):
+                    delta.append((o, s.calls - c0, s.bytes - b0, s.time - t0))
+            profiles.append(tuple(sorted(delta)))
+        return (
+            tuple(a - b for a, b in zip(counters, self.counters)),
+            per_pair,
+            max_hops,
+            None if job.tracer is None else job.tracer.records[self.spans:],
+            tuple(profiles),
+        )
+
+
 class _Pending:
     """Per-(comm, sequence) parking state for one collective entry."""
 
-    __slots__ = ("op", "arrivals", "seen", "decided")
+    __slots__ = ("op", "rebuild", "arrivals", "seen", "decided")
 
-    def __init__(self, op: str):
+    def __init__(self, op: str, rebuild):
         self.op = op
+        self.rebuild = rebuild
         self.arrivals: dict[int, tuple[Any, Event]] = {}
         self.seen = 0
         self.decided: str | None = None
 
 
-class _MeasureState:
-    """Instruments one live, aligned, quiescent execution: every rank
-    reports its duration and result; the last report hands the complete
-    measurement to :meth:`_finish` (recording or verification)."""
+class _VerifyState:
+    """Instruments one live, aligned, quiescent execution of a verified
+    hit: every rank reports its duration and result; the last report
+    compares the complete measurement against the record."""
 
-    __slots__ = ("session", "op", "counters_base", "per_pair_base",
-                 "trace_base", "prof_base", "t0_ticks", "d_ticks",
-                 "results", "nranks")
+    __slots__ = ("session", "rec", "op", "window", "d_ticks", "results")
 
-    def __init__(self, session: "ReplaySession", op: str):
+    def __init__(self, session: "ReplaySession", rec: _Record, op: str):
         self.session = session
+        self.rec = rec
         self.op = op
-        job = session.job
-        self.counters_base, self.per_pair_base, _ = _snapshot(job)
-        self.trace_base = (
-            len(job.tracer.records) if job.tracer is not None else 0
-        )
-        self.prof_base = [
-            {o: (s.calls, s.bytes, s.time)
-             for o, s in ctx.profile.ops.items()}
-            for ctx in job.contexts
-        ]
-        self.t0_ticks = round(job.engine.now * _INV_TICK)
+        self.window = _Window(session.job)
         #: Insertion order is the live exit order (reports arrive as
         #: each rank's continuation processes).
         self.d_ticks: dict[int, int] = {}
         self.results: dict[int, Any] = {}
-        self.nranks = session.world_size
 
     def report(self, rank: int, d_ticks: int, result: Any) -> None:
         self.d_ticks[rank] = d_ticks
         self.results[rank] = result
-        if len(self.d_ticks) == self.nranks:
-            self._finish()
-
-    def _finish(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class _VerifyState(_MeasureState):
-    """Collects live measurements of one verified hit and compares them
-    against the record when the last rank exits."""
-
-    __slots__ = ("rec", "top")
-
-    def __init__(self, session: "ReplaySession", rec: _Record, op: str):
-        super().__init__(session, op)
-        self.rec = rec
-        #: Per-rank top-level wrapper entries, delivered by
-        #: ``Comm._collective`` via the session's ``profile_taps``.
-        self.top: dict[int, tuple] = {}
+        if len(self.d_ticks) == self.session.world_size:
+            # Compare from a zero-delay callback, not from inside the
+            # last rank's continuation: a verify failure then propagates
+            # raw from ``Engine.run`` instead of being wrapped as a
+            # rank-process crash.
+            self.session.engine.timeout(0.0).add_callback(
+                lambda _ev: self._compare()
+            )
 
     def _fail(self, what: str, recorded, live) -> None:
         raise ReplayVerifyError(
@@ -349,113 +417,50 @@ class _VerifyState(_MeasureState):
             f"recorded {recorded!r} != live {live!r}"
         )
 
-    def _finish(self) -> None:
-        # The enclosing ``Comm._collective`` wrapper records each rank's
-        # top-level profile entry *after* the dispatch returns, so the
-        # last reporting rank's profile delta is still incomplete here.
-        # Defer the comparison one queue turn: a zero-delay callback
-        # runs after every rank continuation has finished its
-        # synchronous segment at this timestep.  A verify failure then
-        # propagates raw from ``Engine.run`` instead of being wrapped
-        # as a rank-process crash.
-        self.session.job.engine.timeout(0.0).add_callback(
-            lambda _ev: self._compare()
-        )
-
     def _compare(self) -> None:
         rec = self.rec
-        live_d = tuple(self.d_ticks[r] for r in range(self.nranks))
+        ranks = range(self.session.world_size)
+        live_d = tuple(self.d_ticks[r] for r in ranks)
         if live_d != rec.d_ticks:
             self._fail("per-rank tick deltas", rec.d_ticks, live_d)
         live_order = tuple(self.d_ticks)
         if live_order != rec.exit_order:
             self._fail("exit order", rec.exit_order, live_order)
-        live_res = [self.results[r] for r in range(self.nranks)]
+        live_res = [self.results[r] for r in ranks]
         if live_res != list(rec.results):
             self._fail("results", rec.results, live_res)
-        job = self.session.job
-        counters, per_pair, _ = _snapshot(job)
-        d_counters = tuple(
-            a - b for a, b in zip(counters, self.counters_base)
-        )
-        if d_counters != rec.counters:
-            self._fail("counter deltas", rec.counters, d_counters)
-        d_pair = _per_pair_delta(per_pair, self.per_pair_base)
-        if d_pair != rec.per_pair:
-            self._fail("per-pair traffic", rec.per_pair, d_pair)
-        if job.tracer is not None and rec.templates is not None:
-            live = _normalize_spans(
-                job.tracer.records[self.trace_base:], self.t0_ticks
-            )
-            recd = _normalize_templates(rec.templates)
+        counters, per_pair, _, spans, profiles = self.window.deltas()
+        if counters != rec.counters:
+            self._fail("counter deltas", rec.counters, counters)
+        if per_pair != rec.per_pair:
+            self._fail("per-pair traffic", rec.per_pair, per_pair)
+        if spans is not None and rec.templates is not None:
+            live = _normalize(spans, self.window.t0_ticks)
+            recd = _normalize(rec.templates)
             if live != recd:
                 self._fail("span slice", recd, live)
-        # Profile deltas.  The record carries only *nested* wrapped
-        # collectives; the live delta additionally contains the
-        # top-level ``Comm._collective`` entry, tapped on the way out —
-        # fold it into the expectation before comparing.
-        live_prof = []
-        expect_prof = []
-        for rank, (ctx, before) in enumerate(
-            zip(job.contexts, self.prof_base)
-        ):
-            delta = {}
-            for o, s in ctx.profile.ops.items():
-                c0, b0, t0 = before.get(o, (0, 0.0, 0.0))
-                if (s.calls, s.bytes, s.time) != (c0, b0, t0):
-                    delta[o] = (s.calls - c0, s.bytes - b0, s.time - t0)
-            expect = {
-                o: (dc, dby, dt) for o, dc, dby, dt in rec.profiles[rank]
-            }
-            top = self.top.get(rank)
-            if top is not None:
-                o, nbytes, dt = top
-                dc, dby, dt0 = expect.get(o, (0, 0.0, 0.0))
-                expect[o] = (dc + 1, dby + nbytes, dt0 + dt)
-            live_prof.append(delta)
-            expect_prof.append(expect)
-        if live_prof != expect_prof:
-            self._fail("profile deltas", expect_prof, live_prof)
-
-
-def _per_pair_delta(end: dict, base: dict) -> dict:
-    out = {}
-    for pair, (c, b) in end.items():
-        c0, b0 = base.get(pair, (0, 0.0))
-        if c != c0 or b != b0:
-            out[pair] = (c - c0, b - b0)
-    return out
+        if profiles != rec.profiles:
+            self._fail("profile deltas", rec.profiles, profiles)
 
 
 _SPAN_DROP = ("sid", "parent", "replayed")
 
 
-def _normalize_spans(records: list[dict], t0_ticks: int) -> list[dict]:
-    """Shift-normalize a live span slice for comparison: absolute times
-    become relative ticks, span ids become slice positions."""
+def _normalize(records: list[dict], t0_ticks: int = 0) -> list[dict]:
+    """Shift-normalize a span slice for comparison: span ids become
+    slice positions and — for live records, which carry an absolute
+    ``t`` where templates carry relative ticks ``_tt`` — times become
+    ticks relative to *t0_ticks*."""
     sid_pos = {}
     out = []
     for i, r in enumerate(records):
         d = {k: v for k, v in r.items() if k not in _SPAN_DROP}
-        d["_tt"] = round((d.pop("t") - t0_ticks * TICK) * _INV_TICK)
+        if "t" in d:
+            d["_tt"] = round((d.pop("t") - t0_ticks * TICK) * _INV_TICK)
         sid = r.get("sid")
         if sid is not None:
             sid_pos[sid] = i
             par = r.get("parent")
-            d["_par"] = None if par is None else sid_pos.get(par)
-        out.append(d)
-    return out
-
-
-def _normalize_templates(templates: list[dict]) -> list[dict]:
-    sid_pos = {}
-    out = []
-    for i, tpl in enumerate(templates):
-        d = {k: v for k, v in tpl.items() if k not in _SPAN_DROP}
-        sid = tpl.get("sid")
-        if sid is not None:
-            sid_pos[sid] = i
-            par = tpl.get("parent")
             d["_par"] = None if par is None else sid_pos.get(par)
         out.append(d)
     return out
@@ -501,11 +506,6 @@ class ReplaySession:
         #: lock-idle quiescence check.
         self.rma_windows: list[Any] = []
         self._identity = tuple(range(self.world_size))
-        #: Verify-mode taps: world rank -> the :class:`_VerifyState`
-        #: awaiting that rank's enclosing ``Comm._collective`` top-level
-        #: profile entry, which the pocket (whose bodies call the
-        #: unwrapped ``_run_*`` dispatchers) never records.
-        self.profile_taps: dict[int, Any] = {}
         #: Dispatch shapes ``(op, sigs)`` that have executed live at
         #: least once in this job — replay only applies after that.
         self._warm: set[tuple] = set()
@@ -522,16 +522,24 @@ class ReplaySession:
         return self._prefix
 
     # -- entry ----------------------------------------------------------
-    def run(self, comm, op: str, sig, inner: Callable[[], Any]):
+    def run(self, comm, op: str, call, body, rebuild=None):
         """Coroutine: route one dispatch through the replay layer.
 
-        *inner* builds the normal execution coroutine; *sig* is this
-        rank's payload/shape signature (None vetoes — the decision is
-        still collective, so every rank parks either way).
+        *body* is the unstarted coroutine of normal execution (profiling
+        included, so a pocket and the live job record the same profile
+        entries); *call* is the argument tuple of the public call
+        ``getattr(comm, op)`` that produced it, from which this rank's
+        signature is derived — None, or an argument without a signature,
+        vetoes (the decision is still collective, so every rank parks
+        either way).  A pocket re-issues that public call on its own
+        world communicator; callers whose call needs more than a
+        communicator pass *rebuild*, a coroutine ``(comm, op, *args)``
+        that performs the one-off setup and returns the zero-argument
+        call to issue.
         """
         n = self.world_size
         if comm.size != n or not self._identity_group(comm):
-            result = yield from inner()
+            result = yield from body
             return result
         eng = self.engine
         skey = (comm._shared.id, comm.rank)
@@ -540,7 +548,7 @@ class ReplaySession:
         pkey = (comm._shared.id, seq)
         pend = self._pending.get(pkey)
         if pend is None:
-            pend = self._pending[pkey] = _Pending(op)
+            pend = self._pending[pkey] = _Pending(op, rebuild)
             eng.on_time_advance(lambda: self._decide(pkey))
         pend.seen += 1
         if pend.decided is not None:
@@ -548,25 +556,22 @@ class ReplaySession:
             # this rank arrived at a later timestep and runs directly.
             if pend.seen == n:
                 self._pending.pop(pkey, None)
-            result = yield from inner()
+            result = yield from body
             return result
         ev = Event(eng, "replay.park")
-        pend.arrivals[comm.rank] = (sig, ev)
+        pend.arrivals[comm.rank] = (
+            None if call is None else call_signature(call), ev
+        )
         verdict, value = yield ev
         if verdict == "done":
             return value
+        t0 = eng.now
+        result = yield from body
         if verdict == "measure":
-            # Live execution instrumented for recording or verification.
-            t0 = eng.now
-            result = yield from inner()
+            # Live execution instrumented for verification.
             value.report(
                 comm.rank, round((eng.now - t0) * _INV_TICK), result
             )
-            # The enclosing wrapper's top-level profile entry (recorded
-            # after this return) belongs to the verified delta too.
-            self.profile_taps[comm._ctx.world_rank] = value
-            return result
-        result = yield from inner()
         return result
 
     def _identity_group(self, comm) -> bool:
@@ -617,7 +622,7 @@ class ReplaySession:
                 STATS["misses"] += 1
                 self._release(pend, "live", None)
                 return
-            rec = self._record(pend.op, sigs, key, order)
+            rec = self._record(pend, sigs, key, order)
         if rec is None or (
             not self.loop and any(d != rec.d_ticks[0] for d in rec.d_ticks)
         ):
@@ -669,26 +674,25 @@ class ReplaySession:
         return True
 
     # -- recording (the pocket simulation) ------------------------------
-    def _record(self, op: str, sigs: tuple, key, order: tuple
+    def _record(self, pend: _Pending, sigs: tuple, key, order: tuple
                 ) -> _Record | None:
-        builders = _POCKET.get(op)
-        if builders is None:
-            _cache_put(key, None)
-            return None
-        setup, body = builders
         job = self.job
         from repro.mpi.runtime import MPIJob
         from repro.trace import Tracer
 
         n = self.world_size
-        state: dict[str, Any] = {"exit": {}}
+        op, rebuild = pend.op, pend.rebuild
+        exits: dict[int, tuple[float, Any]] = {}
         park: dict[int, Event] = {}
 
         def program(mpi):
             comm = mpi.world
-            st = None
-            if setup is not None:
-                st = yield from setup(comm, sigs)
+            sig = sigs[comm.rank]
+            if rebuild is None:
+                def issue():
+                    return getattr(comm, op)(*call_arguments(sig))
+            else:
+                issue = yield from rebuild(comm, op, *call_arguments(sig))
             # Warm run: pays the pocket's one-off lazy setup (mirroring
             # the live job's first, never-replayed execution) so the
             # parked second run below is steady-state.
@@ -696,7 +700,7 @@ class ReplaySession:
                 ("replay_warm",), comm.rank, None,
                 lambda values: dict.fromkeys(values),
             )
-            yield from body(comm, st, sigs)
+            yield from issue()
             # Park: the engine runs dry here (phase one below returns),
             # the recorder snapshots the quiescent baseline, then wakes
             # every rank at one timestep in the live job's arrival
@@ -704,8 +708,8 @@ class ReplaySession:
             ev = Event(mpi.engine, "replay.pocket")
             park[comm.rank] = ev
             yield ev
-            result = yield from body(comm, st, sigs)
-            state["exit"][comm.rank] = (mpi.engine.now, result)
+            result = yield from issue()
+            exits[comm.rank] = (mpi.engine.now, result)
 
         trace = (
             Tracer(detail=job.tracer.detail, compute=job.tracer.compute)
@@ -736,18 +740,8 @@ class ReplaySession:
                 return None
             # Quiescent baseline, read between engine runs so the event
             # count is exact.
-            t0 = pocket.engine.now
-            base = _snapshot(pocket)
+            window = _Window(pocket)
             events0 = pocket.engine.event_count
-            rec0 = (
-                len(pocket.tracer.records)
-                if pocket.tracer is not None else 0
-            )
-            prof0 = [
-                {o: (s.calls, s.bytes, s.time)
-                 for o, s in ctx.profile.ops.items()}
-                for ctx in pocket.contexts
-            ]
             # Phase two: simultaneous release in arrival order — the
             # same entry state the live dispatch would replay from.
             for r in order:
@@ -759,30 +753,24 @@ class ReplaySession:
             _cache_put(key, None)
             return None
 
-        exits = state["exit"]
         if len(exits) != n:
             _cache_put(key, None)
             return None
-        t0_ticks = round(t0 * _INV_TICK)
+        t0_ticks = window.t0_ticks
         d_ticks = tuple(
             round(exits[r][0] * _INV_TICK) - t0_ticks for r in range(n)
         )
         results = [exits[r][1] for r in range(n)]
-        base_counters, base_pairs, _ = base
-        end_counters, end_pairs, end_max_hops = _snapshot(pocket)
-        counters = tuple(
-            a - b for a, b in zip(end_counters, base_counters)
-        )
-        per_pair = _per_pair_delta(end_pairs, base_pairs)
+        counters, per_pair, max_hops, spans, profiles = window.deltas()
         # The n release events above are parking overhead, not part of
         # the dispatch.
         events = pocket.engine.event_count - events0 - n
 
         templates = None
-        if pocket.tracer is not None:
+        if spans is not None:
             templates = []
             sids = set()
-            for r in pocket.tracer.records[rec0:]:
+            for r in spans:
                 tpl = dict(r)
                 sid = tpl.get("sid")
                 if sid is not None:
@@ -797,21 +785,8 @@ class ReplaySession:
                 tpl["_tt"] = round(tpl.pop("t") * _INV_TICK) - t0_ticks
                 templates.append(tpl)
 
-        # Per-rank profiler increments.  Every quantity on the tick grid
-        # at benchmark magnitudes sums exactly in binary floating point,
-        # so plain deltas reproduce live accumulation bit-for-bit.
-        profiles = []
-        for ctx, before in zip(pocket.contexts, prof0):
-            delta = []
-            for o, s in ctx.profile.ops.items():
-                c0, b0, t0_ = before.get(o, (0, 0.0, 0.0))
-                if (s.calls, s.bytes, s.time) != (c0, b0, t0_):
-                    delta.append((o, s.calls - c0, s.bytes - b0,
-                                  s.time - t0_))
-            profiles.append(tuple(sorted(delta)))
-
-        rec = _Record(d_ticks, results, counters, per_pair, end_max_hops,
-                      templates, events, tuple(exits), tuple(profiles))
+        rec = _Record(d_ticks, results, counters, per_pair, max_hops,
+                      templates, events, tuple(exits), profiles)
         _cache_put(key, rec)
         return rec
 
@@ -864,174 +839,3 @@ class ReplaySession:
             ev._state = _TRIGGERED
             ev._value = ("done", rec.result_for(rank))
             eng._push((base_ticks + rec.d_ticks[rank]) * TICK, ev)
-
-
-# ---------------------------------------------------------------------------
-# Pocket builders: reconstruct one dispatch from its signature vector
-# ---------------------------------------------------------------------------
-
-def _pl(psig):
-    """Rebuild a payload from its signature."""
-    kind = psig[0]
-    if kind == "none":
-        return None
-    if kind == "b":
-        return Bytes(psig[1])
-    return [None if s < 0 else Bytes(s) for s in psig[1]]
-
-
-def _rop(value) -> ReduceOp:
-    return ReduceOp(value)
-
-
-def _body_flat(call):
-    """Flat dispatch body: rebuild args from this rank's signature and
-    run the (unwrapped) dispatcher with a pocket-drawn tag."""
-
-    def body(comm, st, sigs):
-        result = yield from call(comm, sigs[comm.rank], comm._next_coll_tag())
-        return result
-
-    return body
-
-
-def _run(name):
-    from repro.mpi import collectives as disp
-
-    return getattr(disp, name)
-
-
-def _b_allgather(comm, sig, tag):
-    result = yield from _run("_run_allgather")(comm, _pl(sig[1]), tag)
-    return result
-
-
-def _b_allgatherv(comm, sig, tag):
-    result = yield from _run("_run_allgatherv")(
-        comm, _pl(sig[1]), tag, sig[2]
-    )
-    return result
-
-
-def _b_bcast(comm, sig, tag):
-    result = yield from _run("_run_bcast")(comm, _pl(sig[1]), sig[2], tag)
-    return result
-
-
-def _b_gather(comm, sig, tag):
-    result = yield from _run("_run_gather")(
-        comm, _pl(sig[1]), sig[2], tag, sig[3]
-    )
-    return result
-
-
-def _b_scatter(comm, sig, tag):
-    result = yield from _run("_run_scatter")(comm, _pl(sig[1]), sig[2], tag)
-    return result
-
-
-def _b_reduce(comm, sig, tag):
-    result = yield from _run("_run_reduce")(
-        comm, _pl(sig[1]), _rop(sig[2]), sig[3], tag
-    )
-    return result
-
-
-def _reduce_family(runner):
-    def b(comm, sig, tag, _runner=runner):
-        result = yield from _run(_runner)(
-            comm, _pl(sig[1]), _rop(sig[2]), tag
-        )
-        return result
-
-    return b
-
-
-def _b_barrier(comm, sig, tag):
-    result = yield from _run("_run_barrier")(comm, tag)
-    return result
-
-
-def _b_alltoall(comm, sig, tag):
-    result = yield from _run("_run_alltoall")(comm, _pl(sig[1]), tag)
-    return result
-
-
-# -- hybrid builders --------------------------------------------------------
-
-def _setup_hybrid_buf(comm, sigs):
-    """Pre-gate setup for buffer-based hybrid ops: rebuild the context
-    and the shared buffer (one-off activities, excluded from timing
-    exactly as the paper's §5 excludes them)."""
-    from repro.core.hierarchy import HybridContext
-
-    sig = sigs[comm.rank]
-    hctx = yield from HybridContext.create(
-        comm, default_sync=_sync_from(sig[2])
-    )
-    buf = yield from hctx._alloc(list(sig[1]))
-    return (hctx, buf)
-
-
-def _setup_hybrid_ctx(comm, sigs):
-    from repro.core.hierarchy import HybridContext
-
-    sig = sigs[comm.rank]
-    hctx = yield from HybridContext.create(
-        comm, default_sync=_sync_from(sig[1])
-    )
-    return hctx
-
-
-def _body_hy_allgather(comm, st, sigs):
-    from repro.core.allgather import hy_allgather
-
-    sig = sigs[comm.rank]
-    hctx, buf = st
-    yield from hy_allgather(
-        hctx, buf, sync=None, pipelined=sig[3], chunk_bytes=sig[4],
-        pack_datatypes=sig[5],
-    )
-    return None
-
-
-def _body_hy_bcast(comm, st, sigs):
-    from repro.core.bcast import hy_bcast
-
-    sig = sigs[comm.rank]
-    hctx, buf = st
-    yield from hy_bcast(hctx, buf, root=sig[3], sync=None)
-    return None
-
-
-def _body_hy_allreduce(comm, st, sigs):
-    from repro.core.reduce import hy_allreduce
-
-    sig = sigs[comm.rank]
-    result = yield from hy_allreduce(
-        st, _pl(sig[2]), sig[3], _rop(sig[4]), sync=None
-    )
-    return result
-
-
-#: op -> (pre-gate setup | None, post-gate body).
-_POCKET: dict[str, tuple[Any, Any]] = {
-    "allgather": (None, _body_flat(_b_allgather)),
-    "allgatherv": (None, _body_flat(_b_allgatherv)),
-    "bcast": (None, _body_flat(_b_bcast)),
-    "gather": (None, _body_flat(_b_gather)),
-    "gatherv": (None, _body_flat(_b_gather)),
-    "scatter": (None, _body_flat(_b_scatter)),
-    "reduce": (None, _body_flat(_b_reduce)),
-    "allreduce": (None, _body_flat(_reduce_family("_run_allreduce"))),
-    "scan": (None, _body_flat(_reduce_family("_run_scan"))),
-    "exscan": (None, _body_flat(_reduce_family("_run_exscan"))),
-    "reduce_scatter": (
-        None, _body_flat(_reduce_family("_run_reduce_scatter"))
-    ),
-    "barrier": (None, _body_flat(_b_barrier)),
-    "alltoall": (None, _body_flat(_b_alltoall)),
-    "hy_allgather": (_setup_hybrid_buf, _body_hy_allgather),
-    "hy_bcast": (_setup_hybrid_buf, _body_hy_bcast),
-    "hy_allreduce": (_setup_hybrid_ctx, _body_hy_allreduce),
-}

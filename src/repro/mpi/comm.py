@@ -412,13 +412,29 @@ class Comm:
         self._coll_seq += 1
         return MAX_INTERNAL_TAG + self._coll_seq
 
-    def _collective(self, op: str, nbytes: int, gen):
-        """Single collective entry point (coroutine).
+    def _timed(self, op: str, nbytes: int, gen):
+        """Coroutine: run *gen* and charge it to this rank's profile."""
+        ctx = self._ctx
+        t0 = ctx.engine.now
+        result = yield from gen
+        ctx.profile.record(op, nbytes, ctx.engine.now - t0)
+        return result
+
+    def _collective(self, op: str, nbytes: int, gen,
+                    call: tuple | None = None):
+        """Single collective entry point; returns the coroutine to drive.
 
         Every collective — blocking or non-blocking — runs through here,
         so per-operation profiling is uniform; the dispatch layer records
         the matching trace entry (op, algorithm, policy, bytes) for the
-        same call.
+        same call.  *gen* is the unstarted ``run_*`` body.  When the job
+        replays (:mod:`repro.mpi.collectives.replay`), the profiled body
+        is routed through the session, which may skip it entirely; *call*
+        is then the public call's argument tuple, ``getattr(self,
+        op)(*call)`` — everything the session needs to key the dispatch
+        and to re-issue it in a pocket simulation.  Non-blocking
+        collectives leave it None: they still park (the decision is
+        collective) but never replay.
 
         Per-op byte conventions (see :mod:`repro.mpi.profiler`):
         rooted/scan family charge the local message size; allgather
@@ -426,31 +442,16 @@ class Comm:
         per-rank sizes; scatter charges the root's total payload;
         alltoall charges this rank's total send volume; barrier is zero.
         """
-        t0 = self._ctx.engine.now
-        result = yield from gen
-        ctx = self._ctx
-        dt = ctx.engine.now - t0
-        ctx.profile.record(op, nbytes, dt)
-        sess = ctx.job.replay
-        if sess is not None and sess.profile_taps:
-            # Replay verify mode: hand the top-level entry to the
-            # pending verifier — the replay record carries only *nested*
-            # wrapped collectives (pocket bodies call the unwrapped
-            # dispatchers), so the verifier folds this entry into the
-            # expected delta.
-            state = sess.profile_taps.pop(ctx.world_rank, None)
-            if state is not None:
-                state.top[ctx.world_rank] = (op, nbytes, dt)
-        return result
-
-    # Backward-compatible alias (pre-registry name).
-    _profiled = _collective
+        body = self._timed(op, nbytes, gen)
+        sess = self._ctx.job.replay
+        if sess is None:
+            return body
+        return sess.run(self, op, call, body)
 
     def barrier(self):
         """Barrier over all member ranks (coroutine)."""
         yield from self._collective(
-            "barrier", 0,
-            _coll.dispatch_barrier(self, self._next_coll_tag()),
+            "barrier", 0, _coll.run_barrier(self, self._next_coll_tag()), ()
         )
 
     def align(self):
@@ -479,70 +480,57 @@ class Comm:
 
     def bcast(self, payload: Any, root: int = 0):
         """Broadcast from *root*; returns the payload on every rank."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "bcast", nbytes_of(payload),
-                _coll.dispatch_bcast(
-                    self, payload, root, self._next_coll_tag()
-                ),
+                _coll.run_bcast(self, payload, root, self._next_coll_tag()),
+                (payload, root),
             )
         )
 
     def gather(self, payload: Any, root: int = 0):
         """Gather to *root*; returns list of payloads (None elsewhere)."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "gather", nbytes_of(payload),
-                _coll.dispatch_gather(
-                    self, payload, root, self._next_coll_tag()
-                ),
+                _coll.run_gather(self, payload, root, self._next_coll_tag()),
+                (payload, root),
             )
         )
 
     def gatherv(self, payload: Any, root: int = 0):
         """Irregular gather to *root* (per-rank sizes may differ)."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "gatherv", nbytes_of(payload),
-                _coll.dispatch_gather(
+                _coll.run_gather(
                     self, payload, root, self._next_coll_tag(),
                     irregular=True,
                 ),
+                (payload, root),
             )
         )
 
     def scatter(self, payloads: list[Any] | None, root: int = 0):
         """Scatter list *payloads* (significant at root); returns own part."""
-        from repro.mpi.datatypes import nbytes_of
-
         nbytes = (
             sum(nbytes_of(p) for p in payloads) if payloads is not None else 0
         )
         return (
             yield from self._collective(
                 "scatter", nbytes,
-                _coll.dispatch_scatter(
-                    self, payloads, root, self._next_coll_tag()
-                ),
+                _coll.run_scatter(self, payloads, root, self._next_coll_tag()),
+                (payloads, root),
             )
         )
 
     def allgather(self, payload: Any):
         """Regular allgather; returns the list of per-rank payloads."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "allgather", nbytes_of(payload) * self.size,
-                _coll.dispatch_allgather(
-                    self, payload, self._next_coll_tag()
-                ),
+                _coll.run_allgather(self, payload, self._next_coll_tag()),
+                (payload,),
             )
         )
 
@@ -553,8 +541,6 @@ class Comm:
         profiler charges the *actual* summed per-rank bytes rather than
         ``local_size * comm_size`` — the two differ exactly when the
         v-variant matters (irregular nodes, Fig 10)."""
-        from repro.mpi.datatypes import nbytes_of
-
         tag = self._next_coll_tag()
         nbytes = nbytes_of(payload)
         if self.size > 1:
@@ -564,85 +550,78 @@ class Comm:
         return (
             yield from self._collective(
                 "allgatherv", total,
-                _coll.dispatch_allgatherv(self, payload, tag, total=total),
+                _coll.run_allgatherv(self, payload, tag, total=total),
+                (payload,),
             )
         )
 
     def reduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0):
         """Reduce to *root*; returns the reduction there, None elsewhere."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "reduce", nbytes_of(payload),
-                _coll.dispatch_reduce(
+                _coll.run_reduce(
                     self, payload, op, root, self._next_coll_tag()
                 ),
+                (payload, op, root),
             )
         )
 
     def allreduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Allreduce; returns the reduction on every rank."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "allreduce", nbytes_of(payload),
-                _coll.dispatch_allreduce(
-                    self, payload, op, self._next_coll_tag()
+                _coll.run_reduction(
+                    self, "allreduce", payload, op, self._next_coll_tag()
                 ),
+                (payload, op),
             )
         )
 
     def alltoall(self, payloads: list[Any]):
         """All-to-all personalized exchange; returns received list."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "alltoall", sum(nbytes_of(p) for p in payloads),
-                _coll.dispatch_alltoall(
-                    self, payloads, self._next_coll_tag()
-                ),
+                _coll.run_alltoall(self, payloads, self._next_coll_tag()),
+                (payloads,),
             )
         )
 
     def scan(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Inclusive prefix reduction."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "scan", nbytes_of(payload),
-                _coll.dispatch_scan(
-                    self, payload, op, self._next_coll_tag()
+                _coll.run_reduction(
+                    self, "scan", payload, op, self._next_coll_tag()
                 ),
+                (payload, op),
             )
         )
 
     def exscan(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Exclusive prefix reduction (None on rank 0)."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "exscan", nbytes_of(payload),
-                _coll.dispatch_exscan(
-                    self, payload, op, self._next_coll_tag()
+                _coll.run_reduction(
+                    self, "exscan", payload, op, self._next_coll_tag()
                 ),
+                (payload, op),
             )
         )
 
     def reduce_scatter(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Block reduce-scatter: returns this rank's reduced block."""
-        from repro.mpi.datatypes import nbytes_of
-
         return (
             yield from self._collective(
                 "reduce_scatter", nbytes_of(payload),
-                _coll.dispatch_reduce_scatter(
-                    self, payload, op, self._next_coll_tag()
+                _coll.run_reduction(
+                    self, "reduce_scatter", payload, op, self._next_coll_tag()
                 ),
+                (payload, op),
             )
         )
 
@@ -665,25 +644,21 @@ class Comm:
         """Non-blocking barrier; wait on the returned request."""
         return self._icoll(
             "ibarrier", 0,
-            _coll.dispatch_barrier(self, self._next_coll_tag()),
+            _coll.run_barrier(self, self._next_coll_tag()),
         )
 
     def ibcast(self, payload: Any, root: int = 0) -> CollRequest:
         """Non-blocking broadcast; request value is the payload."""
-        from repro.mpi.datatypes import nbytes_of
-
         return self._icoll(
             "ibcast", nbytes_of(payload),
-            _coll.dispatch_bcast(self, payload, root, self._next_coll_tag()),
+            _coll.run_bcast(self, payload, root, self._next_coll_tag()),
         )
 
     def iallgather(self, payload: Any) -> CollRequest:
         """Non-blocking allgather; request value is the payload list."""
-        from repro.mpi.datatypes import nbytes_of
-
         return self._icoll(
             "iallgather", nbytes_of(payload) * self.size,
-            _coll.dispatch_allgather(self, payload, self._next_coll_tag()),
+            _coll.run_allgather(self, payload, self._next_coll_tag()),
         )
 
     def iallgatherv(self, payload: Any) -> CollRequest:
@@ -692,8 +667,6 @@ class Comm:
         The size-agreement gate runs inside the background process, so
         issuing never blocks; the profiler still charges the agreed
         per-rank byte sum, exactly like :meth:`allgatherv`."""
-        from repro.mpi.datatypes import nbytes_of
-
         tag = self._next_coll_tag()
         nbytes = nbytes_of(payload)
 
@@ -704,7 +677,7 @@ class Comm:
                 total = nbytes
             result = yield from self._collective(
                 "iallgatherv", total,
-                _coll.dispatch_allgatherv(self, payload, tag, total=total),
+                _coll.run_allgatherv(self, payload, tag, total=total),
             )
             return result
 
@@ -714,11 +687,9 @@ class Comm:
                 root: int = 0) -> CollRequest:
         """Non-blocking reduce; request value is the reduction at *root*
         (None elsewhere)."""
-        from repro.mpi.datatypes import nbytes_of
-
         return self._icoll(
             "ireduce", nbytes_of(payload),
-            _coll.dispatch_reduce(
+            _coll.run_reduce(
                 self, payload, op, root, self._next_coll_tag()
             ),
         )
@@ -726,11 +697,11 @@ class Comm:
     def iallreduce(self, payload: Any,
                    op: ReduceOp = ReduceOp.SUM) -> CollRequest:
         """Non-blocking allreduce; request value is the result."""
-        from repro.mpi.datatypes import nbytes_of
-
         return self._icoll(
             "iallreduce", nbytes_of(payload),
-            _coll.dispatch_allreduce(self, payload, op, self._next_coll_tag()),
+            _coll.run_reduction(
+                self, "allreduce", payload, op, self._next_coll_tag()
+            ),
         )
 
     # -- communicator management ----------------------------------------------

@@ -128,3 +128,32 @@ class TestTorus:
                     + 1
                 )
                 assert topo.hops(a, b) == expected, (a, b)
+
+
+class TestHopMemo:
+    """The hop memo lives on the instance, not on the class."""
+
+    def test_topology_is_collectable_after_hops(self):
+        import gc
+        import weakref
+
+        topo = DragonflyTopology(32, nodes_per_router=4, routers_per_group=2)
+        topo.hops(0, 31)
+        ref = weakref.ref(topo)
+        del topo
+        gc.collect()
+        assert ref() is None
+
+    def test_memoized_hops_match_graph_distance(self):
+        import networkx as nx
+
+        topo = DragonflyTopology(32, nodes_per_router=4, routers_per_group=2)
+        other = DragonflyTopology(32, nodes_per_router=2, routers_per_group=4)
+        for _ in range(2):  # second pass is served from the memo
+            for t in (topo, other):
+                for a, b in itertools.permutations(range(0, 32, 3), 2):
+                    ra, rb = t.attachment(a), t.attachment(b)
+                    expected = 1 if ra == rb else (
+                        nx.shortest_path_length(t.graph, ra, rb) + 1
+                    )
+                    assert t.hops(a, b) == expected, (a, b)
