@@ -29,9 +29,12 @@ leader-based hierarchical stages (on-node funnel → inter-leader bridge
 → on-node release) and the hybrid ``hy_*`` shared-window exchanges.
 For small communicators (``p <= exact_limit``) per-round send/recv
 censuses over the actual rank→node map are used, so irregular
-placements are priced exactly; larger communicators fall back to O(ppn)
-arithmetic, which is what makes a 1M-rank sweep take microseconds per
-point instead of hours of simulation.
+placements are priced exactly; larger communicators are priced by
+**node class** — the run-length classes of the per-node rank counts
+(Fig 10 at a million ranks is two: 41 666 × 24 and 1 × 16).  Every
+per-node quantity is evaluated once per class, bit-identical to pricing
+node by node, so a 1M-rank point costs O(classes + log p) Python work
+instead of hours of simulation.
 
 The conformance suite (``tests/analysis/test_model_conformance.py``)
 asserts model-vs-DES divergence bounds for every registered (op, algo)
@@ -46,8 +49,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.machine.placement import Placement
 from repro.mpi.collectives.tuning import CollectiveTuning, tuning_for_machine
 
 __all__ = [
@@ -90,16 +95,18 @@ def _rep_hops_kind(kind: str, num_nodes: int) -> int:
     return 2                     # flat (uniform_hops)
 
 
-def _rep_hops(topology, kind: str, node_ids: Sequence[int]) -> int:
-    """Worst pairwise hops over *node_ids* (exact for small sets)."""
-    n = len(node_ids)
+def _rep_hops(topology, kind: str, node_ids: Sequence[int] | None,
+              n: int) -> int:
+    """Worst pairwise hops over the *n* nodes *node_ids* (``None`` means
+    ``0..n-1``; exact for small sets)."""
     if n <= 1:
         return 0
     if topology is not None and not isinstance(topology, str) and n <= 64:
+        ids = node_ids if node_ids is not None else range(n)
         worst = 0
         for i in range(n):
             for j in range(i + 1, n):
-                worst = max(worst, topology.hops(node_ids[i], node_ids[j]))
+                worst = max(worst, topology.hops(ids[i], ids[j]))
         return worst
     return _rep_hops_kind(kind, max(node_ids) + 1 if node_ids else n)
 
@@ -126,7 +133,9 @@ class CostModel:
         alpha/beta, NIC streams, eager threshold and node memory costs.
     counts:
         Per-node rank counts in block order (``Placement.irregular``
-        semantics); an int means one node with that many ranks.
+        semantics); an int means one node with that many ranks.  Kept
+        as :attr:`classes`, the run-length ``(count, nodes)`` pairs in
+        node order — ``[24, 24, 16]`` is ``((24, 2), (16, 1))``.
     tuning:
         :class:`CollectiveTuning` personality; defaults to the spec's
         machine personality.
@@ -138,7 +147,7 @@ class CostModel:
         Machine node indices hosting the ranks (default ``0..N-1``).
     exact_limit:
         Communicator sizes up to this bound use exact per-round
-        send/recv censuses; larger ones use O(ppn) arithmetic.
+        send/recv censuses; larger ones are priced per node class.
     socket_mode:
         Slot→socket mapping of the placement being priced (one of
         :attr:`~repro.machine.placement.Placement.SOCKET_MODES`); only
@@ -150,13 +159,20 @@ class CostModel:
                  exact_limit: int = 256, socket_mode: str = "compact"):
         if isinstance(counts, int):
             counts = (counts,)
-        self.counts = tuple(int(c) for c in counts)
-        if not self.counts or min(self.counts) < 1:
+        self.classes = tuple((int(c), len(list(run)))
+                             for c, run in groupby(counts))
+        if not self.classes or min(c for c, _k in self.classes) < 1:
             raise ValueError("counts must be non-empty positive ints")
+        if socket_mode not in Placement.SOCKET_MODES:
+            raise ValueError(
+                f"unknown socket_mode {socket_mode!r} "
+                f"(have: {', '.join(Placement.SOCKET_MODES)})"
+            )
+        self._class_sizes = [k for _c, k in self.classes]
         self.spec = spec
-        self.p = sum(self.counts)
-        self.N = len(self.counts)
-        self.q = max(self.counts)
+        self.p = sum(c * k for c, k in self.classes)
+        self.N = sum(self._class_sizes)
+        self.q = max(c for c, _k in self.classes)
         self.tuning = tuning or tuning_for_machine(spec.name)
         node = spec.node
         net = spec.network
@@ -182,10 +198,10 @@ class CostModel:
         self.B = net.bandwidth
         self.nic_streams = net.nic_streams
         self.eager = net.eager_threshold
-        ids = tuple(node_ids) if node_ids is not None else tuple(range(self.N))
+        ids = tuple(node_ids) if node_ids is not None else None
         kind = topology if isinstance(topology, str) else spec.topology_kind
         hops = _rep_hops(None if isinstance(topology, str) else topology,
-                         kind, ids)
+                         kind, ids, len(ids) if ids is not None else self.N)
         self.hops = hops
         #: One-way message latency (software + routing).
         self.L = net.one_way_latency(hops)
@@ -195,9 +211,12 @@ class CostModel:
         if self.exact:
             node_of = []
             sock_of = []
-            for n_idx, c in enumerate(self.counts):
-                node_of.extend([n_idx] * c)
-                sock_of.extend(self._sock_slot(s, c) for s in range(c))
+            first = 0
+            for c, k in self.classes:
+                node_of.extend(n for n in range(first, first + k)
+                               for _ in range(c))
+                sock_of.extend([self._sock_slot(s, c) for s in range(c)] * k)
+                first += k
             self._node_of = node_of
             self._sock_of = sock_of
         else:
@@ -217,7 +236,13 @@ class CostModel:
             return min(slot // self.cores_per_socket, s - 1)
         if self.socket_mode == "scatter":
             return slot % s
-        return min(slot * s // max(ppn, 1), s - 1)
+        return min(slot * s // max(ppn, 1), s - 1)    # balanced
+
+    def _per_node(self, per_class: Iterable[float]) -> Iterable[float]:
+        """A per-class value once per node, in node order, expanded in C:
+        what a float ``sum`` over nodes consumes when its left-to-right
+        order is part of the pinned result."""
+        return chain.from_iterable(map(repeat, per_class, self._class_sizes))
 
     def _ncross(self, pairs: Iterable[tuple[int, int]], q: int) -> int:
         """Cross-socket pair count among on-node slot *pairs* of a
@@ -786,31 +811,26 @@ class CostModel:
 
     # -- bridge stage evaluators (N leaders, one per node, all inter) -----
 
-    def _bridge_ring_v(self, blocks: Sequence[float]) -> float:
-        """Inter-leader ring allgatherv of per-node *blocks*."""
-        n = len(blocks)
-        if n <= 1:
-            return 0.0
-        times = [self.net_round(b, 1) for b in blocks]
-        return sum(times) - min(times)
-
-    def _bridge_bruck_v(self, blocks: Sequence[float]) -> float:
-        n = len(blocks)
-        if n <= 1:
-            return 0.0
-        avg = sum(blocks) / n
-        t = 0.0
-        pof = 1
-        while pof < n:
-            cnt = min(pof, n - pof)
-            t += self.net_round(cnt * avg, 1)
-            pof <<= 1
-        return t
-
-    def _bridge_agv(self, blocks: Sequence[float], total: float) -> float:
+    def _bridge_agv(self, block_of: Callable[[int], float], total: float,
+                    conc: int = 1, t: float = 0.0) -> float:
+        """*t* plus the inter-leader allgatherv (policy-selected for
+        *total* bytes) in which a node of ``c`` ranks contributes
+        ``block_of(c)`` bytes and *conc* parallel bridges share each
+        NIC.  Rounds are added onto *t* one by one, the order callers
+        that accumulate a running time are pinned to."""
+        N = self.N
+        if N <= 1:
+            return t
+        blocks = [block_of(c) for c, _k in self.classes]
         if self._bridge_agv_algo(total) == "bruck_v":
-            return self._bridge_bruck_v(blocks)
-        return self._bridge_ring_v(blocks)
+            avg = sum(self._per_node(blocks)) / N
+            pof = 1
+            while pof < N:
+                t += self.net_round(min(pof, N - pof) * avg, conc)
+                pof <<= 1
+            return t
+        times = [self.net_round(b, conc) for b in blocks]
+        return t + (sum(self._per_node(times)) - min(times))
 
     def _bridge_bcast(self, n: float, nnodes: int) -> float:
         if nnodes <= 1:
@@ -939,9 +959,8 @@ class CostModel:
         if q > 1:
             t += self._shm_gather_binomial(n, q)
         if N > 1:
-            blocks = [c * n for c in self.counts]
             t += self.tuning.vector_block_overhead * N
-            t += self._bridge_agv(blocks, total)
+            t += self._bridge_agv(lambda c: c * n, total)
         t += self._shm_bcast_stage(total, q)
         return t
 
@@ -960,19 +979,8 @@ class CostModel:
                 mask <<= 1
         if N > 1:
             # k parallel bridges, each moving a slice of the node block.
-            blocks = [math.ceil(c / k) * n for c in self.counts]
             t += self.tuning.vector_block_overhead * N
-            algo = self._bridge_agv_algo(total)
-            if algo == "bruck_v":
-                avg = sum(blocks) / N
-                pof = 1
-                while pof < N:
-                    cnt = min(pof, N - pof)
-                    t += self.net_round(cnt * avg, k)
-                    pof <<= 1
-            else:
-                times = [self.net_round(b, k) for b in blocks]
-                t += sum(times) - min(times)
+            t = self._bridge_agv(lambda c: math.ceil(c / k) * n, total, k, t)
         if k > 1:
             # Leaders merge their bridge results on-node (ring allgather).
             slots = [min(i * q_slice, q - 1) for i in range(k)]
@@ -1002,9 +1010,8 @@ class CostModel:
             t += self.shm_round(m, conc, ncross=conc)
             mask <<= 1
         if N > 1:
-            blocks = [c * n for c in self.counts]
             t += self.tuning.vector_block_overhead * N
-            t += self._bridge_agv(blocks, total)
+            t += self._bridge_agv(lambda c: c * n, total)
         # Node leader releases the full result back across sockets
         # (binomial over the S leaders; S <= 2 in every preset, where
         # the selection mirror always picks binomial).
@@ -1113,7 +1120,7 @@ class CostModel:
 
     def _t_gather_linear(self, n, total, root):
         p, N = self.p, self.N
-        q_root = self.counts[0]
+        q_root = self.classes[0][0]
         t = 0.0
         if q_root > 1:
             xl = self._ncross([(0, s) for s in range(1, q_root)], q_root)
@@ -1369,10 +1376,9 @@ class CostModel:
         if self.N == 1:
             return self._shm_flags(self.q)
         t = 2 * self._shm_flags(self.q)
-        blocks = [c * n for c in self.counts]
         t += self.tuning.call_overhead
         t += self.tuning.vector_block_overhead * self.N
-        t += self._bridge_agv(blocks, total)
+        t += self._bridge_agv(lambda c: c * n, total)
         return t
 
     def _t_hy_ag_pipelined(self, n, total, root):
@@ -1380,10 +1386,11 @@ class CostModel:
             return self._shm_flags(self.q)
         t = 2 * self._shm_flags(self.q)
         chunk = 128 * 1024
-        blocks = [c * n for c in self.counts]
+        blocks = [c * n for c, _k in self.classes]
         chunk_counts = [max(1, math.ceil(b / chunk)) for b in blocks]
         c = min(max(blocks), chunk)
-        tot_chunks = sum(chunk_counts)
+        tot_chunks = sum(cc * k for cc, k in
+                         zip(chunk_counts, self._class_sizes))
         fill = (self.N - 1) * self.net_round(c, 1)
         steady = max(0, tot_chunks - min(chunk_counts) - (self.N - 2)) \
             * (c / self.B)
@@ -1408,17 +1415,7 @@ class CostModel:
         t = 2 * self._shm_flags(self.q)
         t += self.tuning.call_overhead
         t += self.tuning.vector_block_overhead * self.N
-        blocks = [math.ceil(c / S) * n for c in self.counts]
-        if self._bridge_agv_algo(total / S) == "bruck_v":
-            avg = sum(blocks) / self.N
-            pof = 1
-            while pof < self.N:
-                cnt = min(pof, self.N - pof)
-                t += self.net_round(cnt * avg, S)
-                pof <<= 1
-        else:
-            times = [self.net_round(b, S) for b in blocks]
-            t += sum(times) - min(times)
+        t = self._bridge_agv(lambda c: math.ceil(c / S) * n, total / S, S, t)
         if S > 1:
             # Socket leaders report completion to the node leader.
             t += self.shm_round(0.0, S - 1, ncross=S - 1)
@@ -1525,7 +1522,7 @@ def _resolve_spec(machine, num_nodes: int):
 
 def _counts_of(nranks: int, ppn) -> tuple[int, ...]:
     if not isinstance(ppn, int):
-        counts = tuple(int(c) for c in ppn)
+        counts = tuple(map(int, ppn))
         if sum(counts) != nranks:
             raise ValueError(
                 f"per-node counts {counts} sum to {sum(counts)}, "

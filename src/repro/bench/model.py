@@ -60,21 +60,18 @@ def _fig10_counts(nranks: int, ppn: int = 24) -> list[int]:
 
 
 def _priced(model: CostModel, op: str, algo: str, nbytes: int,
-            cache: "sweeplib.ResultCache | None", *,
-            machine: str, counts, variant: str,
-            socket_mode: str = "compact",
-            transport: str | None = None) -> float:
+            cache: "sweeplib.ResultCache | None", **config) -> float:
     """One candidate's model latency (seconds) — straight from the
     model when *cache* is ``None``, else through the sweep cache as a
     content-addressed ``engine="model"`` point (so re-running a sweep
-    against the same cache answers every candidate without pricing)."""
+    against the same cache answers every candidate without pricing).
+    *config* holds the :class:`~repro.bench.sweep.SweepPoint` fields
+    naming *model*'s configuration (machine, counts, variant, ...); a
+    miss is priced by the sweep layer's shared model for it."""
     if cache is None:
         return model.predict(op, algo, nbytes)
-    point = sweeplib.SweepPoint(
-        machine=machine, counts=tuple(counts), nbytes=int(nbytes),
-        variant=variant, engine="model", op=op, algo=algo,
-        transport=transport, socket_mode=socket_mode,
-    )
+    point = sweeplib.SweepPoint(nbytes=int(nbytes), engine="model", op=op,
+                                algo=algo, **config)
     record, _source = sweeplib.evaluate(point, cache)
     return record["latency_s"]
 
@@ -91,10 +88,7 @@ def model_best(model: CostModel, op: str, nbytes: float,
     """
     best = None
     for name in candidates:
-        if cache is None:
-            t = model.predict(op, name, nbytes)
-        else:
-            t = _priced(model, op, name, nbytes, cache, **point_kwargs)
+        t = _priced(model, op, name, nbytes, cache, **point_kwargs)
         if best is None or t < best[1]:
             best = (name, t)
     assert best is not None
@@ -167,7 +161,7 @@ def run_sweep(ranks=SWEEP_RANKS, sizes=SWEEP_SIZES,
         spec, counts = sweep_config(nranks, machine)
         model = CostModel(spec, counts,
                           tuning=tuning_for_machine(spec.name))
-        irregular = len(set(counts)) > 1
+        irregular = len(model.classes) > 1
         op = "allgatherv" if irregular else "allgather"
         rows = []
         pure_lat, hy_lat = [], []

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.analysis.model import MODEL_VERSION, CostModel
+from repro.analysis.model import MODEL_VERSION
 from repro.bench import sweep as sweeplib
 from repro.simulator import ENGINE_VERSION
 
@@ -126,8 +126,7 @@ class SweepService:
             )
         except (TypeError, ValueError) as exc:
             raise _BadRequest(str(exc)) from exc
-        model = CostModel(probe.spec(), counts,
-                          socket_mode=probe.socket_mode)
+        model = sweeplib.model_for(probe)
         irregular = probe.is_irregular
         pure_op = "allgatherv" if irregular else "allgather"
         candidates = [

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import json
@@ -57,11 +58,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.analysis.model import MODEL_VERSION, CostModel
 from repro.machine.model import MachineSpec
 from repro.machine.placement import Placement
+from repro.machine.transport import TRANSPORTS
 from repro.machine import presets as _presets
 from repro.simulator import ENGINE_VERSION
 
@@ -70,6 +72,7 @@ __all__ = [
     "SweepPoint",
     "ResultCache",
     "cache_key",
+    "model_for",
     "point_name",
     "point_seed",
     "expand_spec",
@@ -184,7 +187,7 @@ class SweepPoint:
     compute_grain: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
         if self.machine not in MACHINES:
             raise ValueError(
                 f"unknown machine {self.machine!r}; "
@@ -194,6 +197,16 @@ class SweepPoint:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.engine not in ("sim", "model"):
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.socket_mode not in Placement.SOCKET_MODES:
+            raise ValueError(
+                f"unknown socket_mode {self.socket_mode!r}; "
+                f"known: {', '.join(Placement.SOCKET_MODES)}"
+            )
+        if self.transport is not None and self.transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown transport {self.transport!r}; "
+                f"known: {', '.join(sorted(TRANSPORTS))}"
+            )
         if not self.counts or min(self.counts) < 1:
             raise ValueError("counts must be non-empty positive ints")
         if self.nbytes < 0:
@@ -220,12 +233,7 @@ class SweepPoint:
 
     def spec(self) -> MachineSpec:
         """The resolved :class:`~repro.machine.model.MachineSpec`."""
-        built = MACHINES[self.machine](len(self.counts))
-        if self.transport and self.transport != built.node.transport:
-            built = replace(
-                built, node=replace(built.node, transport=self.transport)
-            )
-        return built
+        return _machine_of(self).spec
 
     def placement(self) -> Placement:
         """The rank→node (and slot→socket) map of this point."""
@@ -295,8 +303,51 @@ def point_name(point: SweepPoint) -> str:
     return name
 
 
-def _canonical(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+class _Machine(NamedTuple):
+    """A point's resolved machine, built once per configuration."""
+
+    spec: MachineSpec
+    #: Canonical JSON of ``spec.describe()`` — the machine half of
+    #: every :func:`cache_key`.
+    description: str
+    fingerprint: str
+
+
+@functools.lru_cache(maxsize=256)
+def _resolved_machine(machine: str, nodes: int,
+                      transport: str | None) -> _Machine:
+    """*nodes* nodes of preset *machine* under the *transport*
+    override, resolved and described once instead of once per point."""
+    built = MACHINES[machine](nodes)
+    if transport and transport != built.node.transport:
+        built = replace(built, node=replace(built.node, transport=transport))
+    return _Machine(built, _canonical(built.describe()), built.fingerprint())
+
+
+def _machine_of(point: SweepPoint) -> _Machine:
+    return _resolved_machine(point.machine, len(point.counts),
+                             point.transport)
+
+
+@functools.lru_cache(maxsize=128)
+def _cost_model(machine: str, counts: tuple, transport: str,
+                socket_mode: str) -> CostModel:
+    spec = _resolved_machine(machine, len(counts), transport).spec
+    return CostModel(spec, counts, socket_mode=socket_mode)
+
+
+def model_for(point: SweepPoint) -> CostModel:
+    """The :class:`~repro.analysis.model.CostModel` pricing *point*'s
+    configuration — one shared instance per resolved (machine, counts,
+    transport, socket mode), so every candidate of a ``/best`` request
+    or a sweep grid reuses one construction and one prediction memo.
+    Bounded: the least recently used configuration is dropped."""
+    return _cost_model(point.machine, point.counts,
+                       point.spec().node.transport, point.socket_mode)
 
 
 def point_seed(point: SweepPoint) -> int:
@@ -311,7 +362,8 @@ def point_seed(point: SweepPoint) -> int:
     >>> 0 <= a < 2 ** 32
     True
     """
-    digest = hashlib.sha256(_canonical(point.to_dict())).hexdigest()
+    digest = hashlib.sha256(
+        _canonical(point.to_dict()).encode()).hexdigest()
     return int(digest[:8], 16)
 
 
@@ -336,17 +388,21 @@ def cache_key(point: SweepPoint) -> str:
     """
     from repro.bench import osu
 
-    doc: dict[str, Any] = {
-        "machine": point.spec().describe(),
-        "point": point.to_dict(),
+    members = {
+        "machine": _machine_of(point).description,
+        "point": _canonical(point.to_dict()),
     }
     if point.engine == "model":
-        doc["model_version"] = MODEL_VERSION
+        members["model_version"] = _canonical(MODEL_VERSION)
     else:
-        doc["engine_version"] = ENGINE_VERSION
-        doc["reps"] = osu.DEFAULT_REPS
-        doc["warmup"] = osu.DEFAULT_WARMUP
-    return hashlib.sha256(_canonical(doc)).hexdigest()
+        members["engine_version"] = _canonical(ENGINE_VERSION)
+        members["reps"] = _canonical(osu.DEFAULT_REPS)
+        members["warmup"] = _canonical(osu.DEFAULT_WARMUP)
+    # Canonical JSON of the whole document is its members' canonical
+    # JSON joined in key order — the (memoised) machine description is
+    # spliced in, not re-serialized per point.
+    doc = ",".join(f'"{name}":{members[name]}' for name in sorted(members))
+    return hashlib.sha256(f"{{{doc}}}".encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +623,7 @@ def _run_model_point(point: SweepPoint) -> dict:
                 f"model-engine point for op {op!r} needs an explicit algo"
             )
     t0 = time.perf_counter()
-    model = CostModel(point.spec(), point.counts,
-                      socket_mode=point.socket_mode)
+    model = model_for(point)
     extra: dict[str, float] = {}
     if point.workload == "overlap":
         total = model.predict(op, algo, point.nbytes)
@@ -608,7 +663,7 @@ def store_record(cache: ResultCache, point: SweepPoint,
         "key": key,
         "name": point_name(point),
         "point": point.to_dict(),
-        "machine_fingerprint": point.spec().fingerprint(),
+        "machine_fingerprint": _machine_of(point).fingerprint,
         "created": time.time(),
         "result": record,
     })

@@ -99,6 +99,55 @@ def test_cache_key_changes_with_machine_and_transport():
     assert len(keys) == 4
 
 
+def test_cache_key_bytes_are_pinned():
+    """Literal keys captured before the machine description was
+    canonicalised once per configuration: the spliced document must
+    hash exactly like ``json.dumps`` of the whole one."""
+    model_point = SweepPoint(machine="hazel_hen", counts=(24, 24, 16),
+                             nbytes=4096, variant="hybrid", engine="model",
+                             algo="shared_window")
+    sim_point = SweepPoint(machine="hazel_hen_2s", counts=(12,) * 4,
+                           nbytes=64, variant="pure", engine="sim",
+                           transport="pip_direct", socket_mode="scatter")
+    assert cache_key(model_point) == (
+        "5597ad9bae36a416f8f47167c3555087698ee5242c5cacf6a359436adcf3b4b3")
+    assert cache_key(sim_point) == (
+        "119abf8664bfb8926856639c5d381f95bd06f8a58962a1bd327d921445957dc9")
+
+
+def test_stored_fingerprint_is_the_spec_fingerprint(cache):
+    point = SweepPoint(machine="hazel_hen_2s", counts=(2, 2), nbytes=64,
+                       engine="model", algo="shared_window",
+                       transport="cma_single_copy")
+    evaluate(point, cache)
+    stored = cache.get(cache_key(point))
+    assert stored["machine_fingerprint"] == point.spec().fingerprint()
+
+
+@pytest.mark.parametrize("field,value,allowed", [
+    ("socket_mode", "weird", "compact, scatter, balanced"),
+    ("transport", "bogus", "cma_single_copy, pip_direct, shm_two_copy"),
+])
+def test_point_rejects_unknown_socket_mode_and_transport(field, value,
+                                                         allowed):
+    with pytest.raises(ValueError) as err:
+        SweepPoint(machine="testing", counts=(2, 2), nbytes=8,
+                   **{field: value})
+    assert value in str(err.value) and allowed in str(err.value)
+    with pytest.raises(ValueError):
+        expand_spec({"machine": "testing", "nodes": 2, "ppn": 2,
+                     field: ["compact" if field == "socket_mode"
+                             else "pip_direct", value]})
+
+
+def test_cost_model_rejects_unknown_socket_mode():
+    from repro.analysis.model import CostModel
+
+    with pytest.raises(ValueError, match="weird.*balanced"):
+        CostModel(sweeplib.MACHINES["hazel_hen_2s"](2), (4, 4),
+                  socket_mode="weird")
+
+
 def test_cache_key_changes_with_engine_version(monkeypatch):
     point = SweepPoint(machine="testing", counts=(2, 2), nbytes=64)
     before = cache_key(point)

@@ -91,6 +91,22 @@ def test_best_rejects_unknown_fields(service):
     assert "flavor" in doc["error"]
 
 
+@pytest.mark.parametrize("path", ["/best", "/query"])
+@pytest.mark.parametrize("field,value,allowed", [
+    ("socket_mode", "weird", "compact, scatter, balanced"),
+    ("transport", "bogus", "cma_single_copy, pip_direct, shm_two_copy"),
+])
+def test_unknown_socket_mode_and_transport_are_400(service, path, field,
+                                                   value, allowed):
+    """Neither a plausible latency for a mapping that does not exist
+    (``socket_mode``) nor a 500 (``transport``): a 400 naming the
+    allowed values."""
+    status, doc = service.handle(
+        "POST", path, {"counts": [24, 24, 24], field: value})
+    assert status == 400
+    assert value in doc["error"] and allowed in doc["error"]
+
+
 def test_unknown_endpoint_404(service):
     status, doc = service.handle("GET", "/nope", None)
     assert status == 404
