@@ -23,8 +23,6 @@ Example
 
 from __future__ import annotations
 
-from repro.core.allgather import hy_allgather
-from repro.core.bcast import hy_bcast
 from repro.core.shared_buffer import SharedBuffer
 from repro.core.sync import SyncPolicy
 
@@ -69,8 +67,8 @@ class AllgatherPlan:
     def start(self):
         """Coroutine: one execution of the planned allgather."""
         self.starts += 1
-        yield from hy_allgather(
-            self.ctx, self.buf, sync=self.sync,
+        yield from self.ctx.allgather(
+            self.buf, sync=self.sync,
             pipelined=self.pipelined, chunk_bytes=self.chunk_bytes,
         )
 
@@ -104,8 +102,7 @@ class BcastPlan:
     def start(self):
         """Coroutine: one execution of the planned broadcast."""
         self.starts += 1
-        yield from hy_bcast(self.ctx, self.buf, root=self.root,
-                            sync=self.sync)
+        yield from self.ctx.bcast(self.buf, root=self.root, sync=self.sync)
 
     def __repr__(self) -> str:
         return (

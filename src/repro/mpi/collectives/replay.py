@@ -54,6 +54,15 @@ later quiescent entry at any absolute time.  Records are cached
 process-globally, so repetitions across jobs in one process (the sweep
 service, parameter sweeps) record only once per dispatch shape.
 
+Lanes — a repetition is recognised, not re-keyed
+------------------------------------------------
+Keying is O(ranks) per dispatch, and a repetition loop would pay it for
+nothing: when every rank repeats its last call, for the same operation in
+the same arrival order, the communicator's :class:`_Lane` hands back the
+record of the last decision without building a key.  The key stays the
+only way a record is first found or made, and every check below still
+runs per dispatch (``docs/performance.md``, "Keying").
+
 Safety — quiescence and fall-through
 ------------------------------------
 Replay is gated by a quiescence predicate evaluated when all ranks have
@@ -75,6 +84,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import astuple
+from heapq import heappush
 from typing import Any
 
 from repro.mpi.constants import ReduceOp
@@ -300,12 +310,6 @@ class _Record:
         self.exit_order = exit_order  # ranks in exit-event processing order
         self.profiles = profiles      # per-rank (op, dcalls, dbytes, dtime)
 
-    def result_for(self, rank: int):
-        v = self.results[rank]
-        # Lists are handed to callers who may mutate them; Bytes/None are
-        # value-semantic and safe to share.
-        return list(v) if type(v) is list else v
-
 
 def _snapshot(job):
     """Bulk counters + per-pair traffic of *job*, for window deltas."""
@@ -370,16 +374,70 @@ class _Window:
 
 
 class _Pending:
-    """Per-(comm, sequence) parking state for one collective entry."""
+    """Parking state of one collective entry (one lane, one sequence)."""
 
-    __slots__ = ("op", "rebuild", "arrivals", "seen", "decided")
+    __slots__ = ("op", "rebuild", "arrivals", "late", "decided")
 
     def __init__(self, op: str, rebuild):
         self.op = op
         self.rebuild = rebuild
-        self.arrivals: dict[int, tuple[Any, Event]] = {}
-        self.seen = 0
+        self.arrivals: dict[int, Event] = {}  # rank -> park, arrival order
+        self.late = 0  # ranks arriving after the parked ones were released
         self.decided: str | None = None
+
+
+#: Remembered in place of a call that must not be recognised again: one
+#: without a signature, or holding a list (callers mutate and reuse them).
+_NEVER = object()
+
+
+class _Lane:
+    """Replay state of one world-covering communicator: each rank's
+    last call beside its signature, and the last decision applied — a
+    dispatch repeating that decision's calls, operation and arrival
+    order takes its plan without building a key
+    (:meth:`ReplaySession._decide`)."""
+
+    __slots__ = ("seq", "calls", "sigs", "epoch", "pending", "applied",
+                 "plan")
+
+    def __init__(self, n: int):
+        self.seq = [0] * n              # per-rank dispatch counters
+        self.calls: list[Any] = [_NEVER] * n
+        self.sigs: list[Any] = [None] * n
+        self.epoch = 0                  # bumped when any rank's memo changes
+        self.pending: dict[int, _Pending] = {}
+        #: ``(op, epoch, arrival order)`` of the last applied hit, and the
+        #: plan it applied.
+        self.applied: tuple | None = None
+        self.plan: _Plan | None = None
+
+
+class _Plan:
+    """One record bound to one job: what applying it would otherwise
+    re-derive on every hit.  Holds the record, so a plan table keyed by
+    record cannot alias an evicted one."""
+
+    __slots__ = ("rec", "uniform", "wakes", "profiles")
+
+    def __init__(self, rec: _Record, contexts):
+        self.rec = rec
+        d = rec.d_ticks
+        #: Every rank exits at one timestep (what default mode requires).
+        self.uniform = d.count(d[0]) == len(d)
+        #: ``(rank, d_ticks, wake value)`` in exit order; a list result
+        #: is copied per hit instead (callers may mutate it): None here.
+        self.wakes = [
+            (r, d[r], None if type(rec.results[r]) is list
+             else ("done", rec.results[r]))
+            for r in rec.exit_order
+        ]
+        #: ``[profile, increments, bound]`` per rank; *bound* pairs them
+        #: with ``OpStats`` on the first hit that finds the profile on.
+        self.profiles = [
+            [contexts[rank].profile, delta, None]
+            for rank, delta in enumerate(rec.profiles) if delta
+        ]
 
 
 class _VerifyState:
@@ -439,8 +497,14 @@ class _VerifyState:
             recd = _normalize(rec.templates)
             if live != recd:
                 self._fail("span slice", recd, live)
-        if profiles != rec.profiles:
-            self._fail("profile deltas", rec.profiles, profiles)
+        # A profile switched off records nothing live, and an applied
+        # record adds nothing to it either.
+        recorded = tuple(
+            delta if ctx.profile.enabled else ()
+            for ctx, delta in zip(self.session.job.contexts, rec.profiles)
+        )
+        if profiles != recorded:
+            self._fail("profile deltas", recorded, profiles)
 
 
 _SPAN_DROP = ("sid", "parent", "replayed")
@@ -505,14 +569,14 @@ class ReplaySession:
         #: RMA window states registered by ``win_allocate`` for the
         #: lock-idle quiescence check.
         self.rma_windows: list[Any] = []
-        self._identity = tuple(range(self.world_size))
+        #: Lane per communicator id; None where replay never applies
+        #: (not the world's ranks in world order).
+        self._lanes: dict[int, _Lane | None] = {}
+        self._plans: dict[_Record, _Plan] = {}
         #: Dispatch shapes ``(op, sigs)`` that have executed live at
         #: least once in this job — replay only applies after that.
         self._warm: set[tuple] = set()
         self._unusable: dict[tuple, int] = {}
-        self._idok: dict[int, bool] = {}
-        self._seq: dict[tuple[int, int], int] = {}
-        self._pending: dict[tuple[int, int], _Pending] = {}
         self._prefix: tuple | None = None
 
     @property
@@ -537,31 +601,46 @@ class ReplaySession:
         that performs the one-off setup and returns the zero-argument
         call to issue.
         """
-        n = self.world_size
-        if comm.size != n or not self._identity_group(comm):
+        shared = comm._shared
+        lane = self._lanes.get(shared.id, _MISSING)
+        if lane is _MISSING:
+            n = self.world_size
+            lane = self._lanes[shared.id] = (
+                _Lane(n) if shared.group.world_ranks() == tuple(range(n))
+                else None
+            )
+        if lane is None:
             result = yield from body
             return result
+        rank = comm.rank
+        try:
+            repeat = call == lane.calls[rank]
+        except ValueError:  # an ndarray argument: no truth value to ==
+            repeat = False
+        if not repeat:
+            # Encode only a call this rank did not make last time.
+            sig = None if call is None else call_signature(call)
+            memo = sig is not None and not any(
+                isinstance(a, list) for a in call
+            )
+            lane.calls[rank] = call if memo else _NEVER
+            lane.sigs[rank] = sig
+            lane.epoch += 1
         eng = self.engine
-        skey = (comm._shared.id, comm.rank)
-        seq = self._seq.get(skey, 0) + 1
-        self._seq[skey] = seq
-        pkey = (comm._shared.id, seq)
-        pend = self._pending.get(pkey)
+        seq = lane.seq[rank] = lane.seq[rank] + 1
+        pend = lane.pending.get(seq)
         if pend is None:
-            pend = self._pending[pkey] = _Pending(op, rebuild)
-            eng.on_time_advance(lambda: self._decide(pkey))
-        pend.seen += 1
+            pend = lane.pending[seq] = _Pending(op, rebuild)
+            eng.on_time_advance(lambda: self._decide(lane, seq))
         if pend.decided is not None:
             # Earlier ranks were already released for live execution;
             # this rank arrived at a later timestep and runs directly.
-            if pend.seen == n:
-                self._pending.pop(pkey, None)
+            pend.late += 1
+            if len(pend.arrivals) + pend.late == self.world_size:
+                del lane.pending[seq]
             result = yield from body
             return result
-        ev = Event(eng, "replay.park")
-        pend.arrivals[comm.rank] = (
-            None if call is None else call_signature(call), ev
-        )
+        ev = pend.arrivals[rank] = Event(eng, "replay.park")
         verdict, value = yield ev
         if verdict == "done":
             return value
@@ -569,34 +648,68 @@ class ReplaySession:
         result = yield from body
         if verdict == "measure":
             # Live execution instrumented for verification.
-            value.report(
-                comm.rank, round((eng.now - t0) * _INV_TICK), result
-            )
+            value.report(rank, round((eng.now - t0) * _INV_TICK), result)
         return result
 
-    def _identity_group(self, comm) -> bool:
-        ok = self._idok.get(comm._shared.id)
-        if ok is None:
-            ok = tuple(comm.group.world_ranks()) == self._identity
-            self._idok[comm._shared.id] = ok
-        return ok
-
     # -- decision -------------------------------------------------------
-    def _decide(self, pkey) -> None:
-        pend = self._pending.get(pkey)
+    def _decide(self, lane: _Lane, seq: int) -> None:
+        pend = lane.pending.get(seq)
         if pend is None or pend.decided is not None:
             return
-        n = self.world_size
-        if len(pend.arrivals) < n:
+        if len(pend.arrivals) < self.world_size:
             # Staggered entry: release the parked ranks in the same
             # timestep they arrived — zero virtual-time distortion.
             self._release(pend, "live", None)
             return
-        self._pending.pop(pkey, None)
-        sigs = tuple(pend.arrivals[r][0] for r in range(n))
-        if any(s is None for s in sigs) or not self.quiescent():
+        del lane.pending[seq]
+        # Every rank is parked here, so every memo holds this dispatch's
+        # call (a rank that ran ahead changed the epoch on the way).
+        shape = (pend.op, lane.epoch, tuple(pend.arrivals))
+        if not self.quiescent():
+            plan = None
+        elif shape == lane.applied:
+            # No memo changed since the last hit was applied, same
+            # operation and arrival order: the key is the one that
+            # selected that hit's record.  Verify checks that (an evicted
+            # entry selects none).
+            plan = lane.plan
+            if self.verify and _CACHE.get(
+                self._key(pend.op, tuple(lane.sigs), shape[2]), plan.rec
+            ) is not plan.rec:
+                raise ReplayVerifyError(
+                    f"replay verify failed for {pend.op!r}: the lane "
+                    "selected a record the full key does not"
+                )
+        elif None in lane.sigs:
+            plan = None
+        else:
+            plan = self._lookup(pend, tuple(lane.sigs), shape[2])
+            if plan is None:
+                self.misses += 1
+                STATS["misses"] += 1
+            else:
+                lane.applied, lane.plan = shape, plan
+        if plan is None:
             self._release(pend, "live", None)
             return
+        self.hits += 1
+        STATS["hits"] += 1
+        if self.verify:
+            self._release(
+                pend, "measure", _VerifyState(self, plan.rec, pend.op)
+            )
+        else:
+            self._apply(plan, pend.arrivals)
+
+    def _key(self, op: str, sigs: tuple, order: tuple) -> tuple:
+        return replay_key(self.prefix, op, sigs, (0,) * self.world_size,
+                          order)
+
+    def _lookup(self, pend: _Pending, sigs: tuple, order: tuple
+                ) -> _Plan | None:
+        """The full-key path, the only place a record is looked up or
+        made: the plan of the record this dispatch replays, or None when
+        it runs live instead (a miss)."""
         wkey = (pend.op, sigs)
         if wkey not in self._warm:
             # First execution of this dispatch shape in the job: run it
@@ -605,12 +718,8 @@ class ReplaySession:
             # Records are steady-state and apply from the second
             # occurrence on.
             self._warm.add(wkey)
-            self.misses += 1
-            STATS["misses"] += 1
-            self._release(pend, "live", None)
-            return
-        order = tuple(pend.arrivals)
-        key = replay_key(self.prefix, pend.op, sigs, (0,) * n, order)
+            return None
+        key = self._key(pend.op, sigs, order)
         rec = _CACHE.get(key, _MISSING)
         if rec is _MISSING:
             if self._unusable.get(wkey, 0) >= _UNUSABLE_LIMIT:
@@ -618,27 +727,15 @@ class ReplaySession:
                 # apply (non-uniform exits in default mode, rotating
                 # entry permutations): stop paying for pockets it will
                 # only throw away.
-                self.misses += 1
-                STATS["misses"] += 1
-                self._release(pend, "live", None)
-                return
+                return None
             rec = self._record(pend, sigs, key, order)
-        if rec is None or (
-            not self.loop and any(d != rec.d_ticks[0] for d in rec.d_ticks)
-        ):
+        if rec is not None and rec not in self._plans:
+            self._plans[rec] = _Plan(rec, self.job.contexts)
+        plan = self._plans.get(rec)
+        if plan is None or not (self.loop or plan.uniform):
             self._unusable[wkey] = self._unusable.get(wkey, 0) + 1
-            self.misses += 1
-            STATS["misses"] += 1
-            self._release(pend, "live", None)
-            return
-        self.hits += 1
-        STATS["hits"] += 1
-        if self.verify:
-            self._release(
-                pend, "measure", _VerifyState(self, rec, pend.op)
-            )
-        else:
-            self._apply(rec, pend)
+            return None
+        return plan
 
     def _release(self, pend: _Pending, verdict: str, value) -> None:
         # Arrival order (dict insertion order), NOT rank order: released
@@ -646,7 +743,7 @@ class ReplaySession:
         # order they would have run unparked, so order-sensitive
         # resource queues (links, memory channels) grant identically.
         pend.decided = verdict
-        for _sig, ev in pend.arrivals.values():
+        for ev in pend.arrivals.values():
             ev.succeed((verdict, value))
 
     def quiescent(self) -> bool:
@@ -719,7 +816,7 @@ class ReplaySession:
             pocket = MPIJob(
                 job.spec, program,
                 placement=job.placement,
-                payload="model",
+                payload=job.payload_mode,
                 tuning=job.tuning,
                 policy=job.policy,
                 trace=trace,
@@ -791,7 +888,8 @@ class ReplaySession:
         return rec
 
     # -- application ----------------------------------------------------
-    def _apply(self, rec: _Record, pend: _Pending) -> None:
+    def _apply(self, plan: _Plan, arrivals: dict[int, Event]) -> None:
+        rec = plan.rec
         eng = self.engine
         job = self.job
         base_ticks = eng.now * _INV_TICK
@@ -815,14 +913,16 @@ class ReplaySession:
             )
         if job.tracer is not None and rec.templates is not None:
             job.tracer.emit_replayed(rec.templates, base_ticks)
-        for rank, delta in enumerate(rec.profiles):
-            prof = job.contexts[rank].profile
+        for entry in plan.profiles:
+            prof, delta, bound = entry
             if not prof.enabled:
                 continue
-            for o, dc, dby, dt in delta:
-                stats = prof.ops.get(o)
-                if stats is None:
-                    stats = prof.ops[o] = OpStats()
+            if bound is None:
+                bound = entry[2] = [
+                    (prof.ops.setdefault(o, OpStats()), dc, dby, dt)
+                    for o, dc, dby, dt in delta
+                ]
+            for stats, dc, dby, dt in bound:
                 stats.calls += dc
                 stats.bytes += dby
                 stats.time += dt
@@ -831,11 +931,16 @@ class ReplaySession:
         self.events_saved += rec.events - self.world_size
         # Push wakes in recorded exit order: ranks leaving at the same
         # tick resume in the same relative order as live execution, so
-        # the *next* dispatch sees an identical entry permutation.
-        for rank in rec.exit_order:
-            ev = pend.arrivals[rank][1]
-            # Mimic Engine.timeout(): pre-trigger and schedule at the
-            # recorded wake time — one event per rank, O(nranks) total.
+        # the *next* dispatch sees an identical entry permutation.  Each
+        # is Engine.timeout() spelled out: pre-triggered, one per rank.
+        now, fast, defer, heap = eng.now, eng.fast_path, eng._defer, eng._heap
+        for rank, d_ticks, done in plan.wakes:
+            ev = arrivals[rank]
             ev._state = _TRIGGERED
-            ev._value = ("done", rec.result_for(rank))
-            eng._push((base_ticks + rec.d_ticks[rank]) * TICK, ev)
+            ev._value = done or ("done", list(rec.results[rank]))
+            time = (base_ticks + d_ticks) * TICK
+            if fast and time <= now:
+                defer(ev)
+            else:
+                eng._seq += 1
+                heappush(heap, (time, eng._seq, ev))

@@ -88,7 +88,7 @@ class _CommShared:
         st = self._gates.get(key)
         if st is None:
             st = self._gates[key] = _GateState(
-                Event(self.job.engine, name=f"gate{key}")
+                Event(self.job.engine, name="gate")
             )
         if rank in st.values:
             raise MPIError(f"rank {rank} arrived twice at gate {key!r}")
@@ -114,7 +114,7 @@ class _CommShared:
             st = self._gates[key] = _GateState(None)
         if rank in st.values:
             raise MPIError(f"rank {rank} arrived twice at gate {key!r}")
-        ev = st.values[rank] = Event(self.job.engine, name=f"align{rank}")
+        ev = st.values[rank] = Event(self.job.engine, name="align")
         if len(st.values) == self.group.size:
             del self._gates[key]
             for r in sorted(st.values):

@@ -614,7 +614,7 @@ class Engine:
         """An event that triggers *delay* virtual seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        ev = Event(self, name or f"timeout({delay:g})")
+        ev = Event(self, name or "timeout")
         ev._state = _TRIGGERED
         ev._value = value
         self._push((self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK, ev)

@@ -9,6 +9,7 @@ from repro.core import HybridContext
 from repro.core.persistent import AllgatherPlan, BcastPlan
 from repro.machine import hazel_hen, testing_machine as make_testing_spec
 from repro.machine.calibration import probe_machine, probe_report
+from repro.machine.placement import Placement
 from tests.helpers import returns_of
 
 
@@ -97,6 +98,45 @@ class TestBcastPlan:
 
         rets = returns_of(prog, nodes=2, cores=2)
         assert all(r == [0.0, 10.0] for r in rets)
+
+
+@pytest.mark.parametrize("kind", ["allgather", "bcast"])
+def test_plan_starts_replay(kind):
+    """"Bind once, start many" is exactly what the replay cache
+    memoises: a plan loop replays, and nothing observable moves."""
+    from repro.mpi.collectives import replay as replaylib
+    from tests.helpers import run
+
+    def prog(mpi):
+        comm = mpi.world
+        ctx = yield from HybridContext.create(comm)
+        if kind == "allgather":
+            plan = yield from AllgatherPlan.build(ctx, nbytes_per_rank=512)
+        else:
+            plan = yield from BcastPlan.build(ctx, nbytes=4096, root=3)
+        latencies = []
+        for _ in range(20):
+            yield from comm.align()
+            t0 = mpi.now
+            yield from plan.start()
+            latencies.append(mpi.now - t0)
+        return latencies, plan.starts
+
+    def job(replay):
+        replaylib.clear_cache()
+        return run(prog, spec=hazel_hen(3), placement=Placement.block(3, 4),
+                   payload="cost-only", replay=replay)
+
+    off, on = job(False), job("loop")
+    # The first start runs live; the other nineteen replay.
+    assert (on.replay_hits, off.replay_hits) == (19, 0)
+    assert on.returns == off.returns
+    assert on.finish_times == off.finish_times
+    for counter in ("sent_messages", "sent_bytes", "intra_copies",
+                    "intra_bytes", "network_messages", "network_bytes"):
+        assert getattr(on, counter) == getattr(off, counter), counter
+    assert ([p.summary() for p in on.profiles]
+            == [p.summary() for p in off.profiles])
 
 
 class TestCalibrationProbes:

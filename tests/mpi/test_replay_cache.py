@@ -194,3 +194,32 @@ class TestSessionKeying:
     def test_data_mode_never_replays(self):
         result = self._run(payload="data", replay=True)
         assert result.replay_hits == result.replay_misses == 0
+
+
+@pytest.mark.parametrize("variant", ["hybrid", "pure"])
+def test_pocket_payload_mode_does_not_change_the_record(variant):
+    """A pocket runs in its job's symbolic payload mode (a ``cost-only``
+    job does not pay for deep copies while recording); the key ignores
+    the mode, so the records must not depend on it."""
+    from repro.bench.osu import (
+        hybrid_allgather_program,
+        pure_allgather_program,
+    )
+
+    program = (hybrid_allgather_program if variant == "hybrid"
+               else pure_allgather_program)
+
+    def records(payload):
+        replaylib.clear_cache()
+        run_program(
+            hazel_hen(3), None, program, placement=Placement.block(3, 4),
+            payload=payload, trace="p2p", replay="loop",
+            program_kwargs={"nbytes_per_rank": 4096, "reps": 3},
+        )
+        return dict(replaylib._CACHE)
+
+    cost_only, model = records("cost-only"), records("model")
+    assert cost_only and cost_only.keys() == model.keys()
+    for key, rec in cost_only.items():
+        for field in replaylib._Record.__slots__:
+            assert getattr(rec, field) == getattr(model[key], field), field
