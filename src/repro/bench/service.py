@@ -13,10 +13,11 @@ examples):
 ``GET /health``
     Liveness plus the engine/model versions the cache keys embed.
 ``GET /stats``
-    Cache statistics (entries, bytes, session hits/misses), the
-    in-process collective replay-cache counters (``replay``), and
-    request counters, in the :func:`repro.metrics.sweep_metrics`
-    counter style.
+    Cache statistics (entries, bytes, session hits/misses/corrupt and
+    the lookups answered without opening a file), the in-process
+    collective replay-cache counters (``replay``), and request and
+    accepted-connection counters, in the
+    :func:`repro.metrics.sweep_metrics` counter style.
 ``POST /query``
     Body: a :class:`~repro.bench.sweep.SweepPoint` JSON document (any
     subset of its fields).  Answers the point from cache or by running
@@ -28,11 +29,19 @@ examples):
     structurally-applicable pure-MPI and hybrid algorithm with the
     analytic model (each candidate a cacheable model point) and returns
     the ranked candidates plus the recommendation.
+
+Connections are HTTP/1.1 persistent: a client that keeps its socket
+(``http.client``, ``curl`` with several URLs) is served by one handler
+thread until it closes, asks for ``Connection: close``, or stays idle
+for :data:`IDLE_TIMEOUT_S`.  A POST must carry a ``Content-Length`` of
+at most :data:`MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.analysis.model import MODEL_VERSION
@@ -40,6 +49,14 @@ from repro.bench import sweep as sweeplib
 from repro.simulator import ENGINE_VERSION
 
 __all__ = ["SweepService", "make_server", "serve"]
+
+#: Largest request body the service reads; a longer one is refused
+#: (413) unread.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may stay silent — between requests or in the
+#: middle of one — before its handler thread closes it.
+IDLE_TIMEOUT_S = 30.0
 
 
 class _BadRequest(ValueError):
@@ -65,6 +82,14 @@ class SweepService:
         self.cache = cache
         self.requests = 0
         self.errors = 0
+        #: Connections accepted by the HTTP front end; fewer than
+        #: ``requests`` means clients are reusing them.
+        self.connections = 0
+        self._lock = threading.Lock()  # handler threads share the counters
+
+    def count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     # -- endpoints -------------------------------------------------------
     def health(self) -> dict:
@@ -83,6 +108,7 @@ class SweepService:
             "replay": replay.cache_stats(),
             "requests": self.requests,
             "errors": self.errors,
+            "connections": self.connections,
         }
 
     def query(self, doc: dict) -> dict:
@@ -166,7 +192,7 @@ class SweepService:
     def handle(self, method: str, path: str, body: dict | None) -> \
             tuple[int, dict]:
         """(status, response document) for one request."""
-        self.requests += 1
+        self.count("requests")
         try:
             if method == "GET" and path == "/health":
                 return 200, self.health()
@@ -176,41 +202,81 @@ class SweepService:
                 return 200, self.query(body or {})
             if method == "POST" and path == "/best":
                 return 200, self.best(body or {})
-            self.errors += 1
-            return 404, {"error": f"no such endpoint: {method} {path}"}
+            status, error = 404, f"no such endpoint: {method} {path}"
         except _BadRequest as exc:
-            self.errors += 1
-            return 400, {"error": str(exc)}
+            status, error = 400, str(exc)
         except Exception as exc:  # noqa: BLE001 — report, don't die
-            self.errors += 1
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            status, error = 500, f"{type(exc).__name__}: {exc}"
+        self.count("errors")
+        return status, {"error": error}
 
 
 class _Handler(BaseHTTPRequestHandler):
     service: SweepService  # set by make_server on the subclass
 
-    def _respond(self, status: int, doc: dict) -> None:
+    protocol_version = "HTTP/1.1"  # connections persist between requests
+    timeout = IDLE_TIMEOUT_S  # StreamRequestHandler: the socket timeout
+
+    def setup(self):
+        super().setup()
+        self.service.count("connections")
+
+    def _respond(self, status: int, doc: dict, close: bool = False) -> None:
+        """Send *doc* in one write: on a persistent connection, headers
+        and body in separate segments stall ~40 ms a request on Nagle's
+        algorithm meeting the client's delayed ACK."""
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if close:
+            self.close_connection = True
+        head = (
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
+        )
+        self.log_request(status, len(payload))
+        self.wfile.write(head.encode("latin-1") + payload)
 
     def do_GET(self):  # noqa: N802 — BaseHTTPRequestHandler API
         status, doc = self.service.handle("GET", self.path, None)
         self._respond(status, doc)
 
+    def _refuse(self, status: int, error: str, close: bool = False) -> None:
+        """Answer a request that never reached :meth:`SweepService.handle`."""
+        self.service.count("requests")
+        self.service.count("errors")
+        self._respond(status, {"error": error}, close)
+
     def do_POST(self):  # noqa: N802
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        # Without a trustworthy length the body's end — and so the next
+        # request's start — is unknown: answer and close.
+        declared = (self.headers.get("Content-Length") or "").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse(400, "POST needs a Content-Length header holding "
+                              "a non-negative integer", close=True)
+            return
+        # Judged by digit count before int(), which itself refuses
+        # very long strings.
+        digits = declared.lstrip("0") or "0"
+        if (len(digits) > len(str(MAX_BODY_BYTES))
+                or (length := int(digits)) > MAX_BODY_BYTES):
+            self._refuse(413, f"body of {digits} bytes exceeds the "
+                              f"{MAX_BODY_BYTES}-byte cap", close=True)
+            return
+        raw = self.rfile.read(length)
+        if len(raw) < length:  # the client hung up mid-body
+            self.close_connection = True
+            return
         try:
             body = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            self._respond(400, {"error": f"invalid JSON body: {exc}"})
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8
+            self._refuse(400, f"invalid JSON body: {exc}")
             return
         if not isinstance(body, dict):
-            self._respond(400, {"error": "body must be a JSON object"})
+            self._refuse(400, "body must be a JSON object")
             return
         status, doc = self.service.handle("POST", self.path, body)
         self._respond(status, doc)

@@ -56,6 +56,7 @@ import itertools
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -187,6 +188,19 @@ class SweepPoint:
     compute_grain: float = 1.0
 
     def __post_init__(self):
+        # Equal points must serialize equally (``cache_key`` is memoised
+        # on the point): 8 == 8.0 == True, but their JSON differs.
+        if type(self.nbytes) is not int:
+            nbytes = int(self.nbytes)
+            if nbytes != self.nbytes:
+                raise ValueError(
+                    f"nbytes must be an integer, not {self.nbytes!r}")
+            object.__setattr__(self, "nbytes", nbytes)
+        if type(self.compute_grain) is not float:
+            object.__setattr__(self, "compute_grain",
+                               float(self.compute_grain))
+        if type(self.fast_path) is not bool:
+            object.__setattr__(self, "fast_path", bool(self.fast_path))
         object.__setattr__(self, "counts", tuple(map(int, self.counts)))
         if self.machine not in MACHINES:
             raise ValueError(
@@ -376,7 +390,9 @@ def cache_key(point: SweepPoint) -> str:
     Any change to any input — a preset recalibration, a different
     transport, an engine bump — changes the key, so stale cache entries
     are simply never addressed again (see docs/sweeps.md for the
-    invalidation rules).
+    invalidation rules).  The digest is memoised on *everything* it
+    folds in, not on the point alone, so a repeated point costs a
+    lookup and a changed version constant still changes the key.
 
     >>> p = SweepPoint(machine="testing", counts=(2, 2), nbytes=64)
     >>> cache_key(p) == cache_key(SweepPoint.from_dict(p.to_dict()))
@@ -388,16 +404,23 @@ def cache_key(point: SweepPoint) -> str:
     """
     from repro.bench import osu
 
-    members = {
-        "machine": _machine_of(point).description,
-        "point": _canonical(point.to_dict()),
-    }
     if point.engine == "model":
-        members["model_version"] = _canonical(MODEL_VERSION)
+        versions = (("model_version", MODEL_VERSION),)
     else:
-        members["engine_version"] = _canonical(ENGINE_VERSION)
-        members["reps"] = _canonical(osu.DEFAULT_REPS)
-        members["warmup"] = _canonical(osu.DEFAULT_WARMUP)
+        versions = (("engine_version", ENGINE_VERSION),
+                    ("reps", osu.DEFAULT_REPS),
+                    ("warmup", osu.DEFAULT_WARMUP))
+    return _key_digest(point, _machine_of(point).description, versions)
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_digest(point: SweepPoint, description: str,
+                versions: tuple) -> str:
+    members = {
+        "machine": description,
+        "point": _canonical(point.to_dict()),
+        **{name: _canonical(value) for name, value in versions},
+    }
     # Canonical JSON of the whole document is its members' canonical
     # JSON joined in key order — the (memoised) machine description is
     # spliced in, not re-serialized per point.
@@ -417,39 +440,94 @@ class ResultCache:
     concurrent sweeps sharing a cache directory are safe.  The instance
     tracks session hit/miss/put counters; :meth:`stats` adds the
     on-disk totals.
+
+    The disk is the truth.  :meth:`get` keeps what it last parsed from
+    an entry and reuses it only while the file's ``(st_ino,
+    st_mtime_ns, st_size)`` is what it was at that read, so an entry
+    overwritten, corrupted or removed by anyone is seen by the next
+    lookup; at most :attr:`MEMO_ENTRIES` parses are kept (oldest
+    dropped first).  Documents returned by :meth:`get` are therefore
+    shared between callers — read them, do not mutate them.
     """
+
+    #: Bound on the parsed entries one instance keeps.
+    MEMO_ENTRIES = 4096
 
     def __init__(self, root: str):
         self.root = root
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        #: Misses whose file existed but was not an entry for its key.
+        self.corrupt = 0
+        #: Lookups answered without opening a file.
+        self.memo_hits = 0
+        # key -> (stat signature, parsed entry | None when corrupt)
+        self._memo: dict[str, tuple[tuple, dict | None]] = {}
+        self._memo_lock = threading.Lock()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], f"{key}.json")
 
     def get(self, key: str) -> dict | None:
-        """The stored record for *key*, or ``None`` (counts hit/miss).
-        A corrupt entry is treated as a miss (and overwritten by the
-        next :meth:`put`)."""
+        """The stored entry for *key*, or ``None`` (counts hit/miss).
+        A file that is not an entry for *key* — not UTF-8, not JSON, not
+        an object carrying ``"result"`` and this ``"key"`` — is a miss,
+        counted in ``corrupt`` and overwritten by the next :meth:`put`."""
+        path = self._path(key)
         try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+            st = os.stat(path)
+            signature = (st.st_ino, st.st_mtime_ns, st.st_size)
+            memo = self._memo.get(key)
+            if memo is not None and memo[0] == signature:
+                doc = memo[1]
+                self.memo_hits += 1
+            else:
+                doc = self._read(key, path)
+                self._remember(key, signature, doc)
+        except FileNotFoundError:
             self.misses += 1
             return None
-        self.hits += 1
+        if doc is None:
+            self.corrupt += 1
+            self.misses += 1
+        else:
+            self.hits += 1
         return doc
+
+    @staticmethod
+    def _read(key: str, path: str) -> dict | None:
+        """Parse the entry file; ``None`` when it is not one for *key*."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+            return None
+        if (isinstance(doc, dict) and doc.get("key") == key
+                and isinstance(doc.get("result"), dict)):
+            return doc
+        return None
+
+    def _remember(self, key: str, signature: tuple,
+                  doc: dict | None) -> None:
+        with self._memo_lock:
+            self._memo[key] = (signature, doc)
+            if len(self._memo) > self.MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
 
     def put(self, key: str, doc: dict) -> str:
         """Store *doc* under *key* atomically; returns the entry path."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
+        # Not left to the signature: a same-size rewrite within one
+        # timestamp tick can land on a recycled inode number.
+        with self._memo_lock:
+            self._memo.pop(key, None)
         self.puts += 1
         return path
 
@@ -479,6 +557,8 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
+            "corrupt": self.corrupt,
+            "memo_hits": self.memo_hits,
         }
 
     def gc(self, older_than: float | None = None,

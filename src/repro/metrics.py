@@ -106,9 +106,10 @@ def sweep_metrics(report: dict) -> dict:
     :func:`save_metrics` plumbing.
 
     Counters carry the orchestrator's observability signals — points
-    answered, cache hits/misses, computed/failed/retried counts, worker
-    count and wall seconds — prefixed ``sweep_`` so they never collide
-    with the per-job simulator counters.
+    answered, cache hits/misses, the cache instance's corrupt entries
+    and lookups answered without opening a file, computed/failed/retried
+    counts, worker count and wall seconds — prefixed ``sweep_`` so they
+    never collide with the per-job simulator counters.
 
     >>> report = {"counters": {"points": 4, "hits": 3, "misses": 1,
     ...                        "computed": 1, "failed": 0, "retried": 0},
@@ -120,10 +121,13 @@ def sweep_metrics(report: dict) -> dict:
     True
     """
     c = report.get("counters", {})
+    cache = report.get("cache") or {}
     counters = {
         "sweep_points": c.get("points", 0),
         "sweep_cache_hits": c.get("hits", 0),
         "sweep_cache_misses": c.get("misses", 0),
+        "sweep_cache_corrupt": cache.get("corrupt", 0),
+        "sweep_cache_memo_hits": cache.get("memo_hits", 0),
         "sweep_computed": c.get("computed", 0),
         "sweep_failed": c.get("failed", 0),
         "sweep_retried": c.get("retried", 0),

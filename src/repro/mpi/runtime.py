@@ -59,7 +59,7 @@ class RankContext:
 
     __slots__ = (
         "world_rank", "engine", "machine", "placement", "job",
-        "world", "data_mode", "tuning", "policy", "trace", "rng",
+        "world", "data_mode", "tuning", "policy", "trace", "_rng",
         "profile", "noise", "_noise_rng",
     )
 
@@ -74,12 +74,20 @@ class RankContext:
         self.policy = job.policy
         self.trace = job.tracer
         self.world: Comm = None  # type: ignore[assignment] - set by MPIJob
-        self.rng = np.random.default_rng(job.seed + world_rank)
+        self._rng = None
         self.profile = CommProfile()
         self.noise = job.noise
         self._noise_rng = (
             job.noise.stream_for(world_rank) if job.noise else None
         )
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """This rank's private generator, seeded ``job.seed + rank`` —
+        built on first use: few programs draw from it."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.job.seed + self.world_rank)
+        return self._rng
 
     # -- identity ------------------------------------------------------------
     @property

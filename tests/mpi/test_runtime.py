@@ -128,6 +128,26 @@ class TestRankContext:
         assert a == b                       # seeded deterministically
         assert len(set(a)) == 3             # distinct streams per rank
 
+    def test_rank_rng_is_built_on_first_use_with_the_same_stream(self):
+        """Lazily built, but the stream a program sees is the one it
+        always saw: ``default_rng(job.seed + rank)``."""
+        built = []
+
+        def prog(mpi, draw):
+            yield from mpi.world.barrier()
+            built.append(mpi._rng is not None)
+            if draw:
+                assert mpi.rng is mpi.rng
+                return mpi.rng.random(3).tolist()
+
+        assert returns_of(prog, nodes=1, cores=3, nprocs=3,
+                          program_args=(False,)) == [None] * 3
+        assert built == [False] * 3
+        drawn = returns_of(prog, nodes=1, cores=3, nprocs=3, seed=11,
+                           program_args=(True,))
+        assert drawn == [np.random.default_rng(11 + rank).random(3).tolist()
+                         for rank in range(3)]
+
     def test_program_args_forwarded(self):
         def prog(mpi, factor, offset=0):
             yield from mpi.world.barrier()
