@@ -129,7 +129,6 @@ def osu_allgather_latency(
     reps: int | None = None,
     warmup: int | None = None,
     payload: str = "cost-only",
-    fast_path: bool = True,
     policy=None,
     replay: bool | str = "loop",
     **options: Any,
@@ -163,7 +162,6 @@ def osu_allgather_latency(
         spec, None, program,
         placement=placement,
         payload=payload,
-        fast_path=fast_path,
         policy=policy,
         replay=replay,
         program_kwargs=kwargs,

@@ -8,10 +8,9 @@ replay-cache work (see docs/performance.md); CI re-runs the quick sweep
 and gates on events/second against them.
 
 Virtual-time results (latencies, event counts) are independent of the
-payload mode and scheduler path — the equivalence tests assert that —
-so the harness measures the cheap configuration (``payload="cost-only"``,
-``fast_path=True``) by default and the numbers still describe the same
-simulation the figures run.
+payload mode — the equivalence tests assert that — so the harness
+measures the cheap configuration (``payload="cost-only"``) by default
+and the numbers still describe the same simulation the figures run.
 
 Usage::
 
@@ -48,13 +47,12 @@ __all__ = ["PERF_LABELS", "perf_points", "measure_point", "run_perf",
 PERF_LABELS = ("fig7", "fig9", "fig10")
 
 #: Pre-replay reference numbers (wall seconds / events processed),
-#: measured on the PR 5 fast-path configuration (``fast_path=True``,
-#: ``payload="cost-only"``, replay disabled) at ``DEFAULT_REPS=50`` —
-#: i.e. the off leg of ``repro-perf --replay``.  Keyed like the harness
-#: output so "before" columns and speedups can be reported.  Event
-#: counts are the replay-off totals; a fresh run (replay on by default)
-#: processes far fewer, and the ratio is the work the replay cache
-#: skipped.
+#: measured with ``payload="cost-only"`` and replay disabled at
+#: ``DEFAULT_REPS=50`` — i.e. the off leg of ``repro-perf --replay``.
+#: Keyed like the harness output so "before" columns and speedups can
+#: be reported.  Event counts are the replay-off totals; a fresh run
+#: (replay on by default) processes far fewer, and the ratio is the work
+#: the replay cache skipped.
 BASELINE: dict[str, dict[str, dict[str, float]]] = {
     "fig7": {
         "n1x24/1el/hybrid": {"wall_s": 0.0675, "events": 2526},
@@ -114,18 +112,17 @@ def perf_points(label: str,
     return sweeplib.figure_points(label, quick)
 
 
-def measure_point(point, payload: str = "cost-only",
-                  fast_path: bool = True) -> dict[str, Any]:
+def measure_point(point, payload: str = "cost-only") -> dict[str, Any]:
     """Run one :class:`~repro.bench.sweep.SweepPoint` fresh and return
     its wall/event/latency record (BENCH field subset)."""
-    point = replace(point, payload=payload, fast_path=fast_path)
+    point = replace(point, payload=payload)
     rec = sweeplib.run_point(point)
     return {k: rec[k] for k in
             ("wall_s", "events", "latency_us", "events_per_s")}
 
 
 def run_perf(label: str, quick: bool = False, payload: str = "cost-only",
-             fast_path: bool = True, progress: bool = True,
+             progress: bool = True,
              cache: "sweeplib.ResultCache | None" = None) -> dict[str, Any]:
     """Measure every point of *label*; returns the BENCH document.
 
@@ -140,7 +137,7 @@ def run_perf(label: str, quick: bool = False, payload: str = "cost-only",
     total_wall = 0.0
     total_events = 0
     for name, point in perf_points(label, quick):
-        sweep_point = replace(point, payload=payload, fast_path=fast_path)
+        sweep_point = replace(point, payload=payload)
         full = sweeplib.run_point(sweep_point)
         if cache is not None:
             sweeplib.store_record(cache, sweep_point, full)
@@ -163,7 +160,6 @@ def run_perf(label: str, quick: bool = False, payload: str = "cost-only",
         "label": label,
         "mode": "quick" if quick else "full",
         "payload": payload,
-        "fast_path": fast_path,
         "points": points,
         "total_wall_s": round(total_wall, 3),
         "total_events": total_events,
@@ -181,7 +177,7 @@ def run_perf(label: str, quick: bool = False, payload: str = "cost-only",
 
 
 def run_replay_compare(labels, quick: bool = False,
-                       payload: str = "cost-only", fast_path: bool = True,
+                       payload: str = "cost-only",
                        progress: bool = True) -> dict[str, Any]:
     """Measure the replay cache's warm-repetition speedup.
 
@@ -200,9 +196,7 @@ def run_replay_compare(labels, quick: bool = False,
     try:
         for label in labels:
             for name, point in perf_points(label, quick):
-                sweep_point = replace(
-                    point, payload=payload, fast_path=fast_path
-                )
+                sweep_point = replace(point, payload=payload)
                 sweeplib.REPLAY_MODE = False
                 off = sweeplib.run_point(sweep_point)
                 sweeplib.REPLAY_MODE = "loop"
@@ -239,7 +233,6 @@ def run_replay_compare(labels, quick: bool = False,
         "label": "replay",
         "mode": "quick" if quick else "full",
         "payload": payload,
-        "fast_path": fast_path,
         "points": points,
         "total_wall_off_s": round(total_off, 3),
         "total_wall_on_s": round(total_on, 3),
@@ -248,7 +241,7 @@ def run_replay_compare(labels, quick: bool = False,
 
 
 def profile_perf(labels, quick: bool = False, payload: str = "cost-only",
-                 fast_path: bool = True, out_dir: str = ".",
+                 out_dir: str = ".",
                  top: int = 25) -> str:
     """cProfile the full measurement sweep of *labels* and write the
     top-*top* cumulative-time table to ``PROFILE_perf.txt`` in
@@ -260,8 +253,7 @@ def profile_perf(labels, quick: bool = False, payload: str = "cost-only",
     prof = cProfile.Profile()
     prof.enable()
     for label in labels:
-        run_perf(label, quick=quick, payload=payload,
-                 fast_path=fast_path, progress=False)
+        run_perf(label, quick=quick, payload=payload, progress=False)
     prof.disable()
     buf = io.StringIO()
     stats = pstats.Stats(prof, stream=buf)
@@ -332,10 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         help="payload mode to benchmark (default: cost-only)",
     )
     parser.add_argument(
-        "--legacy-path", action="store_true",
-        help="benchmark the legacy heap-only scheduler (fast_path=False)",
-    )
-    parser.add_argument(
         "--out-dir", default=".",
         help="directory for BENCH_<label>.json (default: cwd)",
     )
@@ -390,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.replay:
         doc = run_replay_compare(
             labels, quick=args.quick, payload=args.payload,
-            fast_path=not args.legacy_path, progress=not args.quiet,
+            progress=not args.quiet,
         )
         print(
             f"replay: {doc['total_wall_off_s']}s off -> "
@@ -411,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile:
         path = profile_perf(
             labels, quick=args.quick, payload=args.payload,
-            fast_path=not args.legacy_path, out_dir=args.out_dir,
+            out_dir=args.out_dir,
         )
         print(f"wrote {path}", flush=True)
         return 0
@@ -422,8 +410,7 @@ def main(argv: list[str] | None = None) -> int:
                   flush=True)
         doc = run_perf(
             label, quick=args.quick, payload=args.payload,
-            fast_path=not args.legacy_path, progress=not args.quiet,
-            cache=cache,
+            progress=not args.quiet, cache=cache,
         )
         summary = f"{label}: {doc['total_wall_s']}s, {doc['events_per_s']:.0f} events/s"
         if "speedup" in doc:

@@ -150,9 +150,9 @@ class SweepPoint:
     socket_mode:
         Slot→socket mapping for multi-socket nodes
         (``compact``/``scatter``/``balanced``).
-    payload / fast_path:
-        Simulator execution mode knobs (virtual-time results are
-        independent of both; they are still part of the cache key).
+    payload:
+        Simulator payload mode (virtual-time results are independent of
+        it; it is still part of the cache key).
     workload:
         ``"latency"`` (blocking OSU latency, the default) or
         ``"overlap"`` (the OSU communication/computation overlap
@@ -183,7 +183,6 @@ class SweepPoint:
     transport: str | None = None
     socket_mode: str = "compact"
     payload: str = "cost-only"
-    fast_path: bool = True
     workload: str = "latency"
     compute_grain: float = 1.0
 
@@ -199,8 +198,6 @@ class SweepPoint:
         if type(self.compute_grain) is not float:
             object.__setattr__(self, "compute_grain",
                                float(self.compute_grain))
-        if type(self.fast_path) is not bool:
-            object.__setattr__(self, "fast_path", bool(self.fast_path))
         object.__setattr__(self, "counts", tuple(map(int, self.counts)))
         if self.machine not in MACHINES:
             raise ValueError(
@@ -651,7 +648,6 @@ def _run_sim_point(point: SweepPoint) -> dict:
         point.spec(), None, program,
         placement=point.placement(),
         payload=point.payload,
-        fast_path=point.fast_path,
         policy=policy,
         replay=REPLAY_MODE if point.workload == "latency" else False,
         program_kwargs=kwargs,
@@ -787,7 +783,7 @@ def cached_latency_us(machine: str, counts: Sequence[int], nbytes: int,
 #: Spec keys that may be lists (swept axes).
 _AXES = ("machine", "elements", "nbytes", "variant", "algo", "transport",
          "socket_mode", "ppn", "engine", "compute_grain")
-_SCALARS = ("nodes", "counts", "payload", "fast_path", "op", "workload")
+_SCALARS = ("nodes", "counts", "payload", "op", "workload")
 
 
 def _listify(value) -> list:
@@ -858,7 +854,6 @@ def expand_spec(spec: dict) -> list[SweepPoint]:
             engine=engine, op=spec.get("op"), algo=algo, transport=transport,
             socket_mode=socket_mode,
             payload=spec.get("payload", "cost-only"),
-            fast_path=bool(spec.get("fast_path", True)),
             workload=spec.get("workload", "latency"),
             compute_grain=grain,
         ))

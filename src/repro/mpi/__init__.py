@@ -34,7 +34,6 @@ Rank programs are generators; every blocking MPI call is driven with
 from repro.mpi.cart import CartComm, cart_create, dims_create
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, COMM_TYPE_SHARED, UNDEFINED
 from repro.mpi.datatypes import Bytes, nbytes_of
-from repro.mpi.derived import BYTE, DOUBLE, INT, Contiguous, Indexed, Vector
 from repro.mpi.errors import MPIError, TruncationError
 from repro.mpi.nonblocking import CollRequest
 from repro.mpi.profiler import CommProfile
@@ -43,23 +42,17 @@ from repro.mpi.runtime import JobResult, MPIJob, RankContext, run_program
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "BYTE",
     "Bytes",
     "COMM_TYPE_SHARED",
     "CartComm",
     "CollRequest",
     "CommProfile",
-    "Contiguous",
-    "DOUBLE",
-    "INT",
-    "Indexed",
     "JobResult",
     "MPIError",
     "MPIJob",
     "RankContext",
     "TruncationError",
     "UNDEFINED",
-    "Vector",
     "cart_create",
     "dims_create",
     "nbytes_of",

@@ -10,8 +10,8 @@ function of the *replay key*:
 
 * the job prefix: engine version, machine fingerprint (covers sockets,
   transport, topology), placement (node/socket vectors + socket mode),
-  tuning personality, selection policy, link contention, trace detail
-  and engine path;
+  tuning personality, selection policy, link contention and trace
+  detail;
 * the operation name and the per-rank payload signatures (sizes/roots/
   reduce ops — the dtype signature);
 * the vector of relative per-rank entry-time offsets.
@@ -68,8 +68,8 @@ Safety — quiescence and fall-through
 Replay is gated by a quiescence predicate evaluated when all ranks have
 parked: no unmatched p2p sends/receives, no outstanding non-blocking
 ``CollRequest`` (:func:`~repro.mpi.nonblocking.spawn_collective`
-maintains the counter), no busy or contended RMA window lock, no live
-engine process besides the parked rank programs, and no open trace span.
+maintains the counter), no live engine process besides the parked rank
+programs, and no open trace span.
 Anything else — ranks arriving at different timesteps, non-replayable
 payloads (real ndarrays), permuted communicators, unknown sync policies
 — falls through to normal execution, released *at the entry timestep*,
@@ -280,7 +280,6 @@ def job_prefix(job) -> tuple:
         type(job.policy).__name__,
         job.policy.describe(),
         job.link_contention,
-        job.fast_path,
         None if job.tracer is None
         else (job.tracer.detail, job.tracer.compute),
     )
@@ -566,9 +565,6 @@ class ReplaySession:
         #: Outstanding non-blocking collectives (any rank) — maintained
         #: by :func:`repro.mpi.nonblocking.spawn_collective`.
         self.pending_icolls = 0
-        #: RMA window states registered by ``win_allocate`` for the
-        #: lock-idle quiescence check.
-        self.rma_windows: list[Any] = []
         #: Lane per communicator id; None where replay never applies
         #: (not the world's ranks in world order).
         self._lanes: dict[int, _Lane | None] = {}
@@ -757,10 +753,6 @@ class ReplaySession:
             return False
         if self.job.msg_engine.pending_total:
             return False
-        for shared in self.rma_windows:
-            for lock in shared.locks:
-                if lock.in_use or lock.queued:
-                    return False
         tracer = self.job.tracer
         if tracer is not None:
             # An open span would become the replayed slice's silent
@@ -822,7 +814,6 @@ class ReplaySession:
                 trace=trace,
                 link_contention=job.link_contention,
                 seed=job.seed,
-                fast_path=job.fast_path,
                 replay=False,
             )
             # Phase one: setup + warm run; the engine runs dry with all
@@ -933,13 +924,13 @@ class ReplaySession:
         # tick resume in the same relative order as live execution, so
         # the *next* dispatch sees an identical entry permutation.  Each
         # is Engine.timeout() spelled out: pre-triggered, one per rank.
-        now, fast, defer, heap = eng.now, eng.fast_path, eng._defer, eng._heap
+        now, defer, heap = eng.now, eng._defer, eng._heap
         for rank, d_ticks, done in plan.wakes:
             ev = arrivals[rank]
             ev._state = _TRIGGERED
             ev._value = done or ("done", list(rec.results[rank]))
             time = (base_ticks + d_ticks) * TICK
-            if fast and time <= now:
+            if time <= now:
                 defer(ev)
             else:
                 eng._seq += 1

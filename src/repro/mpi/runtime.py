@@ -232,9 +232,6 @@ class MPIJob:
       times, event counts, and span streams are bit-identical to the
       other modes (the equivalence tests assert this); only wall-clock
       cost changes.  Used by the benchmark sweeps.
-
-    ``fast_path=False`` selects the engine's legacy heap-only scheduler
-    (same results, slower) — exposed for the equivalence tests.
     """
 
     def __init__(
@@ -253,7 +250,6 @@ class MPIJob:
         noise: NoiseModel | None = None,
         program_args: tuple = (),
         program_kwargs: dict | None = None,
-        fast_path: bool = True,
         replay: bool | str | None = None,
     ):
         if payload is not None:
@@ -265,7 +261,7 @@ class MPIJob:
         if placement is None:
             if nprocs is None:
                 raise ValueError("pass nprocs or an explicit placement")
-        self.engine = Engine(fast_path=fast_path)
+        self.engine = Engine()
         self.machine = Machine(
             self.engine, spec, link_contention=link_contention
         )
@@ -298,7 +294,6 @@ class MPIJob:
         self.payload_mode = payload_mode
         self.spec = spec
         self.link_contention = link_contention
-        self.fast_path = fast_path
         self.tuning = tuning or tuning_for_machine(spec.name)
         # None -> environment-driven (REPRO_COLL_POLICY / REPRO_COLL_<OP>);
         # a name or SelectionPolicy instance overrides the environment.

@@ -112,6 +112,8 @@ _PENDING = 0
 _TRIGGERED = 1  # scheduled for callback processing
 _PROCESSED = 2  # callbacks have run
 _CANCELLED = 3  # cancelled before processing; drain loops skip it
+_STATE_NAMES = {_PENDING: "pending", _TRIGGERED: "triggered",
+                _PROCESSED: "done", _CANCELLED: "cancelled"}
 
 
 class Event:
@@ -173,13 +175,7 @@ class Event:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._state = _TRIGGERED
         self._value = value
-        # Inlined _queue_triggered: succeed() fires once per message event
-        # in the hot loops.
-        engine = self.engine
-        if engine.fast_path:
-            engine._defer(self)
-        else:
-            engine._push(engine.now, self)
+        self.engine._defer(self)
         return self
 
     def cancel(self) -> None:
@@ -209,11 +205,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._state = _TRIGGERED
         self._exc = exc
-        engine = self.engine
-        if engine.fast_path:
-            engine._defer(self)
-        else:
-            engine._push(engine.now, self)
+        self.engine._defer(self)
         return self
 
     # -- wiring ----------------------------------------------------------
@@ -229,7 +221,7 @@ class Event:
             if self._state != _PROCESSED:
                 self.callbacks = [fn]
             else:  # already processed: run at current time, async
-                self.engine._schedule_call(lambda: fn(self))
+                self.engine._defer(lambda: fn(self))
         else:
             cbs.append(fn)
 
@@ -240,9 +232,8 @@ class Event:
             for fn in callbacks:
                 fn(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "done"}
-        return f"<Event {self.name!r} {state[self._state]}>"
+    def __repr__(self) -> str:
+        return f"<Event {self.name!r} {_STATE_NAMES[self._state]}>"
 
 
 class AllOf:
@@ -353,10 +344,7 @@ class Process(Event):
         # every waited-on event and removable by identity on interrupt.
         self._resume_cb = self._resume_from
         engine._live_processes.add(self)
-        if engine.fast_path:
-            engine._defer(self._first_step)
-        else:
-            engine._schedule_call(self._first_step)
+        engine._defer(self._first_step)
 
     def _first_step(self) -> None:
         # Fused initial advance (same shape as _resume_from): one frame
@@ -381,7 +369,7 @@ class Process(Event):
                     target.callbacks = [self._resume_cb]
                 else:  # already processed: resume at current time
                     cb = self._resume_cb
-                    self.engine._schedule_call(lambda: cb(target))
+                    self.engine._defer(lambda: cb(target))
             else:
                 cbs.append(self._resume_cb)
             return
@@ -409,7 +397,7 @@ class Process(Event):
                     callbacks.remove(self._resume_cb)
                 except ValueError:  # pragma: no cover - already detached
                     pass
-        self.engine._schedule_call(
+        self.engine._defer(
             lambda: self._step(None, Interrupt(cause)) if self._alive else None
         )
 
@@ -442,7 +430,7 @@ class Process(Event):
                     target.callbacks = [self._resume_cb]
                 else:  # already processed: resume at current time
                     cb = self._resume_cb
-                    self.engine._schedule_call(lambda: cb(target))
+                    self.engine._defer(lambda: cb(target))
             else:
                 cbs.append(self._resume_cb)
             return
@@ -485,7 +473,7 @@ class Process(Event):
                     target.callbacks = [self._resume_cb]
                 else:  # already processed: resume at current time
                     cb = self._resume_cb
-                    self.engine._schedule_call(lambda: cb(target))
+                    self.engine._defer(lambda: cb(target))
             else:
                 cbs.append(self._resume_cb)
             return
@@ -503,10 +491,7 @@ class Process(Event):
         # process event triggers exactly once, here).
         self._state = _TRIGGERED
         self._value = value
-        if engine.fast_path:
-            engine._defer(self)
-        else:
-            engine._push(engine.now, self)
+        engine._defer(self)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._alive = False
@@ -515,10 +500,7 @@ class Process(Event):
         self._resume_cb = None
         self._state = _TRIGGERED
         self._exc = exc
-        if engine.fast_path:
-            engine._defer(self)
-        else:
-            engine._push(engine.now, self)
+        engine._defer(self)
 
     def _process(self) -> None:
         # A failing process with no waiters at processing time is a lost
@@ -546,35 +528,26 @@ class Engine:
         Current virtual time (seconds by convention throughout
     :mod:`repro`; the engine itself is unit-agnostic).
 
-    Scheduling has two equivalent implementations selected by
-    ``fast_path`` (default on):
+    The scheduler keeps a plain FIFO of everything scheduled *at the
+    current time* and uses the ``(time, seq)`` binary heap only for
+    entries in the strict future.  Deferred calls are stored as bare
+    callables, so resuming a process or running a queued callback
+    allocates no :class:`Event` at all.
 
-    * the *legacy* path keeps every entry — including the throwaway
-      ``call`` events behind :meth:`_schedule_call` — on the ``(time,
-      seq)`` binary heap;
-    * the *fast* path keeps a plain FIFO of everything scheduled *at the
-      current time* and only uses the heap for entries in the strict
-      future.  Deferred calls are stored as bare callables, so resuming
-      a process or running a queued callback allocates no
-      :class:`Event` at all.
-
-    The fast path needs no per-entry sequence numbers: virtual time only
-    advances (via the heap) once the FIFO is empty, so every heap entry
-    that is due at the current time was necessarily scheduled *before*
-    any entry currently in the FIFO and therefore always precedes it in
-    ``(time, seq)`` order.  Heap entries keep the seq tiebreak among
-    themselves.  Both paths process entries in exactly the same
-    ``(time, seq)`` order, so :attr:`event_count`, every virtual
-    timestamp, and the observability span streams are bit-identical
-    between them (the equivalence tests assert this on the paper-figure
-    configs).
+    FIFO entries need no sequence numbers: virtual time only advances
+    (via the heap) once the FIFO is empty, so every heap entry that is
+    due at the current time was necessarily scheduled *before* any entry
+    currently in the FIFO and therefore always precedes it in ``(time,
+    seq)`` order.  Heap entries keep the seq tiebreak among themselves.
+    Entries are thus processed in global ``(time, seq)`` order; the
+    equivalence tests pin :attr:`event_count`, every virtual timestamp
+    and the span streams of the paper-figure miniatures to literals.
     """
 
-    def __init__(self, fast_path: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.fast_path = fast_path
         self._heap: list[tuple[float, int, Event]] = []
-        #: Same-time FIFO (fast path): bare Events or callables.
+        #: Same-time FIFO: bare Events or callables.
         #: Invariant: every entry was scheduled at the *current* time, so
         #: the queue must drain before virtual time may advance.
         self._deferred: deque[Any] = deque()
@@ -642,10 +615,9 @@ class Engine:
             ev = Event(self, name="pause")
             ev._state = _TRIGGERED
             ev._value = value
-            if self.fast_path:
-                ev._poolable = True
+            ev._poolable = True
         time = (self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK
-        if self.fast_path and time <= self.now:
+        if time <= self.now:
             self._defer(ev)
         else:
             self._seq += 1
@@ -667,26 +639,11 @@ class Engine:
 
     # -- scheduling internals --------------------------------------------
     def _push(self, time: float, ev: Event) -> None:
-        if self.fast_path and time <= self.now:
+        if time <= self.now:
             self._defer(ev)
         else:
             self._seq += 1
             heapq.heappush(self._heap, (time, self._seq, ev))
-
-    def _queue_triggered(self, ev: Event) -> None:
-        if self.fast_path:
-            self._defer(ev)
-        else:
-            self._push(self.now, ev)
-
-    def _schedule_call(self, fn: Callable[[], None]) -> None:
-        if self.fast_path:
-            self._defer(fn)
-        else:
-            ev = Event(self, name="call")
-            ev._state = _TRIGGERED
-            ev.add_callback(lambda _ev: fn())
-            self._push(self.now, ev)
 
     def _note_cancelled(self) -> None:
         # Lazy deletion bookkeeping: once cancelled entries are the
@@ -841,12 +798,10 @@ class Engine:
                     self.now = now = time
                     # Drain every other entry due at this same time into
                     # the FIFO up front.  They were all scheduled before
-                    # anything the processing below can enqueue — on the
-                    # fast path a push at <= now always goes to the FIFO
-                    # (so no new same-time heap entry can appear), and on
-                    # the legacy path new same-time pushes carry higher
-                    # seqs and correctly sort after the drained batch.
-                    # This keeps deferred pops free of any heap check.
+                    # anything the processing below can enqueue — a push
+                    # at <= now always goes to the FIFO, so no new
+                    # same-time heap entry can appear.  This keeps
+                    # deferred pops free of any heap check.
                     while heap and heap[0][0] == time:
                         deferred.append(heappop(heap)[2])
                 else:

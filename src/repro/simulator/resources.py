@@ -77,10 +77,7 @@ class Resource:
             # simulated transfer makes this a hot path.
             ev._state = _TRIGGERED
             ev._value = amount
-            if engine.fast_path:
-                engine._deferred.append(ev)
-            else:
-                engine._push(engine.now, ev)
+            engine._defer(ev)
         else:
             self._waiters.append((ev, amount))
         return ev
@@ -101,11 +98,7 @@ class Resource:
             self._in_use += want
             ev._state = _TRIGGERED
             ev._value = want
-            engine = self.engine
-            if engine.fast_path:
-                engine._deferred.append(ev)
-            else:
-                engine._push(engine.now, ev)
+            self.engine._defer(ev)
 
 
 class BandwidthChannel:
@@ -188,7 +181,7 @@ class BandwidthChannel:
             # subscribers yet.
             self._slots.acquire().callbacks = [granted]
 
-        engine._schedule_call(start)
+        engine._defer(start)
         return done
 
     @property

@@ -175,7 +175,7 @@ def measure_des(mini: str, op: str, algo: str, nbytes: int) -> float:
     result = run_program(
         spec_of(mini), None, _osu_program,
         placement=placement_of(mini),
-        payload="cost-only", fast_path=True,
+        payload="cost-only",
         policy=ForcedSelection({op: algo}),
         program_kwargs={"op": op, "nbytes": nbytes},
     )
@@ -206,7 +206,7 @@ def _probe_comm(mini: str):
         yield from mpi.world.barrier()
 
     run_program(spec_of(mini), None, probe, placement=placement_of(mini),
-                payload="cost-only", fast_path=True)
+                payload="cost-only")
     return box[0]
 
 

@@ -3,9 +3,8 @@
 The contract behind the non-blocking API (satellite of the overlap
 engine): posting ``I<op>`` and immediately waiting must produce exactly
 the virtual times, message/byte counters, and span streams of the
-blocking ``<op>`` — on Fig 7/9/10-class miniature configurations, in
-both engine modes (``fast_path`` on and off), with ``payload=
-"cost-only"``.
+blocking ``<op>`` — on Fig 7/9/10-class miniature configurations, with
+``payload="cost-only"``.
 
 The one deliberate difference is ``events_processed``: each posted
 collective spawns one background engine process per rank, which costs
@@ -105,25 +104,23 @@ CASES = [
 ]
 
 
-def _run(program, counts, fast_path):
+def _run(program, counts):
     spec = presets.hazel_hen(num_nodes=len(counts))
     return run_program(
         spec, None, program,
         placement=Placement.irregular(list(counts)),
-        payload="cost-only", fast_path=fast_path,
+        payload="cost-only",
         trace="dispatch",
     )
 
 
-@pytest.mark.parametrize("fast_path", [True, False],
-                         ids=["fast", "heap"])
 @pytest.mark.parametrize("name,blocking,immediate,counts,ncolls",
                          CASES, ids=[c[0] for c in CASES])
 class TestImmediateWaitEquivalence:
     def test_bit_identical(self, name, blocking, immediate, counts,
-                           ncolls, fast_path):
-        base = _run(blocking, counts, fast_path)
-        imm = _run(immediate, counts, fast_path)
+                           ncolls):
+        base = _run(blocking, counts)
+        imm = _run(immediate, counts)
 
         assert imm.returns == base.returns
         assert imm.elapsed == base.elapsed

@@ -3,14 +3,16 @@
 The replay cache (:mod:`repro.mpi.collectives.replay`) is a pure
 wall-clock optimization: per-rank virtual-time latencies, traffic
 counters, and the span stream must be *bit-identical* with the cache on
-or off, on every figure miniature, machine model (flat and 2-socket
-nodes), and engine path.  These tests pin that contract, plus the
-safety side: workloads the quiescence predicate must veto (non-blocking
-collectives, overlap) are never replayed, and the verify mode
+or off, on every figure miniature and machine model (flat and 2-socket
+nodes).  These tests pin that contract, plus the safety side: workloads
+the quiescence predicate must veto (non-blocking collectives, overlap)
+are never replayed, and the verify mode
 (``REPRO_REPLAY_VERIFY=1``) passes cleanly on a replaying run.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -42,10 +44,13 @@ MACHINES = [
     pytest.param(hazel_hen_2s, id="2socket"),
 ]
 
-PATHS = [
-    pytest.param(True, id="fast"),
-    pytest.param(False, id="legacy"),
-]
+#: Verify mode executes every hit live and checks it against its record,
+#: so a run under it replays no span and saves no event.
+_UNDER_VERIFY = pytest.mark.skipif(
+    os.environ.get("REPRO_REPLAY_VERIFY", "0") not in ("", "0"),
+    reason="REPRO_REPLAY_VERIFY executes every hit live: nothing is "
+           "replayed, by design",
+)
 
 #: Span fields that may legitimately differ under replay: span ids and
 #: parent links are allocation-order artifacts, and the ``replayed``
@@ -69,15 +74,13 @@ def _strip(records):
     )
 
 
-def _run(machine, nodes, placement, elements, variant, options, fast_path,
-         replay):
+def _run(machine, nodes, placement, elements, variant, options, replay):
     program = (hybrid_allgather_program if variant == "hybrid"
                else pure_allgather_program)
     return run_program(
         machine(nodes), None, program,
         placement=placement,
         payload="cost-only",
-        fast_path=fast_path,
         trace="p2p",
         replay=replay,
         program_kwargs={
@@ -87,15 +90,14 @@ def _run(machine, nodes, placement, elements, variant, options, fast_path,
 
 
 @pytest.mark.parametrize("machine", MACHINES)
-@pytest.mark.parametrize("fast_path", PATHS)
 @pytest.mark.parametrize("cfg", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_replay_bit_identical(cfg, machine, fast_path):
+def test_replay_bit_identical(cfg, machine):
     _cfg_id, nodes, placement, elements, variant, options = cfg
     replaylib.clear_cache()
     off = _run(machine, nodes, placement, elements, variant, options,
-               fast_path, replay=False)
+               replay=False)
     on = _run(machine, nodes, placement, elements, variant, options,
-              fast_path, replay="loop")
+              replay="loop")
     # The cache must actually engage — otherwise this test proves
     # nothing (warm-first runs the first occurrence of each shape live,
     # every later aligned repetition replays).
@@ -118,24 +120,26 @@ def test_replay_bit_identical(cfg, machine, fast_path):
     assert _strip(on.trace) == _strip(off.trace)
 
 
+@_UNDER_VERIFY
 def test_replayed_spans_are_marked():
     _cfg_id, nodes, placement, elements, variant, options = CONFIGS[0]
     replaylib.clear_cache()
     on = _run(hazel_hen, nodes, placement, elements, variant, options,
-              True, replay="loop")
+              replay="loop")
     marked = [r for r in on.trace if r.get("replayed")]
     assert on.replay_hits > 0
     assert marked, "replayed dispatches must re-emit marked spans"
 
 
+@_UNDER_VERIFY
 def test_replay_skips_events():
     """The headline: a replayed repetition costs O(ranks) events."""
     _cfg_id, nodes, placement, elements, variant, options = CONFIGS[2]
     replaylib.clear_cache()
     off = _run(hazel_hen, nodes, placement, elements, variant, options,
-               True, replay=False)
+               replay=False)
     on = _run(hazel_hen, nodes, placement, elements, variant, options,
-              True, replay="loop")
+              replay="loop")
     assert on.replay_hits == REPS
     # The replaying run must process far fewer events than the straight
     # run — the warm-first live rep and the align scaffolding remain,
@@ -240,7 +244,7 @@ def test_verify_mode_clean(monkeypatch):
     _cfg_id, nodes, placement, elements, variant, options = CONFIGS[2]
     replaylib.clear_cache()
     result = _run(hazel_hen, nodes, placement, elements, variant, options,
-                  True, replay="loop")
+                  replay="loop")
     assert result.replay_hits == REPS  # hits verified, none demoted
 
 
@@ -252,7 +256,7 @@ def test_verify_mode_catches_corruption(monkeypatch):
     # Warm the cache without verification...
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "0")
     _run(hazel_hen, nodes, placement, elements, variant, options,
-         True, replay="loop")
+         replay="loop")
     # ...corrupt every record's first-rank latency...
     for rec in replaylib._CACHE.values():
         if rec is not None:
@@ -261,4 +265,4 @@ def test_verify_mode_catches_corruption(monkeypatch):
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
     with pytest.raises(replaylib.ReplayVerifyError):
         _run(hazel_hen, nodes, placement, elements, variant, options,
-             True, replay="loop")
+             replay="loop")

@@ -15,6 +15,7 @@ Pins the contracts docs/sweeps.md promises:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -99,20 +100,51 @@ def test_cache_key_changes_with_machine_and_transport():
     assert len(keys) == 4
 
 
+def _whole_document_key(point: SweepPoint) -> str:
+    """SHA-256 over ``json.dumps`` of the whole key document, built
+    from scratch — what ``cache_key`` splices from memoised parts."""
+    from repro.bench import osu
+
+    doc = {"machine": point.spec().describe(), "point": point.to_dict()}
+    if point.engine == "model":
+        doc["model_version"] = sweeplib.MODEL_VERSION
+    else:
+        doc.update(engine_version=sweeplib.ENGINE_VERSION,
+                   reps=osu.DEFAULT_REPS, warmup=osu.DEFAULT_WARMUP)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_cache_key_bytes_are_pinned():
-    """Literal keys captured before the machine description was
-    canonicalised once per configuration: the spliced document must
-    hash exactly like ``json.dumps`` of the whole one."""
+    """Literal keys of a model and a sim point, each equal to the hash
+    of the whole key document: the spliced document must hash exactly
+    like ``json.dumps`` of the whole one."""
     model_point = SweepPoint(machine="hazel_hen", counts=(24, 24, 16),
                              nbytes=4096, variant="hybrid", engine="model",
                              algo="shared_window")
     sim_point = SweepPoint(machine="hazel_hen_2s", counts=(12,) * 4,
                            nbytes=64, variant="pure", engine="sim",
                            transport="pip_direct", socket_mode="scatter")
-    assert cache_key(model_point) == (
-        "5597ad9bae36a416f8f47167c3555087698ee5242c5cacf6a359436adcf3b4b3")
-    assert cache_key(sim_point) == (
-        "119abf8664bfb8926856639c5d381f95bd06f8a58962a1bd327d921445957dc9")
+    for point, pinned in [
+        (model_point,
+         "c7874c240469af4ce96033b94d7ec8809f8d7021390dc6a81faf340a7bc57a56"),
+        (sim_point,
+         "5a7601df50dad7bfaa5596e6f49a73919cb71260143ef9ddd05fed3d19f117c7"),
+    ]:
+        assert cache_key(point) == pinned
+        assert _whole_document_key(point) == pinned
+
+
+def test_scheduler_knob_is_an_unknown_field():
+    """The point document has no scheduler field: a point, a spec or a
+    ``/query`` body carrying one is rejected, not silently ignored."""
+    doc = SweepPoint(machine="testing", counts=(2, 2), nbytes=8).to_dict()
+    assert "fast_path" not in doc
+    with pytest.raises(ValueError, match="unknown point field.*fast_path"):
+        SweepPoint.from_dict(dict(doc, fast_path=True))
+    with pytest.raises(ValueError, match="unknown sweep spec key.*fast_path"):
+        expand_spec({"machine": "testing", "nodes": 2, "ppn": 2,
+                     "fast_path": True})
 
 
 def test_stored_fingerprint_is_the_spec_fingerprint(cache):

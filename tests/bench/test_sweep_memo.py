@@ -242,7 +242,7 @@ def test_points_that_compare_equal_serialize_equally():
     the point, so the point normalises them."""
     plain = SweepPoint(machine="testing", counts=(2, 2), nbytes=8)
     loose = SweepPoint(machine="testing", counts=[2.0, 2], nbytes=8.0,
-                       compute_grain=1, fast_path=1)
+                       compute_grain=1)
     assert loose == plain
     assert loose.to_dict() == plain.to_dict()
     assert json.dumps(loose.to_dict()) == json.dumps(plain.to_dict())

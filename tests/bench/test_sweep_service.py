@@ -54,6 +54,11 @@ def test_query_rejects_bad_point(service):
     assert status == 400
     assert "bogus_field" in doc["error"]
 
+    # The scheduler has no mode switch; the old field is unknown too.
+    status, doc = service.handle("POST", "/query", {"fast_path": True})
+    assert status == 400
+    assert "fast_path" in doc["error"]
+
 
 def test_best_recommends_and_caches(service):
     body = {"machine": "hazel_hen", "nodes": 2, "ppn": 24,
@@ -155,7 +160,8 @@ def test_http_round_trip(tmp_path):
         bad = urllib.request.Request(f"{base}/query", data=b"{oops")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(bad, timeout=10)
-        assert err.value.code == 400
+        with err.value:  # the error is the response: close its socket
+            assert err.value.code == 400
 
         with urllib.request.urlopen(f"{base}/stats", timeout=10) as resp:
             stats = json.load(resp)

@@ -25,7 +25,7 @@ from repro.machine.presets import hazel_hen, hazel_hen_flat
 from repro.mpi import run_program
 
 # (id, nodes-spec, placement, elements, variant, program options) —
-# the same miniatures the fast-path equivalence suite uses.
+# the same miniatures tests/bench/test_perf_equivalence.py pins.
 CONFIGS = [
     ("fig7-hybrid", 1, Placement.block(1, 8), 64, "hybrid", {}),
     ("fig7-pure", 1, Placement.block(1, 8), 64, "pure", {}),
@@ -63,7 +63,6 @@ def _run(spec, placement, elements, variant, options):
         spec, None, program,
         placement=placement,
         payload="cost-only",
-        fast_path=True,
         trace="p2p",
         program_kwargs={"nbytes_per_rank": elements * 8, **options},
     )

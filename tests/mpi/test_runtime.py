@@ -71,6 +71,11 @@ class TestJobBasics:
         with pytest.raises(ValueError):
             MPIJob(spec, lambda mpi: None, nprocs=1, payload_mode="weird")
 
+    def test_scheduler_has_no_mode_switch(self):
+        spec = make_testing_spec(1, 1)
+        with pytest.raises(TypeError, match="fast_path"):
+            run_program(spec, 1, lambda mpi: None, fast_path=True)
+
     def test_deadlock_reported_with_rank_names(self):
         def prog(mpi):
             if mpi.world.rank == 0:

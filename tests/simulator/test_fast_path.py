@@ -1,9 +1,8 @@
-"""Unit tests for the engine fast path and its companion fixes.
+"""Unit tests for the engine's same-time scheduling and its companions.
 
-Covers the satellite fixes that rode along with the fast-path work:
-AnyOf index reporting under duplicate/late events, interrupt detaching
-its stale resume callback, pause-event pooling, and fast/legacy
-scheduler equivalence at the engine level.
+Covers AnyOf index reporting under duplicate/late events, interrupt
+detaching its stale resume callback, pause-event pooling, and a small
+ping-pong network pinned to literal ``(now, event_count)`` values.
 """
 
 from __future__ import annotations
@@ -133,18 +132,6 @@ class TestPausePooling:
         eng.run()
         assert got == [0, 1, 2, 3, 4]
 
-    def test_legacy_path_pause_not_pooled(self):
-        eng = Engine(fast_path=False)
-
-        def ticker():
-            for _ in range(3):
-                yield eng.pause(1.0)
-
-        eng.spawn(ticker(), name="ticker")
-        eng.run()
-        assert eng.now == 3.0
-        assert not eng._pause_pool
-
 
 def _pingpong(eng, rounds):
     """A small two-process network exercising events, pauses, interrupts."""
@@ -163,8 +150,11 @@ def _pingpong(eng, rounds):
     return eng.now, eng.event_count
 
 
-@pytest.mark.parametrize("rounds", [1, 7, 31])
-def test_fast_and_legacy_paths_identical(rounds):
-    fast = _pingpong(Engine(fast_path=True), rounds)
-    legacy = _pingpong(Engine(fast_path=False), rounds)
-    assert fast == legacy
+#: ``(now, event_count)`` per round count, captured while a retired
+#: all-heap reference scheduler was still asserted equal to them.
+PINGPONG_PINS = {1: (0.5, 9), 7: (3.5, 39), 31: (15.5, 159)}
+
+
+@pytest.mark.parametrize("rounds", sorted(PINGPONG_PINS))
+def test_pingpong_matches_pins(rounds):
+    assert _pingpong(Engine(), rounds) == PINGPONG_PINS[rounds]

@@ -80,3 +80,20 @@ def test_heap_compaction_preserves_live_ordering():
     engine.spawn(prog(), name="worker")
     engine.run()
     assert order == [1e-3, 2e-3, 3e-3]
+
+
+def test_repr_names_every_state():
+    """``repr`` of a cancelled event used to raise ``KeyError: 3``,
+    masking assertion output that printed one."""
+    engine = Engine()
+    pending = engine.event("gate")
+    assert repr(pending) == "<Event 'gate' pending>"
+    pending.cancel()  # cancelled while pending
+    assert repr(pending) == "<Event 'gate' cancelled>"
+    triggered = engine.timeout(1.0)
+    assert repr(triggered) == "<Event 'timeout' triggered>"
+    triggered.cancel()  # cancelled while queued
+    assert repr(triggered) == "<Event 'timeout' cancelled>"
+    done = engine.timeout(0.5, name="done")
+    engine.run()
+    assert repr(done) == "<Event 'done' done>"

@@ -94,7 +94,7 @@ def _ping(mpi, peer, nbytes):
 def _ping_latency(spec, peer, nbytes):
     result = run_program(
         spec, None, _ping, placement=Placement.block(1, 4),
-        payload="cost-only", fast_path=True,
+        payload="cost-only",
         program_kwargs={"peer": peer, "nbytes": nbytes},
     )
     return result.returns[peer]
@@ -166,7 +166,7 @@ def test_transports_deterministic_and_finite(transport, nbytes):
         run_program(
             spec, None, _allgather_once,
             placement=Placement.block(2, 4),
-            payload="cost-only", fast_path=True,
+            payload="cost-only",
             program_kwargs={"nbytes": nbytes},
         )
         for _ in range(2)
