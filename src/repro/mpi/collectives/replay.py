@@ -40,12 +40,17 @@ spec decodes each rank's signature back into the call's arguments
 made* — ``getattr(comm, op)(*args)``, or for the hybrid collectives the
 call a recipe from :mod:`repro.core.hierarchy` rebuilds (context and
 shared buffers are one-off setup, excluded from the record as the
-paper's §5 excludes them).  It pays one warm run (mirroring the live
-job's never-replayed first execution), parks all ranks quiescently,
-then re-issues the call once more from a simultaneous release in the
-live arrival permutation.  There is no per-operation table: whatever
-reaches :meth:`ReplaySession.run` with an encodable call is replayable.  The
-deltas of that steady-state run — per-rank tick durations, counter and
+paper's §5 excludes them).  It parks all ranks quiescently, then issues
+the call once from a simultaneous release in the live arrival
+permutation.  That first run is already steady state: lazy hierarchy
+sub-communicators come from the deterministic-child registry (no
+rendezvous, no events, no virtual time) and the selection caches are
+host-only.  Only a run that opened a setup gate (``Comm._gate``: a
+first use that splits or allocates windows, which the job's ``gates``
+counter shows) was a warm run; the pocket then parks again and measures
+a second run.  There is no per-operation table: whatever reaches
+:meth:`ReplaySession.run` with an encodable call is replayable.  The
+deltas of the measured run — per-rank tick durations, counter and
 traffic increments, span templates, profile increments — form the
 record, which is applied to the live job immediately (the miss itself
 becomes a hit).  Because scheduled delays are translation-invariant on
@@ -77,12 +82,12 @@ so misses are unconditionally undistorted.
 
 ``REPRO_REPLAY_VERIFY=1`` executes every hit *and* checks it against the
 record, asserting bit-identical per-rank latencies, counter deltas and
-(shift-normalized) span slices.
+(shift-normalized) span slices; a pocket that raises re-raises there,
+where otherwise its shape becomes a negative entry that runs live.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import astuple
 from heapq import heappush
 from typing import Any
@@ -136,7 +141,7 @@ _UNUSABLE_LIMIT = 3
 
 #: Process-lifetime counters (exposed by the sweep service ``/stats``).
 STATS = {"hits": 0, "misses": 0, "records": 0, "evictions": 0,
-         "unreplayable": 0}
+         "unreplayable": 0, "pocket_runs": 0}
 
 
 def cache_stats() -> dict:
@@ -782,23 +787,26 @@ class ReplaySession:
                     return getattr(comm, op)(*call_arguments(sig))
             else:
                 issue = yield from rebuild(comm, op, *call_arguments(sig))
-            # Warm run: pays the pocket's one-off lazy setup (mirroring
-            # the live job's first, never-replayed execution) so the
-            # parked second run below is steady-state.
-            yield comm._shared.arrive(
-                ("replay_warm",), comm.rank, None,
-                lambda values: dict.fromkeys(values),
-            )
-            yield from issue()
-            # Park: the engine runs dry here (phase one below returns),
-            # the recorder snapshots the quiescent baseline, then wakes
-            # every rank at one timestep in the live job's arrival
-            # permutation.
-            ev = Event(mpi.engine, "replay.pocket")
-            park[comm.rank] = ev
-            yield ev
-            result = yield from issue()
-            exits[comm.rank] = (mpi.engine.now, result)
+            # Park; the recorder releases every rank for one run (True)
+            # or lets it exit (False).
+            while True:
+                ev = park[comm.rank] = Event(mpi.engine, "replay.pocket")
+                if not (yield ev):
+                    return
+                result = yield from issue()
+                exits[comm.rank] = (mpi.engine.now, result)
+
+        def release(run: bool) -> None:
+            # Simultaneous release in the live arrival permutation — the
+            # entry state the live dispatch would replay from.  The
+            # engine then runs dry with every rank parked again, which
+            # its deadlock detector reports: the expected boundary.
+            for r in order:
+                park[r].succeed(run)
+            try:
+                pocket.engine.run()
+            except DeadlockError:
+                pass
 
         trace = (
             Tracer(detail=job.tracer.detail, compute=job.tracer.compute)
@@ -816,27 +824,28 @@ class ReplaySession:
                 seed=job.seed,
                 replay=False,
             )
-            # Phase one: setup + warm run; the engine runs dry with all
-            # ranks parked, which its deadlock detector reports — that
-            # *is* the expected phase boundary.
             try:
                 pocket.run()
             except DeadlockError:
-                pass
-            if len(park) != n:
-                _cache_put(key, None)
-                return None
-            # Quiescent baseline, read between engine runs so the event
-            # count is exact.
-            window = _Window(pocket)
-            events0 = pocket.engine.event_count
-            # Phase two: simultaneous release in arrival order — the
-            # same entry state the live dispatch would replay from.
-            for r in order:
-                park[r].succeed(None)
-            pocket.engine.run()
+                pass  # every rank parked after the rebuild
+            for _ in range(2):
+                if len(park) != n:
+                    break
+                # Quiescent baseline, read between engine runs so the
+                # event count is exact.
+                window = _Window(pocket)
+                events0 = pocket.engine.event_count
+                gates = pocket.gates
+                exits.clear()
+                STATS["pocket_runs"] += 1
+                release(True)
+                if len(exits) != n or pocket.gates == gates:
+                    break
+                # The run opened a setup gate (a first use allocating
+                # windows or splitting): it was the warm run, measure
+                # the next one.
         except Exception:
-            if os.environ.get("REPRO_REPLAY_DEBUG"):
+            if self.verify:
                 raise
             _cache_put(key, None)
             return None
@@ -850,9 +859,10 @@ class ReplaySession:
         )
         results = [exits[r][1] for r in range(n)]
         counters, per_pair, max_hops, spans, profiles = window.deltas()
-        # The n release events above are parking overhead, not part of
-        # the dispatch.
-        events = pocket.engine.event_count - events0 - n
+        # Counted from the release, as a live dispatch released from its
+        # park costs its n release events plus its own.
+        events = pocket.engine.event_count - events0
+        release(False)  # the ranks exit: nothing keeps the pocket alive
 
         templates = None
         if spans is not None:

@@ -707,6 +707,7 @@ class Comm:
     # -- communicator management ----------------------------------------------
     def _gate(self, op: str, value: Any, reducer):
         """Coroutine helper: rendezvous all ranks of this comm."""
+        self._shared.job.gates += 1
         self._gate_seq += 1
         key = (op, self._gate_seq)
         results = yield self._shared.arrive(key, self.rank, value, reducer)

@@ -305,6 +305,10 @@ class MPIJob:
         self.program_args = program_args
         self.program_kwargs = program_kwargs or {}
         self._comm_ids = 0
+        #: Arrivals at rendezvous gates so far (``Comm._gate``: split,
+        #: dup, shared-window allocation) — one-off setup, which is how
+        #: a replay pocket tells a warm run from a steady-state one.
+        self.gates = 0
         # Replay: None defers to the environment (REPRO_REPLAY, with
         # "loop" selecting loop mode; REPRO_REPLAY_VERIFY implies replay
         # in verify mode).  ``replay="loop"`` additionally applies

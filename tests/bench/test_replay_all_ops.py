@@ -76,7 +76,7 @@ HYBRID = {
 CASES = sorted(FLAT) + sorted(HYBRID)
 
 
-def _program(mpi, op: str):
+def _program(mpi, op: str, reps: int = REPS):
     comm = mpi.world
     if op in FLAT:
         args = FLAT[op](comm.rank, comm.size)
@@ -89,7 +89,7 @@ def _program(mpi, op: str):
         issue = yield from HYBRID[op](hctx)
     total = 0.0
     results = []
-    for _ in range(REPS):
+    for _ in range(reps):
         yield from comm.align()
         t0 = mpi.now
         results.append((yield from issue()))
@@ -116,8 +116,17 @@ def test_every_op_has_a_case():
 @pytest.mark.parametrize("op", CASES)
 def test_replay_bit_identical(op):
     off = _run(op, replay=False)
+    before = replaylib.cache_stats()
     on = _run(op, replay="loop")
+    after = replaylib.cache_stats()
     assert on.replay_hits > 0
+    # A pocket measures its first run unless that run opened a setup
+    # gate — only hy_allreduce does: it allocates scratch windows on
+    # first use.
+    assert after["records"] - before["records"] == 1
+    assert after["pocket_runs"] - before["pocket_runs"] == (
+        2 if op == "hy_allreduce" else 1
+    )
     assert on.returns == off.returns
     assert on.finish_times == off.finish_times
     assert on.elapsed == off.elapsed
@@ -184,6 +193,36 @@ def test_flag_sync_hybrid_replays(monkeypatch):
     assert on.returns == off.returns
     assert on.comm_summary() == off.comm_summary()
     assert _spans(on.trace) == _spans(off.trace)
+
+
+def _broken_recipe(comm, op, sd, *args):
+    raise RuntimeError("cannot rebuild")
+    yield  # pragma: no cover - keeps this a coroutine
+
+
+def test_a_raising_pocket_surfaces_under_verify(monkeypatch):
+    from repro.core import hierarchy
+    from repro.simulator.engine import SimulationError
+
+    monkeypatch.setattr(hierarchy, "_reissue", _broken_recipe)
+    monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
+    with pytest.raises(SimulationError) as info:
+        _run("hy_bcast", "loop")
+    assert "cannot rebuild" in str(info.value.__cause__)
+
+
+def test_a_raising_pocket_falls_through_to_live(monkeypatch):
+    """Outside verify a pocket that raises is an unreplayable shape:
+    every repetition runs live, at the replay-off latency."""
+    from repro.core import hierarchy
+
+    monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+    off = _run("hy_bcast", replay=False)
+    monkeypatch.setattr(hierarchy, "_reissue", _broken_recipe)
+    on = _run("hy_bcast", "loop")
+    assert on.replay_hits == 0 and on.replay_misses > 0
+    assert on.returns == off.returns
+    assert on.finish_times == off.finish_times
 
 
 def test_data_arguments_veto():

@@ -126,6 +126,7 @@ def test_stats_counts_requests(service):
     assert doc["requests"] == 3
     assert doc["errors"] == 1
     assert doc["cache"]["entries"] == 0
+    assert {"records", "pocket_runs"} <= doc["replay"].keys()
 
 
 def test_http_round_trip(tmp_path):
