@@ -22,6 +22,7 @@ from typing import Any
 from repro.mpi.collectives import registry
 from repro.mpi.collectives.registry import (
     CollRequest,
+    _vector_overhead,
     bridge_allgatherv as _bridge_allgatherv,
     policy_of,
     trace_begin,
@@ -49,13 +50,6 @@ def _overhead(comm):
     tuning = comm.ctx.tuning
     if tuning.call_overhead > 0:
         yield comm.ctx.engine.timeout(tuning.call_overhead)
-
-
-def _vector_overhead(comm, blocks: int):
-    tuning = comm.ctx.tuning
-    cost = tuning.vector_block_overhead * blocks
-    if cost > 0:
-        yield comm.ctx.engine.timeout(cost)
 
 
 def _select(comm, req: CollRequest):

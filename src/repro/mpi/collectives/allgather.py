@@ -3,7 +3,8 @@
 All three return a :class:`~repro.mpi.collectives.blocks.BlockSet`
 containing one block per communicator rank.  They are *flat* algorithms —
 the SMP-aware wrapper in :mod:`repro.mpi.collectives.hierarchical`
-composes them across the node hierarchy.
+composes them across the node hierarchy.  Each accepts and ignores the
+registry's ``total`` argument, so the registry calls them directly.
 
 References: Thakur, Rabenseifner, Gropp — "Optimization of collective
 communication operations in MPICH", IJHPCA 2005.
@@ -27,7 +28,7 @@ def _is_pof2(n: int) -> bool:
     return n & (n - 1) == 0
 
 
-def allgather_recursive_doubling(comm, payload: Any, tag: int):
+def allgather_recursive_doubling(comm, payload: Any, tag: int, total=None):
     """Recursive doubling: log2(p) rounds, doubling block count each round.
 
     Requires a power-of-two communicator size.
@@ -50,7 +51,7 @@ def allgather_recursive_doubling(comm, payload: Any, tag: int):
     return mine
 
 
-def allgather_bruck(comm, payload: Any, tag: int):
+def allgather_bruck(comm, payload: Any, tag: int, total=None):
     """Bruck's algorithm: ceil(log2 p) rounds, works for any p.
 
     Blocks are kept in "distance from me" order during the exchange and
@@ -84,7 +85,7 @@ def allgather_bruck(comm, payload: Any, tag: int):
     return result
 
 
-def allgather_ring(comm, payload: Any, tag: int):
+def allgather_ring(comm, payload: Any, tag: int, total=None):
     """Ring: p-1 rounds, each forwarding one block to the right neighbour.
 
     Bandwidth-optimal for large messages; latency scales linearly in p.

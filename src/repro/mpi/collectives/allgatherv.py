@@ -20,13 +20,13 @@ from repro.mpi.collectives.blocks import BlockSet
 __all__ = ["allgatherv_bruck", "allgatherv_ring", "allgatherv_gather_bcast"]
 
 
-def allgatherv_bruck(comm, payload: Any, tag: int):
+def allgatherv_bruck(comm, payload: Any, tag: int, total=None):
     """Bruck exchange with per-rank block sizes (small total sizes)."""
     result = yield from allgather_bruck(comm, payload, tag)
     return result
 
 
-def allgatherv_ring(comm, payload: Any, tag: int):
+def allgatherv_ring(comm, payload: Any, tag: int, total=None):
     """Ring exchange with per-rank block sizes (large total sizes)."""
     result = yield from allgather_ring(comm, payload, tag)
     return result

@@ -64,7 +64,7 @@ def hier_comms(comm):
     Membership is a pure function of the globally-known placement, so
     the sub-communicators come from the comm's deterministic-child
     registry — no rendezvous, which keeps this safe under concurrent
-    non-blocking collectives.  (A generator for interface symmetry.)
+    non-blocking collectives, and no virtual time: a plain call.
     """
     cache = comm.hier_cache
     if "shm" not in cache:
@@ -80,8 +80,6 @@ def hier_comms(comm):
         bridge = comm.subcomm(("hier_bridge",), leaders)
         cache["shm"] = shm
         cache["bridge"] = bridge
-    if False:  # pragma: no cover - keeps this a generator function
-        yield None
     return cache["shm"], cache["bridge"]
 
 
@@ -146,7 +144,7 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
     from repro.mpi.collectives.gather import gather_binomial
     from repro.mpi.collectives.registry import phase_begin, phase_end
 
-    shm, bridge = yield from hier_comms(comm)
+    shm, bridge = hier_comms(comm)
     # Stage 1: gather blocks at the node leader (shared-memory p2p).
     ph = phase_begin(comm, "on_node_gather", nbytes_of(payload))
     local = yield from gather_binomial(shm, payload, 0, tag)
@@ -190,7 +188,7 @@ def hier_bcast(comm, payload: Any, root: int, tag: int, bridge_bcast) -> Any:
     """
     from repro.mpi.collectives.registry import phase_begin, phase_end
 
-    shm, bridge = yield from hier_comms(comm)
+    shm, bridge = hier_comms(comm)
     placement = comm.ctx.placement
     root_world = comm.world_rank_of(root)
     root_node = placement.node_of(root_world)
@@ -231,7 +229,7 @@ def hier_reduce(comm, payload: Any, op, root: int, tag: int):
     from repro.mpi.collectives.reduce import reduce_binomial
     from repro.mpi.collectives.registry import phase_begin, phase_end
 
-    shm, bridge = yield from hier_comms(comm)
+    shm, bridge = hier_comms(comm)
     placement = comm.ctx.placement
     root_world = comm.world_rank_of(root)
     root_node = placement.node_of(root_world)
@@ -281,7 +279,7 @@ def hier_allreduce(comm, payload: Any, op, tag: int, bridge_allreduce):
     from repro.mpi.collectives.reduce import reduce_binomial
     from repro.mpi.collectives.registry import phase_begin, phase_end
 
-    shm, bridge = yield from hier_comms(comm)
+    shm, bridge = hier_comms(comm)
     ph = phase_begin(comm, "on_node_reduce", nbytes_of(payload))
     partial = yield from reduce_binomial(shm, payload, op, 0, tag)
     phase_end(comm, ph)
@@ -311,7 +309,7 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     cache = comm.hier_cache
     key = f"ml{leaders_per_node}"
     if key not in cache:
-        shm, _bridge_unused = yield from hier_comms(comm)
+        shm, _bridge_unused = hier_comms(comm)
         k = min(leaders_per_node, shm.size)
         slice_id = shm.rank % k
         # Slice members, leader flags, and bridge membership are all
@@ -406,7 +404,7 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
 
     cache = comm.hier_cache
     if "s3l" not in cache:
-        _shm, bridge = yield from hier_comms(comm)
+        _shm, bridge = hier_comms(comm)
         by_sock = _by_socket_map(comm)
         placement = comm.ctx.placement
         node_spec = comm.ctx.machine.spec.node

@@ -9,8 +9,10 @@ runtime the same structure:
 * every algorithm — flat, hierarchical, multi-leader, and the hybrid
   shared-window exchanges — registers an :class:`Algorithm` descriptor
   (operation, name, applicability predicate, α-β cost estimator);
-* a :class:`SelectionPolicy` decides, per call, which registered
-  descriptor runs.  Three implementations are provided:
+* a :class:`SelectionPolicy` decides which registered descriptor runs
+  — once per communicator and (request, candidate set); repeated calls
+  read the pick back from the communicator's shared cache.  Three
+  implementations are provided:
 
   - :class:`TableSelection` — the MPICH-style decision tables driven by
     :class:`~repro.mpi.collectives.tuning.CollectiveTuning` thresholds
@@ -25,6 +27,9 @@ The policy travels on the rank context (``ctx.policy``, threaded through
 :class:`~repro.mpi.runtime.MPIJob`); the ``run_*`` bodies in
 :mod:`repro.mpi.collectives` consult it for every call and record the
 decision — operation, algorithm, policy, bytes — in the job trace.
+A policy's pick must be a pure function of the communicator, the
+request and the candidate set (the replay cache already relies on it);
+that is what makes the per-communicator memo exact.
 
 Descriptor calling conventions (per operation)
 ----------------------------------------------
@@ -35,7 +40,7 @@ signature:
 ==================  ====================================================
 op                  ``fn`` signature
 ==================  ====================================================
-allgather(v)        ``fn(comm, payload, tag, total)`` → BlockSet
+allgather(v)        ``fn(comm, payload, tag, total=None)`` → BlockSet
 bcast               ``fn(comm, payload, root, tag)`` → payload
 gather(v)           ``fn(comm, payload, root, tag)`` → BlockSet | None
 scatter             ``fn(comm, payloads, root, tag)`` → payload
@@ -54,7 +59,7 @@ rank candidates, not to predict the simulator's exact charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.mpi.collectives import hierarchical as hier
 from repro.mpi.collectives.allgather import (
@@ -113,7 +118,6 @@ __all__ = [
     "ForcedSelection",
     "resolve_policy",
     "policy_of",
-    "trace_event",
     "trace_begin",
     "trace_end",
     "phase_begin",
@@ -131,9 +135,9 @@ ENV_OP_PREFIX = "REPRO_COLL_"
 # Requests and descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollRequest:
-    """Per-call selection inputs.
+class CollRequest(NamedTuple):
+    """Per-call selection inputs — an immutable value, equal and hashed
+    by its fields (it is part of the selection memo key).
 
     Attributes
     ----------
@@ -263,26 +267,36 @@ class SelectionPolicy:
 
     ``select`` filters the registry down to structurally-applicable
     candidates (optionally restricted to an explicit *candidates* name
-    set — used by composite algorithms for their internal stages) and
+    tuple — used by composite algorithms for their internal stages) and
     delegates the choice to :meth:`choose`.
+
+    The pick is memoised in the communicator's shared cache under
+    ``(policy, req, candidates)``: :meth:`choose` must be a pure function
+    of those (communicator shape, machine and tuning are job-constant),
+    so every rank's repeated call reads back the first answer.  A
+    subclass overriding ``select`` itself bypasses the memo.
     """
 
     name = "base"
 
     def select(self, comm, req: CollRequest,
-               candidates: Iterable[str] | None = None) -> Algorithm:
-        allowed = None if candidates is None else set(candidates)
-        cands = [
-            d for d in algorithms_for(req.op)
-            if (allowed is None or d.name in allowed)
-            and d.applicable(comm, req)
-        ]
-        if not cands:
-            raise MPIError(
-                f"no applicable algorithm for op {req.op!r} on "
-                f"{comm.name!r} (size {comm.size})"
-            )
-        return self.choose(comm, req, cands)
+               candidates: tuple[str, ...] | None = None) -> Algorithm:
+        cache = comm.shared_cache
+        key = (self, req, candidates)
+        algo = cache.get(key)
+        if algo is None:
+            cands = [
+                d for d in algorithms_for(req.op)
+                if (candidates is None or d.name in candidates)
+                and d.applicable(comm, req)
+            ]
+            if not cands:
+                raise MPIError(
+                    f"no applicable algorithm for op {req.op!r} on "
+                    f"{comm.name!r} (size {comm.size})"
+                )
+            algo = cache[key] = self.choose(comm, req, cands)
+        return algo
 
     def choose(self, comm, req: CollRequest,
                cands: list[Algorithm]) -> Algorithm:
@@ -524,17 +538,6 @@ def _dispatch_record(comm, op: str, algo: str, nbytes: int,
     return rec
 
 
-def trace_event(comm, op: str, algo: str, nbytes: int,
-                policy: str | None = None) -> None:
-    """Record one dispatch decision as an instant event (when enabled).
-
-    Kept for backward compatibility; the dispatch layer now records
-    duration spans via :func:`trace_begin`/:func:`trace_end`."""
-    tracer = comm.ctx.trace
-    if tracer is not None:
-        tracer.append(_dispatch_record(comm, op, algo, nbytes, policy))
-
-
 def trace_begin(comm, op: str, algo: str, nbytes: int,
                 policy: str | None = None) -> dict | None:
     """Open the dispatch span of one collective call (when enabled).
@@ -639,17 +642,6 @@ def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
 # Runners: adapt algorithms to the per-op descriptor conventions
 # ---------------------------------------------------------------------------
 
-def _ignore_total(algo):
-    """Adapt a flat ``fn(comm, payload, tag)`` allgather to the
-    ``fn(comm, payload, tag, total)`` registry convention."""
-
-    def run(comm, payload, tag, total):
-        result = yield from algo(comm, payload, tag)
-        return result
-
-    return run
-
-
 def _run_gather_bcast_v(comm, payload, tag, total):
     result = yield from allgatherv_gather_bcast(comm, payload, tag)
     return result
@@ -730,7 +722,7 @@ def _run_barrier_shm_flags(comm, tag):
 
 def _run_barrier_smp(comm, tag):
     tuning = comm.ctx.tuning
-    shm, bridge = yield from hier.hier_comms(comm)
+    shm, bridge = hier.hier_comms(comm)
     if shm.size > 1:
         span = phase_begin(comm, "on_node_arrive")
         yield from barrier_shm_flags(shm, tag)
@@ -836,11 +828,10 @@ def _reg(op, name, fn, applicable=_always, kind="flat"):
 
 
 # allgather family ----------------------------------------------------------
-_reg("allgather", "recursive_doubling",
-     _ignore_total(allgather_recursive_doubling),
+_reg("allgather", "recursive_doubling", allgather_recursive_doubling,
      applicable=_pof2_only)
-_reg("allgather", "bruck", _ignore_total(allgather_bruck))
-_reg("allgather", "ring", _ignore_total(allgather_ring))
+_reg("allgather", "bruck", allgather_bruck)
+_reg("allgather", "ring", allgather_ring)
 _reg("allgather", "smp_hierarchical", _run_smp_allgather,
      applicable=_hier_only, kind="hierarchical")
 _reg("allgather", "multileader", _run_multileader_allgather,
@@ -848,8 +839,8 @@ _reg("allgather", "multileader", _run_multileader_allgather,
 _reg("allgather", "smp_3level", _run_smp3_allgather,
      applicable=_socket_hier_only, kind="hierarchical")
 
-_reg("allgatherv", "bruck_v", _ignore_total(allgatherv_bruck))
-_reg("allgatherv", "ring_v", _ignore_total(allgatherv_ring))
+_reg("allgatherv", "bruck_v", allgatherv_bruck)
+_reg("allgatherv", "ring_v", allgatherv_ring)
 _reg("allgatherv", "gather_bcast", _run_gather_bcast_v)
 _reg("allgatherv", "smp_hierarchical", _run_smp_allgather,
      applicable=_hier_only, kind="hierarchical")

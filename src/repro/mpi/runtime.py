@@ -51,14 +51,15 @@ class RankContext:
         Rank in ``COMM_WORLD``.
     world:
         The world communicator view (:class:`~repro.mpi.comm.Comm`).
-    engine, machine, placement:
-        Shared simulation infrastructure.
+    engine, machine, placement, msg_engine:
+        Shared simulation infrastructure (*msg_engine* is the job-wide
+        message engine ``Comm`` posts point-to-point traffic to).
     data_mode:
         True when payloads carry real NumPy data.
     """
 
     __slots__ = (
-        "world_rank", "engine", "machine", "placement", "job",
+        "world_rank", "engine", "machine", "placement", "job", "msg_engine",
         "world", "data_mode", "tuning", "policy", "trace", "_rng",
         "profile", "noise", "_noise_rng",
     )
@@ -67,6 +68,7 @@ class RankContext:
         self.job = job
         self.world_rank = world_rank
         self.engine = job.engine
+        self.msg_engine = job.msg_engine
         self.machine = job.machine
         self.placement = job.placement
         self.data_mode = job.payload_mode == "data"
@@ -104,11 +106,6 @@ class RankContext:
     def now(self) -> float:
         """Current virtual time, seconds."""
         return self.engine.now
-
-    @property
-    def msg_engine(self) -> MessageEngine:
-        """The job-wide message engine (used by Comm internals)."""
-        return self.job.msg_engine
 
     # -- compute charging ------------------------------------------------------
     def compute(self, seconds: float, kind: str = "compute") -> Event:
