@@ -245,11 +245,6 @@ class Machine:
         )
         node = spec.node
         self.transport = get_transport(node.transport)
-        #: True when the on-node path is exactly the pre-socket-tier
-        #: model (one memory pool, two-copy CICO).  ``mpi.p2p`` keeps
-        #: its original inline fast path when this holds, which is what
-        #: makes ``sockets=1`` + ``shm_two_copy`` bit-identical.
-        self.flat_intra = node.sockets == 1 and node.transport == "shm_two_copy"
         if node.sockets == 1:
             self._memory = [
                 BandwidthChannel(
@@ -340,21 +335,6 @@ class Machine:
             raise RuntimeError("machine has flat nodes (sockets=1)")
         return self._xsocket[node]
 
-    def staged_copy(self, node: int, socket: int, nbytes: float):
-        """Coroutine: one staged copy (``2n`` bytes) on a socket channel."""
-        self.intra_copies += 1
-        self.intra_bytes += nbytes
-        yield self._socket_mem[node][socket].transfer(2.0 * nbytes)
-        return nbytes
-
-    def xsocket_copy(self, node: int, nbytes: float):
-        """Coroutine: one staged copy (``2n`` bytes) over the
-        cross-socket link of *node*."""
-        self.intra_copies += 1
-        self.intra_bytes += nbytes
-        yield self.xsocket_link(node).transfer(2.0 * nbytes)
-        return nbytes
-
     def memory_copy(self, node: int, nbytes: float, copies: int = 1):
         """Coroutine: perform *copies* sequential memory copies of *nbytes*.
 
@@ -367,16 +347,6 @@ class Machine:
         self.intra_bytes += nbytes * copies
         for _ in range(copies):
             yield self._memory[node].transfer(2.0 * nbytes)
-        return nbytes
-
-    def intra_message(self, node: int, nbytes: float):
-        """Coroutine: one on-node MPI message (CICO through shared staging).
-
-        Cost = per-message latency + two memory copies (sender copies into
-        the staging buffer, receiver copies out), both contended.
-        """
-        yield self.engine.pause(self.spec.node.shm_latency)
-        yield from self.memory_copy(node, nbytes, copies=2)
         return nbytes
 
     def shared_touch(self, node: int, nbytes: float, socket: int = 0):

@@ -751,12 +751,12 @@ class ReplaySession:
         """True when replay cannot interact with anything in flight."""
         if self.pending_icolls:
             return False
-        eng = self.engine
-        # Only the parked rank programs may be live: an in-flight message
-        # transfer, delivery, or background process vetoes.
-        if len(eng._live_processes) != self.world_size:
+        # Only the parked rank programs may be live: a background
+        # process, an unmatched message or one still in flight vetoes.
+        if len(self.engine._live_processes) != self.world_size:
             return False
-        if self.job.msg_engine.pending_total:
+        msgs = self.job.msg_engine
+        if msgs.pending_total or msgs.in_flight:
             return False
         tracer = self.job.tracer
         if tracer is not None:

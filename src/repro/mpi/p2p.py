@@ -20,6 +20,10 @@ protocol model follows what MPICH/Open MPI/Cray MPI actually do:
 * *rendezvous / LMT single-copy*: for large messages both sides
   synchronize and a single direct copy moves the data.
 
+Those are the default ``shm_two_copy`` transport's copy counts; the
+machine's :class:`~repro.machine.transport.Transport` sets them.  Every
+message is one :class:`_Message` whose steps are scheduled callbacks.
+
 Every payload is snapshotted at send time (value semantics), and receives
 enforce buffer sizes (:class:`~repro.mpi.errors.TruncationError`).
 """
@@ -28,48 +32,23 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.machine.model import Machine
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import clone, copy_into, nbytes_of, snapshot
 from repro.mpi.errors import MPIError, TruncationError
-from repro.simulator import AllOf, Engine, Event, Process
+from repro.simulator import Engine, Event
 
 __all__ = ["MessageEngine", "Request", "Status"]
 
 
-class Status:
-    """Completion metadata of a receive (MPI_Status analogue).
+class Status(NamedTuple):
+    """Completion metadata of a receive (MPI_Status analogue)."""
 
-    Value-semantics (eq/hash by field), like the frozen dataclass it
-    replaces — the hand-written ``__slots__`` form skips the dataclass
-    ``__setattr__`` round-trip on the one-per-delivery hot path.
-    """
-
-    __slots__ = ("source", "tag", "nbytes")
-
-    def __init__(self, source: int, tag: int, nbytes: int):
-        self.source = source  # comm rank of the sender
-        self.tag = tag
-        self.nbytes = nbytes
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Status)
-            and other.source == self.source
-            and other.tag == self.tag
-            and other.nbytes == self.nbytes
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.tag, self.nbytes))
-
-    def __repr__(self) -> str:
-        return (
-            f"Status(source={self.source}, tag={self.tag}, "
-            f"nbytes={self.nbytes})"
-        )
+    source: int  # comm rank of the sender
+    tag: int
+    nbytes: int
 
 
 class Request:
@@ -95,16 +74,37 @@ class Request:
         return f"<Request {self.kind} complete={self.complete}>"
 
 
-class _SendRec:
+class _Message:
+    """One point-to-point message: the send record and two chains of
+    bound-method steps.  The *sender* chain starts at post time
+    (:meth:`_send`), or at the match (:meth:`_match`) for a rendezvous,
+    and ends by completing ``sender_done`` and scheduling the arrival.
+    The *delivery* chain starts when a receive matches
+    (:meth:`_deliver`), waits for the arrival, pays the copy-out and
+    completes the receive.  Each chain's last entry, :meth:`_retire`,
+    takes it off :attr:`MessageEngine.in_flight`.
+
+    On node the transport gives the copy chain: ``eager_copies`` staged
+    copies (the last is the receiver's copy-out) or ``rdv_copies`` once
+    matched, the first crossing the socket link for a cross-socket
+    pair.  Off node the bytes hold the sender's TX and receiver's RX.
+
+    Every step takes exactly the queue entry its generator-process
+    predecessor took, in the same order (see "The determinism
+    invariant" in docs/performance.md), so some entries do nothing: a
+    rendezvous message's post-time step, an eager one's match step, and
+    a resume whose awaited step had already run.
+    """
+
     __slots__ = (
-        "src_world", "src_comm_rank", "dst_world", "tag", "payload",
-        "nbytes", "eager", "intra", "node", "src_node", "dst_node",
-        "matched", "arrived", "sender_done", "seq",
+        "me", "src_world", "src_comm_rank", "dst_world", "tag", "payload",
+        "nbytes", "eager", "intra", "src_node", "dst_node", "sender_done",
+        "recv", "arrival", "left", "chan", "first",
     )
 
-    def __init__(self, src_world, src_comm_rank, dst_world, tag, payload,
-                 nbytes, eager, intra, node, src_node, dst_node,
-                 matched, arrived, sender_done, seq):
+    def __init__(self, me, src_world, src_comm_rank, dst_world, tag,
+                 payload, nbytes, eager, src_node, dst_node):
+        self.me = me
         self.src_world = src_world
         self.src_comm_rank = src_comm_rank
         self.dst_world = dst_world
@@ -112,27 +112,188 @@ class _SendRec:
         self.payload = payload
         self.nbytes = nbytes
         self.eager = eager
-        self.intra = intra
-        self.node = node
+        self.intra = src_node == dst_node
         self.src_node = src_node
         self.dst_node = dst_node
-        self.matched = matched
-        self.arrived = arrived
-        self.sender_done = sender_done
-        self.seq = seq
+        # Event names are static: per-message f-strings cost more than
+        # the rest of the bookkeeping combined at paper scale.
+        self.sender_done = Event(me.engine, "send.done")
+        self.recv: _RecvRec | None = None
+        self.arrival = _NOT_ARRIVED
+
+    # -- sender chain ----------------------------------------------------
+    def _send(self) -> None:
+        if self.eager:
+            self._start()
+
+    def _match(self) -> None:
+        if not self.eager:
+            self._start()
+
+    def _start(self) -> None:
+        me = self.me
+        if self.intra:
+            machine = me.machine
+            node = machine.spec.node
+            tp = machine.transport
+            src_sock = machine.socket_of(self.src_world)
+            dst_sock = machine.socket_of(self.dst_world)
+            latency = node.shm_latency * tp.latency_scale
+            if self.eager:
+                self.left = tp.eager_copies - 1
+                chan = machine._socket_mem[self.src_node][src_sock]
+            else:
+                self.left = tp.rdv_copies
+                chan = machine._socket_mem[self.src_node][dst_sock]
+            self.chan = self.first = chan
+            if src_sock != dst_sock:
+                latency += node.xsocket_latency
+                self.first = machine._xsocket[self.src_node]
+            me.engine.pause(latency).callbacks = [self._copy]
+        elif self.eager:
+            self.left = _RX_PENDING
+            self._nics(self._tx_done, self._rx_done)
+        else:
+            me.engine.pause(me.machine.network.rendezvous_latency(
+                self.src_node, self.dst_node)).callbacks = [self._handshaken]
+
+    def _copy(self, _ev: Event | None = None) -> None:
+        """The next staged copy of the sender's chain, or, after the
+        last one, the end of the send."""
+        left = self.left
+        if not left:
+            self._sent()
+            return
+        self.left = left - 1
+        machine = self.me.machine
+        nbytes = self.nbytes
+        machine.intra_copies += 1
+        machine.intra_bytes += nbytes
+        chan = self.first
+        self.first = self.chan
+        chan.transfer(2.0 * nbytes, self._copy)
+
+    def _nics(self, tx_then, rx_then) -> None:
+        net = self.me.machine.network
+        net._tx[self.src_node].transfer(self.nbytes, tx_then)
+        net._rx[self.dst_node].transfer(self.nbytes, rx_then)
+
+    def _tx_done(self) -> None:
+        # Eager: the sender completes once its NIC has injected.
+        self.sender_done.succeed()
+        if self.left == _RX_DONE:
+            # The RX completion already ran: resuming takes an entry.
+            self.me.engine._defer(self._propagate)
+        else:
+            self.left = _TX_WAITING
+
+    def _rx_done(self) -> None:
+        if self.left == _TX_WAITING:
+            self._propagate()
+        else:
+            self.left = _RX_DONE
+
+    def _handshaken(self, _ev: Event) -> None:
+        self.left = 2
+        self._nics(self._rdv_half, self._rdv_half)
+
+    def _rdv_half(self) -> None:
+        # Rendezvous: both NICs must finish; the second is the gate.
+        self.left -= 1
+        if not self.left:
+            self.me.engine._defer(self._propagate)
+
+    def _propagate(self) -> None:
+        me = self.me
+        me.engine.pause(me.machine.network.latency(
+            self.src_node, self.dst_node)).callbacks = [self._landed]
+
+    def _landed(self, _ev: Event) -> None:
+        net = self.me.machine.network
+        net.stats.record(
+            self.src_node, self.dst_node, self.nbytes,
+            net.topology.hops(self.src_node, self.dst_node),
+            rendezvous=not self.eager,
+        )
+        if self.eager:
+            self._arrive()
+        else:
+            self._sent()
+
+    def _sent(self) -> None:
+        self.sender_done.succeed()
+        self._arrive()
+
+    def _arrive(self) -> None:
+        defer = self.me.engine._defer
+        defer(self._arrived)
+        defer(self._retire)
+
+    def _arrived(self) -> None:
+        if self.arrival == _AWAITED:
+            self._receive()
+        else:
+            self.arrival = _ARRIVED
+
+    # -- delivery chain --------------------------------------------------
+    def _deliver(self) -> None:
+        if self.arrival == _ARRIVED:
+            # Arrived before it was received: resuming takes an entry.
+            self.me.engine._defer(self._receive)
+        else:
+            self.arrival = _AWAITED
+
+    def _receive(self) -> None:
+        if not (self.intra and self.eager):
+            self._copied()
+            return
+        # The receiver's copy-out: the last staged copy.  A single-copy
+        # transport's only copy IS the data movement, so it crosses the
+        # socket link for a cross-socket pair; with two-copy CICO the
+        # copy-in already crossed and the copy-out stays on the
+        # receiver's socket.
+        machine = self.me.machine
+        dst_sock = machine.socket_of(self.dst_world)
+        if (machine.transport.eager_copies == 1
+                and machine.socket_of(self.src_world) != dst_sock):
+            chan = machine._xsocket[self.dst_node]
+        else:
+            chan = machine._socket_mem[self.dst_node][dst_sock]
+        machine.intra_copies += 1
+        machine.intra_bytes += self.nbytes
+        chan.transfer(2.0 * self.nbytes, self._copied)
+
+    def _copied(self) -> None:
+        recv = self.recv
+        try:
+            payload = copy_into(recv.buf, self.payload)
+        except ValueError as exc:
+            recv.event.fail(TruncationError(str(exc)))
+        else:
+            recv.event.succeed(
+                (payload, Status(self.src_comm_rank, self.tag, self.nbytes))
+            )
+        self.me.engine._defer(self._retire)
+
+    def _retire(self) -> None:
+        self.me.in_flight -= 1
+
+
+# _Message.arrival: where the arrival stands relative to the delivery.
+_NOT_ARRIVED, _ARRIVED, _AWAITED = 0, 1, 2
+# _Message.left of an off-node eager message: which NIC finished first.
+_RX_PENDING, _RX_DONE, _TX_WAITING = 0, 1, 2
 
 
 class _RecvRec:
-    __slots__ = ("source", "tag", "buf", "event", "seq", "posted",
-                 "dst_world")
+    __slots__ = ("source", "tag", "buf", "event", "posted", "dst_world")
 
     def __init__(self, source: int, tag: int, buf: Any, event: Event,
-                 seq: int, posted: float = 0.0, dst_world: int = -1):
+                 posted: float = 0.0, dst_world: int = -1):
         self.source = source
         self.tag = tag
         self.buf = buf
         self.event = event
-        self.seq = seq
         self.posted = posted
         self.dst_world = dst_world
 
@@ -165,7 +326,6 @@ class MessageEngine:
         self.cost_only = cost_only
         self._snapshot = snapshot if cost_only else clone
         self._queues: dict[tuple[int, int], _MatchQueue] = {}
-        self._seq = 0
         self.sent_messages = 0
         self.sent_bytes = 0.0
         #: Unmatched sends + receives across all queues, maintained O(1)
@@ -173,20 +333,11 @@ class MessageEngine:
         #: parked dispatch; the per-queue scan of pending_counts() stays
         #: for diagnostics).
         self.pending_total = 0
+        #: Message step chains scheduled but not finished (sender and
+        #: delivery count one each); replay vetoes while non-zero.
+        self.in_flight = 0
         # Hot-path caches (one attribute hop instead of three per send).
         self._eager_threshold = machine.spec.network.eager_threshold
-
-    # ------------------------------------------------------------------
-    def _queue(self, comm_id: int, dst_world: int) -> _MatchQueue:
-        key = (comm_id, dst_world)
-        q = self._queues.get(key)
-        if q is None:
-            q = self._queues[key] = _MatchQueue()
-        return q
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     # -- send ------------------------------------------------------------
     def post_send(
@@ -199,32 +350,13 @@ class MessageEngine:
         tag: int,
     ) -> Event:
         """Post a send; returns the sender-completion event."""
-        eng = self.engine
         # set by the runtime at job start
         node_of = self.machine._placement._node_of
-        src_node = node_of[src_world]
-        dst_node = node_of[dst_world]
         nbytes = nbytes_of(payload)
-        self._seq += 1
-        # Event/process names are static: per-message f-strings cost more
-        # than the rest of the bookkeeping combined at paper scale, and
-        # the records themselves carry the src/dst/seq for diagnostics.
-        rec = _SendRec(
-            src_world,
-            src_comm_rank,
-            dst_world,
-            tag,
-            self._snapshot(payload),
-            nbytes,
-            nbytes <= self._eager_threshold,
-            src_node == dst_node,
-            src_node,
-            src_node,
-            dst_node,
-            Event(eng, "send.matched"),
-            Event(eng, "send.arrived"),
-            Event(eng, "send.done"),
-            self._seq,
+        msg = _Message(
+            self, src_world, src_comm_rank, dst_world, tag,
+            self._snapshot(payload), nbytes, nbytes <= self._eager_threshold,
+            node_of[src_world], node_of[dst_world],
         )
         self.sent_messages += 1
         self.sent_bytes += nbytes
@@ -232,118 +364,12 @@ class MessageEngine:
         q = self._queues.get(key)
         if q is None:
             q = self._queues[key] = _MatchQueue()
-        q.pending_sends.append(rec)
+        q.pending_sends.append(msg)
         self.pending_total += 1
-        Process(eng, self._sender_process(rec), "msg.xfer")
+        self.in_flight += 1
+        self.engine._defer(msg._send)
         self._try_match(q)
-        return rec.sender_done
-
-    def _sender_process(self, rec: _SendRec):
-        eng = self.engine
-        machine = self.machine
-        net = machine.network
-        if rec.intra:
-            if not machine.flat_intra:
-                yield from self._intra_sender_transport(rec)
-            elif rec.eager:
-                # CICO copy-in: latency hop + contended copy into staging.
-                # (memory_copy inlined: one copy = 2*nbytes through the
-                # node memory system.)
-                yield eng.pause(machine.spec.node.shm_latency)
-                machine.intra_copies += 1
-                machine.intra_bytes += rec.nbytes
-                yield machine._memory[rec.node].transfer(2.0 * rec.nbytes)
-                rec.sender_done.succeed()
-                rec.arrived.succeed()
-            else:
-                # LMT single-copy: wait for the receive, then copy once.
-                yield rec.matched
-                yield eng.pause(machine.spec.node.shm_latency)
-                machine.intra_copies += 1
-                machine.intra_bytes += rec.nbytes
-                yield machine._memory[rec.node].transfer(2.0 * rec.nbytes)
-                rec.sender_done.succeed()
-                rec.arrived.succeed()
-        else:
-            if rec.eager:
-                tx = net.nic_tx(rec.src_node).transfer(rec.nbytes)
-                rx = net.nic_rx(rec.dst_node).transfer(rec.nbytes)
-                yield tx
-                rec.sender_done.succeed()
-                yield rx
-                yield eng.pause(net.latency(rec.src_node, rec.dst_node))
-                rec.arrived.succeed()
-                net.stats.record(
-                    rec.src_node, rec.dst_node, rec.nbytes,
-                    net.topology.hops(rec.src_node, rec.dst_node),
-                    rendezvous=False,
-                )
-            else:
-                yield rec.matched
-                yield eng.pause(
-                    net.rendezvous_latency(rec.src_node, rec.dst_node)
-                )
-                tx = net.nic_tx(rec.src_node).transfer(rec.nbytes)
-                rx = net.nic_rx(rec.dst_node).transfer(rec.nbytes)
-                yield AllOf([tx, rx])
-                yield eng.pause(net.latency(rec.src_node, rec.dst_node))
-                net.stats.record(
-                    rec.src_node, rec.dst_node, rec.nbytes,
-                    net.topology.hops(rec.src_node, rec.dst_node),
-                    rendezvous=True,
-                )
-                rec.sender_done.succeed()
-                rec.arrived.succeed()
-
-    def _intra_sender_transport(self, rec: _SendRec):
-        """Sender half of an on-node message under the socket tier /
-        pluggable transports (any configuration other than flat
-        ``sockets=1`` + ``shm_two_copy``, which keeps the original
-        inline path in :meth:`_sender_process`).
-
-        Of the transport's ``eager_copies`` staged copies the sender
-        performs all but the last (the receiver's copy-out, charged in
-        :meth:`_deliver_process`).  Exactly one copy in the chain moves
-        the bytes between sockets when sender and receiver live on
-        different sockets: the first one.  Cross-socket copies are
-        charged entirely to the node's cross-socket link and add
-        ``xsocket_latency`` to the message latency.
-        """
-        eng = self.engine
-        machine = self.machine
-        node_spec = machine.spec.node
-        tp = machine.transport
-        src_sock = machine.socket_of(rec.src_world)
-        dst_sock = machine.socket_of(rec.dst_world)
-        cross = src_sock != dst_sock
-        latency = node_spec.shm_latency * tp.latency_scale
-        if cross:
-            latency += node_spec.xsocket_latency
-        if rec.eager:
-            yield eng.pause(latency)
-            for i in range(tp.eager_copies - 1):
-                if cross and i == 0:
-                    yield from machine.xsocket_copy(rec.node, rec.nbytes)
-                else:
-                    yield from machine.staged_copy(
-                        rec.node, src_sock, rec.nbytes
-                    )
-            rec.sender_done.succeed()
-            rec.arrived.succeed()
-        else:
-            # LMT: wait for the receive, then move the data directly
-            # into the receiver's buffer.
-            yield rec.matched
-            yield eng.pause(latency)
-            for i in range(tp.rdv_copies):
-                if cross and i == 0:
-                    yield from machine.xsocket_copy(rec.node, rec.nbytes)
-                else:
-                    yield from machine.staged_copy(
-                        rec.node, dst_sock, rec.nbytes
-                    )
-            rec.sender_done.succeed()
-            rec.arrived.succeed()
+        return msg.sender_done
 
     # -- recv ------------------------------------------------------------
     def post_recv(
@@ -356,9 +382,7 @@ class MessageEngine:
     ) -> Event:
         """Post a receive; the returned event's value is (payload, Status)."""
         ev = Event(self.engine, "recv")
-        self._seq += 1
-        rec = _RecvRec(source, tag, buf, ev, self._seq,
-                       posted=self.engine.now, dst_world=dst_world)
+        rec = _RecvRec(source, tag, buf, ev, self.engine.now, dst_world)
         key = (comm_id, dst_world)
         q = self._queues.get(key)
         if q is None:
@@ -370,7 +394,7 @@ class MessageEngine:
 
     # -- matching ----------------------------------------------------------
     @staticmethod
-    def _matches(recv: _RecvRec, send: _SendRec) -> bool:
+    def _matches(recv: _RecvRec, send: _Message) -> bool:
         src_ok = recv.source == ANY_SOURCE or recv.source == send.src_comm_rank
         tag_ok = recv.tag == ANY_TAG or recv.tag == send.tag
         return src_ok and tag_ok
@@ -414,7 +438,7 @@ class MessageEngine:
                 if not sends:
                     return
 
-    def _start_delivery(self, send: _SendRec, recv: _RecvRec) -> None:
+    def _start_delivery(self, send: _Message, recv: _RecvRec) -> None:
         if self.tracer is not None:
             now = self.engine.now
             self.tracer.append({
@@ -424,52 +448,11 @@ class MessageEngine:
                 "wait": now - recv.posted,
                 "nbytes": send.nbytes,
             })
-        if send.matched._state == 0:  # pending
-            send.matched.succeed()
-        Process(self.engine, self._deliver_process(send, recv), "msg.deliver")
-
-    def _deliver_process(self, send: _SendRec, recv: _RecvRec):
-        yield send.arrived
-        machine = self.machine
-        if send.intra and send.eager:
-            if machine.flat_intra:
-                # CICO copy-out of the staged message, paid by the
-                # receiver (memory_copy inlined).
-                machine.intra_copies += 1
-                machine.intra_bytes += send.nbytes
-                yield machine._memory[send.dst_node].transfer(
-                    2.0 * send.nbytes
-                )
-            else:
-                # Receiver-side final staged copy under the socket tier
-                # / transport abstraction.  When the transport is
-                # single-copy this IS the data movement, so it crosses
-                # the socket link for cross-socket pairs; with two-copy
-                # CICO the copy-in already crossed and the copy-out is
-                # local to the receiver's socket.
-                tp = machine.transport
-                dst_sock = machine.socket_of(send.dst_world)
-                cross = (
-                    tp.eager_copies == 1
-                    and machine.socket_of(send.src_world) != dst_sock
-                )
-                if cross:
-                    yield from machine.xsocket_copy(
-                        send.dst_node, send.nbytes
-                    )
-                else:
-                    yield from machine.staged_copy(
-                        send.dst_node, dst_sock, send.nbytes
-                    )
-        try:
-            payload = copy_into(recv.buf, send.payload)
-        except ValueError as exc:
-            recv.event.fail(TruncationError(str(exc)))
-            return
-        status = Status(
-            source=send.src_comm_rank, tag=send.tag, nbytes=send.nbytes
-        )
-        recv.event.succeed((payload, status))
+        send.recv = recv
+        self.in_flight += 1
+        defer = self.engine._defer
+        defer(send._match)
+        defer(send._deliver)
 
     # -- diagnostics -------------------------------------------------------
     def pending_counts(self) -> tuple[int, int]:

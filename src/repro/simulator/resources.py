@@ -2,8 +2,7 @@
 
 Three primitives cover everything the machine model needs:
 
-* :class:`Resource` — a counting semaphore with FIFO queuing.  Used for
-  NIC injection slots and memory-stream slots.
+* :class:`Resource` — a counting semaphore with FIFO queuing.
 * :class:`BandwidthChannel` — a pipe with finite aggregate bandwidth and a
   bounded number of concurrent streams.  A transfer of ``n`` bytes holds a
   stream slot for ``n / stream_bw`` seconds; when all slots are busy,
@@ -18,6 +17,7 @@ Three primitives cover everything the machine model needs:
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 from repro.simulator.engine import (
     _TRIGGERED,
@@ -128,9 +128,11 @@ class BandwidthChannel:
         self.bandwidth = float(bandwidth)
         self.streams = int(streams)
         self.name = name
-        self._slots = Resource(engine, self.streams, name=f"{name}.slots")
         self._xfer_name = name + ".xfer"
         self._stream_bw = self.bandwidth / self.streams
+        #: Stream slots held, and transfers waiting for one (FIFO).
+        self._in_use = 0
+        self._waiters: deque[_Transfer] = deque()
         self.bytes_moved = 0.0
         self.busy_time = 0.0
 
@@ -143,56 +145,82 @@ class BandwidthChannel:
         """Uncontended duration of a transfer of *nbytes*."""
         return nbytes / self._stream_bw
 
-    def transfer(self, nbytes: float) -> "Event":
-        """Move *nbytes* through the channel; returns a completion event.
-
-        Hand-rolled state machine (``yield channel.transfer(n)`` from the
-        caller's side, as before).  The queue entries it creates — start
-        call, grant event, optional pause, completion event — are exactly
-        those the equivalent generator process used to create, in the
-        same order, so ``event_count`` and all timings are unchanged;
-        only the per-transfer :class:`Process`/generator-frame overhead
-        is gone (one transfer per simulated message copy makes this one
-        of the hottest allocation sites in the simulator).
+    def transfer(self, nbytes: float, then: Callable[[], None] | None = None
+                 ) -> Event | None:
+        """Move *nbytes* through the channel; returns a completion event
+        to ``yield`` on, or, given *then*, schedules ``then()`` as the
+        completion entry instead.  Either way the queue entries — start,
+        grant, the pause for its duration (none when zero), completion —
+        are those of the generator process this once was.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        engine = self.engine
-        done = Event(engine, self._xfer_name)
-
-        def finished(_ev: Event) -> None:
-            self._slots.release()
-            done.succeed(nbytes)
-
-        def granted(ev: Event) -> None:
-            duration = nbytes / self._stream_bw
-            self.bytes_moved += nbytes
-            self.busy_time += duration
-            if duration > 0:
-                # Fresh (or pooled-and-reset) pause events have no
-                # callback list yet — install ours directly.
-                engine.pause(duration).callbacks = [finished]
-            else:
-                finished(ev)
-
-        def start() -> None:
-            # The grant event was created by acquire() a moment ago: it
-            # is pending or just-triggered, never processed, and has no
-            # subscribers yet.
-            self._slots.acquire().callbacks = [granted]
-
-        engine._defer(start)
-        return done
+        if then is None:
+            done = Event(self.engine, self._xfer_name)
+            _Transfer(self, nbytes, done)
+            return done
+        _Transfer(self, nbytes, then)
+        return None
 
     @property
     def queued(self) -> int:
         """Transfers waiting for a slot."""
-        return self._slots.queued
+        return len(self._waiters)
 
     @property
     def active(self) -> int:
         """Transfers currently in flight."""
-        return self._slots.in_use
+        return self._in_use
+
+
+class _Transfer:
+    """One transfer through a :class:`BandwidthChannel`: the start step
+    takes a stream slot or queues for one, the grant step charges the
+    bytes and waits out the duration, the finish passes the slot on and
+    triggers *done* (an :class:`Event`) or schedules it (a callable)."""
+
+    __slots__ = ("channel", "nbytes", "done")
+
+    def __init__(self, channel: BandwidthChannel, nbytes: float, done):
+        self.channel = channel
+        self.nbytes = nbytes
+        self.done = done
+        channel.engine._defer(self._start)
+
+    def _start(self) -> None:
+        ch = self.channel
+        if not ch._waiters and ch._in_use < ch.streams:
+            ch._in_use += 1
+            ch.engine._defer(self._grant)
+        else:
+            ch._waiters.append(self)
+
+    def _grant(self) -> None:
+        ch = self.channel
+        nbytes = self.nbytes
+        duration = nbytes / ch._stream_bw
+        ch.bytes_moved += nbytes
+        ch.busy_time += duration
+        if duration > 0:
+            # A pooled pause has no callback list yet: install ours.
+            ch.engine.pause(duration).callbacks = [self._finish]
+        else:
+            self._finish(None)
+
+    def _finish(self, _ev: Event | None) -> None:
+        ch = self.channel
+        engine = ch.engine
+        waiters = ch._waiters
+        if waiters:
+            # The freed slot passes straight to the next waiter.
+            engine._defer(waiters.popleft()._grant)
+        else:
+            ch._in_use -= 1
+        done = self.done
+        if type(done) is Event:
+            done._state = _TRIGGERED
+            done._value = self.nbytes
+        engine._defer(done)
 
 
 class TokenBucket:

@@ -14,6 +14,7 @@ from repro.machine import (
     vulcan,
 )
 from repro.machine import testing_machine as make_testing_machine
+from repro.mpi import Bytes, run_program
 from repro.simulator import Engine
 
 
@@ -76,19 +77,6 @@ class TestMachine:
         engine.run()
         assert done == [pytest.approx(2 * 5000 / 5.0e9)]
 
-    def test_intra_message_adds_latency_and_two_copies(self, engine, tiny_spec):
-        m = Machine(engine, tiny_spec)
-        done = []
-
-        def prog():
-            yield from m.intra_message(0, 5000)
-            done.append(engine.now)
-
-        engine.spawn(prog())
-        engine.run()
-        expected = 1.0e-7 + 2 * (2 * 5000 / 5.0e9)
-        assert done == [pytest.approx(expected)]
-
     def test_memory_contention_queues(self, engine, tiny_spec):
         # 2 streams: the third concurrent copy waits.
         m = Machine(engine, tiny_spec)
@@ -131,16 +119,19 @@ class TestMachine:
         with pytest.raises(ValueError):
             m.bind_placement(Placement.block(5, 2))
 
-    def test_intra_accounting(self, engine, tiny_spec):
-        m = Machine(engine, tiny_spec)
+    def test_intra_accounting(self, tiny_spec):
+        # One on-node eager message: the CICO copy-in and copy-out each
+        # count once, with the message's bytes.
+        def prog(mpi):
+            comm = mpi.world
+            if comm.rank == 0:
+                yield from comm.send(Bytes(100), 1)
+            elif comm.rank == 1:
+                yield from comm.recv(source=0)
 
-        def prog():
-            yield from m.intra_message(0, 100)
-
-        engine.spawn(prog())
-        engine.run()
-        assert m.intra_copies == 2
-        assert m.intra_bytes == 200
+        result = run_program(tiny_spec, 2, prog)
+        assert result.intra_copies == 2
+        assert result.intra_bytes == 200
 
 
 class TestComputeModel:

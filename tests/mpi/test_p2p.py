@@ -265,3 +265,23 @@ class TestProtocolTiming:
 
         with pytest.raises(MPIError, match="unmatched"):
             run(prog, nodes=1, cores=2, nprocs=2)
+
+    @pytest.mark.parametrize("nbytes", [64, 1 << 20],
+                             ids=["eager", "rendezvous"])
+    @pytest.mark.parametrize("nodes", [1, 2], ids=["on_node", "off_node"])
+    def test_unreceived_isend_reports_unmatched(self, nbytes, nodes):
+        # An isend nobody receives is a program bug the job reports by
+        # count, whatever the protocol: a rendezvous send waiting for
+        # its match is not a deadlocked process.
+        from repro.mpi.errors import MPIError
+
+        def prog(mpi):
+            comm = mpi.world
+            if comm.rank == 0:
+                comm.isend(Bytes(nbytes), comm.size - 1)
+            return None
+            yield
+
+        with pytest.raises(MPIError, match=r"^job finished with 1 "
+                                           r"unmatched send\(s\)"):
+            run(prog, nodes=nodes, cores=2 // nodes, nprocs=2)
