@@ -222,8 +222,6 @@ class Machine:
     topology:
         Optional explicit topology; defaults to the spec-appropriate flat
         topology inside :class:`NetworkModel`.
-    link_contention:
-        Forwarded to :class:`NetworkModel`.
     """
 
     def __init__(
@@ -231,7 +229,6 @@ class Machine:
         engine: Engine,
         spec: MachineSpec,
         topology: Topology | None = None,
-        link_contention: bool = False,
     ):
         spec.validate()
         self.engine = engine
@@ -241,7 +238,6 @@ class Machine:
             spec.network,
             num_nodes=spec.num_nodes,
             topology=topology or spec.build_topology(),
-            link_contention=link_contention,
         )
         node = spec.node
         self.transport = get_transport(node.transport)

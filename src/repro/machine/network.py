@@ -13,12 +13,9 @@ point-to-point bandwidth.  The bandwidth term is *contended*: each
 endpoint NIC is a :class:`~repro.simulator.BandwidthChannel`, so a node
 sending to (or receiving from) many peers serializes — which is exactly
 what penalizes flat (non-hierarchical) collectives at scale and what the
-paper's leader-based designs avoid.
-
-Optionally (``link_contention=True``) messages additionally occupy the
-router-graph links along their path, modelling bisection pressure.  This
-costs more events; the default endpoint-contention model is used by the
-paper-scale benchmark sweeps.
+paper's leader-based designs avoid.  Router-graph links carry no
+bandwidth state: the topology contributes hop counts only.  The
+messages themselves are driven by :mod:`repro.mpi.p2p`.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.machine.topology import FlatTopology, Topology
-from repro.simulator import AllOf, BandwidthChannel, Engine
+from repro.simulator import BandwidthChannel, Engine
 
 __all__ = ["NetworkSpec", "NetworkModel"]
 
@@ -119,7 +116,7 @@ class NetworkStats:
 
 
 class NetworkModel:
-    """Runtime network: owns NIC channels and (optionally) link channels.
+    """Runtime network: owns the NIC channels and the traffic counters.
 
     Parameters
     ----------
@@ -131,9 +128,6 @@ class NetworkModel:
         Hop-count provider; defaults to a 2-hop :class:`FlatTopology`.
     num_nodes:
         Number of compute nodes (NIC endpoints to create).
-    link_contention:
-        If True, transfers also occupy every router-graph link on their
-        path (detailed mode).
     """
 
     def __init__(
@@ -142,7 +136,6 @@ class NetworkModel:
         spec: NetworkSpec,
         num_nodes: int,
         topology: Topology | None = None,
-        link_contention: bool = False,
     ):
         spec.validate()
         self.engine = engine
@@ -154,7 +147,6 @@ class NetworkModel:
                 f"machine has {num_nodes}"
             )
         self.num_nodes = num_nodes
-        self.link_contention = link_contention
         # spec.bandwidth is the point-to-point per-stream rate; the NIC
         # sustains nic_streams such streams before transfers queue.
         nic_aggregate = spec.bandwidth * spec.nic_streams
@@ -170,13 +162,6 @@ class NetworkModel:
             )
             for t in range(num_nodes)
         ]
-        self._links: dict[frozenset, BandwidthChannel] = {}
-        if link_contention:
-            for a, b, _data in self.topology.graph.edges(data=True):
-                self._links[frozenset((a, b))] = BandwidthChannel(
-                    engine, nic_aggregate, spec.nic_streams,
-                    name=f"link{a}-{b}",
-                )
         self.stats = NetworkStats()
 
     # ------------------------------------------------------------------
@@ -197,34 +182,6 @@ class NetworkModel:
         if self.spec.rendezvous_overhead > 0:
             return self.spec.rendezvous_overhead
         return 2.0 * self.latency(src_node, dst_node)
-
-    def transmit(self, src_node: int, dst_node: int, nbytes: float):
-        """Coroutine: move *nbytes* between nodes; completes at delivery.
-
-        Must be driven with ``yield from`` (or spawned).  Occupies the
-        source TX NIC and destination RX NIC for the serialization time,
-        then waits the propagation latency.
-        """
-        if src_node == dst_node:
-            raise ValueError("transmit() is for inter-node traffic only")
-        spec = self.spec
-        hops = self.topology.hops(src_node, dst_node)
-        rendezvous = nbytes > spec.eager_threshold
-        self.stats.record(src_node, dst_node, nbytes, hops, rendezvous)
-        if rendezvous:
-            yield self.engine.pause(self.rendezvous_latency(src_node, dst_node))
-        # Serialization: both endpoint NICs held concurrently.
-        holds = [
-            self._tx[src_node].transfer(nbytes),
-            self._rx[dst_node].transfer(nbytes),
-        ]
-        if self.link_contention:
-            for edge in self.topology.path(src_node, dst_node):
-                holds.append(self._links[frozenset(edge)].transfer(nbytes))
-        yield AllOf(holds)
-        # Propagation.
-        yield self.engine.pause(spec.alpha + hops * spec.hop_latency)
-        return nbytes
 
     def nic_tx(self, node: int) -> BandwidthChannel:
         """The transmit channel of *node* (for instrumentation/tests)."""

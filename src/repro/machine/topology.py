@@ -14,10 +14,9 @@ ablations:
   unit tests.
 * :class:`TorusTopology` — n-dimensional torus, for ablation studies.
 
-Topologies build an explicit :mod:`networkx` graph so that detailed,
-per-link contention simulation (see
-:class:`repro.machine.network.NetworkModel` with ``link_contention=True``)
-can route messages over real paths.
+Topologies build an explicit :mod:`networkx` graph; the hop counts of
+its minimal routes are what :class:`repro.machine.network.NetworkModel`
+charges per message.
 """
 
 from __future__ import annotations

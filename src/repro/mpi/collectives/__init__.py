@@ -49,7 +49,7 @@ __all__ = [
 def _overhead(comm):
     tuning = comm.ctx.tuning
     if tuning.call_overhead > 0:
-        yield comm.ctx.engine.timeout(tuning.call_overhead)
+        yield comm.ctx.engine.pause(tuning.call_overhead)
 
 
 def _select(comm, req: CollRequest):

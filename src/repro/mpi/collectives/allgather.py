@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mpi.collectives.blocks import BlockSet
-from repro.simulator import AllOf
 
 __all__ = [
     "allgather_recursive_doubling",
@@ -42,10 +41,7 @@ def allgather_recursive_doubling(comm, payload: Any, tag: int, total=None):
     distance = 1
     while distance < size:
         peer = rank ^ distance
-        rreq = comm.irecv(source=peer, tag=tag)
-        sreq = comm.isend(mine, peer, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(mine, peer, peer, tag)
         mine.merge(incoming)
         distance <<= 1
     return mine
@@ -71,10 +67,7 @@ def allgather_bruck(comm, payload: Any, tag: int, total=None):
         dst = (rank - pof) % size
         src = (rank + pof) % size
         chunk = BlockSet(dict(ordered[:send_count]))
-        rreq = comm.irecv(source=src, tag=tag)
-        sreq = comm.isend(chunk, dst, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(chunk, dst, src, tag)
         # Incoming blocks belong to ranks (rank + pof + i) mod size.
         for owner in sorted(
             incoming.blocks, key=lambda o: (o - rank - pof) % size
@@ -99,14 +92,10 @@ def allgather_ring(comm, payload: Any, tag: int, total=None):
     carry_owner = rank
     blocks = mine.blocks
     merge = mine.merge
-    isend = comm.isend
-    irecv = comm.irecv
+    exchange = comm.exchange
     for _step in range(size - 1):
         chunk = BlockSet.single(carry_owner, blocks[carry_owner])
-        rreq = irecv(source=left, tag=tag)
-        sreq = isend(chunk, right, tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield exchange(chunk, right, left, tag)
         if len(incoming.blocks) != 1:
             raise AssertionError("ring step must carry exactly one block")
         carry_owner = next(iter(incoming.blocks))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mpi.collectives.blocks import BlockSet
-from repro.simulator import AllOf
 
 __all__ = ["alltoall_pairwise", "alltoall_bruck"]
 
@@ -30,10 +29,8 @@ def alltoall_pairwise(comm, payloads: list[Any], tag: int):
             recv_peer = (rank - step) % size
         if pof2:
             recv_peer = peer
-        rreq = comm.irecv(source=recv_peer, tag=tag)
-        sreq = comm.isend(BlockSet({rank: payloads[peer]}), peer, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(
+            BlockSet({rank: payloads[peer]}), peer, recv_peer, tag)
         received[recv_peer] = incoming[recv_peer]
     return received
 
@@ -62,10 +59,7 @@ def alltoall_bruck(comm, payloads: list[Any], tag: int):
             {i: data[i] for i in ship_keys},
             meta={i: origin[i] for i in ship_keys},
         )
-        rreq = comm.irecv(source=src, tag=tag)
-        sreq = comm.isend(bundle, dst, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        in_bundle, _status = results[0]
+        in_bundle = yield comm.exchange(bundle, dst, src, tag)
         for i, payload in in_bundle.blocks.items():
             data[i] = payload
             origin[i] = in_bundle.meta[i]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from repro.mpi.datatypes import Bytes
-from repro.simulator import AllOf
 
 __all__ = ["barrier_dissemination", "barrier_shm_flags"]
 
@@ -32,9 +31,7 @@ def barrier_dissemination(comm, tag: int):
     while distance < size:
         to = (rank + distance) % size
         frm = (rank - distance) % size
-        rreq = comm.irecv(source=frm, tag=tag)
-        sreq = comm.isend(token, to, tag=tag)
-        yield AllOf([rreq.event, sreq.event])
+        yield comm.exchange(token, to, frm, tag)
         distance <<= 1
 
 
@@ -57,4 +54,4 @@ def barrier_shm_flags(comm, tag: int, rounds_cost: float | None = None,
         ("shm_barrier", phase, tag), comm.rank, None,
         lambda values: dict.fromkeys(values),
     )
-    yield comm.ctx.engine.timeout(rounds_cost)
+    yield comm.ctx.engine.pause(rounds_cost)

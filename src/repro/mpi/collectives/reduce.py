@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
-from repro.simulator import AllOf
 
 __all__ = [
     "combine",
@@ -122,10 +121,7 @@ def allreduce_recursive_doubling(comm, payload: Any, op: ReduceOp, tag: int):
         while mask < pof2:
             peer_v = new_rank ^ mask
             peer = peer_v * 2 + 1 if peer_v < rem else peer_v + rem
-            rreq = comm.irecv(source=peer, tag=tag)
-            sreq = comm.isend(acc, peer, tag=tag)
-            results = yield AllOf([rreq.event, sreq.event])
-            incoming, _status = results[0]
+            incoming = yield comm.exchange(acc, peer, peer, tag)
             acc = combine(acc, incoming, op)
             mask <<= 1
     # Unfold phase: odd partners push results back to the idle evens.
@@ -171,10 +167,7 @@ def allreduce_rabenseifner(comm, payload: Any, op: ReduceOp, tag: int):
             send_lo, send_hi = mid, my_hi
             keep_lo, keep_hi = my_lo, mid
         outgoing = _seg_pack(segments, send_lo, send_hi)
-        rreq = comm.irecv(source=peer, tag=tag)
-        sreq = comm.isend(outgoing, peer, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(outgoing, peer, peer, tag)
         _seg_combine(segments, keep_lo, keep_hi, incoming, op)
         my_lo, my_hi = keep_lo, keep_hi
         mask //= 2
@@ -238,20 +231,14 @@ def allreduce_ring(comm, payload: Any, op: ReduceOp, tag: int):
     for step in range(size - 1):
         send_idx = (rank - step) % size
         recv_idx = (rank - step - 1) % size
-        rreq = comm.irecv(source=left, tag=tag)
-        sreq = comm.isend(segments[send_idx], right, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(segments[send_idx], right, left, tag)
         segments[recv_idx] = combine(segments[recv_idx], incoming, op)
     # Phase 2: allgather ring of the fully-reduced blocks.
     for step in range(size - 1):
         send_idx = (rank - step + 1) % size
         recv_idx = (rank - step) % size
-        rreq = comm.irecv(source=left, tag=tag + 1)
-        sreq = comm.isend(segments[send_idx], right, tag=tag + 1)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
-        segments[recv_idx] = incoming
+        segments[recv_idx] = yield comm.exchange(
+            segments[send_idx], right, left, tag + 1)
     if isinstance(payload, Bytes):
         return Bytes(sum(s.nbytes for s in segments))
     flat = np.concatenate([np.asarray(s).reshape(-1) for s in segments])

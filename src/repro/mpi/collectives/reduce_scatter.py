@@ -19,7 +19,6 @@ import numpy as np
 from repro.mpi.collectives.reduce import combine
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
-from repro.simulator import AllOf
 
 __all__ = ["reduce_scatter_halving", "reduce_scatter_pairwise"]
 
@@ -59,10 +58,7 @@ def reduce_scatter_halving(comm, payload: Any, op: ReduceOp, tag: int):
         else:
             send_lo, send_hi, keep_lo, keep_hi = mid, hi, lo, mid
         outgoing = _pack(blocks[send_lo:send_hi])
-        rreq = comm.irecv(source=peer, tag=tag)
-        sreq = comm.isend(outgoing, peer, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(outgoing, peer, peer, tag)
         if not isinstance(incoming, Bytes):
             flat = np.asarray(incoming).reshape(-1)
             off = 0
@@ -84,9 +80,6 @@ def reduce_scatter_pairwise(comm, payload: Any, op: ReduceOp, tag: int):
     for step in range(1, size):
         to = (rank + step) % size
         frm = (rank - step) % size
-        rreq = comm.irecv(source=frm, tag=tag)
-        sreq = comm.isend(blocks[to], to, tag=tag)
-        results = yield AllOf([rreq.event, sreq.event])
-        incoming, _status = results[0]
+        incoming = yield comm.exchange(blocks[to], to, frm, tag)
         acc = combine(acc, incoming, op)
     return acc

@@ -595,7 +595,7 @@ def _vector_overhead(comm, blocks: int):
     tuning = comm.ctx.tuning
     cost = tuning.vector_block_overhead * blocks
     if cost > 0:
-        yield comm.ctx.engine.timeout(cost)
+        yield comm.ctx.engine.pause(cost)
 
 
 def bridge_allgatherv(bridge, node_blocks, tag: int, total: int):
@@ -745,7 +745,7 @@ def _run_barrier_dissemination(comm, tag):
     # matching the historical dispatcher.
     tuning = comm.ctx.tuning
     if tuning.call_overhead > 0:
-        yield comm.ctx.engine.timeout(tuning.call_overhead)
+        yield comm.ctx.engine.pause(tuning.call_overhead)
     yield from barrier_dissemination(comm, tag)
 
 

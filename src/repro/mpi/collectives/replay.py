@@ -284,7 +284,6 @@ def job_prefix(job) -> tuple:
         astuple(job.tuning),
         type(job.policy).__name__,
         job.policy.describe(),
-        job.link_contention,
         None if job.tracer is None
         else (job.tracer.detail, job.tracer.compute),
     )
@@ -820,7 +819,6 @@ class ReplaySession:
                 tuning=job.tuning,
                 policy=job.policy,
                 trace=trace,
-                link_contention=job.link_contention,
                 seed=job.seed,
                 replay=False,
             )

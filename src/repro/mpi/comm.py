@@ -32,6 +32,7 @@ from repro.mpi.group import Group
 from repro.mpi.nonblocking import CollRequest, spawn_collective
 from repro.mpi.p2p import Request, Status
 from repro.simulator import AllOf, AnyOf, Event
+from repro.simulator.engine import _Countdown
 
 __all__ = ["Comm"]
 
@@ -302,12 +303,54 @@ class Comm:
     ):
         """Simultaneous send and receive (coroutine); returns payload."""
         span = self._p2p_begin("sendrecv", dest, sendpayload)
-        rreq = self.irecv(recvbuf, source, recvtag)
-        sreq = self.isend(sendpayload, dest, sendtag)
-        results = yield AllOf([rreq.event, sreq.event])
-        payload, _status = results[0]
+        payload = yield self.exchange(sendpayload, dest, source, sendtag,
+                                      recvtag, recvbuf)
         self._p2p_end(span)
         return payload
+
+    def exchange(self, payload: Any, dest: int, source: int, tag: int,
+                 recvtag: int | None = None, buf: Any = None) -> Event:
+        """One send+receive round: post a receive from *source* (tag
+        *recvtag*, default *tag*, into *buf*), then a send of *payload*
+        to *dest*; returns the event to ``yield`` on.
+
+        The event succeeds, with the received payload as its value, once
+        both halves completed; a failing half — a receive truncated by
+        *buf* — fails it.  The engine entries are those of
+        ``irecv``/``isend`` plus a wait on both, and ``PROC_NULL`` or
+        out-of-range peers behave exactly as there.
+
+        >>> from repro.machine.presets import testing_machine
+        >>> from repro.mpi import Bytes, run_program
+        >>> def shift(mpi):
+        ...     comm = mpi.world
+        ...     right = (comm.rank + 1) % comm.size
+        ...     left = (comm.rank - 1) % comm.size
+        ...     got = yield comm.exchange(Bytes(comm.rank), right, left, 0)
+        ...     return got.nbytes
+        >>> run_program(testing_machine(), 3, shift).returns
+        [2, 0, 1]
+        """
+        ctx = self._ctx
+        ranks = self._world_ranks
+        if recvtag is None:
+            recvtag = tag
+        if 0 <= dest < len(ranks) and 0 <= source < len(ranks):
+            me = ctx.msg_engine
+            cid = self._shared.id
+            recv = me.post_recv(cid, ctx.world_rank, source, recvtag, buf)
+            send = me.post_send(cid, ctx.world_rank, self.rank, ranks[dest],
+                                payload, tag)
+        else:  # PROC_NULL, ANY_SOURCE or a bad peer
+            recv = self.irecv(buf, source, recvtag).event
+            send = self.isend(payload, dest, tag).event
+        gate = Event(ctx.engine, "gate")
+        # Both halves are fresh (or pre-succeeded null requests), so
+        # neither has a callback yet.
+        count = _Countdown(gate, 2, None, recv)
+        recv.callbacks = [count]
+        send.callbacks = [count]
+        return gate
 
     @staticmethod
     def wait(request: Request):

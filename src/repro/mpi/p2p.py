@@ -149,15 +149,15 @@ class _Message:
             if src_sock != dst_sock:
                 latency += node.xsocket_latency
                 self.first = machine._xsocket[self.src_node]
-            me.engine.pause(latency).callbacks = [self._copy]
+            me.engine.call_later(latency, self._copy)
         elif self.eager:
             self.left = _RX_PENDING
             self._nics(self._tx_done, self._rx_done)
         else:
-            me.engine.pause(me.machine.network.rendezvous_latency(
-                self.src_node, self.dst_node)).callbacks = [self._handshaken]
+            me.engine.call_later(me.machine.network.rendezvous_latency(
+                self.src_node, self.dst_node), self._handshaken)
 
-    def _copy(self, _ev: Event | None = None) -> None:
+    def _copy(self) -> None:
         """The next staged copy of the sender's chain, or, after the
         last one, the end of the send."""
         left = self.left
@@ -193,7 +193,7 @@ class _Message:
         else:
             self.left = _RX_DONE
 
-    def _handshaken(self, _ev: Event) -> None:
+    def _handshaken(self) -> None:
         self.left = 2
         self._nics(self._rdv_half, self._rdv_half)
 
@@ -205,10 +205,10 @@ class _Message:
 
     def _propagate(self) -> None:
         me = self.me
-        me.engine.pause(me.machine.network.latency(
-            self.src_node, self.dst_node)).callbacks = [self._landed]
+        me.engine.call_later(me.machine.network.latency(
+            self.src_node, self.dst_node), self._landed)
 
-    def _landed(self, _ev: Event) -> None:
+    def _landed(self) -> None:
         net = self.me.machine.network
         net.stats.record(
             self.src_node, self.dst_node, self.nbytes,

@@ -242,7 +242,6 @@ class MPIJob:
         tuning: CollectiveTuning | None = None,
         policy: SelectionPolicy | str | None = None,
         trace: bool | str | Tracer = False,
-        link_contention: bool = False,
         seed: int = 12345,
         noise: NoiseModel | None = None,
         program_args: tuple = (),
@@ -259,9 +258,7 @@ class MPIJob:
             if nprocs is None:
                 raise ValueError("pass nprocs or an explicit placement")
         self.engine = Engine()
-        self.machine = Machine(
-            self.engine, spec, link_contention=link_contention
-        )
+        self.machine = Machine(self.engine, spec)
         self.placement = placement or self.machine.default_placement(nprocs)
         if nprocs is not None and self.placement.num_ranks != nprocs:
             raise ValueError(
@@ -290,7 +287,6 @@ class MPIJob:
         )
         self.payload_mode = payload_mode
         self.spec = spec
-        self.link_contention = link_contention
         self.tuning = tuning or tuning_for_machine(spec.name)
         # None -> environment-driven (REPRO_COLL_POLICY / REPRO_COLL_<OP>);
         # a name or SelectionPolicy instance overrides the environment.

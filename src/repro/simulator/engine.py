@@ -44,7 +44,7 @@ import heapq
 from math import ceil as _ceil
 from collections import deque
 from collections.abc import Generator, Iterable
-from types import GeneratorType
+from types import GeneratorType, MethodType
 from typing import Any, Callable
 
 __all__ = [
@@ -236,6 +236,35 @@ class Event:
         return f"<Event {self.name!r} {_STATE_NAMES[self._state]}>"
 
 
+class _Countdown:
+    """Callback subscribed to *left* child events: the first failure
+    fails *gate*; once all succeeded, *gate* succeeds with their values
+    in order (*events*) or with the payload of the receive event *recv*.
+    Later calls do nothing.  :class:`AllOf` and
+    :meth:`repro.mpi.comm.Comm.exchange` both wait through it."""
+
+    __slots__ = ("gate", "left", "events", "recv")
+
+    def __init__(self, gate: Event, left: int, events: list[Event] | None,
+                 recv: Event | None = None):
+        self.gate, self.left, self.events, self.recv = gate, left, events, recv
+
+    def __call__(self, ev: Event) -> None:
+        gate = self.gate
+        if gate._state != _PENDING:
+            return
+        if ev._exc is not None:
+            gate.fail(ev._exc)
+            return
+        self.left -= 1
+        if not self.left:
+            recv = self.recv
+            if recv is None:
+                gate.succeed([e._value for e in self.events])
+            else:
+                gate.succeed(recv._value[0])
+
+
 class AllOf:
     """Composite waitable: resumes when *all* child events have triggered.
 
@@ -250,34 +279,20 @@ class AllOf:
         self.events = list(events)
 
     def _subscribe(self, engine: "Engine", done: Event) -> None:
-        remaining = len(self.events)
-        if remaining == 0:
+        events = self.events
+        if not events:
             done.succeed([])
             return
-        left = remaining
-        failed = False
-
-        def on_child(ev: Event) -> None:
-            nonlocal left, failed
-            if failed or done._state != _PENDING:
-                return
-            if ev._exc is not None:
-                failed = True
-                done.fail(ev._exc)
-                return
-            left -= 1
-            if left == 0:
-                done.succeed([e._value for e in self.events])
-
-        for ev in self.events:
+        count = _Countdown(done, len(events), events)
+        for ev in events:
             cbs = ev.callbacks
             if cbs is None:
                 if ev._state != _PROCESSED:
-                    ev.callbacks = [on_child]
+                    ev.callbacks = [count]
                 else:  # already processed
-                    ev.add_callback(on_child)
+                    ev.add_callback(count)
             else:
-                cbs.append(on_child)
+                cbs.append(count)
 
 
 class AnyOf:
@@ -546,7 +561,9 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        #: Future entries: ``(time, seq, item)``, item an Event or a
+        #: :meth:`call_later` callable.
+        self._heap: list[tuple[float, int, Any]] = []
         #: Same-time FIFO: bare Events or callables.
         #: Invariant: every entry was scheduled at the *current* time, so
         #: the queue must drain before virtual time may advance.
@@ -624,6 +641,25 @@ class Engine:
             heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
 
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` *delay* virtual seconds from now.
+
+        Takes the queue slot a :meth:`pause` of *delay* takes — so the
+        same ``(time, seq)`` order and one entry of
+        :attr:`event_count` — but holds *fn* itself, with no event.
+
+        >>> eng = Engine()
+        >>> seen = []
+        >>> eng.call_later(2.0, lambda: seen.append(eng.now))
+        >>> eng.call_later(1.0, lambda: seen.append(eng.now))
+        >>> eng.run()
+        >>> seen, eng.event_count
+        ([1.0, 2.0], 2)
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self._push((self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK, fn)
+
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process executing *generator*."""
         # Exact-type check first: the ABC isinstance goes through
@@ -638,21 +674,23 @@ class Engine:
         return Process(self, generator, name)
 
     # -- scheduling internals --------------------------------------------
-    def _push(self, time: float, ev: Event) -> None:
+    def _push(self, time: float, item: Any) -> None:
         if time <= self.now:
-            self._defer(ev)
+            self._defer(item)
         else:
             self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, ev))
+            heapq.heappush(self._heap, (time, self._seq, item))
 
     def _note_cancelled(self) -> None:
         # Lazy deletion bookkeeping: once cancelled entries are the
         # majority of a non-trivial heap, rebuild it in place (the run
-        # loop holds the list object in a local).
+        # loop holds the list object in a local).  Only events can be
+        # cancelled; :meth:`call_later` entries are kept.
         self._cancelled += 1
         heap = self._heap
         if self._cancelled >= 64 and self._cancelled * 2 >= len(heap):
-            heap[:] = [e for e in heap if e[2]._state != _CANCELLED]
+            heap[:] = [e for e in heap if not (
+                isinstance(e[2], Event) and e[2]._state == _CANCELLED)]
             heapq.heapify(heap)
             self._cancelled = 0
 
@@ -813,7 +851,12 @@ class Engine:
                             continue
                     break
                 count += 1
-                if type(item) is Event:
+                # Bound-method steps (timed and deferred message and
+                # transfer steps, process first steps) are most of the
+                # traffic: test for them first.
+                if type(item) is MethodType:
+                    item()
+                elif type(item) is Event:
                     state = item._state
                     if state == _CANCELLED:
                         count -= 1

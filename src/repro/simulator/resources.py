@@ -150,7 +150,7 @@ class BandwidthChannel:
         """Move *nbytes* through the channel; returns a completion event
         to ``yield`` on, or, given *then*, schedules ``then()`` as the
         completion entry instead.  Either way the queue entries — start,
-        grant, the pause for its duration (none when zero), completion —
+        grant, the timed step for its duration (none when zero), completion —
         are those of the generator process this once was.
         """
         if nbytes < 0:
@@ -202,12 +202,11 @@ class _Transfer:
         ch.bytes_moved += nbytes
         ch.busy_time += duration
         if duration > 0:
-            # A pooled pause has no callback list yet: install ours.
-            ch.engine.pause(duration).callbacks = [self._finish]
+            ch.engine.call_later(duration, self._finish)
         else:
-            self._finish(None)
+            self._finish()
 
-    def _finish(self, _ev: Event | None) -> None:
+    def _finish(self) -> None:
         ch = self.channel
         engine = ch.engine
         waiters = ch._waiters

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.machine import FlatTopology, NetworkModel, NetworkSpec
-from repro.simulator import Engine
+from repro.machine import (
+    FlatTopology,
+    NetworkModel,
+    NetworkSpec,
+)
+from repro.machine import testing_machine as make_testing_spec
+from repro.machine.placement import Placement
+from repro.mpi import Bytes
+from repro.mpi.runtime import MPIJob
 
 
 def make_net(engine, num_nodes=4, **kw):
@@ -50,54 +57,79 @@ class TestLatency:
         assert big - small == pytest.approx(2.0e-6 + 1 / 1.0e9, rel=1e-3)
 
 
+def run_job(program, nodes=3, cores=1):
+    """Run *program* on a testing machine whose network is ``make_net``'s
+    (alpha 1 us, 1 GB/s, one NIC stream, eager up to 4096 B), ranks
+    placed block-wise; returns ``(network model, JobResult)``."""
+    job = MPIJob(make_testing_spec(num_nodes=nodes, cores=cores), program,
+                 placement=Placement.block(nodes, cores), payload="cost-only")
+    result = job.run()
+    return job.machine.network, result
+
+
 class TestTransmit:
-    def test_transfer_completes_at_model_time(self, engine):
-        net = make_net(engine)
-        done = []
+    """A message's trip across the network, on real 1- and 2-message
+    jobs (one rank per node unless stated)."""
 
-        def prog():
-            yield from net.transmit(0, 1, 1000)
-            done.append(engine.now)
+    def test_transfer_completes_at_model_time(self):
+        def prog(mpi):
+            comm = mpi.world
+            if comm.rank == 0:
+                yield from comm.send(Bytes(1000), 1)
+            elif comm.rank == 1:
+                yield from comm.recv(source=0)
+                return mpi.now
+            return None
 
-        engine.spawn(prog())
-        engine.run()
-        assert done == [pytest.approx(1.0e-6 + 1.0e-6)]  # alpha + 1000B/1GB/s
+        _net, result = run_job(prog, nodes=2)
+        # alpha + 1000 B / 1 GB/s
+        assert result.returns[1] == pytest.approx(1.0e-6 + 1.0e-6)
 
-    def test_same_node_rejected(self, engine):
-        net = make_net(engine)
-        with pytest.raises(ValueError):
-            # generator raises at first step
-            list(net.transmit(2, 2, 10))
+    def test_nic_serializes_concurrent_sends(self):
+        def prog(mpi):
+            comm = mpi.world
+            if comm.rank == 0:
+                yield from comm.waitall([comm.isend(Bytes(1000), 1),
+                                         comm.isend(Bytes(1000), 2)])
+                return None
+            yield from comm.recv(source=0)
+            return mpi.now
 
-    def test_nic_serializes_concurrent_sends(self, engine):
-        net = make_net(engine)
-        done = []
-
-        def prog(dst):
-            yield from net.transmit(0, dst, 1000)
-            done.append((dst, engine.now))
-
-        engine.spawn(prog(1))
-        engine.spawn(prog(2))
-        engine.run()
+        _net, result = run_job(prog)
         t1 = 1.0e-6 + 1.0e-6
         # The second send waits for the first's TX serialization (1 us).
-        assert done[0] == (1, pytest.approx(t1))
-        assert done[1] == (2, pytest.approx(t1 + 1.0e-6))
+        assert result.returns[1:] == [pytest.approx(t1),
+                                      pytest.approx(t1 + 1.0e-6)]
 
-    def test_stats_recorded(self, engine):
-        net = make_net(engine)
+    def test_stats_recorded(self):
+        def prog(mpi):
+            comm = mpi.world
+            if comm.rank == 0:
+                yield from comm.send(Bytes(500), 1)
+                yield from comm.send(Bytes(8192), 2)  # rendezvous
+            else:
+                yield from comm.recv(source=0)
 
-        def prog():
-            yield from net.transmit(0, 1, 500)
-            yield from net.transmit(0, 2, 8192)  # rendezvous
-
-        engine.spawn(prog())
-        engine.run()
-        assert net.stats.messages == 2
+        net, result = run_job(prog)
+        assert result.network_messages == net.stats.messages == 2
         assert net.stats.bytes == 500 + 8192
         assert net.stats.rendezvous_messages == 1
         assert net.stats.per_pair[(0, 1)] == (1, 500.0)
+        assert net.nic_tx(0).bytes_moved == 500 + 8192
+        assert net.nic_rx(2).bytes_moved == 8192
+
+    def test_on_node_message_skips_the_network(self):
+        def prog(mpi):
+            comm = mpi.world
+            if comm.rank == 0:
+                yield from comm.send(Bytes(1000), 1)
+            else:
+                yield from comm.recv(source=0)
+
+        net, result = run_job(prog, nodes=1, cores=2)
+        assert net.stats.messages == result.network_messages == 0
+        assert net.nic_tx(0).bytes_moved == 0
+        assert result.intra_copies == 2
 
     def test_topology_capacity_checked(self, engine):
         with pytest.raises(ValueError):
@@ -105,43 +137,3 @@ class TestTransmit:
                 engine, NetworkSpec(), num_nodes=8,
                 topology=FlatTopology(4),
             )
-
-
-class TestLinkContention:
-    def test_detailed_mode_builds_link_channels(self, engine):
-        from repro.machine import DragonflyTopology
-
-        topo = DragonflyTopology(8, nodes_per_router=2, routers_per_group=2)
-        net = NetworkModel(
-            engine, NetworkSpec(), num_nodes=8, topology=topo,
-            link_contention=True,
-        )
-        assert len(net._links) == topo.graph.number_of_edges()
-
-    def test_link_contention_slows_shared_paths(self):
-        from repro.machine import FatTreeTopology
-
-        def run(contended: bool) -> float:
-            engine = Engine()
-            topo = FatTreeTopology(4, leaf_radix=2, num_spines=1)
-            net = NetworkModel(
-                engine,
-                NetworkSpec(alpha=0.0, bandwidth=100.0, nic_streams=1),
-                num_nodes=4,
-                topology=topo,
-                link_contention=contended,
-            )
-            finish = []
-
-            def prog(src, dst):
-                yield from net.transmit(src, dst, 100)
-                finish.append(engine.now)
-
-            # Two transfers from different sources crossing the same
-            # leaf-spine links toward different destinations.
-            engine.spawn(prog(0, 2))
-            engine.spawn(prog(1, 3))
-            engine.run()
-            return max(finish)
-
-        assert run(True) > run(False)

@@ -3,7 +3,7 @@
 ``event_count`` counts every queue entry the engine processes.  A
 host-side change to the message path must leave it bit-identical (see
 "The determinism invariant" in docs/performance.md), and a change that
-deliberately cuts events must show up here as a per-row diff.  Three
+deliberately cuts events must show up here as a per-row diff.  The
 tables:
 
 * entries per point-to-point message, from a ping-pong minus an empty
@@ -11,9 +11,12 @@ tables:
   one socket and two sockets under every registered transport;
 * entries per dispatch of five collectives at 4x12 ``hazel_hen``,
   4 KiB, empty job subtracted;
+* entries per dispatch of every flat algorithm built from send+receive
+  rounds (:meth:`Comm.exchange`), and of one ``sendrecv`` shift;
 * the SHA-256 of the p2p-detail span stream of one mixed program (an
   unexpected message, an ``ANY_SOURCE`` fan-in, a truncating receive
-  and an off-node rendezvous), which pins order, not just counts.
+  and an off-node rendezvous), and of a run of ``sendrecv`` shifts,
+  which pin order, not just counts.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen, hazel_hen_2s
 from repro.machine.transport import TRANSPORTS
 from repro.mpi import ANY_SOURCE, Bytes, TruncationError, run_program
+from repro.mpi.constants import PROC_NULL
 
 EAGER, RENDEZVOUS = 64, 65536  # hazel_hen's eager threshold is 8 KiB
 REPS = 4
@@ -64,6 +68,34 @@ PER_MESSAGE = {
 PER_DISPATCH = {"allgather": 8892, "bcast": 847, "barrier": 232,
                 "allreduce": 1692, "alltoall": 41022}
 
+#: Every flat send+receive round, at a ``hazel_hen`` shape where the
+#: default table picks it: ``(op, nodes, ranks per node, bytes per rank)
+#: -> (algorithm, entries per dispatch)``, empty job subtracted.
+#: ``sendrecv`` is one ring shift of the world.
+PER_ROUND = {
+    ("allgather", 8, 1, 4096): ("recursive_doubling", 456),
+    ("allgather", 6, 1, 4096): ("bruck", 330),
+    ("allgather", 6, 1, 65536): ("ring", 606),
+    ("allreduce", 6, 1, 4096): ("recursive_doubling", 218),
+    ("allreduce", 8, 1, 131072): ("rabenseifner", 968),
+    ("allreduce", 6, 1, 131072): ("ring", 1206),
+    ("reduce_scatter", 4, 12, 4096): ("pairwise", 40698),
+    ("reduce_scatter", 4, 8, 8192): ("recursive_halving", 2928),
+    ("alltoall", 4, 12, 4096): ("pairwise", 41022),
+    ("alltoall", 4, 12, 512): ("bruck", 4848),
+    ("barrier", 8, 1, 0): ("dissemination", 392),
+    ("sendrecv", 4, 12, 4096): (None, 864),
+}
+
+SENDRECV = {
+    "events": 289,
+    "elapsed": "1.4440400003756793e-05",
+    "returns": "[[3.0, 2.0, 2.0, None], [0.0, 3.0, 3.0, 0.0], "
+               "[1.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 2.0]]",
+    "span_sha256":
+        "528e7b26d91eedc96d8967273a4adeac661fdc9705e926a951a6d1a561fb02d3",
+}
+
 MIXED = {
     "events": 118,
     "elapsed": "1.577600000324253e-05",
@@ -89,14 +121,17 @@ def _pingpong(mpi, peer, nbytes):
             yield from comm.send(payload, 0)
 
 
-def _collective(mpi, op):
-    comm, payload = mpi.world, Bytes(4096)
+def _collective(mpi, op, nbytes=4096):
+    comm, payload = mpi.world, Bytes(nbytes)
     if op == "alltoall":
         yield from comm.alltoall([payload] * comm.size)
     elif op == "bcast":
         yield from comm.bcast(payload, root=0)
     elif op == "barrier":
         yield from comm.barrier()
+    elif op == "sendrecv":
+        yield from comm.sendrecv(payload, (comm.rank + 1) % comm.size,
+                                 (comm.rank - 1) % comm.size)
     else:
         yield from getattr(comm, op)(payload)
 
@@ -127,6 +162,19 @@ def per_dispatch(op: str) -> int:
     spec, placement = hazel_hen(4), Placement.block(4, 12)
     return (_events(spec, placement, _collective, op=op)
             - _events(spec, placement, _empty))
+
+
+def per_round(op: str, nodes: int, ppn: int, nbytes: int) -> tuple:
+    """``(algorithm the table picks, entries per dispatch)``."""
+    spec, placement = hazel_hen(nodes), Placement.block(nodes, ppn)
+    traced = run_program(spec, None, _collective, placement=placement,
+                         payload="cost-only", replay=False, trace=True,
+                         program_kwargs={"op": op, "nbytes": nbytes})
+    algos = {rec["algo"] for rec in traced.trace or () if rec["op"] == op}
+    assert len(algos) <= 1, algos
+    entries = (_events(spec, placement, _collective, op=op, nbytes=nbytes)
+               - _events(spec, placement, _empty))
+    return (algos.pop() if algos else None), entries
 
 
 def _mixed(mpi):
@@ -160,10 +208,37 @@ def _mixed(mpi):
     return None
 
 
+def _sendrecv_rounds(mpi):
+    # Three shifts by growing distance, the last one rendezvous-sized
+    # and off node for every rank, then one with a PROC_NULL side.
+    comm = mpi.world
+    rank, size = comm.rank, comm.size
+    got = []
+    for shift, nbytes in ((1, 64), (2, 4096), (size // 2, RENDEZVOUS)):
+        payload = yield from comm.sendrecv(
+            np.full(nbytes // 8, float(rank)), (rank + shift) % size,
+            (rank - shift) % size, sendtag=shift, recvtag=shift)
+        got.append(float(payload[0]))
+    edge = yield from comm.sendrecv(
+        np.full(2, float(rank)), rank + 1 if rank + 1 < size else PROC_NULL,
+        rank - 1 if rank else PROC_NULL)
+    got.append(None if edge is None else float(edge[0]))
+    return got
+
+
+def sendrecv_rounds() -> dict:
+    return _summary(run_program(hazel_hen(2), None, _sendrecv_rounds,
+                                placement=Placement.block(2, 2),
+                                trace="p2p", replay=False))
+
+
 def mixed() -> dict:
-    result = run_program(hazel_hen(2), None, _mixed,
-                         placement=Placement.block(2, 2), trace="p2p",
-                         replay=False)
+    return _summary(run_program(hazel_hen(2), None, _mixed,
+                                placement=Placement.block(2, 2),
+                                trace="p2p", replay=False))
+
+
+def _summary(result) -> dict:
     return {
         "events": result.events_processed,
         "elapsed": repr(result.elapsed),
@@ -190,3 +265,13 @@ def test_entries_per_dispatch(op):
 
 def test_mixed_program_span_stream():
     assert mixed() == MIXED
+
+
+@pytest.mark.parametrize("shape", sorted(PER_ROUND), ids=lambda shape:
+                         "-".join(map(str, shape)))
+def test_entries_per_round(shape):
+    assert per_round(*shape) == PER_ROUND[shape]
+
+
+def test_sendrecv_span_stream():
+    assert sendrecv_rounds() == SENDRECV

@@ -97,3 +97,48 @@ def test_repr_names_every_state():
     done = engine.timeout(0.5, name="done")
     engine.run()
     assert repr(done) == "<Event 'done' done>"
+
+
+def _mixed_heap(engine: Engine, fired: list) -> list:
+    """Schedule ``call_later`` callables and timeouts at interleaved
+    times, then cancel 100 far-future watchdogs (enough to compact the
+    heap while the callables are pending).  Returns the expected firing
+    order: ``(time, seq)``, i.e. by delay, then by scheduling order."""
+    schedule = []
+    watchdogs = [engine.timeout(1.0 + i, name="watchdog") for i in range(100)]
+    for i in range(50):
+        delay = (i % 7 + 1) * 1e-3
+        if i % 5:
+            engine.call_later(delay, lambda i=i: fired.append(i))
+        else:
+            engine.timeout(delay, value=i).add_callback(
+                lambda ev: fired.append(ev.value))
+        schedule.append((delay, i))
+    for wd in watchdogs:
+        wd.cancel()
+    return [i for _delay, i in sorted(schedule)]
+
+
+def test_compaction_keeps_call_later_entries_in_order():
+    engine = Engine()
+    fired: list = []
+    expected = _mixed_heap(engine, fired)
+    # Compaction ran (75 of 150 entries cancelled) and kept every live
+    # entry: the 50 scheduled above plus the 25 watchdogs cancelled after.
+    assert len(engine._heap) == 75
+    engine.run()
+    assert fired == expected
+    assert engine.event_count == 50
+
+
+def test_step_and_run_agree_on_a_mixed_heap():
+    stepped, ran = Engine(), Engine()
+    by_step: list = []
+    by_run: list = []
+    _mixed_heap(stepped, by_step)
+    _mixed_heap(ran, by_run)
+    while stepped.event_count < 50:
+        stepped.step()
+    ran.run()
+    assert by_step == by_run
+    assert stepped.event_count == ran.event_count
