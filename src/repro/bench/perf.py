@@ -182,7 +182,7 @@ def run_replay_compare(labels, quick: bool = False,
     """Measure the replay cache's warm-repetition speedup.
 
     Every latency point of *labels* runs twice: replay off, then replay
-    on from a cold cache (so the on-leg pays its own pocket-recording
+    on from a cold cache (so the on-leg pays its own recording
     cost).  Virtual time must be bit-identical between the legs — a
     mismatched ``latency_us`` or ``events``-independent field raises —
     and the document records both legs' wall seconds and event counts,

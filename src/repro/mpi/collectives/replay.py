@@ -10,8 +10,7 @@ function of the *replay key*:
 
 * the job prefix: engine version, machine fingerprint (covers sockets,
   transport, topology), placement (node/socket vectors + socket mode),
-  tuning personality, selection policy, link contention and trace
-  detail;
+  tuning personality, selection policy and trace detail;
 * the operation name and the per-rank payload signatures (sizes/roots/
   reduce ops — the dtype signature);
 * the vector of relative per-rank entry-time offsets.
@@ -26,38 +25,49 @@ increments, and the recorded span slice re-emitted time-shifted with a
 streams are bit-identical to normal execution (the equivalence suite
 asserts this); only the processed-event count drops — that is the point.
 
-Recording — the pocket simulation
----------------------------------
+Recording — one measurement, in place or in a pocket
+----------------------------------------------------
 The *first* occurrence of each dispatch shape in a job always executes
 live: one-off lazy setup (hierarchy sub-communicators, shared windows,
 per-comm caches) must happen in the live job exactly as it would with
 replay off, so first-occurrence cost — which includes that setup —
-stays bit-identical.  From the second occurrence on, a cache miss
-triggers a *pocket simulation* (:meth:`ReplaySession._record`): a
-fresh nested :class:`~repro.mpi.runtime.MPIJob` on the same machine
-spec decodes each rank's signature back into the call's arguments
+stays bit-identical.  Every record is measured by one :class:`_Window`,
+from the simultaneous release of the parked ranks to the entry in which
+the last of them exits: per-rank tick durations, exit order, results,
+counter, traffic, hop and profile increments, span templates and the
+engine entries the dispatch cost.  In loop mode that window is opened
+on the first aligned, quiescent occurrence itself — the record is
+measured where it runs, and the lane is primed so the second
+occurrence is a hit without a key.  The window only stands for the
+dispatch alone when, at its close, every other rank is waiting in the
+world's ``Comm.align()`` and nothing but the dispatch's own retiring
+message steps is left, no other replay decision ran inside it, no setup
+gate opened (``Comm._gate``: a first use that splits or allocates
+windows, which the job's ``gates`` counter shows) and every profile was
+on; otherwise (``STATS["inplace_vetoes"]``), and in default mode, a
+miss at a later occurrence runs a *pocket simulation*
+(:meth:`ReplaySession._record`): a fresh nested
+:class:`~repro.mpi.runtime.MPIJob` on the same machine spec decodes
+each rank's signature back into the call's arguments
 (:func:`call_arguments`) and re-issues *the public call the live rank
-made* — ``getattr(comm, op)(*args)``, or for the hybrid collectives the
-call a recipe from :mod:`repro.core.hierarchy` rebuilds (context and
-shared buffers are one-off setup, excluded from the record as the
-paper's §5 excludes them).  It parks all ranks quiescently, then issues
-the call once from a simultaneous release in the live arrival
-permutation.  That first run is already steady state: lazy hierarchy
-sub-communicators come from the deterministic-child registry (no
-rendezvous, no events, no virtual time) and the selection caches are
-host-only.  Only a run that opened a setup gate (``Comm._gate``: a
-first use that splits or allocates windows, which the job's ``gates``
-counter shows) was a warm run; the pocket then parks again and measures
-a second run.  There is no per-operation table: whatever reaches
-:meth:`ReplaySession.run` with an encodable call is replayable.  The
-deltas of the measured run — per-rank tick durations, counter and
-traffic increments, span templates, profile increments — form the
-record, which is applied to the live job immediately (the miss itself
-becomes a hit).  Because scheduled delays are translation-invariant on
-the engine's tick grid, those deltas replay bit-identically from any
-later quiescent entry at any absolute time.  Records are cached
-process-globally, so repetitions across jobs in one process (the sweep
-service, parameter sweeps) record only once per dispatch shape.
+made* in an aligned loop — ``getattr(comm, op)(*args)``, or for the
+hybrid collectives the call a recipe from :mod:`repro.core.hierarchy`
+rebuilds (context and shared buffers are one-off setup, excluded from
+the record as the paper's §5 excludes them).  Its :class:`_PocketHost`
+parks the call where the live job parks it and releases the ranks in
+the live arrival permutation into the same window.  That first run is
+already steady state: lazy hierarchy sub-communicators come from the
+deterministic-child registry (no rendezvous, no events, no virtual
+time) and the selection caches are host-only; only a run that opened a
+setup gate was warm, and the pocket measures a second one.  There is no
+per-operation table: whatever reaches :meth:`ReplaySession.run` with an
+encodable call is replayable.  A pocket's record is applied to the live
+job immediately (that miss itself becomes a hit).  Because scheduled
+delays are translation-invariant on the engine's tick grid, records
+replay bit-identically from any later quiescent entry at any absolute
+time.  Records are cached process-globally, so repetitions across jobs
+in one process (the sweep service, parameter sweeps) record only once
+per dispatch shape.
 
 Lanes — a repetition is recognised, not re-keyed
 ------------------------------------------------
@@ -80,28 +90,31 @@ payloads (real ndarrays), permuted communicators, unknown sync policies
 — falls through to normal execution, released *at the entry timestep*,
 so misses are unconditionally undistorted.
 
-``REPRO_REPLAY_VERIFY=1`` executes every hit *and* checks it against the
-record, asserting bit-identical per-rank latencies, counter deltas and
-(shift-normalized) span slices; a pocket that raises re-raises there,
-where otherwise its shape becomes a negative entry that runs live.
+``REPRO_REPLAY_VERIFY=1`` executes every hit live, measures it with the
+window that records, and compares the two records whole — ``events``
+only where the window closed clean; a pocket that raises re-raises
+there, where otherwise its shape becomes a negative entry that runs
+live.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple
 from heapq import heappush
+from types import MethodType
 from typing import Any
 
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
+from repro.mpi.p2p import _Message
 from repro.mpi.profiler import OpStats
 from repro.simulator.engine import (
     _INV_TICK,
     _TRIGGERED,
     ENGINE_VERSION,
     TICK,
-    DeadlockError,
     Event,
+    SimulationError,
 )
 
 __all__ = [
@@ -139,14 +152,22 @@ _MISSING = object()
 #: execution (pockets are not free; see ``ReplaySession._decide``).
 _UNUSABLE_LIMIT = 3
 
+#: Why a loop-mode first occurrence was not recorded in place (see
+#: :class:`_Window`; ``profile_off``: a rank's profile was off at the
+#: release, and a pocket's are always on).
+VETOES = ("profile_off", "trailing_work", "not_aligned", "setup_gate",
+          "nested")
+
 #: Process-lifetime counters (exposed by the sweep service ``/stats``).
 STATS = {"hits": 0, "misses": 0, "records": 0, "evictions": 0,
-         "unreplayable": 0, "pocket_runs": 0}
+         "unreplayable": 0, "pocket_runs": 0, "inplace_records": 0,
+         "inplace_vetoes": dict.fromkeys(VETOES, 0)}
 
 
 def cache_stats() -> dict:
     """Snapshot of the process-global replay cache counters."""
-    return dict(STATS, entries=len(_CACHE))
+    return dict(STATS, inplace_vetoes=dict(STATS["inplace_vetoes"]),
+                entries=len(_CACHE))
 
 
 def clear_cache() -> None:
@@ -307,9 +328,9 @@ class _Record:
         self.results = results        # per-rank return values
         self.counters = counters      # bulk counter deltas (see _snapshot)
         self.per_pair = per_pair      # {(src,dst): (d_count, d_bytes)}
-        self.max_hops = max_hops
+        self.max_hops = max_hops      # the dispatch's own maximum
         self.templates = templates    # span templates (t as relative ticks)
-        self.events = events          # engine events one live execution costs
+        self.events = events          # n release events plus its own
         self.exit_order = exit_order  # ranks in exit-event processing order
         self.profiles = profiles      # per-rank (op, dcalls, dbytes, dtime)
 
@@ -322,43 +343,109 @@ def _snapshot(job):
          job.machine.intra_copies, job.machine.intra_bytes,
          net.messages, net.bytes, net.rendezvous_messages),
         dict(net.per_pair),
-        net.max_hops,
     )
 
 
+_RETIRE = _Message._retire
+
+
 class _Window:
-    """A job's observable state at a quiescent instant, and what one
-    dispatch adds to it — measured the same way in a pocket (to build a
-    record) and in the live job (to verify one)."""
+    """One dispatch measured in the job it runs in, from the simultaneous
+    release of its parked ranks to the entry in which the last of them
+    exits — the one measurement behind every record: a loop-mode first
+    occurrence recorded in place, a pocket's run, and the live run of a
+    verified hit.
 
-    __slots__ = ("job", "t0_ticks", "counters", "per_pair", "spans",
-                 "profiles")
+    Each rank reports its duration and result from its exit entry; the
+    last report closes the window, and right after that entry — where
+    ``event_count`` is exact (:meth:`Engine.after_entry`) — *sink*
+    receives the :class:`_Record` and a veto, None or why the record
+    does not stand for the dispatch alone:
 
-    def __init__(self, job):
+    * ``nested`` — another replay decision ran inside the window;
+    * ``setup_gate`` — the run opened a setup gate (``job.gates``
+      moved), so it was a warm run;
+    * ``trailing_work`` — at the close anything but the dispatch's own
+      trailing :meth:`_Message._retire` steps was scheduled or in flight,
+      or a span of the slice was still open;
+    * ``not_aligned`` — a rank was not waiting in its world
+      ``Comm.align()`` right after its exit.
+
+    Those steps are entries the dispatch still costs, so they count in
+    ``events``; under ``nested``, ``trailing_work`` and ``not_aligned``
+    the count may hold entries of something else and ``events`` is None.
+    """
+
+    __slots__ = ("job", "sink", "t0_ticks", "events0", "gates", "hops0",
+                 "counters", "per_pair", "spans", "profiles", "exits",
+                 "nested", "aligned", "closed")
+
+    def __init__(self, job, sink):
+        # Opened by a decision, which runs as an advance hook: the
+        # engine is between entries and ``event_count`` is exact.
+        eng = job.engine
         self.job = job
-        self.t0_ticks = round(job.engine.now * _INV_TICK)
-        self.counters, self.per_pair, _ = _snapshot(job)
+        self.sink = sink
+        self.t0_ticks = round(eng.now * _INV_TICK)
+        self.events0 = eng.event_count
+        self.gates = job.gates
+        self.counters, self.per_pair = _snapshot(job)
+        # Count hops from zero: the record holds the dispatch's own
+        # maximum, not the job's running one (restored at the close).
+        net = job.machine.network.stats
+        self.hops0, net.max_hops = net.max_hops, 0
         self.spans = len(job.tracer.records) if job.tracer is not None else 0
         self.profiles = [
             {o: (s.calls, s.bytes, s.time)
              for o, s in ctx.profile.ops.items()}
             for ctx in job.contexts
         ]
+        #: rank -> (d_ticks, result), in exit order.
+        self.exits: dict[int, tuple[int, Any]] = {}
+        self.nested = False
+        self.aligned = True
+        self.closed = False
 
-    def deltas(self):
-        """``(counters, per_pair, max_hops, spans, profiles)`` added
-        since the baseline; *spans* is the raw record slice (None when
-        untraced), *profiles* per rank the sorted ``(op, dcalls, dbytes,
-        dtime)`` increments.  Every quantity on the tick grid at
-        benchmark magnitudes sums exactly in binary floating point, so
-        plain deltas reproduce live accumulation bit-for-bit."""
+    def report(self, rank: int, d_ticks: int, result: Any) -> None:
+        """*rank* exits the dispatch; called from its exit entry."""
+        if type(result) is list:
+            result = list(result)  # the caller may mutate the one it gets
+        exits = self.exits
+        exits[rank] = (d_ticks, result)
+        if len(exits) < len(self.profiles):
+            self.job.engine.after_entry(lambda: self._went_to_align(rank))
+        else:
+            self._close(rank)
+
+    def _in_align(self, rank: int) -> bool:
+        comm = self.job.contexts[rank].world
+        gate = comm._shared._gates.get(("align", comm._gate_seq))
+        return gate is not None and rank in gate.values
+
+    def _went_to_align(self, rank: int) -> None:
+        # Right after an earlier rank's exit entry: anything it did
+        # before parking in the align would have run inside the window.
+        if not self.closed and not self._in_align(rank):
+            self.aligned = False
+
+    def _close(self, last: int) -> None:
+        self.closed = True
         job = self.job
-        counters, end_pairs, max_hops = _snapshot(job)
+        eng = job.engine
+        net = job.machine.network.stats
+        hops = net.max_hops
+        if self.hops0 > hops:
+            net.max_hops = self.hops0
+        counters, end_pairs = _snapshot(job)
+        counters = tuple(a - b for a, b in zip(counters, self.counters))
         per_pair = {}
         for pair, (c, b) in end_pairs.items():
             c0, b0 = self.per_pair.get(pair, (0, 0.0))
             if c != c0 or b != b0:
                 per_pair[pair] = (c - c0, b - b0)
+        # Every quantity on the tick grid at benchmark magnitudes sums
+        # exactly in binary floating point, so plain deltas reproduce
+        # live accumulation bit-for-bit.
         profiles = []
         for ctx, before in zip(job.contexts, self.profiles):
             delta = []
@@ -367,13 +454,122 @@ class _Window:
                 if (s.calls, s.bytes, s.time) != (c0, b0, t0):
                     delta.append((o, s.calls - c0, s.bytes - b0, s.time - t0))
             profiles.append(tuple(sorted(delta)))
-        return (
-            tuple(a - b for a, b in zip(counters, self.counters)),
-            per_pair,
-            max_hops,
-            None if job.tracer is None else job.tracer.records[self.spans:],
-            tuple(profiles),
+        templates, spans_closed = None, True
+        if job.tracer is not None:
+            templates, spans_closed = _templates(
+                job.tracer.records[self.spans:], self.t0_ticks
+            )
+        # What is still scheduled may only be the dispatch's own message
+        # chains retiring — entries it costs, which spawn nothing.
+        trailing = 0
+        for item in eng._deferred:
+            if type(item) is not MethodType or item.__func__ is not _RETIRE:
+                trailing = -1
+                break
+            trailing += 1
+        exits = self.exits
+        msgs = job.msg_engine
+        quiet = (
+            trailing == msgs.in_flight and not msgs.pending_total
+            and not eng._heap and len(eng._live_processes) == len(exits)
         )
+        aligned = self.aligned and all(
+            self._in_align(r) for r in exits if r != last
+        )
+        if self.nested:
+            reason = "nested"
+        elif job.gates != self.gates:
+            reason = "setup_gate"
+        elif not (quiet and spans_closed):
+            reason = "trailing_work"
+        elif not aligned:
+            reason = "not_aligned"
+        else:
+            reason = None
+        exact = quiet and aligned and not self.nested
+        ranks = range(len(exits))
+        d_ticks = tuple(exits[r][0] for r in ranks)
+        results = [exits[r][1] for r in ranks]
+
+        def measured() -> None:
+            events = eng.event_count - self.events0 + trailing
+            self.sink(_Record(
+                d_ticks, results, counters, per_pair, hops, templates,
+                events if exact else None, tuple(exits), tuple(profiles),
+            ), reason)
+
+        eng.after_entry(measured)
+
+
+def _templates(spans: list[dict], t0_ticks: int) -> tuple[list[dict], bool]:
+    """Span templates of a window's slice — times as ticks from
+    *t0_ticks* — and whether every span of it closed inside it, with
+    its parent (a template cannot re-open either)."""
+    templates = []
+    sids = set()
+    closed = True
+    for r in spans:
+        tpl = dict(r)
+        sid = tpl.get("sid")
+        if sid is not None:
+            par = tpl.get("parent")
+            if tpl.get("dur") is None or (par is not None and par not in sids):
+                closed = False
+            sids.add(sid)
+        tpl["_tt"] = round(tpl.pop("t") * _INV_TICK) - t0_ticks
+        templates.append(tpl)
+    return templates, closed
+
+
+def _compare(op: str, rec: _Record, live: _Record, contexts) -> None:
+    """Verify: *live*, a hit executed live and measured by the window
+    that records, against the record the hit applied."""
+    # A profile switched off records nothing live, and an applied
+    # record adds nothing to it either.
+    profiles = tuple(
+        delta if ctx.profile.enabled else ()
+        for ctx, delta in zip(contexts, rec.profiles)
+    )
+    checks = [
+        ("per-rank tick deltas", rec.d_ticks, live.d_ticks),
+        ("exit order", rec.exit_order, live.exit_order),
+        ("results", rec.results, live.results),
+        ("counter deltas", rec.counters, live.counters),
+        ("per-pair traffic", rec.per_pair, live.per_pair),
+        ("max hops", rec.max_hops, live.max_hops),
+        ("profile deltas", profiles, live.profiles),
+    ]
+    if rec.templates is not None and live.templates is not None:
+        checks.append(("span slice", _normalize(rec.templates),
+                       _normalize(live.templates)))
+    if live.events is not None:
+        # Only a window that closed clean counted the dispatch alone.
+        checks.append(("events", rec.events, live.events))
+    for what, recorded, seen in checks:
+        if recorded != seen:
+            raise ReplayVerifyError(
+                f"replay verify failed for {op!r}: {what}: "
+                f"recorded {recorded!r} != live {seen!r}"
+            )
+
+
+_SPAN_DROP = ("sid", "parent", "replayed")
+
+
+def _normalize(templates: list[dict]) -> list[dict]:
+    """Span templates made comparable: span ids become slice
+    positions."""
+    sid_pos = {}
+    out = []
+    for i, r in enumerate(templates):
+        d = {k: v for k, v in r.items() if k not in _SPAN_DROP}
+        sid = r.get("sid")
+        if sid is not None:
+            sid_pos[sid] = i
+            par = r.get("parent")
+            d["_par"] = None if par is None else sid_pos.get(par)
+        out.append(d)
+    return out
 
 
 class _Pending:
@@ -410,8 +606,8 @@ class _Lane:
         self.sigs: list[Any] = [None] * n
         self.epoch = 0                  # bumped when any rank's memo changes
         self.pending: dict[int, _Pending] = {}
-        #: ``(op, epoch, arrival order)`` of the last applied hit, and the
-        #: plan it applied.
+        #: ``(op, epoch, arrival order)`` of the last applied hit — or of
+        #: a first occurrence recorded in place — and the plan it applied.
         self.applied: tuple | None = None
         self.plan: _Plan | None = None
 
@@ -443,96 +639,6 @@ class _Plan:
         ]
 
 
-class _VerifyState:
-    """Instruments one live, aligned, quiescent execution of a verified
-    hit: every rank reports its duration and result; the last report
-    compares the complete measurement against the record."""
-
-    __slots__ = ("session", "rec", "op", "window", "d_ticks", "results")
-
-    def __init__(self, session: "ReplaySession", rec: _Record, op: str):
-        self.session = session
-        self.rec = rec
-        self.op = op
-        self.window = _Window(session.job)
-        #: Insertion order is the live exit order (reports arrive as
-        #: each rank's continuation processes).
-        self.d_ticks: dict[int, int] = {}
-        self.results: dict[int, Any] = {}
-
-    def report(self, rank: int, d_ticks: int, result: Any) -> None:
-        self.d_ticks[rank] = d_ticks
-        self.results[rank] = result
-        if len(self.d_ticks) == self.session.world_size:
-            # Compare from a zero-delay callback, not from inside the
-            # last rank's continuation: a verify failure then propagates
-            # raw from ``Engine.run`` instead of being wrapped as a
-            # rank-process crash.
-            self.session.engine.timeout(0.0).add_callback(
-                lambda _ev: self._compare()
-            )
-
-    def _fail(self, what: str, recorded, live) -> None:
-        raise ReplayVerifyError(
-            f"replay verify failed for {self.op!r}: {what}: "
-            f"recorded {recorded!r} != live {live!r}"
-        )
-
-    def _compare(self) -> None:
-        rec = self.rec
-        ranks = range(self.session.world_size)
-        live_d = tuple(self.d_ticks[r] for r in ranks)
-        if live_d != rec.d_ticks:
-            self._fail("per-rank tick deltas", rec.d_ticks, live_d)
-        live_order = tuple(self.d_ticks)
-        if live_order != rec.exit_order:
-            self._fail("exit order", rec.exit_order, live_order)
-        live_res = [self.results[r] for r in ranks]
-        if live_res != list(rec.results):
-            self._fail("results", rec.results, live_res)
-        counters, per_pair, _, spans, profiles = self.window.deltas()
-        if counters != rec.counters:
-            self._fail("counter deltas", rec.counters, counters)
-        if per_pair != rec.per_pair:
-            self._fail("per-pair traffic", rec.per_pair, per_pair)
-        if spans is not None and rec.templates is not None:
-            live = _normalize(spans, self.window.t0_ticks)
-            recd = _normalize(rec.templates)
-            if live != recd:
-                self._fail("span slice", recd, live)
-        # A profile switched off records nothing live, and an applied
-        # record adds nothing to it either.
-        recorded = tuple(
-            delta if ctx.profile.enabled else ()
-            for ctx, delta in zip(self.session.job.contexts, rec.profiles)
-        )
-        if profiles != recorded:
-            self._fail("profile deltas", recorded, profiles)
-
-
-_SPAN_DROP = ("sid", "parent", "replayed")
-
-
-def _normalize(records: list[dict], t0_ticks: int = 0) -> list[dict]:
-    """Shift-normalize a span slice for comparison: span ids become
-    slice positions and — for live records, which carry an absolute
-    ``t`` where templates carry relative ticks ``_tt`` — times become
-    ticks relative to *t0_ticks*."""
-    sid_pos = {}
-    out = []
-    for i, r in enumerate(records):
-        d = {k: v for k, v in r.items() if k not in _SPAN_DROP}
-        if "t" in d:
-            d["_tt"] = round((d.pop("t") - t0_ticks * TICK) * _INV_TICK)
-        sid = r.get("sid")
-        if sid is not None:
-            sid_pos[sid] = i
-            par = r.get("parent")
-            d["_par"] = None if par is None else sid_pos.get(par)
-        out.append(d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The session
 # ---------------------------------------------------------------------------
@@ -558,9 +664,10 @@ class ReplaySession:
         #: safely overlap a window; loop mode is therefore reserved for
         #: align-disciplined programs (the benchmark harnesses), whose
         #: ranks go straight from each collective into ``Comm.align()``.
-        #: The default mode only applies uniform-exit records — an
-        #: atomic time jump with an empty window, unconditionally exact
-        #: for arbitrary programs.
+        #: The same contract lets loop mode record a shape's first
+        #: occurrence where it runs.  The default mode only applies
+        #: uniform-exit records — an atomic time jump with an empty
+        #: window, unconditionally exact for arbitrary programs.
         self.loop = loop
         self.world_size = job.placement.num_ranks
         self.hits = 0
@@ -578,6 +685,8 @@ class ReplaySession:
         self._warm: set[tuple] = set()
         self._unusable: dict[tuple, int] = {}
         self._prefix: tuple | None = None
+        #: Windows open now: in-place recordings and verified hits.
+        self._windows: list[_Window] = []
 
     @property
     def prefix(self) -> tuple:
@@ -646,8 +755,8 @@ class ReplaySession:
             return value
         t0 = eng.now
         result = yield from body
-        if verdict == "measure":
-            # Live execution instrumented for verification.
+        if value is not None:
+            # A measured run: recorded in place, or a verified hit.
             value.report(rank, round((eng.now - t0) * _INV_TICK), result)
         return result
 
@@ -656,6 +765,9 @@ class ReplaySession:
         pend = lane.pending.get(seq)
         if pend is None or pend.decided is not None:
             return
+        for window in self._windows:
+            # A measured window holds its own dispatch and nothing else.
+            window.nested = True
         if len(pend.arrivals) < self.world_size:
             # Staggered entry: release the parked ranks in the same
             # timestep they arrived — zero virtual-time distortion.
@@ -665,6 +777,7 @@ class ReplaySession:
         # Every rank is parked here, so every memo holds this dispatch's
         # call (a rank that ran ahead changed the epoch on the way).
         shape = (pend.op, lane.epoch, tuple(pend.arrivals))
+        window = None
         if not self.quiescent():
             plan = None
         elif shape == lane.applied:
@@ -683,21 +796,34 @@ class ReplaySession:
         elif None in lane.sigs:
             plan = None
         else:
-            plan = self._lookup(pend, tuple(lane.sigs), shape[2])
+            sigs = tuple(lane.sigs)
+            if (pend.op, sigs) in self._warm:
+                plan = self._lookup(pend, sigs, shape[2])
+            else:
+                # First execution of this dispatch shape in the job: run
+                # it live so one-off lazy setup (sub-comms, windows,
+                # caches) lands in the live job exactly as it would with
+                # replay off.  Records are steady-state and apply from
+                # the second occurrence on.
+                self._warm.add((pend.op, sigs))
+                plan = None
+                if self.loop and not self._windows:
+                    window = self._first(lane, shape, sigs)
             if plan is None:
                 self.misses += 1
                 STATS["misses"] += 1
             else:
                 lane.applied, lane.plan = shape, plan
         if plan is None:
-            self._release(pend, "live", None)
+            self._release(pend, "live", window)
             return
         self.hits += 1
         STATS["hits"] += 1
         if self.verify:
-            self._release(
-                pend, "measure", _VerifyState(self, plan.rec, pend.op)
-            )
+            rec, contexts = plan.rec, self.job.contexts
+            self._release(pend, "live", self._open(
+                lambda live, _reason: _compare(pend.op, rec, live, contexts)
+            ))
         else:
             self._apply(plan, pend.arrivals)
 
@@ -705,20 +831,62 @@ class ReplaySession:
         return replay_key(self.prefix, op, sigs, (0,) * self.world_size,
                           order)
 
+    def _plan(self, rec: _Record) -> _Plan:
+        plan = self._plans.get(rec)
+        if plan is None:
+            plan = self._plans[rec] = _Plan(rec, self.job.contexts)
+        return plan
+
+    def _open(self, sink) -> _Window:
+        """A window on the dispatch about to be released; *sink* gets
+        what it measured."""
+        def closed(rec: _Record, reason: str | None) -> None:
+            self._windows.remove(window)
+            sink(rec, reason)
+
+        window = _Window(self.job, closed)
+        self._windows.append(window)
+        return window
+
+    def _first(self, lane: _Lane, shape: tuple, sigs: tuple
+               ) -> _Window | None:
+        """Loop mode, the first aligned and quiescent occurrence of a
+        dispatch shape outside any window: the window that records it
+        where it runs and primes the lane with the record, so the second
+        occurrence is a hit without a key.  None when the record is
+        cached already (the lane takes it), or when this occurrence
+        cannot stand for the dispatch alone — a pocket then records it
+        at the next one."""
+        key = self._key(shape[0], sigs, shape[2])
+        rec = _CACHE.get(key, _MISSING)
+        if rec is not _MISSING:
+            if rec is not None:
+                lane.applied, lane.plan = shape, self._plan(rec)
+            return None
+        if not all(ctx.profile.enabled for ctx in self.job.contexts):
+            # A pocket's profiles are on: deltas here would miss a rank.
+            STATS["inplace_vetoes"]["profile_off"] += 1
+            return None
+        if self.engine._heap:
+            STATS["inplace_vetoes"]["trailing_work"] += 1
+            return None
+
+        def recorded(rec: _Record, reason: str | None) -> None:
+            if reason is not None:
+                STATS["inplace_vetoes"][reason] += 1
+                return
+            STATS["inplace_records"] += 1
+            _cache_put(key, rec)
+            lane.applied, lane.plan = shape, self._plan(rec)
+
+        return self._open(recorded)
+
     def _lookup(self, pend: _Pending, sigs: tuple, order: tuple
                 ) -> _Plan | None:
-        """The full-key path, the only place a record is looked up or
-        made: the plan of the record this dispatch replays, or None when
+        """The full-key path of a shape that already ran live in this
+        job: the plan of the record this dispatch replays, or None when
         it runs live instead (a miss)."""
         wkey = (pend.op, sigs)
-        if wkey not in self._warm:
-            # First execution of this dispatch shape in the job: run it
-            # live so one-off lazy setup (sub-comms, windows, caches)
-            # lands in the live job exactly as it would with replay off.
-            # Records are steady-state and apply from the second
-            # occurrence on.
-            self._warm.add(wkey)
-            return None
         key = self._key(pend.op, sigs, order)
         rec = _CACHE.get(key, _MISSING)
         if rec is _MISSING:
@@ -729,9 +897,7 @@ class ReplaySession:
                 # only throw away.
                 return None
             rec = self._record(pend, sigs, key, order)
-        if rec is not None and rec not in self._plans:
-            self._plans[rec] = _Plan(rec, self.job.contexts)
-        plan = self._plans.get(rec)
+        plan = None if rec is None else self._plan(rec)
         if plan is None or not (self.loop or plan.uniform):
             self._unusable[wkey] = self._unusable.get(wkey, 0) + 1
             return None
@@ -773,10 +939,7 @@ class ReplaySession:
         from repro.mpi.runtime import MPIJob
         from repro.trace import Tracer
 
-        n = self.world_size
         op, rebuild = pend.op, pend.rebuild
-        exits: dict[int, tuple[float, Any]] = {}
-        park: dict[int, Event] = {}
 
         def program(mpi):
             comm = mpi.world
@@ -786,26 +949,14 @@ class ReplaySession:
                     return getattr(comm, op)(*call_arguments(sig))
             else:
                 issue = yield from rebuild(comm, op, *call_arguments(sig))
-            # Park; the recorder releases every rank for one run (True)
-            # or lets it exit (False).
+            # An aligned loop of the call, as in the live job; the host
+            # records the first run, or the second after a warm one.
+            yield from comm.align()
             while True:
-                ev = park[comm.rank] = Event(mpi.engine, "replay.pocket")
-                if not (yield ev):
+                yield from issue()
+                yield from comm.align()
+                if host.done:
                     return
-                result = yield from issue()
-                exits[comm.rank] = (mpi.engine.now, result)
-
-        def release(run: bool) -> None:
-            # Simultaneous release in the live arrival permutation — the
-            # entry state the live dispatch would replay from.  The
-            # engine then runs dry with every rank parked again, which
-            # its deadlock detector reports: the expected boundary.
-            for r in order:
-                park[r].succeed(run)
-            try:
-                pocket.engine.run()
-            except DeadlockError:
-                pass
 
         trace = (
             Tracer(detail=job.tracer.detail, compute=job.tracer.compute)
@@ -822,67 +973,13 @@ class ReplaySession:
                 seed=job.seed,
                 replay=False,
             )
-            try:
-                pocket.run()
-            except DeadlockError:
-                pass  # every rank parked after the rebuild
-            for _ in range(2):
-                if len(park) != n:
-                    break
-                # Quiescent baseline, read between engine runs so the
-                # event count is exact.
-                window = _Window(pocket)
-                events0 = pocket.engine.event_count
-                gates = pocket.gates
-                exits.clear()
-                STATS["pocket_runs"] += 1
-                release(True)
-                if len(exits) != n or pocket.gates == gates:
-                    break
-                # The run opened a setup gate (a first use allocating
-                # windows or splitting): it was the warm run, measure
-                # the next one.
+            host = pocket.replay = _PocketHost(pocket, op, order)
+            pocket.run()
         except Exception:
             if self.verify:
                 raise
-            _cache_put(key, None)
-            return None
-
-        if len(exits) != n:
-            _cache_put(key, None)
-            return None
-        t0_ticks = window.t0_ticks
-        d_ticks = tuple(
-            round(exits[r][0] * _INV_TICK) - t0_ticks for r in range(n)
-        )
-        results = [exits[r][1] for r in range(n)]
-        counters, per_pair, max_hops, spans, profiles = window.deltas()
-        # Counted from the release, as a live dispatch released from its
-        # park costs its n release events plus its own.
-        events = pocket.engine.event_count - events0
-        release(False)  # the ranks exit: nothing keeps the pocket alive
-
-        templates = None
-        if spans is not None:
-            templates = []
-            sids = set()
-            for r in spans:
-                tpl = dict(r)
-                sid = tpl.get("sid")
-                if sid is not None:
-                    if tpl.get("dur") is None:
-                        _cache_put(key, None)
-                        return None
-                    par = tpl.get("parent")
-                    if par is not None and par not in sids:
-                        _cache_put(key, None)
-                        return None
-                    sids.add(sid)
-                tpl["_tt"] = round(tpl.pop("t") * _INV_TICK) - t0_ticks
-                templates.append(tpl)
-
-        rec = _Record(d_ticks, results, counters, per_pair, max_hops,
-                      templates, events, tuple(exits), profiles)
+            host = None
+        rec = None if host is None else host.record
         _cache_put(key, rec)
         return rec
 
@@ -943,3 +1040,71 @@ class ReplaySession:
             else:
                 eng._seq += 1
                 heappush(heap, (time, eng._seq, ev))
+
+
+class _PocketHost:
+    """The replay layer of a pocket job (:meth:`ReplaySession._record`).
+
+    It parks the world dispatch of the recorded operation — the same
+    boundary the live job parks at, after anything its public call does
+    first — and, once every rank has parked, releases them in the live
+    arrival order into a :class:`_Window`.  Dispatches inside the window
+    (a hybrid call's own collectives) and every other call run
+    unparked, as with replay off.  A run vetoed as ``setup_gate`` was
+    warm, so the ranks loop for one more; any other veto leaves the
+    pocket without a record.
+    """
+
+    __slots__ = ("job", "op", "order", "parked", "window", "runs",
+                 "record", "done", "pending_icolls")
+
+    # What the job's result reads of a session.
+    hits = misses = events_saved = 0
+
+    def __init__(self, job, op: str, order: tuple):
+        self.job = job
+        self.op = op
+        self.order = order
+        self.parked: dict[int, Event] = {}
+        self.window: _Window | None = None
+        self.runs = 0
+        self.record: _Record | None = None
+        self.done = False
+        self.pending_icolls = 0
+
+    def run(self, comm, op: str, call, body, rebuild=None):
+        """Coroutine, :meth:`ReplaySession.run`'s counterpart."""
+        if (op != self.op or self.window is not None
+                or comm._shared is not self.job.contexts[0].world._shared):
+            result = yield from body
+            return result
+        eng = self.job.engine
+        if not self.parked:
+            eng.on_time_advance(self._release)
+        ev = self.parked[comm.rank] = Event(eng, "replay.pocket")
+        window = yield ev
+        t0 = eng.now
+        result = yield from body
+        window.report(comm.rank, round((eng.now - t0) * _INV_TICK), result)
+        return result
+
+    def _release(self) -> None:
+        parked, self.parked = self.parked, {}
+        if len(parked) != len(self.order) or self.job.engine._heap:
+            raise SimulationError(
+                f"replay pocket for {self.op!r}: the ranks did not park "
+                "together at a quiescent instant"
+            )
+        self.runs += 1
+        STATS["pocket_runs"] += 1
+        window = self.window = _Window(self.job, self._closed)
+        for r in self.order:
+            parked[r].succeed(window)
+
+    def _closed(self, rec: _Record, reason: str | None) -> None:
+        self.window = None
+        if reason == "setup_gate" and self.runs == 1:
+            return  # a warm run: measure the next one
+        self.done = True
+        if reason is None:
+            self.record = rec

@@ -194,8 +194,8 @@ class JobResult:
     placement: Placement | None = None
     profiles: list[CommProfile] = field(default_factory=list)
     #: Replay-cache activity (zero when replay is off): cache hits,
-    #: misses (pocket recordings), and engine events not simulated
-    #: because a record was applied instead.
+    #: misses (run live, recorded or not), and engine events not
+    #: simulated because a record was applied instead.
     replay_hits: int = 0
     replay_misses: int = 0
     replay_events_saved: int = 0
@@ -300,7 +300,7 @@ class MPIJob:
         self._comm_ids = 0
         #: Arrivals at rendezvous gates so far (``Comm._gate``: split,
         #: dup, shared-window allocation) — one-off setup, which is how
-        #: a replay pocket tells a warm run from a steady-state one.
+        #: replay recording tells a warm run from a steady-state one.
         self.gates = 0
         # Replay: None defers to the environment (REPRO_REPLAY, with
         # "loop" selecting loop mode; REPRO_REPLAY_VERIFY implies replay

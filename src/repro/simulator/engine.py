@@ -574,7 +574,9 @@ class Engine:
         self._pause_pool: list[Event] = []
         self._seq = 0
         self._live_processes: set[Process] = set()
-        self._unhandled: list[tuple[Process, BaseException]] = []
+        #: Crashed processes ``(process, exception)`` and
+        #: :meth:`after_entry` hooks ``(None, fn)``, in arrival order.
+        self._unhandled: list[tuple[Process | None, Any]] = []
         self._event_count = 0
         #: Cancelled-but-still-heap-resident entries (lazy deletion).
         self._cancelled = 0
@@ -711,6 +713,42 @@ class Engine:
         """
         self._advance_hooks.append(fn)
 
+    def after_entry(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` once, right after the entry being processed.
+
+        :attr:`event_count` is exact there (it includes that entry), and
+        the call is not an entry itself — it runs between two entries,
+        before anything the current one scheduled.  The replay layer
+        reads a dispatch's event count this way at the entry in which
+        its last rank exits.  The hook rides on the run loop's per-entry
+        test for a crashed process, so scheduling stays free of it;
+        called between runs, it fires after the next entry.
+
+        >>> eng = Engine()
+        >>> seen = []
+        >>> eng.call_later(1.0, lambda: eng.after_entry(
+        ...     lambda: seen.append(eng.event_count)))
+        >>> eng.call_later(2.0, lambda: None)
+        >>> eng.run()
+        >>> seen, eng.event_count
+        ([1], 2)
+        """
+        self._unhandled.append((None, fn))
+
+    def _after_entry(self) -> None:
+        # The run loop's per-entry ``unhandled`` test lands here: run the
+        # after-entry hooks in order, or report a crashed process exactly
+        # as before (the crash stays first in the list).
+        unhandled = self._unhandled
+        while unhandled:
+            proc, what = unhandled[0]
+            if proc is not None:
+                raise SimulationError(
+                    f"unhandled exception in process {proc.name!r}"
+                ) from what
+            del unhandled[0]
+            what()
+
     def _run_advance_hooks(self) -> None:
         hooks = self._advance_hooks
         todo = list(hooks)
@@ -773,10 +811,7 @@ class Engine:
         else:
             item()
         if self._unhandled:
-            proc, exc = self._unhandled[0]
-            raise SimulationError(
-                f"unhandled exception in process {proc.name!r}"
-            ) from exc
+            self._after_entry()
 
     def run(self, until: float | None = None) -> None:
         """Run until the event queue drains (or virtual time *until*).
@@ -886,10 +921,11 @@ class Engine:
                 else:
                     item()
                 if unhandled:
-                    proc, exc = unhandled[0]
-                    raise SimulationError(
-                        f"unhandled exception in process {proc.name!r}"
-                    ) from exc
+                    # A crashed process, or an :meth:`after_entry` hook,
+                    # which reads an exact ``event_count``.
+                    self._event_count += count
+                    count = 0
+                    self._after_entry()
             if until is not None:
                 self.now = until
         finally:

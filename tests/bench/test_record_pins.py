@@ -1,16 +1,20 @@
 """Replay records pinned to literals, one per collective and machine.
 
-A record is what a pocket simulation measured for one dispatch shape —
+A record is what one measured run of a dispatch shape produced —
 per-rank tick durations, exit order, counter and traffic increments,
-profile increments, results and span templates.  Every later hit of the
-shape applies it instead of simulating, so a record that drifts moves
-virtual time everywhere it is replayed.  ``record_pins.json`` holds, per
-case of ``test_replay_all_ops.py`` (each registered op, ``hy_allreduce``
-and the FlagSync hybrid allgather) on a flat and a two-socket
-``hazel_hen``, the single record a 3-repetition ``replay="loop"`` job
-makes; templates are pinned as the SHA-256 of their shift-normalized
-form.  How a pocket reaches its steady state may change, the record it
-measures may not.
+profile increments, results, span templates and engine events.  Every
+later hit of the shape applies it instead of simulating, so a record
+that drifts moves virtual time everywhere it is replayed.
+``record_pins.json`` holds, per case of ``test_replay_all_ops.py`` (each
+registered op, ``hy_allreduce`` and the FlagSync hybrid allgather) on a
+flat and a two-socket ``hazel_hen``, the single record a 3-repetition
+job makes; templates are pinned as the SHA-256 of their shift-normalized
+form.  The record has two sources that must agree: ``replay="loop"``
+measures the first aligned occurrence where it runs (``hy_allreduce``
+still pockets: its first call opens a setup gate), default mode
+(``replay=True``) measures a pocket at the second occurrence, under the
+same key.  How either reaches its steady state may change, the record
+it measures may not.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ CASES = all_ops.CASES + [FLAG_SYNC]
 IDS = [f"{case}-{machine}" for case in CASES for machine in MACHINES]
 
 
-def _run(case: str, machine: str) -> None:
+def _run(case: str, machine: str, replay) -> None:
     if case == FLAG_SYNC:
         from repro.bench.osu import hybrid_allgather_program
         from repro.core import FlagSync
@@ -51,17 +55,29 @@ def _run(case: str, machine: str) -> None:
     run_program(
         MACHINES[machine](all_ops.NODES), None, program,
         placement=Placement.block(all_ops.NODES, all_ops.PPN),
-        payload="cost-only", trace="phase", replay="loop",
+        payload="cost-only", trace="phase", replay=replay,
         program_kwargs=kwargs,
     )
 
 
-def observe(case_id: str) -> dict:
-    """Everything ``record_pins.json`` pins, for one case."""
+def record(case_id: str, replay="loop") -> replaylib._Record:
+    """The one record a job of *case_id* makes, and check where it was
+    measured: in place in loop mode, else in a pocket."""
     case, machine = case_id.rsplit("-", 1)
     replaylib.clear_cache()
-    _run(case, machine)
+    before = replaylib.cache_stats()
+    _run(case, machine, replay)
+    after = replaylib.cache_stats()
     (rec,) = replaylib._CACHE.values()
+    in_place = replay == "loop" and not case.startswith("hy_allreduce")
+    assert after["inplace_records"] - before["inplace_records"] == in_place
+    assert (after["pocket_runs"] > before["pocket_runs"]) != in_place
+    return rec
+
+
+def observe(case_id: str, replay="loop") -> dict:
+    """Everything ``record_pins.json`` pins, for one case."""
+    rec = record(case_id, replay)
     observed = {
         "d_ticks": rec.d_ticks,
         "exit_order": rec.exit_order,
@@ -89,3 +105,22 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case_id", IDS)
 def test_record_is_pinned(case_id):
     assert observe(case_id) == PINS[case_id]
+
+
+@pytest.mark.parametrize("case_id", IDS)
+def test_pocket_record_is_pinned(case_id):
+    """Default mode records every shape in a pocket, under the key loop
+    mode uses (the job prefix carries no mode): the same pins hold."""
+    assert observe(case_id, replay=True) == PINS[case_id]
+
+
+@pytest.mark.parametrize("case_id", IDS)
+def test_in_place_and_pocket_records_are_equal(case_id):
+    """Field for field; span ids are the measuring tracer's own, so
+    templates compare in their shift-normalized form."""
+    in_place, pocket = record(case_id), record(case_id, replay=True)
+    for field in replaylib._Record.__slots__:
+        a, b = getattr(in_place, field), getattr(pocket, field)
+        if field == "templates":
+            a, b = replaylib._normalize(a), replaylib._normalize(b)
+        assert a == b, field

@@ -120,13 +120,22 @@ def test_replay_bit_identical(op):
     on = _run(op, replay="loop")
     after = replaylib.cache_stats()
     assert on.replay_hits > 0
-    # A pocket measures its first run unless that run opened a setup
-    # gate — only hy_allreduce does: it allocates scratch windows on
-    # first use.
+    # The first aligned occurrence is the record, measured where it
+    # runs — unless that run opened a setup gate.  Only hy_allreduce
+    # does (it allocates scratch windows on first use), so its record
+    # comes from a pocket at the second occurrence, which runs the warm
+    # call once more before the measured one.
     assert after["records"] - before["records"] == 1
-    assert after["pocket_runs"] - before["pocket_runs"] == (
-        2 if op == "hy_allreduce" else 1
-    )
+    in_place = after["inplace_records"] - before["inplace_records"]
+    vetoes = {reason: n - before["inplace_vetoes"][reason]
+              for reason, n in after["inplace_vetoes"].items()}
+    pocket_runs = after["pocket_runs"] - before["pocket_runs"]
+    if op == "hy_allreduce":
+        assert (in_place, pocket_runs) == (0, 2)
+        assert vetoes == dict.fromkeys(vetoes, 0) | {"setup_gate": 1}
+    else:
+        assert (in_place, pocket_runs) == (1, 0)
+        assert vetoes == dict.fromkeys(vetoes, 0)
     assert on.returns == off.returns
     assert on.finish_times == off.finish_times
     assert on.elapsed == off.elapsed
@@ -200,6 +209,9 @@ def _broken_recipe(comm, op, sd, *args):
     yield  # pragma: no cover - keeps this a coroutine
 
 
+# hy_allreduce still records in a pocket: its first occurrence opens a
+# setup gate, so it cannot be recorded where it runs.
+
 def test_a_raising_pocket_surfaces_under_verify(monkeypatch):
     from repro.core import hierarchy
     from repro.simulator.engine import SimulationError
@@ -207,7 +219,7 @@ def test_a_raising_pocket_surfaces_under_verify(monkeypatch):
     monkeypatch.setattr(hierarchy, "_reissue", _broken_recipe)
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
     with pytest.raises(SimulationError) as info:
-        _run("hy_bcast", "loop")
+        _run("hy_allreduce", "loop")
     assert "cannot rebuild" in str(info.value.__cause__)
 
 
@@ -217,9 +229,9 @@ def test_a_raising_pocket_falls_through_to_live(monkeypatch):
     from repro.core import hierarchy
 
     monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
-    off = _run("hy_bcast", replay=False)
+    off = _run("hy_allreduce", replay=False)
     monkeypatch.setattr(hierarchy, "_reissue", _broken_recipe)
-    on = _run("hy_bcast", "loop")
+    on = _run("hy_allreduce", "loop")
     assert on.replay_hits == 0 and on.replay_misses > 0
     assert on.returns == off.returns
     assert on.finish_times == off.finish_times

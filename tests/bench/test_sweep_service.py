@@ -126,7 +126,13 @@ def test_stats_counts_requests(service):
     assert doc["requests"] == 3
     assert doc["errors"] == 1
     assert doc["cache"]["entries"] == 0
-    assert {"records", "pocket_runs"} <= doc["replay"].keys()
+    assert {"records", "pocket_runs", "inplace_records"} <= (
+        doc["replay"].keys()
+    )
+    assert list(doc["replay"]["inplace_vetoes"]) == [
+        "profile_off", "trailing_work", "not_aligned", "setup_gate",
+        "nested",
+    ]
 
 
 def test_http_round_trip(tmp_path):
