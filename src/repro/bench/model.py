@@ -193,23 +193,14 @@ def run_sweep(ranks=SWEEP_RANKS, sizes=SWEEP_SIZES,
     return out
 
 
-def _parse_point(label: str, key: str) -> tuple[list[int], int, str]:
-    """(per-node counts, nbytes, variant) of one BENCH point key."""
-    shape, el, variant = key.split("/")
-    nbytes = int(el[:-2]) * 8
-    if shape.startswith("n"):
-        nodes, ppn = shape[1:].split("x")
-        counts = [int(ppn)] * int(nodes)
-    elif shape.startswith("r"):
-        # Fig 10 population: full 24-rank nodes + one 16-rank node.
-        ranks = int(shape[1:])
-        full, rem = divmod(ranks - 16, 24)
-        if rem:
-            raise ValueError(f"unrecognized fig10 shape {shape!r}")
-        counts = [24] * full + [16]
-    else:
-        raise ValueError(f"unrecognized point key {key!r}")
-    return counts, nbytes, variant
+def _figure_point(label: str, key: str) -> "sweeplib.SweepPoint":
+    """The sweep point a committed BENCH key names, looked up in the
+    grid that named it: the full figure grid, then the quick one."""
+    for quick in (False, True):
+        for name, point in sweeplib.figure_points(label, quick):
+            if name == key:
+                return point
+    raise ValueError(f"unrecognized {label} point key {key!r}")
 
 
 def run_report(bench_dir: str = ".",
@@ -224,21 +215,20 @@ def run_report(bench_dir: str = ".",
             continue
         with open(path) as fh:
             bench = json.load(fh)
-        for key, point in bench.get("points", {}).items():
-            counts, nbytes, variant = _parse_point(label, key)
-            spec = hazel_hen(len(counts))
-            model = CostModel(spec, counts,
+        for key, rec in bench.get("points", {}).items():
+            point = _figure_point(label, key)
+            spec = point.spec()
+            model = CostModel(spec, list(point.counts),
                               tuning=tuning_for_machine(spec.name))
-            irregular = len(set(counts)) > 1
-            if variant == "hybrid":
+            op = point.resolved_op
+            if op == "hy_allgather":
                 # The OSU hybrid program dispatches shared_window.
-                model_s = model.predict("hy_allgather", "shared_window",
-                                        nbytes)
+                algo = "shared_window"
             else:
-                op = "allgatherv" if irregular else "allgather"
-                algo = _table_pure_algo(model, irregular, nbytes)
-                model_s = model.predict(op, algo, nbytes)
-            bench_s = point["latency_us"] / 1e6
+                algo = _table_pure_algo(model, point.is_irregular,
+                                        point.nbytes)
+            model_s = model.predict(op, algo, point.nbytes)
+            bench_s = rec["latency_us"] / 1e6
             div = (abs(model_s - bench_s) / bench_s
                    if bench_s > 0 else math.inf)
             divs.append(div)

@@ -24,11 +24,11 @@ changed*.  This module provides the three pieces that exploit that:
   counters (renderable via :func:`repro.metrics.sweep_metrics`).
 
 ``bench/figures.py`` (Fig 7/9/10 + scaling/transport extensions),
-``bench/perf.py`` (the tracked wall-clock harness and the committed
-``BENCH_*.json``) and ``bench/model.py`` (the analytic sweeps) all
-execute their points through this module, so they share one cache
-format and one execution path.  The JSON-over-HTTP service mode lives
-in :mod:`repro.bench.service`; the user guide is ``docs/sweeps.md``.
+``repro-sweep run --figure`` (the committed ``BENCH_fig7/9/10.json``)
+and ``bench/model.py`` (the analytic sweeps) all execute their points
+through this module, so they share one cache format and one execution
+path.  The JSON-over-HTTP service mode lives in
+:mod:`repro.bench.service`; the user guide is ``docs/sweeps.md``.
 
 Determinism guarantee: the simulator's virtual-time results are
 independent of wall-clock, scheduling, and process boundaries, so a
@@ -108,16 +108,6 @@ CACHE_ENV = "REPRO_SWEEP_CACHE"
 #: long before executing — used by the timeout/retry tests to make a
 #: point predictably slow.  Never set this outside tests.
 TEST_DELAY_ENV = "REPRO_SWEEP_TEST_DELAY"
-
-#: Replay-cache mode for latency-workload simulator points.  The OSU
-#: latency loop is align-disciplined, so loop mode is sound and virtual
-#: time is bit-identical either way; harnesses that need an honest
-#: replay-off wall-clock (``repro-perf --replay``) patch this to
-#: ``False`` for the baseline leg, in the ``osu.DEFAULT_REPS`` style.
-#: Not part of :func:`cache_key` precisely because results are
-#: bit-identical.
-REPLAY_MODE: bool | str = "loop"
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -649,7 +639,7 @@ def _run_sim_point(point: SweepPoint) -> dict:
         placement=point.placement(),
         payload=point.payload,
         policy=policy,
-        replay=REPLAY_MODE if point.workload == "latency" else False,
+        replay="loop" if point.workload == "latency" else False,
         program_kwargs=kwargs,
     )
     wall = time.perf_counter() - t0
@@ -731,9 +721,7 @@ def _run_model_point(point: SweepPoint) -> dict:
 def store_record(cache: ResultCache, point: SweepPoint,
                  record: dict) -> str:
     """Store a computed *record* for *point* under its content address;
-    returns the cache key.  Used by every producer of point results —
-    the orchestrator itself and ``repro-perf`` (which always computes,
-    for honest wall-clocks, but warms the shared cache on the way)."""
+    returns the cache key."""
     key = cache_key(point)
     cache.put(key, {
         "key": key,
@@ -862,11 +850,9 @@ def expand_spec(spec: dict) -> list[SweepPoint]:
 
 def figure_points(label: str,
                   quick: bool = False) -> list[tuple[str, SweepPoint]]:
-    """The canonical Fig 7/9/10 point lists — the single source of
-    truth shared by ``repro-perf`` (which wall-clocks them into
-    ``BENCH_<label>.json``) and ``repro-sweep run --figure`` (which
-    answers them through the cache).  Names match the committed BENCH
-    point keys.
+    """The canonical Fig 7/9/10 point lists, run by ``repro-sweep run
+    --figure`` and pinned by the committed ``BENCH_<label>.json``
+    (``--check-bench``).  Names match the committed BENCH point keys.
 
     >>> [name for name, _ in figure_points("fig7")][:2]
     ['n1x24/1el/hybrid', 'n1x24/1el/pure']

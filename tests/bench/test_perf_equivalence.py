@@ -37,7 +37,7 @@ with open(os.path.join(HERE, "miniature_pins.json"), encoding="utf-8") as _fh:
     PINS = json.load(_fh)
 
 # id -> (nodes-spec, placement, elements, variant, program options) —
-# miniatures of the repro-perf configs (docs/performance.md).
+# miniatures of the Fig 7/9/10 figure configs (`sweep.figure_points`).
 CONFIGS = {
     "fig7-hybrid": (1, Placement.block(1, 8), 64, "hybrid", {}),
     "fig7-pure": (1, Placement.block(1, 8), 64, "pure", {}),

@@ -28,7 +28,7 @@ from repro.mpi.collectives import replay as replaylib
 REPS = 6
 
 # (id, nodes, placement, elements, variant, program options) —
-# miniatures of the repro-perf Fig 7/9/10 configs.
+# miniatures of the Fig 7/9/10 figure configs (`sweep.figure_points`).
 CONFIGS = [
     ("fig7-pure", 1, Placement.block(1, 8), 64, "pure", {}),
     ("fig7-hybrid", 1, Placement.block(1, 8), 64, "hybrid", {}),
@@ -206,7 +206,7 @@ def test_sweep_disables_replay_for_overlap(monkeypatch):
     )
     sweeplib._run_sim_point(sweeplib.SweepPoint(**base))
     assert seen["hybrid"] is False          # overlap point
-    assert seen["?"] == sweeplib.REPLAY_MODE  # latency point
+    assert seen["?"] == "loop"              # latency point
 
 
 def test_nonblocking_program_never_replays():

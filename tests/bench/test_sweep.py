@@ -355,24 +355,40 @@ def test_duplicate_point_names_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Perf-harness and BENCH integration
+# BENCH integration
 # ---------------------------------------------------------------------------
 
-def test_perf_harness_warms_the_sweep_cache(cache):
-    from repro.bench.perf import run_perf
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
-    doc = run_perf("fig7", progress=False, cache=cache)
-    assert cache.puts == len(doc["points"])
-    # The sweep path must now answer fig7 entirely from cache, with
-    # identical virtual-time numbers.
-    points = figure_points("fig7")
-    report = run_sweep([p for _n, p in points], cache=cache)
-    assert report["counters"]["hits"] == len(points)
-    for name, _p in points:
-        assert report["points"][name]["latency_us"] == \
-            doc["points"][name]["latency_us"]
-        assert report["points"][name]["events"] == \
-            doc["points"][name]["events"]
+
+def test_committed_fig7_pins_are_live():
+    """The committed BENCH_fig7.json is what the code produces now."""
+    from repro.bench.sweep import check_against_bench
+
+    report = run_sweep([p for _n, p in figure_points("fig7")])
+    assert check_against_bench(report, "fig7", ROOT) == []
+
+
+@pytest.mark.parametrize("label", ["fig7", "fig9", "fig10"])
+def test_committed_bench_points_pin_only_virtual_time(label):
+    with open(os.path.join(ROOT, f"BENCH_{label}.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert {name for name, _p in figure_points(label)} == set(doc["points"])
+    for name, rec in doc["points"].items():
+        assert set(rec) == {"latency_us", "events"}, name
+
+
+def test_model_report_finds_each_committed_point_in_its_grid():
+    from repro.bench.model import _figure_point, run_report
+
+    report = run_report(bench_dir=ROOT)
+    assert report["missing"] == [] and len(report["points"]) == 18
+    # A quick-grid name resolves too; a name no grid made does not.
+    assert _figure_point("fig9", "n4x12/512el/pure").counts == (12,) * 4
+    with pytest.raises(ValueError):
+        _figure_point("fig10", "r1000/1el/pure")
 
 
 def test_check_against_bench(tmp_path, cache):
