@@ -53,9 +53,11 @@ def osu_latency_program(mpi, op: Callable, reps: int | None = None,
                         warmup: int | None = None):
     """Rank program: time ``op(mpi)`` with the OSU protocol.
 
-    *op* is a coroutine function taking the rank context.  Returns the
-    mean per-operation latency on this rank.  ``reps``/``warmup`` default
-    to :data:`DEFAULT_REPS`/:data:`DEFAULT_WARMUP` at call time.
+    *op* takes the rank context and returns the coroutine to drive (the
+    programs below return the collective's own, so no wrapper frame
+    sits on its resumes).  Returns the mean per-operation latency on
+    this rank.  ``reps``/``warmup`` default to
+    :data:`DEFAULT_REPS`/:data:`DEFAULT_WARMUP` at call time.
     """
     if reps is None:
         reps = DEFAULT_REPS
@@ -91,7 +93,7 @@ def hybrid_allgather_program(mpi, nbytes_per_rank: int,
     buf = yield from ctx.allgather_buffer(nbytes_per_rank)
 
     def op(_mpi):
-        yield from ctx.allgather(
+        return ctx.allgather(
             buf, pipelined=pipelined, chunk_bytes=chunk_bytes,
             pack_datatypes=pack_datatypes,
         )
@@ -111,11 +113,10 @@ def pure_allgather_program(mpi, nbytes_per_rank: int,
         else Bytes(nbytes_per_rank)
     )
 
+    collective = mpi.world.allgatherv if irregular else mpi.world.allgather
+
     def op(_mpi):
-        if irregular:
-            yield from mpi.world.allgatherv(payload)
-        else:
-            yield from mpi.world.allgather(payload)
+        return collective(payload)
 
     latency = yield from osu_latency_program(mpi, op, reps, warmup)
     return latency

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.allgather import hy_allgather
+from repro.core.bcast import hy_bcast
 from repro.core.placement import NodeSortedLayout
+from repro.core.reduce import hy_allreduce
 from repro.core.shared_buffer import SharedBuffer
 from repro.core.sync import BarrierSync, SyncPolicy, sync_from_signature
 from repro.mpi.collectives.replay import sync_signature
-from repro.mpi.constants import UNDEFINED
+from repro.mpi.constants import UNDEFINED, ReduceOp
 from repro.mpi.shm import win_allocate_shared
 
 __all__ = ["HybridContext"]
@@ -237,10 +240,11 @@ class HybridContext:
         return buf
 
     # -- collective operations (delegates) --------------------------------------
-    def _replayed(self, op: str, gen, sync, *call):
-        """Route hybrid collective *gen* through the job's replay
-        session; with replay off *gen* is returned as is and nothing is
-        encoded.
+    def _replayed(self, op: str, fn, args: tuple, sync, *call):
+        """Route hybrid collective ``fn(*args)`` through the job's replay
+        session, which builds that body only where the dispatch runs
+        live; with replay off the body is built and returned as is, and
+        nothing is encoded.
 
         *call* is the public call's positional arguments as a pocket
         simulation re-issues them (see :func:`_reissue`): each shared
@@ -251,13 +255,14 @@ class HybridContext:
         non-blocking counter instead)."""
         sess = self.comm.ctx.job.replay
         if sess is None:
-            return gen
+            return fn(*args)
         sync = sync or self.default_sync
         if self._sync_sig[0] is not sync:
             self._sync_sig = (sync, sync_signature(sync))
         sd = self._sync_sig[1]
         return sess.run(
-            self.comm, op, None if sd is None else (sd, *call), gen, _reissue
+            self.comm, op, None if sd is None else (sd, *call), fn, args,
+            _reissue,
         )
 
     def allgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
@@ -268,14 +273,9 @@ class HybridContext:
 
         ``pipelined=True`` forces the chunked bridge exchange; ``None``
         (default) lets the rank's selection policy pick the variant."""
-        from repro.core.allgather import hy_allgather
-
         yield from self._replayed(
-            "hy_allgather",
-            hy_allgather(
-                self, buf, sync=sync, pipelined=pipelined,
-                chunk_bytes=chunk_bytes, pack_datatypes=pack_datatypes,
-            ),
+            "hy_allgather", hy_allgather,
+            (self, buf, sync, pipelined, chunk_bytes, pack_datatypes),
             sync, buf.slot_sizes, None, pipelined, chunk_bytes,
             pack_datatypes,
         )
@@ -283,29 +283,24 @@ class HybridContext:
     def bcast(self, buf: SharedBuffer, root: int = 0,
               sync: SyncPolicy | None = None):
         """Coroutine: hybrid broadcast over *buf* (paper Fig 6)."""
-        from repro.core.bcast import hy_bcast
-
         yield from self._replayed(
-            "hy_bcast", hy_bcast(self, buf, root=root, sync=sync),
+            "hy_bcast", hy_bcast, (self, buf, root, sync),
             sync, buf.slot_sizes, root, None,
         )
 
     def allreduce(self, contribution, nbytes: int,
                   op=None, sync: SyncPolicy | None = None):
         """Coroutine: hybrid allreduce extension; returns result payload."""
-        from repro.core.reduce import hy_allreduce
-        from repro.mpi.constants import ReduceOp
-
         rop = op or ReduceOp.SUM
         result = yield from self._replayed(
-            "hy_allreduce",
-            hy_allreduce(self, contribution, nbytes, rop, sync=sync),
+            "hy_allreduce", hy_allreduce,
+            (self, contribution, nbytes, rop, sync),
             sync, contribution, int(nbytes), rop, None,
         )
         return result
 
     # -- immediate (non-blocking) variants ---------------------------------
-    def _ihy(self, op: str, nbytes: int, gen):
+    def _ihy(self, op: str, nbytes: int, fn, args: tuple):
         """Post a hybrid collective as a background process.
 
         The returned :class:`~repro.mpi.nonblocking.CollRequest`
@@ -318,7 +313,7 @@ class HybridContext:
         from repro.mpi.nonblocking import spawn_collective
 
         comm = self.comm
-        return spawn_collective(comm, op, comm._timed(op, nbytes, gen))
+        return spawn_collective(comm, op, comm._timed(op, nbytes, fn, args))
 
     def iallgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
                    pipelined: bool | None = None,
@@ -326,14 +321,9 @@ class HybridContext:
                    pack_datatypes: bool = False):
         """Immediate hybrid allgather; wait on the returned request
         before reading ``buf.node_view()``."""
-        from repro.core.allgather import hy_allgather
-
         return self._ihy(
-            "hy_iallgather", buf.total_nbytes,
-            hy_allgather(
-                self, buf, sync=sync, pipelined=pipelined,
-                chunk_bytes=chunk_bytes, pack_datatypes=pack_datatypes,
-            ),
+            "hy_iallgather", buf.total_nbytes, hy_allgather,
+            (self, buf, sync, pipelined, chunk_bytes, pack_datatypes),
         )
 
     def ibcast(self, buf: SharedBuffer, root: int = 0,
@@ -341,25 +331,17 @@ class HybridContext:
         """Immediate hybrid broadcast (the root must have stored its
         message into ``buf`` *before* posting); wait on the returned
         request before reading ``buf.node_view()``."""
-        from repro.core.bcast import hy_bcast
-
         return self._ihy(
-            "hy_ibcast", buf.total_nbytes,
-            hy_bcast(self, buf, root=root, sync=sync),
+            "hy_ibcast", buf.total_nbytes, hy_bcast, (self, buf, root, sync),
         )
 
     def iallreduce(self, contribution, nbytes: int,
                    op=None, sync: SyncPolicy | None = None):
         """Immediate hybrid allreduce; the request's value is the result
         payload."""
-        from repro.core.reduce import hy_allreduce
-        from repro.mpi.constants import ReduceOp
-
         return self._ihy(
-            "hy_iallreduce", nbytes,
-            hy_allreduce(
-                self, contribution, nbytes, op or ReduceOp.SUM, sync=sync
-            ),
+            "hy_iallreduce", nbytes, hy_allreduce,
+            (self, contribution, nbytes, op or ReduceOp.SUM, sync),
         )
 
     def __repr__(self) -> str:

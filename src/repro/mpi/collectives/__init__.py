@@ -84,35 +84,28 @@ def run_allgather(comm, payload: Any, tag: int):
     return result.as_list(comm.size)
 
 
-def _agree_total(comm, nbytes: int, tag: int):
-    """Coroutine: total result size of an irregular collective.
+def _sum_of(values: dict[int, int]) -> int:
+    """Reducer of the size-agreement gate: the summed per-rank sizes.
 
-    Models the fact that ``MPI_Allgatherv`` callers pass the full
-    recvcounts array on every rank — the size knowledge is an argument,
-    not something communicated; the gate costs zero virtual time.  The
-    gate is keyed by the collective's issue-time tag so concurrent
-    non-blocking collectives can never cross-match."""
-    results = yield comm._shared.arrive(
-        ("agv_total", tag), comm.rank, int(nbytes),
-        lambda values: dict.fromkeys(values, sum(values.values())),
-    )
-    return results[comm.rank]
+    The gate models the fact that ``MPI_Allgatherv`` callers pass the
+    full recvcounts array on every rank — the size knowledge is an
+    argument, not something communicated; the gate costs zero virtual
+    time.  :meth:`Comm.allgatherv` and :meth:`Comm.iallgatherv` yield it
+    as one shared event keyed by the collective's issue-time tag, so
+    concurrent non-blocking collectives can never cross-match."""
+    return sum(values.values())
 
 
-def run_allgatherv(comm, payload: Any, tag: int,
-                        total: int | None = None):
+def run_allgatherv(comm, payload: Any, tag: int, total: int):
     """Irregular allgather; returns the per-rank payload list.
 
-    *total* is the agreed full result size; when None (direct callers)
-    the size-agreement gate runs here.  :meth:`Comm.allgatherv` runs the
-    gate itself so the profiler can charge the actual summed bytes, and
-    passes the result through."""
+    *total* is the agreed full result size: the caller runs the
+    size-agreement gate (see :func:`_sum_of`) so the profiler can charge
+    the actual summed bytes."""
     yield from _overhead(comm)
     yield from _vector_overhead(comm, comm.size)
     if comm.size == 1:
         return [payload]
-    if total is None:
-        total = yield from _agree_total(comm, nbytes_of(payload), tag)
     algo, span = _select(
         comm, CollRequest(op="allgatherv", nbytes=nbytes_of(payload),
                           total=total)

@@ -78,6 +78,17 @@ record of the last decision without building a key.  The key stays the
 only way a record is first found or made, and every check below still
 runs per dispatch (``docs/performance.md``, "Keying").
 
+Bodies — built on the live branch only
+--------------------------------------
+A dispatch reaches :meth:`ReplaySession.run` as a recipe, ``make(*args)``
+— :meth:`Comm._timed` over the ``run_*`` function, or a ``hy_*``
+function and its arguments — never as a built coroutine.  The session
+builds the body only where the dispatch runs live (released, late, on a
+communicator without a lane, in a pocket), so a hit builds no body: per
+rank it runs the call's entry, its park and wake, and its align.
+``Comm._timed`` stays the one profiler; what a hit adds to a profile is
+its record's increments, bound once per plan.
+
 Safety — quiescence and fall-through
 ------------------------------------
 Replay is gated by a quiescence predicate evaluated when all ranks have
@@ -89,6 +100,10 @@ Anything else — ranks arriving at different timesteps, non-replayable
 payloads (real ndarrays), permuted communicators, unknown sync policies
 — falls through to normal execution, released *at the entry timestep*,
 so misses are unconditionally undistorted.
+
+Each decided dispatch is counted once (:func:`cache_stats`): a hit —
+``lane_hits`` of them taken by the lane — or a live run by reason,
+``live`` (:data:`LIVE_REASONS`); the last two reasons are the misses.
 
 ``REPRO_REPLAY_VERIFY=1`` executes every hit live, measures it with the
 window that records, and compares the two records whole — ``events``
@@ -158,16 +173,27 @@ _UNUSABLE_LIMIT = 3
 VETOES = ("profile_off", "trailing_work", "not_aligned", "setup_gate",
           "nested")
 
-#: Process-lifetime counters (exposed by the sweep service ``/stats``).
+#: Why a decided world dispatch ran live instead of replaying (see
+#: :meth:`ReplaySession._decide`): ranks entered at different timesteps;
+#: something was in flight; a rank's call had no signature; the shape's
+#: first occurrence in the job; no record this mode can apply.  The last
+#: two are the misses.
+LIVE_REASONS = ("staggered", "not_quiescent", "unsigned",
+                "first_occurrence", "no_record")
+
+#: Process-lifetime counters (exposed by the sweep service ``/stats``),
+#: once per dispatch: every decided dispatch is a hit (``lane_hits`` of
+#: them taken without building a key) or runs live for one reason.
 STATS = {"hits": 0, "misses": 0, "records": 0, "evictions": 0,
          "unreplayable": 0, "pocket_runs": 0, "inplace_records": 0,
-         "inplace_vetoes": dict.fromkeys(VETOES, 0)}
+         "inplace_vetoes": dict.fromkeys(VETOES, 0), "lane_hits": 0,
+         "live": dict.fromkeys(LIVE_REASONS, 0)}
 
 
 def cache_stats() -> dict:
     """Snapshot of the process-global replay cache counters."""
     return dict(STATS, inplace_vetoes=dict(STATS["inplace_vetoes"]),
-                entries=len(_CACHE))
+                live=dict(STATS["live"]), entries=len(_CACHE))
 
 
 def clear_cache() -> None:
@@ -617,7 +643,7 @@ class _Plan:
     re-derive on every hit.  Holds the record, so a plan table keyed by
     record cannot alias an evicted one."""
 
-    __slots__ = ("rec", "uniform", "wakes", "profiles")
+    __slots__ = ("rec", "uniform", "wakes", "profiles", "unbound")
 
     def __init__(self, rec: _Record, contexts):
         self.rec = rec
@@ -631,12 +657,30 @@ class _Plan:
              else ("done", rec.results[r]))
             for r in rec.exit_order
         ]
-        #: ``[profile, increments, bound]`` per rank; *bound* pairs them
-        #: with ``OpStats`` on the first hit that finds the profile on.
-        self.profiles = [
-            [contexts[rank].profile, delta, None]
+        #: ``(profile, OpStats, calls, bytes, time)``, one flat list over
+        #: every rank's increments, bound by :meth:`bind`.
+        self.profiles: list[tuple] = []
+        #: ``(profile, increments)`` of the ranks not bound yet.
+        self.unbound = [
+            (contexts[rank].profile, delta)
             for rank, delta in enumerate(rec.profiles) if delta
         ]
+
+    def bind(self) -> None:
+        """Pair the increments of every profile that is on now with its
+        ``OpStats`` — once per rank; an off profile waits for the first
+        hit that finds it on (binding creates the entry)."""
+        unbound = []
+        for prof, delta in self.unbound:
+            if prof.enabled:
+                ops = prof.ops
+                self.profiles.extend(
+                    (prof, ops.setdefault(o, OpStats()), dc, dby, dt)
+                    for o, dc, dby, dt in delta
+                )
+            else:
+                unbound.append((prof, delta))
+        self.unbound = unbound
 
 
 # ---------------------------------------------------------------------------
@@ -695,20 +739,22 @@ class ReplaySession:
         return self._prefix
 
     # -- entry ----------------------------------------------------------
-    def run(self, comm, op: str, call, body, rebuild=None):
+    def run(self, comm, op: str, call, make, args: tuple, rebuild=None):
         """Coroutine: route one dispatch through the replay layer.
 
-        *body* is the unstarted coroutine of normal execution (profiling
-        included, so a pocket and the live job record the same profile
-        entries); *call* is the argument tuple of the public call
-        ``getattr(comm, op)`` that produced it, from which this rank's
-        signature is derived — None, or an argument without a signature,
-        vetoes (the decision is still collective, so every rank parks
-        either way).  A pocket re-issues that public call on its own
-        world communicator; callers whose call needs more than a
-        communicator pass *rebuild*, a coroutine ``(comm, op, *args)``
-        that performs the one-off setup and returns the zero-argument
-        call to issue.
+        ``make(*args)`` builds the coroutine of normal execution
+        (profiling included, so a pocket and the live job record the
+        same profile entries); it is built only where the dispatch runs
+        live — released, late, on a communicator without a lane, or in a
+        pocket — so a hit builds nothing.  *call* is the argument tuple
+        of the public call ``getattr(comm, op)`` that issued it, from
+        which this rank's signature is derived — None, or an argument
+        without a signature, vetoes (the decision is still collective,
+        so every rank parks either way).  A pocket re-issues that public
+        call on its own world communicator; callers whose call needs
+        more than a communicator pass *rebuild*, a coroutine ``(comm,
+        op, *args)`` that performs the one-off setup and returns the
+        zero-argument call to issue.
         """
         shared = comm._shared
         lane = self._lanes.get(shared.id, _MISSING)
@@ -719,7 +765,7 @@ class ReplaySession:
                 else None
             )
         if lane is None:
-            result = yield from body
+            result = yield from make(*args)
             return result
         rank = comm.rank
         try:
@@ -747,14 +793,14 @@ class ReplaySession:
             pend.late += 1
             if len(pend.arrivals) + pend.late == self.world_size:
                 del lane.pending[seq]
-            result = yield from body
+            result = yield from make(*args)
             return result
         ev = pend.arrivals[rank] = Event(eng, "replay.park")
         verdict, value = yield ev
         if verdict == "done":
             return value
         t0 = eng.now
-        result = yield from body
+        result = yield from make(*args)
         if value is not None:
             # A measured run: recorded in place, or a verified hit.
             value.report(rank, round((eng.now - t0) * _INV_TICK), result)
@@ -768,9 +814,11 @@ class ReplaySession:
         for window in self._windows:
             # A measured window holds its own dispatch and nothing else.
             window.nested = True
+        live = STATS["live"]
         if len(pend.arrivals) < self.world_size:
             # Staggered entry: release the parked ranks in the same
             # timestep they arrived — zero virtual-time distortion.
+            live["staggered"] += 1
             self._release(pend, "live", None)
             return
         del lane.pending[seq]
@@ -779,13 +827,14 @@ class ReplaySession:
         shape = (pend.op, lane.epoch, tuple(pend.arrivals))
         window = None
         if not self.quiescent():
-            plan = None
+            plan, reason = None, "not_quiescent"
         elif shape == lane.applied:
             # No memo changed since the last hit was applied, same
             # operation and arrival order: the key is the one that
             # selected that hit's record.  Verify checks that (an evicted
             # entry selects none).
             plan = lane.plan
+            STATS["lane_hits"] += 1
             if self.verify and _CACHE.get(
                 self._key(pend.op, tuple(lane.sigs), shape[2]), plan.rec
             ) is not plan.rec:
@@ -794,11 +843,11 @@ class ReplaySession:
                     "selected a record the full key does not"
                 )
         elif None in lane.sigs:
-            plan = None
+            plan, reason = None, "unsigned"
         else:
             sigs = tuple(lane.sigs)
             if (pend.op, sigs) in self._warm:
-                plan = self._lookup(pend, sigs, shape[2])
+                plan, reason = self._lookup(pend, sigs, shape[2]), "no_record"
             else:
                 # First execution of this dispatch shape in the job: run
                 # it live so one-off lazy setup (sub-comms, windows,
@@ -806,7 +855,7 @@ class ReplaySession:
                 # replay off.  Records are steady-state and apply from
                 # the second occurrence on.
                 self._warm.add((pend.op, sigs))
-                plan = None
+                plan, reason = None, "first_occurrence"
                 if self.loop and not self._windows:
                     window = self._first(lane, shape, sigs)
             if plan is None:
@@ -815,6 +864,7 @@ class ReplaySession:
             else:
                 lane.applied, lane.plan = shape, plan
         if plan is None:
+            live[reason] += 1
             self._release(pend, "live", window)
             return
         self.hits += 1
@@ -1009,16 +1059,10 @@ class ReplaySession:
             )
         if job.tracer is not None and rec.templates is not None:
             job.tracer.emit_replayed(rec.templates, base_ticks)
-        for entry in plan.profiles:
-            prof, delta, bound = entry
-            if not prof.enabled:
-                continue
-            if bound is None:
-                bound = entry[2] = [
-                    (prof.ops.setdefault(o, OpStats()), dc, dby, dt)
-                    for o, dc, dby, dt in delta
-                ]
-            for stats, dc, dby, dt in bound:
+        if plan.unbound:
+            plan.bind()
+        for prof, stats, dc, dby, dt in plan.profiles:
+            if prof.enabled:
                 stats.calls += dc
                 stats.bytes += dby
                 stats.time += dt
@@ -1029,7 +1073,7 @@ class ReplaySession:
         # tick resume in the same relative order as live execution, so
         # the *next* dispatch sees an identical entry permutation.  Each
         # is Engine.timeout() spelled out: pre-triggered, one per rank.
-        now, defer, heap = eng.now, eng._defer, eng._heap
+        now, defer, heap, seq = eng.now, eng._defer, eng._heap, eng._seq
         for rank, d_ticks, done in plan.wakes:
             ev = arrivals[rank]
             ev._state = _TRIGGERED
@@ -1038,8 +1082,9 @@ class ReplaySession:
             if time <= now:
                 defer(ev)
             else:
-                eng._seq += 1
-                heappush(heap, (time, eng._seq, ev))
+                seq += 1
+                heappush(heap, (time, seq, ev))
+        eng._seq = seq
 
 
 class _PocketHost:
@@ -1072,11 +1117,11 @@ class _PocketHost:
         self.done = False
         self.pending_icolls = 0
 
-    def run(self, comm, op: str, call, body, rebuild=None):
+    def run(self, comm, op: str, call, make, args: tuple, rebuild=None):
         """Coroutine, :meth:`ReplaySession.run`'s counterpart."""
         if (op != self.op or self.window is not None
                 or comm._shared is not self.job.contexts[0].world._shared):
-            result = yield from body
+            result = yield from make(*args)
             return result
         eng = self.job.engine
         if not self.parked:
@@ -1084,7 +1129,7 @@ class _PocketHost:
         ev = self.parked[comm.rank] = Event(eng, "replay.pocket")
         window = yield ev
         t0 = eng.now
-        result = yield from body
+        result = yield from make(*args)
         window.report(comm.rank, round((eng.now - t0) * _INV_TICK), result)
         return result
 

@@ -81,11 +81,13 @@ class _CommShared:
         key: Any,
         rank: int,
         value: Any,
-        reducer: Callable[[dict[int, Any]], dict[int, Any]],
+        reducer: Callable[[dict[int, Any]], Any],
     ) -> Event:
         """Rendezvous: collect one value per rank; the last arrival runs
-        *reducer* over ``{rank: value}`` and the event fires with the
-        resulting ``{rank: result}`` map."""
+        *reducer* over ``{rank: value}`` and the one shared event fires
+        with its result (a ``{rank: result}`` map for :meth:`Comm._gate`,
+        the agreed total for :meth:`Comm.allgatherv`'s size gate).
+        """
         st = self._gates.get(key)
         if st is None:
             st = self._gates[key] = _GateState(
@@ -94,7 +96,7 @@ class _CommShared:
         if rank in st.values:
             raise MPIError(f"rank {rank} arrived twice at gate {key!r}")
         st.values[rank] = value
-        if len(st.values) == self.group.size:
+        if len(st.values) == len(self.group.world_ranks()):
             del self._gates[key]
             st.event.succeed(reducer(st.values))
         return st.event
@@ -110,16 +112,18 @@ class _CommShared:
         in its rank-order queue slot by the time it yields) resume in
         the canonical permutation.
         """
-        st = self._gates.get(key)
+        gates = self._gates
+        st = gates.get(key)
         if st is None:
-            st = self._gates[key] = _GateState(None)
-        if rank in st.values:
+            st = gates[key] = _GateState(None)
+        values = st.values
+        if rank in values:
             raise MPIError(f"rank {rank} arrived twice at gate {key!r}")
-        ev = st.values[rank] = Event(self.job.engine, name="align")
-        if len(st.values) == self.group.size:
-            del self._gates[key]
-            for r in sorted(st.values):
-                st.values[r].succeed(None)
+        ev = values[rank] = Event(self.job.engine, "align")
+        if len(values) == len(self.group.world_ranks()):
+            del gates[key]
+            for r in sorted(values):
+                values[r].succeed(None)
         return ev
 
 
@@ -178,7 +182,7 @@ class Comm:
     @property
     def size(self) -> int:
         """Number of ranks in this communicator."""
-        return self._shared.group.size
+        return len(self._world_ranks)
 
     @property
     def name(self) -> str:
@@ -455,29 +459,34 @@ class Comm:
         self._coll_seq += 1
         return MAX_INTERNAL_TAG + self._coll_seq
 
-    def _timed(self, op: str, nbytes: int, gen):
-        """Coroutine: run *gen* and charge it to this rank's profile."""
+    def _timed(self, op: str, nbytes: int, fn, args: tuple):
+        """Coroutine: run ``fn(*args)`` and charge it to this rank's
+        profile — the one profiler of every collective."""
         ctx = self._ctx
         t0 = ctx.engine.now
-        result = yield from gen
+        result = yield from fn(*args)
         ctx.profile.record(op, nbytes, ctx.engine.now - t0)
         return result
 
-    def _collective(self, op: str, nbytes: int, gen,
+    def _collective(self, op: str, nbytes: int, fn, args: tuple,
                     call: tuple | None = None):
         """Single collective entry point; returns the coroutine to drive.
 
         Every collective — blocking or non-blocking — runs through here,
         so per-operation profiling is uniform; the dispatch layer records
         the matching trace entry (op, algorithm, policy, bytes) for the
-        same call.  *gen* is the unstarted ``run_*`` body.  When the job
-        replays (:mod:`repro.mpi.collectives.replay`), the profiled body
-        is routed through the session, which may skip it entirely; *call*
-        is then the public call's argument tuple, ``getattr(self,
-        op)(*call)`` — everything the session needs to key the dispatch
-        and to re-issue it in a pocket simulation.  Non-blocking
-        collectives leave it None: they still park (the decision is
-        collective) but never replay.
+        same call.  ``fn(*args)`` is the ``run_*`` body, and the profiled
+        body ``_timed(op, nbytes, fn, args)`` is built only where the
+        dispatch runs live: :meth:`_timed` is the only profiler.  When
+        the job replays (:mod:`repro.mpi.collectives.replay`), the
+        session gets the recipe instead of the body and builds it only
+        on its live branch — a hit builds nothing; *call* is then the
+        public call's argument tuple, ``getattr(self, op)(*call)`` —
+        everything the session needs to key the dispatch and to re-issue
+        it in a pocket simulation.  Non-blocking collectives leave it
+        None: they still park (the decision is collective) but never
+        replay.  Tags are drawn by the caller, at call time, so a hit
+        keeps every later tag aligned.
 
         Per-op byte conventions (see :mod:`repro.mpi.profiler`):
         rooted/scan family charge the local message size; allgather
@@ -485,16 +494,16 @@ class Comm:
         per-rank sizes; scatter charges the root's total payload;
         alltoall charges this rank's total send volume; barrier is zero.
         """
-        body = self._timed(op, nbytes, gen)
         sess = self._ctx.job.replay
         if sess is None:
-            return body
-        return sess.run(self, op, call, body)
+            return self._timed(op, nbytes, fn, args)
+        return sess.run(self, op, call, self._timed, (op, nbytes, fn, args))
 
     def barrier(self):
         """Barrier over all member ranks (coroutine)."""
         yield from self._collective(
-            "barrier", 0, _coll.run_barrier(self, self._next_coll_tag()), ()
+            "barrier", 0, _coll.run_barrier, (self, self._next_coll_tag()),
+            (),
         )
 
     def align(self):
@@ -516,17 +525,14 @@ class Comm:
         counters, or the trace.
         """
         self._gate_seq += 1
-        yield self._shared.align_arrive(
-            ("align", self._gate_seq), self.rank
-        )
-        return None
+        yield self._shared.align_arrive(("align", self._gate_seq), self.rank)
 
     def bcast(self, payload: Any, root: int = 0):
         """Broadcast from *root*; returns the payload on every rank."""
         return (
             yield from self._collective(
-                "bcast", nbytes_of(payload),
-                _coll.run_bcast(self, payload, root, self._next_coll_tag()),
+                "bcast", nbytes_of(payload), _coll.run_bcast,
+                (self, payload, root, self._next_coll_tag()),
                 (payload, root),
             )
         )
@@ -535,8 +541,8 @@ class Comm:
         """Gather to *root*; returns list of payloads (None elsewhere)."""
         return (
             yield from self._collective(
-                "gather", nbytes_of(payload),
-                _coll.run_gather(self, payload, root, self._next_coll_tag()),
+                "gather", nbytes_of(payload), _coll.run_gather,
+                (self, payload, root, self._next_coll_tag()),
                 (payload, root),
             )
         )
@@ -545,11 +551,8 @@ class Comm:
         """Irregular gather to *root* (per-rank sizes may differ)."""
         return (
             yield from self._collective(
-                "gatherv", nbytes_of(payload),
-                _coll.run_gather(
-                    self, payload, root, self._next_coll_tag(),
-                    irregular=True,
-                ),
+                "gatherv", nbytes_of(payload), _coll.run_gather,
+                (self, payload, root, self._next_coll_tag(), True),
                 (payload, root),
             )
         )
@@ -561,8 +564,8 @@ class Comm:
         )
         return (
             yield from self._collective(
-                "scatter", nbytes,
-                _coll.run_scatter(self, payloads, root, self._next_coll_tag()),
+                "scatter", nbytes, _coll.run_scatter,
+                (self, payloads, root, self._next_coll_tag()),
                 (payloads, root),
             )
         )
@@ -572,8 +575,8 @@ class Comm:
         return (
             yield from self._collective(
                 "allgather", nbytes_of(payload) * self.size,
-                _coll.run_allgather(self, payload, self._next_coll_tag()),
-                (payload,),
+                _coll.run_allgather,
+                (self, payload, self._next_coll_tag()), (payload,),
             )
         )
 
@@ -583,18 +586,18 @@ class Comm:
         The size-agreement gate runs first (zero virtual time) so the
         profiler charges the *actual* summed per-rank bytes rather than
         ``local_size * comm_size`` — the two differ exactly when the
-        v-variant matters (irregular nodes, Fig 10)."""
+        v-variant matters (irregular nodes, Fig 10).  The gate is yielded
+        here, one shared event, without a coroutine of its own."""
         tag = self._next_coll_tag()
-        nbytes = nbytes_of(payload)
+        total = nbytes_of(payload)
         if self.size > 1:
-            total = yield from _coll._agree_total(self, nbytes, tag)
-        else:
-            total = nbytes
+            total = yield self._shared.arrive(
+                ("agv_total", tag), self.rank, total, _coll._sum_of
+            )
         return (
             yield from self._collective(
-                "allgatherv", total,
-                _coll.run_allgatherv(self, payload, tag, total=total),
-                (payload,),
+                "allgatherv", total, _coll.run_allgatherv,
+                (self, payload, tag, total), (payload,),
             )
         )
 
@@ -602,10 +605,8 @@ class Comm:
         """Reduce to *root*; returns the reduction there, None elsewhere."""
         return (
             yield from self._collective(
-                "reduce", nbytes_of(payload),
-                _coll.run_reduce(
-                    self, payload, op, root, self._next_coll_tag()
-                ),
+                "reduce", nbytes_of(payload), _coll.run_reduce,
+                (self, payload, op, root, self._next_coll_tag()),
                 (payload, op, root),
             )
         )
@@ -614,10 +615,8 @@ class Comm:
         """Allreduce; returns the reduction on every rank."""
         return (
             yield from self._collective(
-                "allreduce", nbytes_of(payload),
-                _coll.run_reduction(
-                    self, "allreduce", payload, op, self._next_coll_tag()
-                ),
+                "allreduce", nbytes_of(payload), _coll.run_reduction,
+                (self, "allreduce", payload, op, self._next_coll_tag()),
                 (payload, op),
             )
         )
@@ -627,8 +626,8 @@ class Comm:
         return (
             yield from self._collective(
                 "alltoall", sum(nbytes_of(p) for p in payloads),
-                _coll.run_alltoall(self, payloads, self._next_coll_tag()),
-                (payloads,),
+                _coll.run_alltoall,
+                (self, payloads, self._next_coll_tag()), (payloads,),
             )
         )
 
@@ -636,10 +635,8 @@ class Comm:
         """Inclusive prefix reduction."""
         return (
             yield from self._collective(
-                "scan", nbytes_of(payload),
-                _coll.run_reduction(
-                    self, "scan", payload, op, self._next_coll_tag()
-                ),
+                "scan", nbytes_of(payload), _coll.run_reduction,
+                (self, "scan", payload, op, self._next_coll_tag()),
                 (payload, op),
             )
         )
@@ -648,10 +645,8 @@ class Comm:
         """Exclusive prefix reduction (None on rank 0)."""
         return (
             yield from self._collective(
-                "exscan", nbytes_of(payload),
-                _coll.run_reduction(
-                    self, "exscan", payload, op, self._next_coll_tag()
-                ),
+                "exscan", nbytes_of(payload), _coll.run_reduction,
+                (self, "exscan", payload, op, self._next_coll_tag()),
                 (payload, op),
             )
         )
@@ -660,16 +655,14 @@ class Comm:
         """Block reduce-scatter: returns this rank's reduced block."""
         return (
             yield from self._collective(
-                "reduce_scatter", nbytes_of(payload),
-                _coll.run_reduction(
-                    self, "reduce_scatter", payload, op, self._next_coll_tag()
-                ),
+                "reduce_scatter", nbytes_of(payload), _coll.run_reduction,
+                (self, "reduce_scatter", payload, op, self._next_coll_tag()),
                 (payload, op),
             )
         )
 
     # -- non-blocking collectives ------------------------------------------
-    def _icoll(self, name: str, nbytes: int, gen) -> CollRequest:
+    def _icoll(self, name: str, nbytes: int, fn, args: tuple) -> CollRequest:
         """Spawn a collective as a background process (MPI-3 style).
 
         The spawned generator still runs through :meth:`_collective`, so
@@ -680,28 +673,27 @@ class Comm:
         included) — asynchronous progress for free.  Span contexts and
         the ordering rules live in :mod:`repro.mpi.nonblocking`."""
         return spawn_collective(
-            self, name, self._collective(name, nbytes, gen)
+            self, name, self._collective(name, nbytes, fn, args)
         )
 
     def ibarrier(self) -> CollRequest:
         """Non-blocking barrier; wait on the returned request."""
         return self._icoll(
-            "ibarrier", 0,
-            _coll.run_barrier(self, self._next_coll_tag()),
+            "ibarrier", 0, _coll.run_barrier, (self, self._next_coll_tag()),
         )
 
     def ibcast(self, payload: Any, root: int = 0) -> CollRequest:
         """Non-blocking broadcast; request value is the payload."""
         return self._icoll(
-            "ibcast", nbytes_of(payload),
-            _coll.run_bcast(self, payload, root, self._next_coll_tag()),
+            "ibcast", nbytes_of(payload), _coll.run_bcast,
+            (self, payload, root, self._next_coll_tag()),
         )
 
     def iallgather(self, payload: Any) -> CollRequest:
         """Non-blocking allgather; request value is the payload list."""
         return self._icoll(
             "iallgather", nbytes_of(payload) * self.size,
-            _coll.run_allgather(self, payload, self._next_coll_tag()),
+            _coll.run_allgather, (self, payload, self._next_coll_tag()),
         )
 
     def iallgatherv(self, payload: Any) -> CollRequest:
@@ -714,13 +706,14 @@ class Comm:
         nbytes = nbytes_of(payload)
 
         def run():
+            total = nbytes
             if self.size > 1:
-                total = yield from _coll._agree_total(self, nbytes, tag)
-            else:
-                total = nbytes
+                total = yield self._shared.arrive(
+                    ("agv_total", tag), self.rank, total, _coll._sum_of
+                )
             result = yield from self._collective(
-                "iallgatherv", total,
-                _coll.run_allgatherv(self, payload, tag, total=total),
+                "iallgatherv", total, _coll.run_allgatherv,
+                (self, payload, tag, total),
             )
             return result
 
@@ -731,20 +724,16 @@ class Comm:
         """Non-blocking reduce; request value is the reduction at *root*
         (None elsewhere)."""
         return self._icoll(
-            "ireduce", nbytes_of(payload),
-            _coll.run_reduce(
-                self, payload, op, root, self._next_coll_tag()
-            ),
+            "ireduce", nbytes_of(payload), _coll.run_reduce,
+            (self, payload, op, root, self._next_coll_tag()),
         )
 
     def iallreduce(self, payload: Any,
                    op: ReduceOp = ReduceOp.SUM) -> CollRequest:
         """Non-blocking allreduce; request value is the result."""
         return self._icoll(
-            "iallreduce", nbytes_of(payload),
-            _coll.run_reduction(
-                self, "allreduce", payload, op, self._next_coll_tag()
-            ),
+            "iallreduce", nbytes_of(payload), _coll.run_reduction,
+            (self, "allreduce", payload, op, self._next_coll_tag()),
         )
 
     # -- communicator management ----------------------------------------------

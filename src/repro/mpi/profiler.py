@@ -41,7 +41,7 @@ from dataclasses import dataclass
 __all__ = ["OpStats", "CommProfile", "aggregate_profiles"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpStats:
     """Accumulated statistics of one operation type."""
 

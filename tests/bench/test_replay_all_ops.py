@@ -164,9 +164,9 @@ def test_signature_round_trip(op, monkeypatch):
     seen = []
     real = replaylib.ReplaySession.run
 
-    def spy(self, comm, name, call, body, rebuild=None):
+    def spy(self, comm, name, call, make, args, rebuild=None):
         seen.append((name, call))
-        return real(self, comm, name, call, body, rebuild)
+        return real(self, comm, name, call, make, args, rebuild)
 
     monkeypatch.setattr(replaylib.ReplaySession, "run", spy)
     _run(op, replay="loop")

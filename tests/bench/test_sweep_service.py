@@ -126,12 +126,16 @@ def test_stats_counts_requests(service):
     assert doc["requests"] == 3
     assert doc["errors"] == 1
     assert doc["cache"]["entries"] == 0
-    assert {"records", "pocket_runs", "inplace_records"} <= (
+    assert {"records", "pocket_runs", "inplace_records", "lane_hits"} <= (
         doc["replay"].keys()
     )
     assert list(doc["replay"]["inplace_vetoes"]) == [
         "profile_off", "trailing_work", "not_aligned", "setup_gate",
         "nested",
+    ]
+    assert list(doc["replay"]["live"]) == [
+        "staggered", "not_quiescent", "unsigned", "first_occurrence",
+        "no_record",
     ]
 
 
