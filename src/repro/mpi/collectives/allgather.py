@@ -68,11 +68,11 @@ def allgather_bruck(comm, payload: Any, tag: int, total=None):
         src = (rank + pof) % size
         chunk = BlockSet(dict(ordered[:send_count]))
         incoming = yield comm.exchange(chunk, dst, src, tag)
-        # Incoming blocks belong to ranks (rank + pof + i) mod size.
-        for owner in sorted(
-            incoming.blocks, key=lambda o: (o - rank - pof) % size
-        ):
-            ordered.append((owner, incoming.blocks[owner]))
+        # Incoming block i belongs to rank (rank + pof + i) mod size.
+        blocks = incoming.blocks
+        for i in range(send_count):
+            owner = (rank + pof + i) % size
+            ordered.append((owner, blocks[owner]))
         pof <<= 1
     result = BlockSet(dict(ordered[:size]))
     return result

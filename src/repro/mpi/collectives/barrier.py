@@ -14,8 +14,6 @@ passing.
 
 from __future__ import annotations
 
-import math
-
 from repro.mpi.datatypes import Bytes
 
 __all__ = ["barrier_dissemination", "barrier_shm_flags"]
@@ -48,10 +46,9 @@ def barrier_shm_flags(comm, tag: int, rounds_cost: float | None = None,
     non-blocking barriers cannot cross-match."""
     tuning = comm.ctx.tuning
     if rounds_cost is None:
-        rounds = max(1, math.ceil(math.log2(max(comm.size, 2))))
+        rounds = (max(comm.size, 2) - 1).bit_length()
         rounds_cost = tuning.shm_barrier_base + rounds * tuning.shm_barrier_flag
     yield comm._shared.arrive(
-        ("shm_barrier", phase, tag), comm.rank, None,
-        lambda values: dict.fromkeys(values),
+        ("shm_barrier", phase, tag), comm.rank, None, dict.fromkeys,
     )
     yield comm.ctx.engine.pause(rounds_cost)

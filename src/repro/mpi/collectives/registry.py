@@ -716,10 +716,6 @@ def _run_smp_allreduce(comm, payload, op, tag):
     return result
 
 
-def _run_barrier_shm_flags(comm, tag):
-    yield from barrier_shm_flags(comm, tag)
-
-
 def _run_barrier_smp(comm, tag):
     tuning = comm.ctx.tuning
     shm, bridge = hier.hier_comms(comm)
@@ -885,7 +881,7 @@ _reg("alltoall", "bruck", alltoall_bruck)
 _reg("alltoall", "pairwise", alltoall_pairwise)
 
 # barrier -------------------------------------------------------------------
-_reg("barrier", "shm_flags", _run_barrier_shm_flags,
+_reg("barrier", "shm_flags", barrier_shm_flags,
      applicable=_shm_only)
 _reg("barrier", "smp_hierarchical", _run_barrier_smp,
      applicable=_hier_only, kind="hierarchical")

@@ -30,9 +30,8 @@ from repro.mpi.datatypes import nbytes_of
 from repro.mpi.errors import MPIError
 from repro.mpi.group import Group
 from repro.mpi.nonblocking import CollRequest, spawn_collective
-from repro.mpi.p2p import Request, Status
+from repro.mpi.p2p import Request, Status, _Round
 from repro.simulator import AllOf, AnyOf, Event
-from repro.simulator.engine import _Countdown
 
 __all__ = ["Comm"]
 
@@ -144,16 +143,18 @@ class Comm:
         This process's rank within the communicator.
     size:
         Number of member processes.
+    ctx:
+        The owning rank context.
     """
 
     __slots__ = (
-        "_shared", "_ctx", "rank", "_coll_seq", "_gate_seq", "_hier",
+        "_shared", "ctx", "rank", "_coll_seq", "_gate_seq", "_hier",
         "_world_ranks",
     )
 
     def __init__(self, shared: _CommShared, ctx: Any):
         self._shared = shared
-        self._ctx = ctx
+        self.ctx = ctx
         self.rank = shared.group.rank_of(ctx.world_rank)
         if self.rank == UNDEFINED:
             raise MPIError(
@@ -199,18 +200,13 @@ class Comm:
         """Runtime-unique communicator id (matching namespace)."""
         return self._shared.id
 
-    @property
-    def ctx(self) -> Any:
-        """The owning rank context."""
-        return self._ctx
-
     def world_rank_of(self, comm_rank: int) -> int:
         """Translate a rank of this communicator to a world rank."""
         return self._shared.group.world_rank(comm_rank)
 
     def node_of(self, comm_rank: int) -> int:
         """Machine node hosting *comm_rank*."""
-        return self._ctx.placement.node_of(self.world_rank_of(comm_rank))
+        return self.ctx.placement.node_of(self.world_rank_of(comm_rank))
 
     # -- point-to-point ------------------------------------------------------
     def _p2p_begin(self, op: str, peer: int, payload: Any = None):
@@ -219,12 +215,12 @@ class Comm:
         The payload is sized lazily — only when the span is actually
         recorded — so untraced runs never pay for ``nbytes_of``.
         """
-        tracer = self._ctx.trace
+        tracer = self.ctx.trace
         if tracer is None or not tracer.wants("p2p"):
             return None
         return tracer.begin({
-            "t": self._ctx.engine.now,
-            "rank": self._ctx.world_rank,
+            "t": self.ctx.engine.now,
+            "rank": self.ctx.world_rank,
             "comm": self.name,
             "kind": "p2p",
             "op": op,
@@ -234,7 +230,7 @@ class Comm:
 
     def _p2p_end(self, span) -> None:
         if span is not None:
-            self._ctx.trace.end(span, self._ctx.engine.now)
+            self.ctx.trace.end(span, self.ctx.engine.now)
 
     def send(self, payload: Any, dest: int, tag: int = 0):
         """Blocking send (coroutine)."""
@@ -248,13 +244,13 @@ class Comm:
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; returns a :class:`Request`."""
         if dest == PROC_NULL:
-            ev = Event(self._ctx.engine, name="send.null")
+            ev = Event(self.ctx.engine, name="send.null")
             ev.succeed(None)
             return Request(ev, "send")
         ranks = self._world_ranks
         if not 0 <= dest < len(ranks):
             self._check_peer(dest)
-        ctx = self._ctx
+        ctx = self.ctx
         done = ctx.msg_engine.post_send(
             self._shared.id, ctx.world_rank, self.rank, ranks[dest],
             payload, tag,
@@ -285,12 +281,12 @@ class Comm:
     ) -> Request:
         """Non-blocking receive; completion value is ``(payload, Status)``."""
         if source == PROC_NULL:
-            ev = Event(self._ctx.engine, name="recv.null")
+            ev = Event(self.ctx.engine, name="recv.null")
             ev.succeed((None, Status(source=PROC_NULL, tag=tag, nbytes=0)))
             return Request(ev, "recv")
         if source != ANY_SOURCE and not 0 <= source < len(self._world_ranks):
             self._check_peer(source)
-        ctx = self._ctx
+        ctx = self.ctx
         ev = ctx.msg_engine.post_recv(
             self._shared.id, ctx.world_rank, source, tag, buf,
         )
@@ -320,9 +316,11 @@ class Comm:
 
         The event succeeds, with the received payload as its value, once
         both halves completed; a failing half — a receive truncated by
-        *buf* — fails it.  The engine entries are those of
-        ``irecv``/``isend`` plus a wait on both, and ``PROC_NULL`` or
-        out-of-range peers behave exactly as there.
+        *buf* — fails it.  It is the round's only waitable: both halves
+        complete one :class:`~repro.mpi.p2p._Round`, each in the queue
+        slot its ``irecv``/``isend`` event would take, so the engine
+        entries are those of ``irecv`` + ``isend`` + a wait on both.
+        ``PROC_NULL`` or out-of-range peers behave exactly as there.
 
         >>> from repro.machine.presets import testing_machine
         >>> from repro.mpi import Bytes, run_program
@@ -335,25 +333,26 @@ class Comm:
         >>> run_program(testing_machine(), 3, shift).returns
         [2, 0, 1]
         """
-        ctx = self._ctx
+        ctx = self.ctx
         ranks = self._world_ranks
-        if recvtag is None:
-            recvtag = tag
-        if 0 <= dest < len(ranks) and 0 <= source < len(ranks):
-            me = ctx.msg_engine
-            cid = self._shared.id
-            recv = me.post_recv(cid, ctx.world_rank, source, recvtag, buf)
-            send = me.post_send(cid, ctx.world_rank, self.rank, ranks[dest],
-                                payload, tag)
-        else:  # PROC_NULL, ANY_SOURCE or a bad peer
-            recv = self.irecv(buf, source, recvtag).event
-            send = self.isend(payload, dest, tag).event
+        size = len(ranks)
         gate = Event(ctx.engine, "gate")
-        # Both halves are fresh (or pre-succeeded null requests), so
-        # neither has a callback yet.
-        count = _Countdown(gate, 2, None, recv)
-        recv.callbacks = [count]
-        send.callbacks = [count]
+        done = _Round(gate)
+        me = ctx.msg_engine
+        if 0 <= source < size or source == ANY_SOURCE:
+            me.post_recv(self._shared.id, ctx.world_rank, source,
+                         tag if recvtag is None else recvtag, buf, done)
+        elif source == PROC_NULL:
+            ctx.engine._defer(done._half)
+        else:
+            self._check_peer(source)
+        if 0 <= dest < size:
+            me.post_send(self._shared.id, ctx.world_rank, self.rank,
+                         ranks[dest], payload, tag, done)
+        elif dest == PROC_NULL:
+            ctx.engine._defer(done._half)
+        else:
+            self._check_peer(dest)
         return gate
 
     @staticmethod
@@ -462,7 +461,7 @@ class Comm:
     def _timed(self, op: str, nbytes: int, fn, args: tuple):
         """Coroutine: run ``fn(*args)`` and charge it to this rank's
         profile — the one profiler of every collective."""
-        ctx = self._ctx
+        ctx = self.ctx
         t0 = ctx.engine.now
         result = yield from fn(*args)
         ctx.profile.record(op, nbytes, ctx.engine.now - t0)
@@ -494,7 +493,7 @@ class Comm:
         per-rank sizes; scatter charges the root's total payload;
         alltoall charges this rank's total send volume; barrier is zero.
         """
-        sess = self._ctx.job.replay
+        sess = self.ctx.job.replay
         if sess is None:
             return self._timed(op, nbytes, fn, args)
         return sess.run(self, op, call, self._timed, (op, nbytes, fn, args))
@@ -772,12 +771,12 @@ class Comm:
         shared = yield from self._gate("split", (color, key), reducer)
         if shared is None:
             return None
-        return Comm(shared, self._ctx)
+        return Comm(shared, self.ctx)
 
     def split_type_shared(self, key: int = 0):
         """``MPI_Comm_split_type(..., MPI_COMM_TYPE_SHARED, ...)``:
         split into per-node (shared-memory) communicators."""
-        node = self._ctx.placement.node_of(self._ctx.world_rank)
+        node = self.ctx.placement.node_of(self.ctx.world_rank)
         return (yield from self.split(color=node, key=key))
 
     def subcomm(self, key: Any, members: list[int]):
@@ -791,12 +790,12 @@ class Comm:
         member.
         """
         world = tuple(self.world_rank_of(r) for r in members)
-        if self._ctx.world_rank not in world:
+        if self.ctx.world_rank not in world:
             return None
         shared = self._shared.deterministic_child(
             key, world, name=f"{self.name}.sub{key}"
         )
-        return Comm(shared, self._ctx)
+        return Comm(shared, self.ctx)
 
     def dup(self):
         """Duplicate the communicator (fresh matching namespace)."""
@@ -808,7 +807,7 @@ class Comm:
             return {rank: shared for rank in values}
 
         shared = yield from self._gate("dup", None, reducer)
-        return Comm(shared, self._ctx)
+        return Comm(shared, self.ctx)
 
     # -- internals ------------------------------------------------------------
     def _check_peer(self, peer: int) -> None:

@@ -39,6 +39,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import clone, copy_into, nbytes_of, snapshot
 from repro.mpi.errors import MPIError, TruncationError
 from repro.simulator import Engine, Event
+from repro.simulator.engine import _PENDING
 
 __all__ = ["MessageEngine", "Request", "Status"]
 
@@ -74,6 +75,39 @@ class Request:
         return f"<Request {self.kind} complete={self.complete}>"
 
 
+class _Round:
+    """The completion of one :meth:`~repro.mpi.comm.Comm.exchange`
+    round, shared by its two halves.
+
+    Each half completes by deferring the bound step :meth:`_half` into
+    the queue slot its :class:`Event` would take, so the round has the
+    entries of ``irecv`` + ``isend`` + a wait on both.  The second
+    completion succeeds *gate* with the received payload; a receive
+    truncated by its buffer defers :meth:`_truncated` instead, which
+    fails *gate* unless it already resolved.
+    """
+
+    __slots__ = ("gate", "left", "value")
+
+    def __init__(self, gate: Event):
+        self.gate = gate
+        self.left = 2
+        #: The received payload, or the receive's TruncationError.
+        self.value: Any = None
+
+    def _half(self) -> None:
+        gate = self.gate
+        if gate._state == _PENDING:
+            self.left -= 1
+            if not self.left:
+                gate.succeed(self.value)
+
+    def _truncated(self) -> None:
+        gate = self.gate
+        if gate._state == _PENDING:
+            gate.fail(self.value)
+
+
 class _Message:
     """One point-to-point message: the send record and two chains of
     bound-method steps.  The *sender* chain starts at post time
@@ -82,7 +116,10 @@ class _Message:
     The *delivery* chain starts when a receive matches
     (:meth:`_deliver`), waits for the arrival, pays the copy-out and
     completes the receive.  Each chain's last entry, :meth:`_retire`,
-    takes it off :attr:`MessageEngine.in_flight`.
+    takes it off :attr:`MessageEngine.in_flight`.  A completion
+    triggers the half's :class:`Event` (``isend``/``irecv``) or defers
+    the step of its :class:`_Round` (``Comm.exchange``) into the same
+    queue slot.
 
     On node the transport gives the copy chain: ``eager_copies`` staged
     copies (the last is the receiver's copy-out) or ``rdv_copies`` once
@@ -103,7 +140,7 @@ class _Message:
     )
 
     def __init__(self, me, src_world, src_comm_rank, dst_world, tag,
-                 payload, nbytes, eager, src_node, dst_node):
+                 payload, nbytes, eager, src_node, dst_node, sender_done):
         self.me = me
         self.src_world = src_world
         self.src_comm_rank = src_comm_rank
@@ -115,9 +152,7 @@ class _Message:
         self.intra = src_node == dst_node
         self.src_node = src_node
         self.dst_node = dst_node
-        # Event names are static: per-message f-strings cost more than
-        # the rest of the bookkeeping combined at paper scale.
-        self.sender_done = Event(me.engine, "send.done")
+        self.sender_done = sender_done
         self.recv: _RecvRec | None = None
         self.arrival = _NOT_ARRIVED
 
@@ -179,8 +214,13 @@ class _Message:
         net._rx[self.dst_node].transfer(self.nbytes, rx_then)
 
     def _tx_done(self) -> None:
-        # Eager: the sender completes once its NIC has injected.
-        self.sender_done.succeed()
+        # Eager: the sender completes once its NIC has injected.  This
+        # and _sent spell the completion out: it runs once per message.
+        done = self.sender_done
+        if type(done) is Event:
+            done.succeed()
+        else:
+            self.me.engine._defer(done._half)
         if self.left == _RX_DONE:
             # The RX completion already ran: resuming takes an entry.
             self.me.engine._defer(self._propagate)
@@ -221,7 +261,11 @@ class _Message:
             self._sent()
 
     def _sent(self) -> None:
-        self.sender_done.succeed()
+        done = self.sender_done
+        if type(done) is Event:
+            done.succeed()
+        else:
+            self.me.engine._defer(done._half)
         self._arrive()
 
     def _arrive(self) -> None:
@@ -265,15 +309,25 @@ class _Message:
 
     def _copied(self) -> None:
         recv = self.recv
+        done = recv.done
+        defer = self.me.engine._defer
         try:
             payload = copy_into(recv.buf, self.payload)
         except ValueError as exc:
-            recv.event.fail(TruncationError(str(exc)))
+            err = TruncationError(str(exc))
+            if type(done) is Event:
+                done.fail(err)
+            else:
+                done.value = err
+                defer(done._truncated)
         else:
-            recv.event.succeed(
-                (payload, Status(self.src_comm_rank, self.tag, self.nbytes))
-            )
-        self.me.engine._defer(self._retire)
+            if type(done) is Event:
+                done.succeed((payload, Status(self.src_comm_rank, self.tag,
+                                              self.nbytes)))
+            else:
+                done.value = payload
+                defer(done._half)
+        defer(self._retire)
 
     def _retire(self) -> None:
         self.me.in_flight -= 1
@@ -286,14 +340,14 @@ _RX_PENDING, _RX_DONE, _TX_WAITING = 0, 1, 2
 
 
 class _RecvRec:
-    __slots__ = ("source", "tag", "buf", "event", "posted", "dst_world")
+    __slots__ = ("source", "tag", "buf", "done", "posted", "dst_world")
 
-    def __init__(self, source: int, tag: int, buf: Any, event: Event,
+    def __init__(self, source: int, tag: int, buf: Any, done: Event | _Round,
                  posted: float = 0.0, dst_world: int = -1):
         self.source = source
         self.tag = tag
         self.buf = buf
-        self.event = event
+        self.done = done
         self.posted = posted
         self.dst_world = dst_world
 
@@ -348,15 +402,21 @@ class MessageEngine:
         dst_world: int,
         payload: Any,
         tag: int,
-    ) -> Event:
-        """Post a send; returns the sender-completion event."""
+        done: _Round | None = None,
+    ) -> Event | _Round:
+        """Post a send; returns the sender-completion event, or *done*,
+        the :class:`_Round` it completes instead."""
         # set by the runtime at job start
         node_of = self.machine._placement._node_of
         nbytes = nbytes_of(payload)
+        if done is None:
+            # Event names are static: per-message f-strings cost more
+            # than the rest of the bookkeeping combined at paper scale.
+            done = Event(self.engine, "send.done")
         msg = _Message(
             self, src_world, src_comm_rank, dst_world, tag,
             self._snapshot(payload), nbytes, nbytes <= self._eager_threshold,
-            node_of[src_world], node_of[dst_world],
+            node_of[src_world], node_of[dst_world], done,
         )
         self.sent_messages += 1
         self.sent_bytes += nbytes
@@ -369,7 +429,7 @@ class MessageEngine:
         self.in_flight += 1
         self.engine._defer(msg._send)
         self._try_match(q)
-        return msg.sender_done
+        return done
 
     # -- recv ------------------------------------------------------------
     def post_recv(
@@ -379,10 +439,15 @@ class MessageEngine:
         source: int,
         tag: int,
         buf: Any,
-    ) -> Event:
-        """Post a receive; the returned event's value is (payload, Status)."""
-        ev = Event(self.engine, "recv")
-        rec = _RecvRec(source, tag, buf, ev, self.engine.now, dst_world)
+        done: _Round | None = None,
+    ) -> Event | _Round:
+        """Post a receive; the returned event's value is (payload, Status).
+
+        With *done*, the receive completes that :class:`_Round` instead
+        (no event, no Status) and returns it."""
+        if done is None:
+            done = Event(self.engine, "recv")
+        rec = _RecvRec(source, tag, buf, done, self.engine.now, dst_world)
         key = (comm_id, dst_world)
         q = self._queues.get(key)
         if q is None:
@@ -390,7 +455,7 @@ class MessageEngine:
         q.pending_recvs.append(rec)
         self.pending_total += 1
         self._try_match(q)
-        return ev
+        return done
 
     # -- matching ----------------------------------------------------------
     @staticmethod

@@ -237,17 +237,14 @@ class Event:
 
 
 class _Countdown:
-    """Callback subscribed to *left* child events: the first failure
-    fails *gate*; once all succeeded, *gate* succeeds with their values
-    in order (*events*) or with the payload of the receive event *recv*.
-    Later calls do nothing.  :class:`AllOf` and
-    :meth:`repro.mpi.comm.Comm.exchange` both wait through it."""
+    """:class:`AllOf`'s callback, subscribed to *left* child events: the
+    first failure fails *gate*; once all succeeded, *gate* succeeds with
+    their values in order (*events*).  Later calls do nothing."""
 
-    __slots__ = ("gate", "left", "events", "recv")
+    __slots__ = ("gate", "left", "events")
 
-    def __init__(self, gate: Event, left: int, events: list[Event] | None,
-                 recv: Event | None = None):
-        self.gate, self.left, self.events, self.recv = gate, left, events, recv
+    def __init__(self, gate: Event, left: int, events: list[Event]):
+        self.gate, self.left, self.events = gate, left, events
 
     def __call__(self, ev: Event) -> None:
         gate = self.gate
@@ -258,11 +255,7 @@ class _Countdown:
             return
         self.left -= 1
         if not self.left:
-            recv = self.recv
-            if recv is None:
-                gate.succeed([e._value for e in self.events])
-            else:
-                gate.succeed(recv._value[0])
+            gate.succeed([e._value for e in self.events])
 
 
 class AllOf:

@@ -1,10 +1,10 @@
-"""``Comm.exchange``: one send+receive round, and the counter behind it.
+"""``Comm.exchange``: one send+receive round, and ``AllOf``'s counter.
 
 An exchange posts the receive, then the send, straight to the message
-engine and returns one gate event whose value is the received payload.
-It must take exactly the engine entries of ``irecv`` + ``isend`` +
-``yield AllOf([...])`` — the tests below run both spellings side by
-side — and ``AllOf`` itself waits through the same counter class.
+engine and returns one gate event whose value is the received payload;
+the gate is the only waitable a round builds.  It must take exactly the
+engine entries of ``irecv`` + ``isend`` + ``yield AllOf([...])`` — the
+tests below run both spellings side by side.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import pytest
 
 from tests.helpers import run
 from repro.mpi import Bytes, MPIError, TruncationError
-from repro.mpi.constants import PROC_NULL
-from repro.mpi.p2p import MessageEngine
-from repro.simulator import AllOf, Engine
+from repro.mpi.constants import ANY_SOURCE, PROC_NULL
+from repro.simulator import AllOf, Engine, Event
 from repro.simulator.engine import _Countdown
 
 
@@ -138,8 +137,58 @@ class TestPeers:
         assert ex == hand
 
 
+class TestOneWaitable:
+    """A round's only waitable is its gate: both halves complete one
+    round object, never an :class:`Event` or a :class:`_Countdown`."""
+
+    ROUNDS = 3
+
+    @staticmethod
+    def _peers(case, rank, size):
+        if case == "ring":
+            return (rank + 1) % size, (rank - 1) % size
+        if case == "chain":  # PROC_NULL dest at the end, source at 0
+            return (rank + 1 if rank + 1 < size else PROC_NULL,
+                    rank - 1 if rank else PROC_NULL)
+        if case == "any_source":
+            return (rank + 1) % size, ANY_SOURCE
+        return PROC_NULL, PROC_NULL
+
+    @pytest.mark.parametrize("case",
+                             ["ring", "chain", "any_source", "null"])
+    def test_one_event_per_round_and_no_countdown(self, case, monkeypatch):
+        built = {"events": 0, "countdowns": 0}
+
+        def counting(cls, key):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built[key] += 1
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        counting(Event, "events")
+        counting(_Countdown, "countdowns")
+
+        def prog(mpi, rounds):
+            comm = mpi.world
+            dest, source = self._peers(case, comm.rank, comm.size)
+            for _ in range(rounds):
+                yield comm.exchange(Bytes(64), dest, source, 0)
+
+        def events_of(rounds):
+            built["events"] = 0
+            run(prog, nodes=2, cores=2, replay=False,
+                program_kwargs={"rounds": rounds})
+            return built["events"]
+
+        # Four ranks, each round one gate per rank.
+        assert events_of(self.ROUNDS) - events_of(0) == self.ROUNDS * 4
+        assert built["countdowns"] == 0
+
+
 class TestCountdown:
-    """``AllOf`` semantics, carried by the shared counter class."""
+    """``AllOf`` semantics, carried by the counter class."""
 
     def test_allof_subscribes_one_countdown(self):
         eng = Engine()
@@ -156,27 +205,6 @@ class TestCountdown:
         a.succeed("A")
         eng.run()
         assert proc.value == ["A", "B"]  # input order, not firing order
-
-    def test_exchange_subscribes_the_same_class(self, monkeypatch):
-        halves = []
-        for name in ("post_recv", "post_send"):
-            def post(me, *args, _orig=getattr(MessageEngine, name)):
-                ev = _orig(me, *args)
-                halves.append(ev)
-                return ev
-            monkeypatch.setattr(MessageEngine, name, post)
-
-        def prog(mpi):
-            comm = mpi.world
-            peer = 1 - comm.rank
-            gate = comm.exchange(Bytes(8), peer, peer, 0)
-            recv, send = halves[-2:]
-            counters = recv.callbacks + send.callbacks
-            yield gate
-            return [type(c) for c in counters], counters[0] is counters[1]
-
-        returns = run(prog, nodes=1, cores=2).returns
-        assert returns == [([_Countdown, _Countdown], True)] * 2
 
     def test_first_failure_wins(self):
         eng = Engine()

@@ -13,6 +13,9 @@ tables:
   4 KiB, empty job subtracted;
 * entries per dispatch of every flat algorithm built from send+receive
   rounds (:meth:`Comm.exchange`), and of one ``sendrecv`` shift;
+* entries of the exchange rounds that leave the matched path (a
+  ``PROC_NULL`` side, an ``ANY_SOURCE`` receive, a caught truncation),
+  with the time and order in which every rank's round resolves;
 * the SHA-256 of the p2p-detail span stream of one mixed program (an
   unexpected message, an ``ANY_SOURCE`` fan-in, a truncating receive
   and an off-node rendezvous), and of a run of ``sendrecv`` shifts,
@@ -94,6 +97,35 @@ SENDRECV = {
                "[1.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 2.0]]",
     "span_sha256":
         "528e7b26d91eedc96d8967273a4adeac661fdc9705e926a951a6d1a561fb02d3",
+}
+
+#: Exchange rounds off the matched path, at 2x2 ``hazel_hen``: the job's
+#: entries, and per rank the ``(time, resume order)`` of each round.
+FALLBACK = {
+    "any_source": (154, [
+        [("4.406400001322197e-06", 4), ("1.796360000216879e-05", 7)],
+        [("1.0128000003106763e-06", 1), ("1.796360000216879e-05", 8)],
+        [("2.462800001268306e-06", 2), ("1.6570000001436824e-05", 5)],
+        [("3.0128000005902322e-06", 3), ("1.6570000001436824e-05", 6)],
+    ]),
+    "null_dest": (92, [
+        [("3.406400001182419e-06", 3), ("1.4160000002760853e-05", 6)],
+        [("4.406400001322197e-06", 4), ("1.5160000002900631e-05", 8)],
+        [("2.0064000008090943e-06", 1), ("1.4160000002760853e-05", 5)],
+        [("3.0064000009488723e-06", 2), ("1.5160000002900631e-05", 7)],
+    ]),
+    "null_source": (94, [
+        [("6.400000529538374e-09", 1), ("1.275360000185799e-05", 5)],
+        [("1.0064000006693163e-06", 2), ("1.3753600001997768e-05", 7)],
+        [("2.000000000279556e-06", 3), ("1.275360000185799e-05", 6)],
+        [("3.000000000419334e-06", 4), ("1.3753600001997768e-05", 8)],
+    ]),
+    "truncate": (166, [
+        [("3.406400001182419e-06", 3), ("1.4160000002760853e-05", 5)],
+        [("4.406400001322197e-06", 4), ("1.5160000002900631e-05", 7)],
+        [("2.0064000008090943e-06", 1), ("1.4160000002760853e-05", 6)],
+        [("3.0064000009488723e-06", 2), ("1.5160000002900631e-05", 8)],
+    ]),
 }
 
 MIXED = {
@@ -226,6 +258,48 @@ def _sendrecv_rounds(mpi):
     return got
 
 
+def _fallback_rounds(mpi, case, order):
+    # Partners sit on different nodes; each rank starts skewed, so some
+    # messages arrive before their receive is posted.  Two rounds: an
+    # eager one, then a rendezvous-sized one.
+    comm = mpi.world
+    rank, size = comm.rank, comm.size
+    peer = (rank + size // 2) % size
+    lower = rank < peer
+    yield mpi.compute(1e-6 * rank)
+    seen = []
+    for nbytes in (64, RENDEZVOUS):
+        payload = np.full(nbytes // 8, float(rank))
+        if case == "any_source":
+            gate = comm.exchange(payload, (rank + 1) % size, ANY_SOURCE, 0)
+        elif case == "truncate":
+            buf = np.zeros(2) if lower else None
+            gate = comm.exchange(payload, peer, peer, 0, buf=buf)
+        elif lower:  # the lower rank's exchange has the PROC_NULL side
+            gate = (comm.exchange(payload, PROC_NULL, peer, 0)
+                    if case == "null_dest"
+                    else comm.exchange(payload, peer, PROC_NULL, 0))
+        elif case == "null_dest":
+            gate = comm.isend(payload, peer, 0).event
+        else:
+            gate = comm.irecv(None, peer, 0).event
+        try:
+            yield gate
+        except TruncationError:
+            pass
+        order.append(rank)
+        seen.append((repr(mpi.now), len(order)))
+    return seen
+
+
+def fallback_rounds(case: str) -> tuple:
+    """``(entries, [[(time, resume order) per round] per rank])``."""
+    result = run_program(hazel_hen(2), None, _fallback_rounds,
+                         placement=Placement.block(2, 2), replay=False,
+                         program_kwargs={"case": case, "order": []})
+    return result.events_processed, result.returns
+
+
 def sendrecv_rounds() -> dict:
     return _summary(run_program(hazel_hen(2), None, _sendrecv_rounds,
                                 placement=Placement.block(2, 2),
@@ -271,6 +345,11 @@ def test_mixed_program_span_stream():
                          "-".join(map(str, shape)))
 def test_entries_per_round(shape):
     assert per_round(*shape) == PER_ROUND[shape]
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK))
+def test_fallback_exchange_rounds(case):
+    assert fallback_rounds(case) == FALLBACK[case]
 
 
 def test_sendrecv_span_stream():
