@@ -103,7 +103,7 @@ so misses are unconditionally undistorted.
 
 Each decided dispatch is counted once (:func:`cache_stats`): a hit —
 ``lane_hits`` of them taken by the lane — or a live run by reason,
-``live`` (:data:`LIVE_REASONS`); the last two reasons are the misses.
+``live`` (:data:`LIVE_REASONS`); the last four reasons are the misses.
 
 ``REPRO_REPLAY_VERIFY=1`` executes every hit live, measures it with the
 window that records, and compares the two records whole — ``events``
@@ -115,7 +115,6 @@ live.
 from __future__ import annotations
 
 from dataclasses import astuple
-from heapq import heappush
 from types import MethodType
 from typing import Any
 
@@ -176,10 +175,13 @@ VETOES = ("profile_off", "trailing_work", "not_aligned", "setup_gate",
 #: Why a decided world dispatch ran live instead of replaying (see
 #: :meth:`ReplaySession._decide`): ranks entered at different timesteps;
 #: something was in flight; a rank's call had no signature; the shape's
-#: first occurrence in the job; no record this mode can apply.  The last
-#: two are the misses.
+#: first occurrence in the job; its cached record is negative (a pocket
+#: that produced none); the shape spent its ``_UNUSABLE_LIMIT``; its
+#: record's ranks exit at different ticks, which only loop mode applies.
+#: The last four are the misses.
 LIVE_REASONS = ("staggered", "not_quiescent", "unsigned",
-                "first_occurrence", "no_record")
+                "first_occurrence", "negative", "unusable_limit",
+                "non_uniform")
 
 #: Process-lifetime counters (exposed by the sweep service ``/stats``),
 #: once per dispatch: every decided dispatch is a hit (``lane_hits`` of
@@ -847,7 +849,7 @@ class ReplaySession:
         else:
             sigs = tuple(lane.sigs)
             if (pend.op, sigs) in self._warm:
-                plan, reason = self._lookup(pend, sigs, shape[2]), "no_record"
+                plan, reason = self._lookup(pend, sigs, shape[2])
             else:
                 # First execution of this dispatch shape in the job: run
                 # it live so one-off lazy setup (sub-comms, windows,
@@ -932,10 +934,10 @@ class ReplaySession:
         return self._open(recorded)
 
     def _lookup(self, pend: _Pending, sigs: tuple, order: tuple
-                ) -> _Plan | None:
+                ) -> tuple[_Plan | None, str | None]:
         """The full-key path of a shape that already ran live in this
-        job: the plan of the record this dispatch replays, or None when
-        it runs live instead (a miss)."""
+        job: the plan of the record this dispatch replays, or None and
+        the reason it runs live instead (a miss)."""
         wkey = (pend.op, sigs)
         key = self._key(pend.op, sigs, order)
         rec = _CACHE.get(key, _MISSING)
@@ -945,13 +947,17 @@ class ReplaySession:
                 # apply (non-uniform exits in default mode, rotating
                 # entry permutations): stop paying for pockets it will
                 # only throw away.
-                return None
+                return None, "unusable_limit"
             rec = self._record(pend, sigs, key, order)
-        plan = None if rec is None else self._plan(rec)
-        if plan is None or not (self.loop or plan.uniform):
-            self._unusable[wkey] = self._unusable.get(wkey, 0) + 1
-            return None
-        return plan
+        if rec is None:
+            reason = "negative"
+        else:
+            plan = self._plan(rec)
+            if self.loop or plan.uniform:
+                return plan, None
+            reason = "non_uniform"
+        self._unusable[wkey] = self._unusable.get(wkey, 0) + 1
+        return None, reason
 
     def _release(self, pend: _Pending, verdict: str, value) -> None:
         # Arrival order (dict insertion order), NOT rank order: released
@@ -1073,18 +1079,12 @@ class ReplaySession:
         # tick resume in the same relative order as live execution, so
         # the *next* dispatch sees an identical entry permutation.  Each
         # is Engine.timeout() spelled out: pre-triggered, one per rank.
-        now, defer, heap, seq = eng.now, eng._defer, eng._heap, eng._seq
+        push = eng._push
         for rank, d_ticks, done in plan.wakes:
             ev = arrivals[rank]
             ev._state = _TRIGGERED
             ev._value = done or ("done", list(rec.results[rank]))
-            time = (base_ticks + d_ticks) * TICK
-            if time <= now:
-                defer(ev)
-            else:
-                seq += 1
-                heappush(heap, (time, seq, ev))
-        eng._seq = seq
+            push((base_ticks + d_ticks) * TICK, ev)
 
 
 class _PocketHost:

@@ -14,9 +14,11 @@ naturally::
 
 Design notes
 ------------
-* **Determinism.**  The ready queue is a binary heap keyed on
-  ``(time, seq)`` where ``seq`` is a global insertion counter, so
-  simultaneous events always fire in schedule order.  Re-running the same
+* **Determinism.**  Entries run in ``(time, push order)``: a FIFO holds
+  everything due at the current time, and each future timestamp keeps
+  its entries in a bucket, in push order, behind a binary heap of the
+  distinct timestamps.  Simultaneous events therefore always fire in
+  schedule order.  Re-running the same
   program yields the identical trace — every layer above relies on this,
   up to the observability span streams (:mod:`repro.trace`), which the
   tests require to be *bit-identical* across re-runs.
@@ -40,7 +42,7 @@ Design notes
 from __future__ import annotations
 
 import gc
-import heapq
+from heapq import heapify, heappop, heappush
 from math import ceil as _ceil
 from collections import deque
 from collections.abc import Generator, Iterable
@@ -132,11 +134,12 @@ class Event:
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
-        # Lazily created: None both before the first subscriber (most
-        # events never get more than one, many get none) and after
-        # processing.  ``_state`` — not ``callbacks`` — distinguishes
-        # the two.
-        self.callbacks: list[Callable[[Event], None]] | None = None
+        # The subscribers: None both before the first one and after
+        # processing (``_state`` — not ``callbacks`` — distinguishes the
+        # two); the waiting :class:`Process` itself while it is the only
+        # one, which is what almost every waited-on event has; a list of
+        # callables from the second subscriber on.
+        self.callbacks: Process | list[Callable[[Event], None]] | None = None
         self._state = _PENDING
         self._value: Any = None
         self._exc: BaseException | None = None
@@ -185,8 +188,8 @@ class Event:
         (e.g. a watchdog that did not trip).  The queue entry is left in
         place but flagged, the drain loops skip it without processing
         (it does not count toward :attr:`Engine.event_count`), and the
-        engine compacts the heap once cancelled entries dominate, so
-        repeated timeout/cancel cycles keep the heap bounded.  Waiters
+        engine compacts its timed queue once cancelled entries dominate, so
+        repeated timeout/cancel cycles keep the queue bounded.  Waiters
         subscribed to a cancelled event are never resumed — cancel only
         events nobody (left) waits on.  No-op once processed.
         """
@@ -222,15 +225,20 @@ class Event:
                 self.callbacks = [fn]
             else:  # already processed: run at current time, async
                 self.engine._defer(lambda: fn(self))
-        else:
+        elif type(cbs) is list:
             cbs.append(fn)
+        else:  # a lone waiting process: it keeps the first place
+            self.callbacks = [cbs._resume_from, fn]
 
     def _process(self) -> None:
         self._state = _PROCESSED
         callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
+        if callbacks is not None:
+            if type(callbacks) is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks._resume_from(self)
 
     def __repr__(self) -> str:
         return f"<Event {self.name!r} {_STATE_NAMES[self._state]}>"
@@ -278,14 +286,7 @@ class AllOf:
             return
         count = _Countdown(done, len(events), events)
         for ev in events:
-            cbs = ev.callbacks
-            if cbs is None:
-                if ev._state != _PROCESSED:
-                    ev.callbacks = [count]
-                else:  # already processed
-                    ev.add_callback(count)
-            else:
-                cbs.append(count)
+            ev.add_callback(count)
 
 
 class AnyOf:
@@ -333,7 +334,7 @@ class Process(Event):
         result = yield child
     """
 
-    __slots__ = ("generator", "_waiting_on", "_alive", "_resume_cb")
+    __slots__ = ("generator", "_waiting_on", "_alive")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
         # Slots are assigned inline (not via Event.__init__): processes are
@@ -346,21 +347,17 @@ class Process(Event):
         self._poolable = False
         self.name = name or getattr(generator, "__name__", "process")
         self.generator = generator
+        # The event this process is subscribed to; None while it runs and
+        # once it has finished, so a subscription that outlived its wait
+        # (an interrupt after the event triggered) resumes nothing.
         self._waiting_on: Event | None = None
         self._alive = True
-        # One bound method for the lifetime of the process: registered on
-        # every waited-on event and removable by identity on interrupt.
-        self._resume_cb = self._resume_from
         engine._live_processes.add(self)
         engine._defer(self._first_step)
 
     def _first_step(self) -> None:
-        # Fused initial advance (same shape as _resume_from): one frame
-        # for the first generator.send and the first wait subscription.
-        # One call per spawned process — at paper scale that is one per
-        # simulated message transfer.
-        if not self._alive:
-            return
+        # One call per spawned process: the first generator.send and the
+        # first wait subscription in one frame.
         try:
             target = self.generator.send(None)
         except StopIteration as stop:
@@ -369,19 +366,12 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate into event
             self._finish_fail(exc)
             return
-        if type(target) is Event or isinstance(target, Event):
+        if (type(target) is Event and target.callbacks is None
+                and target._state != _PROCESSED):
             self._waiting_on = target
-            cbs = target.callbacks
-            if cbs is None:
-                if target._state != _PROCESSED:
-                    target.callbacks = [self._resume_cb]
-                else:  # already processed: resume at current time
-                    cb = self._resume_cb
-                    self.engine._defer(lambda: cb(target))
-            else:
-                cbs.append(self._resume_cb)
-            return
-        self._wait_on(target)
+            target.callbacks = self
+        else:
+            self._wait_on(target)
 
     @property
     def is_alive(self) -> bool:
@@ -395,14 +385,16 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and not target.triggered:
             # Detach from whatever we were waiting on; resume with Interrupt.
-            # The callback must come off the old target's list too, or every
+            # The subscription must come off the old target too, or every
             # interrupt would leave a dead entry behind for the rest of the
             # target's life (unbounded growth on long-lived events).
             self._waiting_on = None
             callbacks = target.callbacks
-            if callbacks is not None:
+            if callbacks is self:
+                target.callbacks = None
+            elif callbacks is not None:
                 try:
-                    callbacks.remove(self._resume_cb)
+                    callbacks.remove(self._resume_from)
                 except ValueError:  # pragma: no cover - already detached
                     pass
         self.engine._defer(
@@ -431,22 +423,12 @@ class Process(Event):
         # Plain events (and processes) are the overwhelmingly common yield
         # target — test for them first.
         if isinstance(target, Event):
-            self._waiting_on = target
-            cbs = target.callbacks
-            if cbs is None:
-                if target._state != _PROCESSED:
-                    target.callbacks = [self._resume_cb]
-                else:  # already processed: resume at current time
-                    cb = self._resume_cb
-                    self.engine._defer(lambda: cb(target))
-            else:
-                cbs.append(self._resume_cb)
+            self._join(target)
             return
         if isinstance(target, (AllOf, AnyOf)):
             gate = Event(self.engine, name="gate")
             target._subscribe(self.engine, gate)
-            self._waiting_on = gate
-            gate.add_callback(self._resume_cb)
+            self._join(gate)
             return
         self._finish_fail(
             SimulationError(
@@ -454,13 +436,29 @@ class Process(Event):
             )
         )
 
+    def _join(self, target: Event) -> None:
+        # Subscribe to *target*: into its empty slot, behind the
+        # callables already subscribed, or — when the slot holds a lone
+        # waiting process — as the second entry of a new list.
+        self._waiting_on = target
+        cbs = target.callbacks
+        if cbs is None:
+            if target._state != _PROCESSED:
+                target.callbacks = self
+            else:  # already processed: resume at current time
+                self.engine._defer(lambda: self._resume_from(target))
+        elif type(cbs) is list:
+            cbs.append(self._resume_from)
+        else:
+            target.callbacks = [cbs._resume_from, self._resume_from]
+
     def _resume_from(self, ev: Event) -> None:
-        # Fused resume path: the bodies of _step/_wait_on/add_callback in
-        # one frame.  One call per processed event with a waiter — the
-        # hottest code in the simulator; the general versions above remain
-        # for first steps, interrupts, and composite targets.
-        if not self._alive or self._waiting_on is not ev:
-            return  # stale callback (e.g. after interrupt)
+        # Resume with what *ev* carries and subscribe to the next target.
+        # Engine.run() inlines this body for the lone process of an event's
+        # slot; this method serves step(), the callback lists and the
+        # general _process paths.
+        if self._waiting_on is not ev:
+            return  # stale subscription (e.g. after interrupt)
         self._waiting_on = None
         try:
             if ev._exc is None:
@@ -473,28 +471,17 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate into event
             self._finish_fail(exc)
             return
-        if type(target) is Event or isinstance(target, Event):
+        if (type(target) is Event and target.callbacks is None
+                and target._state != _PROCESSED):
             self._waiting_on = target
-            cbs = target.callbacks
-            if cbs is None:
-                if target._state != _PROCESSED:
-                    target.callbacks = [self._resume_cb]
-                else:  # already processed: resume at current time
-                    cb = self._resume_cb
-                    self.engine._defer(lambda: cb(target))
-            else:
-                cbs.append(self._resume_cb)
-            return
-        self._wait_on(target)
+            target.callbacks = self
+        else:
+            self._wait_on(target)
 
     def _finish_ok(self, value: Any) -> None:
         self._alive = False
         engine = self.engine
         engine._live_processes.discard(self)
-        # Drop the cached bound method: it closes the Process->method->
-        # Process reference cycle, letting refcounting (not the cyclic GC)
-        # reclaim finished processes.
-        self._resume_cb = None
         # Inlined succeed() — the already-triggered check cannot fire (a
         # process event triggers exactly once, here).
         self._state = _TRIGGERED
@@ -505,7 +492,6 @@ class Process(Event):
         self._alive = False
         engine = self.engine
         engine._live_processes.discard(self)
-        self._resume_cb = None
         self._state = _TRIGGERED
         self._exc = exc
         engine._defer(self)
@@ -518,8 +504,11 @@ class Process(Event):
         callbacks = self.callbacks
         self.callbacks = None
         if callbacks:
-            for fn in callbacks:
-                fn(self)
+            if type(callbacks) is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks._resume_from(self)
         elif self._exc is not None:
             self.engine._unhandled.append((self, self._exc))
 
@@ -537,26 +526,29 @@ class Engine:
     :mod:`repro`; the engine itself is unit-agnostic).
 
     The scheduler keeps a plain FIFO of everything scheduled *at the
-    current time* and uses the ``(time, seq)`` binary heap only for
-    entries in the strict future.  Deferred calls are stored as bare
-    callables, so resuming a process or running a queued callback
-    allocates no :class:`Event` at all.
+    current time*.  An entry in the strict future joins the bucket of
+    its timestamp — a list in push order — and a binary heap holds each
+    distinct future timestamp once, as a plain float.  Deferred calls
+    are stored as bare callables, so resuming a process or running a
+    queued callback allocates no :class:`Event` at all.
 
-    FIFO entries need no sequence numbers: virtual time only advances
-    (via the heap) once the FIFO is empty, so every heap entry that is
-    due at the current time was necessarily scheduled *before* any entry
-    currently in the FIFO and therefore always precedes it in ``(time,
-    seq)`` order.  Heap entries keep the seq tiebreak among themselves.
-    Entries are thus processed in global ``(time, seq)`` order; the
-    equivalence tests pin :attr:`event_count`, every virtual timestamp
-    and the span streams of the paper-figure miniatures to literals.
+    Virtual time advances only once the FIFO is empty: the heap yields
+    the next timestamp and its whole bucket moves into the FIFO.  Every
+    entry of that bucket was scheduled before anything its processing
+    can enqueue, so FIFO order is push order, and entries run in global
+    ``(time, push order)``.  The equivalence tests pin
+    :attr:`event_count`, every virtual timestamp and the span streams of
+    the paper-figure miniatures to literals.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: Future entries: ``(time, seq, item)``, item an Event or a
-        #: :meth:`call_later` callable.
-        self._heap: list[tuple[float, int, Any]] = []
+        #: Each distinct future timestamp once (a heap); empty exactly
+        #: when nothing timed is scheduled.
+        self._heap: list[float] = []
+        #: Future entries by timestamp, in push order: Events or
+        #: :meth:`call_later` callables.
+        self._timed: dict[float, list[Any]] = {}
         #: Same-time FIFO: bare Events or callables.
         #: Invariant: every entry was scheduled at the *current* time, so
         #: the queue must drain before virtual time may advance.
@@ -565,13 +557,12 @@ class Engine:
         #: (one deque append per scheduled entry).
         self._defer = self._deferred.append
         self._pause_pool: list[Event] = []
-        self._seq = 0
         self._live_processes: set[Process] = set()
         #: Crashed processes ``(process, exception)`` and
         #: :meth:`after_entry` hooks ``(None, fn)``, in arrival order.
         self._unhandled: list[tuple[Process | None, Any]] = []
         self._event_count = 0
-        #: Cancelled-but-still-heap-resident entries (lazy deletion).
+        #: Cancelled-but-still-queued entries (lazy deletion).
         self._cancelled = 0
         #: One-shot callbacks to run just before virtual time next
         #: advances (or the queue drains).  Identity is stable: the run
@@ -628,19 +619,14 @@ class Engine:
             ev._state = _TRIGGERED
             ev._value = value
             ev._poolable = True
-        time = (self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK
-        if time <= self.now:
-            self._defer(ev)
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, ev))
+        self._push((self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK, ev)
         return ev
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` *delay* virtual seconds from now.
 
         Takes the queue slot a :meth:`pause` of *delay* takes — so the
-        same ``(time, seq)`` order and one entry of
+        same ``(time, push order)`` place and one entry of
         :attr:`event_count` — but holds *fn* itself, with no event.
 
         >>> eng = Engine()
@@ -670,31 +656,48 @@ class Engine:
 
     # -- scheduling internals --------------------------------------------
     def _push(self, time: float, item: Any) -> None:
+        """Schedule *item* (an Event or a callable) at absolute *time*:
+        into the FIFO when that is now, else at the end of its
+        timestamp's bucket.  Every timed entry is scheduled here."""
         if time <= self.now:
             self._defer(item)
         else:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, item))
+            bucket = self._timed.get(time)
+            if bucket is None:
+                self._timed[time] = [item]
+                heappush(self._heap, time)
+            else:
+                bucket.append(item)
 
     def _note_cancelled(self) -> None:
-        # Lazy deletion bookkeeping: once cancelled entries are the
-        # majority of a non-trivial heap, rebuild it in place (the run
-        # loop holds the list object in a local).  Only events can be
-        # cancelled; :meth:`call_later` entries are kept.
+        # Lazy deletion bookkeeping: once cancelled entries are at least
+        # half of a non-trivial set of timed ones, filter the buckets,
+        # drop the emptied ones and rebuild the time heap — all in place
+        # (the run loop holds both objects in locals).  Only events can
+        # be cancelled; :meth:`call_later` entries are kept.
         self._cancelled += 1
+        timed = self._timed
+        if (self._cancelled < 64
+                or self._cancelled * 2 < sum(map(len, timed.values()))):
+            return
+        for time, bucket in list(timed.items()):
+            live = [e for e in bucket if not (
+                isinstance(e, Event) and e._state == _CANCELLED)]
+            if live:
+                timed[time] = live
+            else:
+                del timed[time]
         heap = self._heap
-        if self._cancelled >= 64 and self._cancelled * 2 >= len(heap):
-            heap[:] = [e for e in heap if not (
-                isinstance(e[2], Event) and e[2]._state == _CANCELLED)]
-            heapq.heapify(heap)
-            self._cancelled = 0
+        heap[:] = timed
+        heapify(heap)
+        self._cancelled = 0
 
     def on_time_advance(self, fn: Callable[[], None]) -> None:
         """Run *fn* once, just before virtual time next advances.
 
         The hook fires when every entry scheduled at the current time has
-        been processed — either because the next heap entry lies strictly
-        in the future or because the queue drained.  It may schedule new
+        been processed — either because the next timed entry lies
+        strictly in the future or because the queue drained.  It may schedule new
         work at the current time (processed before time moves) or in the
         future.  Hooks are one-shot and run in registration order; a hook
         that re-registers itself without scheduling work is an error (the
@@ -753,54 +756,33 @@ class Engine:
     def step(self) -> None:
         """Process one scheduled event (or deferred call).
 
-        Pops the globally next ``(time, seq)`` entry, advancing ``now``.
-        Deferred entries are all at the current time; a heap entry due
-        now was scheduled before any of them (time could not have
-        advanced otherwise) and therefore precedes them.  Cancelled
+        Takes the globally next ``(time, push order)`` entry: the FIFO's
+        head, or — once the FIFO is empty — the earliest timestamp's
+        bucket, moved into the FIFO as ``now`` advances to it.  Cancelled
         entries are discarded unprocessed (and uncounted) on the way.
         """
+        deferred = self._deferred
         while True:
-            deferred = self._deferred
-            if deferred:
-                heap = self._heap
-                if heap and heap[0][0] <= self.now:
-                    entry = heapq.heappop(heap)
-                    self.now = entry[0]
-                    item = entry[2]
-                else:
-                    item = deferred.popleft()
-            else:
-                heap = self._heap
-                if (
-                    self._advance_hooks
-                    and (not heap or heap[0][0] > self.now)
-                ):
+            if not deferred:
+                if self._advance_hooks:
                     self._run_advance_hooks()
                     continue
-                time, _seq, item = heapq.heappop(heap)
+                time = heappop(self._heap)
                 if time < self.now:  # pragma: no cover - defensive
                     raise SimulationError("time went backwards")
                 self.now = time
+                deferred.extend(self._timed.pop(time))
+            item = deferred.popleft()
             if isinstance(item, Event) and item._state == _CANCELLED:
                 if self._cancelled:
                     self._cancelled -= 1
                 continue
             break
         self._event_count += 1
-        # Plain events are processed inline (the _process body), sparing a
-        # call per event; Process overrides _process, so subclasses take
-        # the virtual dispatch.
-        if type(item) is Event:
-            item._state = _PROCESSED
-            callbacks = item.callbacks
-            item.callbacks = None
-            if callbacks:
-                for fn in callbacks:
-                    fn(item)
+        if isinstance(item, Event):
+            item._process()
             if item._poolable:
                 self._pause_pool.append(item)
-        elif isinstance(item, Event):
-            item._process()
         else:
             item()
         if self._unhandled:
@@ -816,22 +798,23 @@ class Engine:
         SimulationError
             If a process with no waiter raises an exception.
         """
-        # Fully fused event loop: the bodies of step() and Event._process
-        # are inlined and ``now``/``event_count`` are carried in locals —
-        # per-event attribute traffic is what dominates at paper scale.
-        # step() remains the semantic reference for one iteration.
+        # Fully fused event loop: the bodies of step(), Event._process and
+        # — for an event's lone waiting process — Process._resume_from are
+        # inlined, and ``now``/``event_count`` are carried in locals:
+        # per-event attribute traffic and frames are what dominate at
+        # paper scale.  step() remains the semantic reference for one
+        # iteration.
         deferred = self._deferred
         heap = self._heap
+        timed = self._timed
         pool = self._pause_pool
         unhandled = self._unhandled
-        heappop = heapq.heappop
         hooks = self._advance_hooks
         now = self.now
         count = 0
-        # The run loop allocates heavily but — with the Process reference
-        # cycle broken at finish — produces almost no cyclic garbage, so
-        # the collector only burns time rescanning live objects.  Pause it
-        # for the duration (restored even on error).
+        # The run loop allocates heavily but produces almost no cyclic
+        # garbage, so the collector only burns time rescanning live
+        # objects.  Pause it for the duration (restored even on error).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -840,10 +823,10 @@ class Engine:
                 if deferred:
                     item = deferred.popleft()
                 elif heap:
-                    time = heap[0][0]
+                    time = heap[0]
                     if time < now:  # pragma: no cover - defensive
                         raise SimulationError("time went backwards")
-                    if time > now and hooks:
+                    if hooks:
                         # Everything at the current time has been
                         # processed: give the advance hooks (e.g. replay
                         # decisions) a chance to add same-time work
@@ -857,19 +840,17 @@ class Engine:
                         continue
                     if until is not None and time > until:
                         # Deferred entries are always at ``now`` <= until;
-                        # only a heap advance can cross the boundary.
+                        # only an advance can cross the boundary.
                         self.now = until
                         return
-                    item = heappop(heap)[2]
+                    heappop(heap)
                     self.now = now = time
-                    # Drain every other entry due at this same time into
-                    # the FIFO up front.  They were all scheduled before
-                    # anything the processing below can enqueue — a push
-                    # at <= now always goes to the FIFO, so no new
-                    # same-time heap entry can appear.  This keeps
-                    # deferred pops free of any heap check.
-                    while heap and heap[0][0] == time:
-                        deferred.append(heappop(heap)[2])
+                    # The timestamp's whole bucket becomes the FIFO: its
+                    # entries were all scheduled before anything their
+                    # processing can enqueue (a push at <= now goes to the
+                    # FIFO), so push order is kept.
+                    deferred.extend(timed.pop(time))
+                    item = deferred.popleft()
                 else:
                     if hooks:
                         self._event_count += count
@@ -885,8 +866,7 @@ class Engine:
                 if type(item) is MethodType:
                     item()
                 elif type(item) is Event:
-                    state = item._state
-                    if state == _CANCELLED:
+                    if item._state == _CANCELLED:
                         count -= 1
                         if self._cancelled:
                             self._cancelled -= 1
@@ -894,9 +874,31 @@ class Engine:
                     item._state = _PROCESSED
                     callbacks = item.callbacks
                     item.callbacks = None
-                    if callbacks:
+                    if type(callbacks) is list:
                         for fn in callbacks:
                             fn(item)
+                    elif (callbacks is not None
+                          and callbacks._waiting_on is item):
+                        # The lone waiting process, resumed in place:
+                        # Process._resume_from without its frame.
+                        callbacks._waiting_on = None
+                        try:
+                            if item._exc is None:
+                                target = callbacks.generator.send(item._value)
+                            else:
+                                target = callbacks.generator.throw(item._exc)
+                        except StopIteration as stop:
+                            callbacks._finish_ok(stop.value)
+                        except BaseException as exc:  # noqa: BLE001
+                            callbacks._finish_fail(exc)
+                        else:
+                            if (type(target) is Event
+                                    and target.callbacks is None
+                                    and target._state != _PROCESSED):
+                                callbacks._waiting_on = target
+                                target.callbacks = callbacks
+                            else:
+                                callbacks._wait_on(target)
                     if item._poolable:
                         pool.append(item)
                 elif type(item) is Process:
@@ -905,8 +907,11 @@ class Engine:
                     callbacks = item.callbacks
                     item.callbacks = None
                     if callbacks:
-                        for fn in callbacks:
-                            fn(item)
+                        if type(callbacks) is list:
+                            for fn in callbacks:
+                                fn(item)
+                        else:
+                            callbacks._resume_from(item)
                     elif item._exc is not None:
                         unhandled.append((item, item._exc))
                 elif isinstance(item, Event):

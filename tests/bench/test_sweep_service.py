@@ -135,7 +135,7 @@ def test_stats_counts_requests(service):
     ]
     assert list(doc["replay"]["live"]) == [
         "staggered", "not_quiescent", "unsigned", "first_occurrence",
-        "no_record",
+        "negative", "unusable_limit", "non_uniform",
     ]
 
 

@@ -28,7 +28,8 @@ def test_timeout_cancel_cycles_keep_heap_bounded():
     engine.spawn(_watchdog_loop(engine), name="worker")
     engine.run()
     # 2000 cancelled watchdogs were pushed; lazy deletion + periodic
-    # compaction must leave the heap near-empty, not linear in cycles.
+    # compaction must leave the time heap near-empty, not linear in
+    # cycles.
     assert len(engine._heap) < 200
 
 
@@ -125,7 +126,8 @@ def test_compaction_keeps_call_later_entries_in_order():
     expected = _mixed_heap(engine, fired)
     # Compaction ran (75 of 150 entries cancelled) and kept every live
     # entry: the 50 scheduled above plus the 25 watchdogs cancelled after.
-    assert len(engine._heap) == 75
+    assert sum(map(len, engine._timed.values())) == 75
+    assert sorted(engine._heap) == sorted(engine._timed)
     engine.run()
     assert fired == expected
     assert engine.event_count == 50
