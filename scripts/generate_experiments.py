@@ -49,16 +49,25 @@ produces.  Regenerate the inputs with::
 
 ## Reproducing through the cached sweep service
 
-The sweep-style figures are also reproducible through `repro-sweep`
-(docs/sweeps.md), which shards the points across worker processes and
-memoizes every result in a content-addressed cache.  Virtual-time
-results are bit-identical to the committed baselines — `--check-bench`
-asserts it — and a warm re-run answers entirely from cache::
+Every figure is a set of sweep points (docs/sweeps.md) answered
+through `repro-sweep`'s content-addressed cache, so the whole paper
+grid shards over processes figure by figure into one cache, and the
+final build renders the tables from it — byte-identical to a cold
+serial run::
 
-    repro-sweep run --figure fig7  --cache sweep-cache --workers 4 --check-bench .
-    repro-sweep run --figure fig9  --cache sweep-cache --workers 4 --check-bench .
-    repro-sweep run --figure fig10 --cache sweep-cache --workers 4 --check-bench .
-    repro-sweep run --figure fig10 --cache sweep-cache --check-bench .  # warm: 100% hits
+    export REPRO_SWEEP_CACHE=sweep-cache
+    repro-bench --list | cut -d' ' -f1 |
+      xargs -P 2 -I{} repro-bench --figure {} --mode paper --quiet > /dev/null
+    repro-bench --all --mode paper --quiet --out paper_results.txt
+
+Virtual-time results are bit-identical to the committed pins —
+`--check-bench` asserts it for the Fig 7/9/10 grids and the paper grids
+of Fig 11a-d and Fig 12 — and a warm re-run answers entirely from
+cache::
+
+    repro-sweep run --figure fig10  --cache sweep-cache --workers 2 --check-bench .
+    repro-sweep run --figure fig11b --cache sweep-cache --workers 2 --check-bench .
+    repro-sweep run --figure fig11b --cache sweep-cache --check-bench .  # warm: 100% hits
 
 On the reference machine the cold full Fig 10 sweep takes ~8 s and the
 warm re-run ~2 ms (>1000× the required 10×).  The transport-crossover

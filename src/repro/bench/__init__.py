@@ -3,11 +3,12 @@
 * :mod:`repro.bench.osu` — the OSU-style latency measurement protocol
   the paper's micro-benchmarks are built on (§5: "modified from the OSU
   benchmark", warm-up + repeated timed executions).
-* :mod:`repro.bench.harness` — sweep runner and table formatting.
+* :mod:`repro.bench.harness` — figure runner (one
+  :func:`~repro.bench.sweep.run_sweep` per figure) and table formatting.
 * :mod:`repro.bench.figures` — one :class:`~repro.bench.harness.Figure`
-  definition per paper artifact (Fig 7, 8a, 8b, 9a, 9b, 10, 11a-d, 12)
-  plus the ablation studies (sync mechanism, pipelining, placement,
-  multi-leader baseline).
+  row declaration per paper artifact (Fig 7, 8a, 8b, 9a, 9b, 10, 11a-d,
+  12) plus the ablation studies (sync mechanism, pipelining, placement,
+  multi-leader baseline, noise) and extensions.
 * :mod:`repro.bench.cli` — ``repro-bench --figure fig7`` /
   ``python -m repro.bench``.
 

@@ -36,6 +36,7 @@ import os
 import sys
 
 from repro.bench.figures import FIGURES, get_figure
+from repro.bench.harness import FigureError
 from repro.mpi.collectives import registry as _registry
 
 __all__ = ["main"]
@@ -217,10 +218,11 @@ def _run_traced(args) -> int:
 def _selection_env(policy: str | None, algos: list[str]) -> dict[str, str]:
     """Translate --policy/--algo into REPRO_COLL_* environment variables.
 
-    The figures construct their :class:`~repro.mpi.runtime.MPIJob`
-    internally, and a job built without an explicit policy resolves one
-    from the environment — so the CLI simply stages the same variables a
-    user would export by hand."""
+    The figures' sweep points construct their
+    :class:`~repro.mpi.runtime.MPIJob` internally, and a job built
+    without an explicit policy resolves one from the environment — so
+    the CLI simply stages the same variables a user would export by hand
+    (and the sweep cache keys on the policy they select)."""
     env: dict[str, str] = {}
     if policy:
         env[_registry.ENV_POLICY] = policy
@@ -286,9 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     report_pairs = []
     saved = {k: os.environ.get(k) for k in selection_env}
     os.environ.update(selection_env)
-    # The figure measure functions build their OSU programs internally,
-    # so --reps/--warmup override the module defaults for the duration
-    # of the runs (restored below).
+    # The sweep points build their OSU programs internally, so
+    # --reps/--warmup override the module defaults (and the cache keys)
+    # for the duration of the runs (restored below).
     from repro.bench import osu as _osu
 
     saved_reps, saved_warmup = _osu.DEFAULT_REPS, _osu.DEFAULT_WARMUP
@@ -310,7 +312,11 @@ def main(argv: list[str] | None = None) -> int:
             except KeyError as exc:
                 print(exc.args[0], file=sys.stderr)
                 return 2
-            result = figure.run(mode=args.mode, progress=not args.quiet)
+            try:
+                result = figure.run(mode=args.mode, progress=not args.quiet)
+            except FigureError as exc:
+                print(f"figure failed: {exc}", file=sys.stderr)
+                return 1
             text = result.render()
             print(text)
             print(f"(wall time {result.wall_seconds:.1f}s)\n")

@@ -17,407 +17,244 @@ abl_placement  SMP vs round-robin placement (§6)
 abl_multileader  Single- vs multi-leader pure-MPI baseline ([14])
 ========  =====================================================
 
-Latencies are reported in microseconds, application times in
-milliseconds, matching the paper's axes.
+Each figure declares its rows per mode: every measured cell is a
+:class:`~repro.bench.sweep.SweepPoint`, so a figure is one
+:func:`~repro.bench.sweep.run_sweep` over its points (see
+:class:`~repro.bench.harness.Figure`).  Latencies are reported in
+microseconds, application times in milliseconds, matching the paper's
+axes.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.bench.harness import Figure
-from repro.bench.osu import hybrid_allgather_program
-from repro.core.sync import BarrierSync, FlagSync
-from repro.machine.placement import Placement
-from repro.machine.presets import hazel_hen
-from repro.mpi import run_program
+from repro.bench.harness import Figure, Ms, Ratio
 
 __all__ = ["FIGURES", "get_figure"]
-
-_US = 1.0e6
-_MS = 1.0e3
-
-
-def cached_latency_us(*args, **kwargs):
-    """Lazy alias of :func:`repro.bench.sweep.cached_latency_us` — the
-    allgather figures measure every point through the sweep layer (and
-    its ``$REPRO_SWEEP_CACHE`` cache).  Imported at call time so that
-    ``python -m repro.bench.sweep`` does not re-import this package's
-    eager figure registry."""
-    from repro.bench.sweep import cached_latency_us as measure
-
-    return measure(*args, **kwargs)
 
 #: The paper's message-size axis: 2^0 .. 2^15 doubles.
 _PAPER_SIZES = [2**k for k in range(0, 16, 2)] + [2**15]
 _QUICK_SIZES = [1, 64, 1024, 16384]
 
-
-def _dedup(seq: list[int]) -> list[int]:
-    return sorted(set(seq))
-
-
-# ---------------------------------------------------------------------------
-# Fig 7 — single node
-# ---------------------------------------------------------------------------
-
-def _fig7_sweep(mode: str) -> list[dict]:
-    sizes = _PAPER_SIZES if mode == "paper" else _QUICK_SIZES
-    return [{"elements": n} for n in _dedup(sizes)]
+#: Fig 7-10's two MPI personalities: column label → machine preset.
+_MPIS = (("cray", "hazel_hen"), ("ompi", "vulcan"))
 
 
-def _fig7_measure(point: dict, mode: str) -> dict:
-    nbytes = point["elements"] * 8
-    counts = (24,)
-    out: dict[str, Any] = {}
-    for label, machine in (("cray", "hazel_hen"), ("ompi", "vulcan")):
-        out[f"hy_{label}_us"] = cached_latency_us(
-            machine, counts, nbytes, "hybrid"
-        )
-        out[f"allgather_{label}_us"] = cached_latency_us(
-            machine, counts, nbytes, "pure"
-        )
-    return out
+def _point(counts, nbytes: int = 8, variant: str = "hybrid",
+           machine: str = "hazel_hen", **fields):
+    """One simulator point (the sweep module loads on first use)."""
+    from repro.bench.sweep import SweepPoint
+
+    return SweepPoint(machine=machine, counts=tuple(counts), nbytes=nbytes,
+                      variant=variant, **fields)
+
+
+def _sizes(mode: str) -> list[int]:
+    return sorted(set(_PAPER_SIZES if mode == "paper" else _QUICK_SIZES))
+
+
+def _cores(cores: int) -> list[int]:
+    """Full 24-core Hazel Hen nodes plus one partial node."""
+    full, rem = divmod(cores, 24)
+    return [24] * full + ([rem] if rem else [])
 
 
 # ---------------------------------------------------------------------------
-# Fig 8 — one rank per node
+# Fig 7-10 — OSU allgather latency
 # ---------------------------------------------------------------------------
 
-def _fig8_sweep(mode: str) -> list[dict]:
-    sizes = _PAPER_SIZES if mode == "paper" else _QUICK_SIZES
-    return [{"elements": n} for n in _dedup(sizes)]
+def _pair_cells(counts, nbytes: int, machines=_MPIS, pure: str = "allgather",
+                ratio: bool = False) -> dict:
+    """Hy_Allgather and the pure baseline on each ``(label, machine)``
+    (an irregular population routes the pure variant to allgatherv)."""
+    row: dict = {}
+    for label, machine in machines:
+        row[f"hy_{label}_us"] = _point(counts, nbytes, "hybrid", machine)
+        row[f"{pure}_{label}_us"] = _point(counts, nbytes, "pure", machine)
+        if ratio:
+            row[f"ratio_{label}"] = Ratio(f"{pure}_{label}_us",
+                                          f"hy_{label}_us")
+    return row
 
 
-def _fig8_measure(machine: str, point: dict, mode: str) -> dict:
-    nbytes = point["elements"] * 8
+def _fig7_rows(mode: str) -> list[dict]:
+    return [{"elements": n, **_pair_cells((24,), n * 8)}
+            for n in _sizes(mode)]
+
+
+def _fig8_rows(machine: str, mode: str) -> list[dict]:
     node_counts = (4, 16, 64) if mode == "paper" else (4, 16)
-    out: dict[str, Any] = {}
-    for nodes in node_counts:
-        counts = (1,) * nodes
-        out[f"hy_{nodes}_us"] = cached_latency_us(
-            machine, counts, nbytes, "hybrid"
-        )
-        out[f"allgather_{nodes}_us"] = cached_latency_us(
-            machine, counts, nbytes, "pure"
-        )
-    return out
+    rows = []
+    for n in _sizes(mode):
+        row: dict = {"elements": n}
+        for nodes in node_counts:
+            row.update(_pair_cells((1,) * nodes, n * 8, ((nodes, machine),)))
+        rows.append(row)
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# Fig 9 — ppn sweep at fixed node count
-# ---------------------------------------------------------------------------
-
-def _fig9_sweep(mode: str) -> list[dict]:
+def _fig9_rows(elements: int, mode: str) -> list[dict]:
     ppns = range(3, 25, 3) if mode == "paper" else (3, 12, 24)
-    return [{"ppn": p} for p in ppns]
-
-
-def _fig9_measure(elements: int, point: dict, mode: str) -> dict:
     nodes = 64 if mode == "paper" else 16
-    nbytes = elements * 8
-    counts = (point["ppn"],) * nodes
-    out: dict[str, Any] = {"nodes": nodes}
-    for label, machine in (("cray", "hazel_hen"), ("ompi", "vulcan")):
-        hy = cached_latency_us(machine, counts, nbytes, "hybrid")
-        pure = cached_latency_us(machine, counts, nbytes, "pure")
-        out[f"hy_{label}_us"] = hy
-        out[f"allgather_{label}_us"] = pure
-        out[f"ratio_{label}"] = pure / hy
-    return out
+    return [{"ppn": ppn, "nodes": nodes,
+             **_pair_cells((ppn,) * nodes, elements * 8, ratio=True)}
+            for ppn in ppns]
 
 
-# ---------------------------------------------------------------------------
-# Fig 10 — irregular node population
-# ---------------------------------------------------------------------------
-
-def _fig10_sweep(mode: str) -> list[dict]:
-    sizes = _PAPER_SIZES if mode == "paper" else _QUICK_SIZES
-    return [{"elements": n} for n in _dedup(sizes)]
-
-
-def _fig10_measure(point: dict, mode: str) -> dict:
+def _fig10_rows(mode: str) -> list[dict]:
     # Paper: 24 ranks on 42 nodes plus 16 on one more (1024 ranks).
     counts = [24] * 42 + [16] if mode == "paper" else [24] * 6 + [16]
-    nbytes = point["elements"] * 8
-    out: dict[str, Any] = {"ranks": sum(counts)}
-    for label, machine in (("cray", "hazel_hen"), ("ompi", "vulcan")):
-        # The irregular population routes the pure variant to
-        # allgatherv automatically (SweepPoint.is_irregular).
-        hy = cached_latency_us(machine, counts, nbytes, "hybrid")
-        pure = cached_latency_us(machine, counts, nbytes, "pure")
-        out[f"hy_{label}_us"] = hy
-        out[f"allgatherv_{label}_us"] = pure
-        out[f"ratio_{label}"] = pure / hy
-    return out
+    return [{"elements": n, "ranks": sum(counts),
+             **_pair_cells(counts, n * 8, pure="allgatherv", ratio=True)}
+            for n in _sizes(mode)]
 
 
 # ---------------------------------------------------------------------------
-# Fig 11 — SUMMA
+# Fig 11 — SUMMA, Fig 12 — BPMF (the Ori code is the ``pure`` variant)
 # ---------------------------------------------------------------------------
 
-def _summa_cores(mode: str) -> list[int]:
-    return [4, 16, 64, 256, 1024] if mode == "paper" else [4, 16, 64]
+def _app_cells(counts, workload: str, params: dict, ori: str,
+               hy: str) -> dict:
+    return {
+        ori: Ms(_point(counts, variant="pure", workload=workload,
+                       params=params)),
+        hy: Ms(_point(counts, variant="hybrid", workload=workload,
+                      params=params)),
+        "ratio": Ratio(ori, hy),
+    }
 
 
-def _fig11_sweep(mode: str) -> list[dict]:
-    return [{"cores": c} for c in _summa_cores(mode)]
+def _fig11_rows(block: int, mode: str) -> list[dict]:
+    cores = [4, 16, 64, 256, 1024] if mode == "paper" else [4, 16, 64]
+    return [
+        {"cores": c, **_app_cells(_cores(c), "summa", {"block": block},
+                                  "ori_ms", "hy_ms")}
+        for c in cores
+    ]
 
 
-def _fig11_measure(block: int, point: dict, mode: str) -> dict:
-    from repro.apps.summa import SummaConfig, summa_program
-
-    cores = point["cores"]
-    full, rem = divmod(cores, 24)
-    placement = Placement.irregular([24] * full + ([rem] if rem else []))
-    spec = hazel_hen(max(placement.num_nodes, 1))
-    out: dict[str, Any] = {}
-    for variant, key in (("ori", "ori_ms"), ("hybrid", "hy_ms")):
-        cfg = SummaConfig(block=block, variant=variant)
-        result = run_program(
-            spec, None, summa_program,
-            placement=placement,
-            payload="cost-only",
-            program_kwargs={"config": cfg},
-        )
-        out[key] = _MS * max(r["total"] for r in result.returns)
-    out["ratio"] = out["ori_ms"] / out["hy_ms"]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Fig 12 — BPMF
-# ---------------------------------------------------------------------------
-
-def _fig12_sweep(mode: str) -> list[dict]:
+def _fig12_rows(mode: str) -> list[dict]:
     cores = (
         [24, 120, 240, 360, 480, 1024] if mode == "paper" else [24, 120, 240]
     )
-    return [{"cores": c} for c in cores]
-
-
-def _fig12_measure(point: dict, mode: str) -> dict:
-    from repro.apps.bpmf import BPMFConfig, bpmf_program
-
-    cores = point["cores"]
     iterations = 20 if mode == "paper" else 3
-    full, rem = divmod(cores, 24)
-    placement = Placement.irregular([24] * full + ([rem] if rem else []))
-    spec = hazel_hen(max(placement.num_nodes, 1))
-    out: dict[str, Any] = {"iterations": iterations}
-    for variant, key in (("ori", "ori_tt_ms"), ("hybrid", "hy_tt_ms")):
-        cfg = BPMFConfig(iterations=iterations, variant=variant)
-        result = run_program(
-            spec, None, bpmf_program,
-            placement=placement,
-            payload="cost-only",
-            program_kwargs={"config": cfg},
-        )
-        out[key] = _MS * max(r["total"] for r in result.returns)
-    out["ratio"] = out["ori_tt_ms"] / out["hy_tt_ms"]
-    return out
+    return [
+        {"cores": c, "iterations": iterations,
+         **_app_cells(_cores(c), "bpmf", {"iterations": iterations},
+                      "ori_tt_ms", "hy_tt_ms")}
+        for c in cores
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Ablations
+# Ablations and extensions
 # ---------------------------------------------------------------------------
 
-def _abl_sync_sweep(mode: str) -> list[dict]:
+def _abl_sync_rows(mode: str) -> list[dict]:
     sizes = [1, 512, 4096, 16384] if mode == "paper" else [1, 4096]
-    return [{"elements": n} for n in sizes]
+    counts = (24,) * 4
+    return [
+        # The barrier is Hy_Allgather's default synchronization.
+        {"elements": n, "barrier_us": _point(counts, n * 8),
+         "flags_us": _point(counts, n * 8, params={"sync": "flags"}),
+         "speedup": Ratio("barrier_us", "flags_us")}
+        for n in sizes
+    ]
 
 
-def _abl_sync_measure(point: dict, mode: str) -> dict:
-    nodes = 4
-    placement = Placement.block(nodes, 24)
-    spec = hazel_hen(nodes)
-    nbytes = point["elements"] * 8
-    out: dict[str, Any] = {}
-    for label, sync in (("barrier", BarrierSync()), ("flags", FlagSync())):
-        result = run_program(
-            spec, None, hybrid_allgather_program,
-            placement=placement,
-            payload="cost-only",
-            program_kwargs={"nbytes_per_rank": nbytes, "sync": sync},
-        )
-        out[f"{label}_us"] = _US * max(result.returns)
-    out["speedup"] = out["barrier_us"] / out["flags_us"]
-    return out
-
-
-def _abl_pipeline_sweep(mode: str) -> list[dict]:
-    sizes = (
-        [32768, 65536, 131072, 262144] if mode == "paper" else [32768, 131072]
-    )
-    return [{"elements": n} for n in sizes]
-
-
-def _abl_pipeline_measure(point: dict, mode: str) -> dict:
+def _abl_pipeline_rows(mode: str) -> list[dict]:
     # Traeff et al.'s pipelining targets *irregular* all-gathers: one
     # heavily-populated node's block otherwise stalls the ring at full
     # block granularity.  Population: one 24-rank node + seven 3-rank
     # nodes (block skew 8x).
+    sizes = (
+        [32768, 65536, 131072, 262144] if mode == "paper" else [32768, 131072]
+    )
     counts = [24] + [3] * 7
-    placement = Placement.irregular(counts)
-    spec = hazel_hen(len(counts))
-    nbytes = point["elements"] * 8
-    out: dict[str, Any] = {"max_block_mb": 24 * nbytes / 1e6}
-    for label, pipelined in (("plain", False), ("pipelined", True)):
-        result = run_program(
-            spec, None, hybrid_allgather_program,
-            placement=placement,
-            payload="cost-only",
-            program_kwargs={
-                "nbytes_per_rank": nbytes, "pipelined": pipelined,
-                "chunk_bytes": 256 * 1024,
-            },
-        )
-        out[f"{label}_us"] = _US * max(result.returns)
-    out["speedup"] = out["plain_us"] / out["pipelined_us"]
-    return out
+    chunk = {"chunk_bytes": 256 * 1024}
+    return [
+        {"elements": n, "max_block_mb": 24 * n * 8 / 1e6,
+         "plain_us": _point(counts, n * 8, params=chunk),
+         "pipelined_us": _point(counts, n * 8,
+                                params={**chunk, "pipelined": True}),
+         "speedup": Ratio("plain_us", "pipelined_us")}
+        for n in sizes
+    ]
 
 
-def _abl_placement_sweep(mode: str) -> list[dict]:
+def _abl_placement_rows(mode: str) -> list[dict]:
     sizes = [64, 1024, 16384] if mode == "paper" else [64, 4096]
-    return [{"elements": n} for n in sizes]
+    counts = (12,) * 4
+    rr = {"order": "round_robin"}
+    return [
+        # Round-robin placement, remedy 2 (§6): node-sorted rank array
+        # — the default layout, no packing needed; remedy 1:
+        # derived-datatype packing.
+        {"elements": n, "smp_us": _point(counts, n * 8),
+         "rr_nodesorted_us": _point(counts, n * 8, params=rr),
+         "rr_datatypes_us": _point(counts, n * 8,
+                                   params={**rr, "pack_datatypes": True}),
+         "packing_penalty": Ratio("rr_datatypes_us", "rr_nodesorted_us")}
+        for n in sizes
+    ]
 
 
-def _abl_placement_measure(point: dict, mode: str) -> dict:
-    nodes, ppn = 4, 12
-    spec = hazel_hen(nodes)
-    nbytes = point["elements"] * 8
-    rr = Placement.round_robin(nodes, ppn)
-    out: dict[str, Any] = {}
-    out["smp_us"] = cached_latency_us(
-        "hazel_hen", (ppn,) * nodes, nbytes, "hybrid"
-    )
-    # Round-robin placement, remedy 2 (§6): node-sorted rank array —
-    # the default layout, no packing needed.
-    result = run_program(
-        spec, None, hybrid_allgather_program,
-        placement=rr, payload="cost-only",
-        program_kwargs={"nbytes_per_rank": nbytes},
-    )
-    out["rr_nodesorted_us"] = _US * max(result.returns)
-    # Round-robin placement, remedy 1 (§6): derived-datatype packing.
-    result = run_program(
-        spec, None, hybrid_allgather_program,
-        placement=rr, payload="cost-only",
-        program_kwargs={"nbytes_per_rank": nbytes, "pack_datatypes": True},
-    )
-    out["rr_datatypes_us"] = _US * max(result.returns)
-    out["packing_penalty"] = out["rr_datatypes_us"] / out["rr_nodesorted_us"]
-    return out
-
-
-def _abl_multileader_sweep(mode: str) -> list[dict]:
+def _abl_multileader_rows(mode: str) -> list[dict]:
     sizes = [512, 4096, 16384] if mode == "paper" else [512, 16384]
-    return [{"elements": n} for n in sizes]
+    counts = (24,) * 8
+    rows = []
+    for n in sizes:
+        row: dict = {"elements": n}
+        for leaders in (1, 2, 4):
+            row[f"leaders{leaders}_us"] = _point(
+                counts, n * 8, "pure", workload="multileader",
+                params={"leaders": leaders})
+        row["hy_us"] = _point(counts, n * 8)
+        rows.append(row)
+    return rows
 
 
-def _multileader_program(mpi, nbytes_per_rank: int, leaders: int):
-    from repro.mpi.collectives.hierarchical import multileader_allgather
-    from repro.mpi.collectives.registry import bridge_allgatherv
-    from repro.mpi.datatypes import Bytes
-
-    comm = mpi.world
-    payload = Bytes(nbytes_per_rank)
-    total = nbytes_per_rank * comm.size
-
-    def select_bridge(bridge, blocks, tag):
-        result = yield from bridge_allgatherv(bridge, blocks, tag, total)
-        return result
-
-    # Warm-up builds the leader hierarchy (one-off, excluded from timing).
-    yield from multileader_allgather(comm, payload, 2**27, leaders, select_bridge)
-    yield from comm.barrier()
-    t0 = mpi.now
-    yield from multileader_allgather(
-        comm, payload, 2**27 + 100, leaders, select_bridge
-    )
-    return mpi.now - t0
-
-
-def _abl_noise_sweep(mode: str) -> list[dict]:
-    rates = [0.0, 0.002, 0.01, 0.05] if mode == "paper" else [0.0, 0.01]
-    return [{"detour_rate": r} for r in rates]
-
-
-def _abl_noise_measure(point: dict, mode: str) -> dict:
+def _abl_noise_rows(mode: str) -> list[dict]:
     """Noise-sensitivity: slowdown factor of each design under identical
     injected OS noise (SUMMA-like bcast+compute loop)."""
-    from repro.machine.noise import NoiseModel
-    from repro.apps.summa import SummaConfig, summa_program
-
-    nodes = 2
-    spec = hazel_hen(nodes)
-    noise = (
-        None
-        if point["detour_rate"] == 0.0
-        else NoiseModel(jitter=0.02, detour_rate=point["detour_rate"])
-    )
-    # SUMMA needs a square rank count: 36 ranks over the two 24-core
-    # nodes (24 + 12).
-    pl = Placement.irregular([24, 12])
-    out: dict[str, Any] = {}
-    for variant, key in (("ori", "ori_ms"), ("hybrid", "hy_ms")):
-        cfg = SummaConfig(block=48, variant=variant)
-        result = run_program(
-            spec, None, summa_program,
-            placement=pl, payload="cost-only", noise=noise,
-            program_kwargs={"config": cfg},
-        )
-        out[key] = _MS * max(r["total"] for r in result.returns)
-    out["ratio"] = out["ori_ms"] / out["hy_ms"]
-    return out
+    rates = [0.0, 0.002, 0.01, 0.05] if mode == "paper" else [0.0, 0.01]
+    # SUMMA needs a square rank count: 36 ranks over two 24-core nodes.
+    return [
+        {"detour_rate": r,
+         **_app_cells((24, 12), "summa", {"block": 48, "detour_rate": r},
+                      "ori_ms", "hy_ms")}
+        for r in rates
+    ]
 
 
-def _ext_scaling_sweep(mode: str) -> list[dict]:
-    nodes = [1, 2, 4, 8, 16, 32] if mode == "paper" else [1, 2, 4, 8]
-    return [{"nodes": n} for n in nodes]
+def _ext_nodes(mode: str) -> list[int]:
+    return [1, 2, 4, 8, 16, 32] if mode == "paper" else [1, 2, 4, 8]
 
 
-def _ext_weak_scaling_measure(point: dict, mode: str) -> dict:
+def _ext_weak_scaling_rows(mode: str) -> list[dict]:
     """Weak scaling (beyond the paper): fixed 1024 doubles *per rank*,
     growing node count at 24 ranks/node."""
-    nodes = point["nodes"]
-    counts = (24,) * nodes
-    nbytes = 1024 * 8
-    hy = cached_latency_us("hazel_hen", counts, nbytes, "hybrid")
-    pure = cached_latency_us("hazel_hen", counts, nbytes, "pure")
-    return {
-        "ranks": nodes * 24,
-        "hy_us": hy,
-        "pure_us": pure,
-        "ratio": pure / hy,
-    }
+    return [
+        {"nodes": n, "ranks": n * 24,
+         "hy_us": _point((24,) * n, 1024 * 8),
+         "pure_us": _point((24,) * n, 1024 * 8, "pure"),
+         "ratio": Ratio("pure_us", "hy_us")}
+        for n in _ext_nodes(mode)
+    ]
 
 
-def _ext_strong_scaling_measure(point: dict, mode: str) -> dict:
+def _ext_strong_scaling_rows(mode: str) -> list[dict]:
     """Strong scaling (beyond the paper): fixed 3 MB *total* result,
     growing node count at 24 ranks/node."""
-    nodes = point["nodes"]
-    counts = (24,) * nodes
-    total = 3 * 1024 * 1024
-    nbytes = max(8, total // (nodes * 24))
-    hy = cached_latency_us("hazel_hen", counts, nbytes, "hybrid")
-    pure = cached_latency_us("hazel_hen", counts, nbytes, "pure")
-    return {
-        "ranks": nodes * 24,
-        "per_rank_kb": nbytes / 1024,
-        "hy_us": hy,
-        "pure_us": pure,
-        "ratio": pure / hy,
-    }
-
-
-def _ext_transport_sweep(mode: str) -> list[dict]:
-    elements = (
-        [1, 16, 64, 256, 1024, 8192, 32768]
-        if mode == "paper"
-        else [1, 256, 8192, 32768]
-    )
-    return [{"elements": n} for n in elements]
+    rows = []
+    for n in _ext_nodes(mode):
+        nbytes = max(8, 3 * 1024 * 1024 // (n * 24))
+        rows.append({
+            "nodes": n, "ranks": n * 24, "per_rank_kb": nbytes / 1024,
+            "hy_us": _point((24,) * n, nbytes),
+            "pure_us": _point((24,) * n, nbytes, "pure"),
+            "ratio": Ratio("pure_us", "hy_us"),
+        })
+    return rows
 
 
 #: Short column keys for the registered on-node transports.
@@ -428,7 +265,7 @@ _TRANSPORT_KEYS = {
 }
 
 
-def _ext_transport_measure(point: dict, mode: str) -> dict:
+def _ext_transport_rows(mode: str) -> list[dict]:
     """Transport/socket crossover: Hy_Allgather on the honest 2-socket
     Hazel Hen node under each on-node transport, with the two-level and
     three-level bridge exchange forced, against the flat node model.
@@ -437,215 +274,165 @@ def _ext_transport_measure(point: dict, mode: str) -> dict:
     it wins once node blocks are bandwidth-bound and loses at small
     sizes to its extra leader-completion round.
     """
-    from repro.machine.transport import TRANSPORTS
-
-    nodes, ppn = 4, 24
-    counts = (ppn,) * nodes
-    nbytes = point["elements"] * 8
-    out: dict[str, Any] = {
-        "flat_us": cached_latency_us("hazel_hen", counts, nbytes, "hybrid"),
-    }
-    for transport in sorted(TRANSPORTS):
-        key = _TRANSPORT_KEYS[transport]
-        for algo, suffix in (
-            ("shared_window", "2l"),
-            ("shared_window_3l", "3l"),
-        ):
-            # algo forces the bridge exchange via ForcedSelection
-            # inside the sweep point runner.
-            out[f"{key}_{suffix}_us"] = cached_latency_us(
-                "hazel_hen_2s", counts, nbytes, "hybrid",
-                algo=algo, transport=transport,
-            )
-    out["shm_3l_speedup"] = out["shm_2l_us"] / out["shm_3l_us"]
-    return out
-
-
-def _abl_multileader_measure(point: dict, mode: str) -> dict:
-    nodes, ppn = 8, 24
-    placement = Placement.block(nodes, ppn)
-    spec = hazel_hen(nodes)
-    nbytes = point["elements"] * 8
-    out: dict[str, Any] = {}
-    for leaders in (1, 2, 4):
-        result = run_program(
-            spec, None, _multileader_program,
-            placement=placement,
-            payload="cost-only",
-            program_kwargs={"nbytes_per_rank": nbytes, "leaders": leaders},
-        )
-        out[f"leaders{leaders}_us"] = _US * max(result.returns)
-    out["hy_us"] = cached_latency_us("hazel_hen", (ppn,) * nodes, nbytes,
-                                     "hybrid")
-    return out
+    elements = (
+        [1, 16, 64, 256, 1024, 8192, 32768]
+        if mode == "paper"
+        else [1, 256, 8192, 32768]
+    )
+    counts = (24,) * 4
+    rows = []
+    for n in elements:
+        row: dict = {"elements": n, "flat_us": _point(counts, n * 8)}
+        for transport in sorted(_TRANSPORT_KEYS):
+            key = _TRANSPORT_KEYS[transport]
+            for algo, suffix in (
+                ("shared_window", "2l"),
+                ("shared_window_3l", "3l"),
+            ):
+                # algo forces the bridge exchange (ForcedSelection).
+                row[f"{key}_{suffix}_us"] = _point(
+                    counts, n * 8, machine="hazel_hen_2s", algo=algo,
+                    transport=transport)
+        row["shm_3l_speedup"] = Ratio("shm_2l_us", "shm_3l_us")
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-def _figure(figure_id: str, title: str, claim: str, sweep, measure,
-            notes: str = "") -> Figure:
-    return Figure(
-        figure_id=figure_id,
-        title=title,
-        paper_claim=claim,
-        sweep=sweep,
-        measure=measure,
-        notes=notes,
-    )
-
-
 FIGURES: dict[str, Figure] = {
-    "fig7": _figure(
+    "fig7": Figure(
         "fig7",
         "Fig 7 — Hy_Allgather vs Allgather within one full node (24 ranks)",
         "Hy_Allgather is ~constant in message size and always faster; "
         "Allgather grows steadily.",
-        _fig7_sweep,
-        _fig7_measure,
+        _fig7_rows,
     ),
-    "fig8a": _figure(
+    "fig8a": Figure(
         "fig8a",
         "Fig 8a — one rank per node, OpenMPI on Vulcan (latency, us)",
         "Hy_Allgather (MPI_Allgatherv) is slightly slower than pure "
         "MPI_Allgather; the gap shrinks at larger node counts/messages.",
-        _fig8_sweep,
-        lambda p, m: _fig8_measure("vulcan", p, m),
+        lambda m: _fig8_rows("vulcan", m),
     ),
-    "fig8b": _figure(
+    "fig8b": Figure(
         "fig8b",
         "Fig 8b — one rank per node, Cray MPI on Hazel Hen (latency, us)",
         "Same shape as Fig 8a under the Cray personality.",
-        _fig8_sweep,
-        lambda p, m: _fig8_measure("hazel_hen", p, m),
+        lambda m: _fig8_rows("hazel_hen", m),
     ),
-    "fig9a": _figure(
+    "fig9a": Figure(
         "fig9a",
         "Fig 9a — 64 nodes, 3..24 ranks/node, 512 elements",
         "Hy_Allgather's advantage grows with ranks per node.",
-        _fig9_sweep,
-        lambda p, m: _fig9_measure(512, p, m),
+        lambda m: _fig9_rows(512, m),
         notes="quick mode uses 16 nodes to bound run time",
     ),
-    "fig9b": _figure(
+    "fig9b": Figure(
         "fig9b",
         "Fig 9b — 64 nodes, 3..24 ranks/node, 16384 elements",
         "Same trend at the large message size.",
-        _fig9_sweep,
-        lambda p, m: _fig9_measure(16384, p, m),
+        lambda m: _fig9_rows(16384, m),
         notes="quick mode uses 16 nodes to bound run time",
     ),
-    "fig10": _figure(
+    "fig10": Figure(
         "fig10",
         "Fig 10 — irregularly populated nodes (42x24 + 1x16 ranks)",
         "Hy_Allgather shows consistently lower latency than pure "
         "MPI_Allgatherv on the irregular population.",
-        _fig10_sweep,
-        _fig10_measure,
+        _fig10_rows,
         notes="quick mode scales the population down to 6x24 + 1x16",
     ),
-    "fig11a": _figure(
+    "fig11a": Figure(
         "fig11a",
         "Fig 11a — SUMMA, per-core block 8x8 (time & ratio)",
         "Hy_SUMMA is faster; small blocks gain the most (up to ~5x in "
         "the paper when all ranks share one node).",
-        _fig11_sweep,
-        lambda p, m: _fig11_measure(8, p, m),
+        lambda m: _fig11_rows(8, m),
     ),
-    "fig11b": _figure(
+    "fig11b": Figure(
         "fig11b",
         "Fig 11b — SUMMA, per-core block 64x64 (time & ratio)",
         "Ratios consistently above one.",
-        _fig11_sweep,
-        lambda p, m: _fig11_measure(64, p, m),
+        lambda m: _fig11_rows(64, m),
     ),
-    "fig11c": _figure(
+    "fig11c": Figure(
         "fig11c",
         "Fig 11c — SUMMA, per-core block 128x128 (time & ratio)",
         "Ratios above one, smaller than for 64x64.",
-        _fig11_sweep,
-        lambda p, m: _fig11_measure(128, p, m),
+        lambda m: _fig11_rows(128, m),
     ),
-    "fig11d": _figure(
+    "fig11d": Figure(
         "fig11d",
         "Fig 11d — SUMMA, per-core block 256x256 (time & ratio)",
         "Ratios above one, approaching one as compute dominates.",
-        _fig11_sweep,
-        lambda p, m: _fig11_measure(256, p, m),
+        lambda m: _fig11_rows(256, m),
     ),
-    "fig12": _figure(
+    "fig12": Figure(
         "fig12",
         "Fig 12 — BPMF total-time ratio Ori/Hy, 24..1024 cores",
         "Ratio always above one and slowly rising with core count "
         "(paper: +3.9% at 1024 cores, savings up to 10%).",
-        _fig12_sweep,
-        _fig12_measure,
+        _fig12_rows,
     ),
-    "abl_sync": _figure(
+    "abl_sync": Figure(
         "abl_sync",
         "Ablation — barrier vs shared-flag synchronization (4 nodes x 24)",
         "Light-weight flags beat the heavy-weight barrier (paper §6).",
-        _abl_sync_sweep,
-        _abl_sync_measure,
+        _abl_sync_rows,
     ),
-    "abl_pipeline": _figure(
+    "abl_pipeline": Figure(
         "abl_pipeline",
         "Ablation — plain vs pipelined bridge exchange (8 nodes x 24)",
         "Chunked pipelining helps beyond ~256 kB node blocks (paper §7).",
-        _abl_pipeline_sweep,
-        _abl_pipeline_measure,
+        _abl_pipeline_rows,
     ),
-    "abl_placement": _figure(
+    "abl_placement": Figure(
         "abl_placement",
         "Ablation — SMP vs round-robin rank placement (4 nodes x 12)",
         "The node-sorted layout keeps the hybrid advantage under "
         "non-SMP placement (paper §6).",
-        _abl_placement_sweep,
-        _abl_placement_measure,
+        _abl_placement_rows,
     ),
-    "abl_noise": _figure(
+    "abl_noise": Figure(
         "abl_noise",
         "Ablation — sensitivity to injected OS noise (SUMMA-like loop)",
         "Both designs slow under injected noise; the hybrid advantage "
         "narrows (synchronization is a larger share of its runtime, and "
         "barriers amplify per-rank noise) but persists.",
-        _abl_noise_sweep,
-        _abl_noise_measure,
+        _abl_noise_rows,
     ),
-    "ext_weak_scaling": _figure(
+    "ext_weak_scaling": Figure(
         "ext_weak_scaling",
         "Extension — weak scaling, 1024 doubles/rank, 24 ranks/node",
         "Beyond the paper: the hybrid advantage is sustained as nodes "
         "grow with fixed per-rank data.",
-        _ext_scaling_sweep,
-        _ext_weak_scaling_measure,
+        _ext_weak_scaling_rows,
     ),
-    "ext_strong_scaling": _figure(
+    "ext_strong_scaling": Figure(
         "ext_strong_scaling",
         "Extension — strong scaling, 3 MB total result",
         "Beyond the paper: with shrinking per-rank blocks the hybrid "
         "advantage narrows but persists.",
-        _ext_scaling_sweep,
-        _ext_strong_scaling_measure,
+        _ext_strong_scaling_rows,
     ),
-    "ext_transport_crossover": _figure(
+    "ext_transport_crossover": Figure(
         "ext_transport_crossover",
         "Extension — on-node transports and 2- vs 3-level Hy_Allgather "
         "(4 nodes x 24, 2-socket nodes)",
         "Beyond the paper: with per-socket bridges the three-level "
         "exchange overtakes the two-level one at mid/large messages on "
         "every transport; single-copy transports shift the crossover.",
-        _ext_transport_sweep,
-        _ext_transport_measure,
+        _ext_transport_rows,
     ),
-    "abl_multileader": _figure(
+    "abl_multileader": Figure(
         "abl_multileader",
         "Ablation — multi-leader pure-MPI allgather baseline (8 nodes x 24)",
         "Extra leaders reduce the baseline's leader bottleneck but do "
         "not close the gap to the hybrid approach ([14]).",
-        _abl_multileader_sweep,
-        _abl_multileader_measure,
+        _abl_multileader_rows,
     ),
 }
 

@@ -1,9 +1,13 @@
-"""Figure/table runner: sweep definitions and text rendering.
+"""Figure/table runner: row declarations and text rendering.
 
-A :class:`Figure` bundles a parameter sweep (per mode: quick/paper) with
-a point-measurement function; :func:`run_figure` executes the sweep and
-returns a :class:`FigureResult` whose rows regenerate the series of the
-paper's plot.  ``result.render()`` prints an aligned table like::
+A :class:`Figure` declares, per mode (quick/paper), the rows of the
+paper's plot: each row maps a column to a plain value, a
+:class:`~repro.bench.sweep.SweepPoint` (its latency in µs), an
+:class:`Ms` (a point's time in ms) or a :class:`Ratio` of two earlier
+columns.  :meth:`Figure.run` answers every point with one
+:func:`~repro.bench.sweep.run_sweep` call — through the
+``$REPRO_SWEEP_CACHE`` cache when set — and returns a
+:class:`FigureResult` whose ``render()`` prints an aligned table like::
 
     Fig 7 — single-node allgather latency (us)
     elements   Hy+cray   Allgather+cray   Hy+ompi   Allgather+ompi
@@ -13,12 +17,31 @@ paper's plot.  ``result.render()`` prints an aligned table like::
 
 from __future__ import annotations
 
-import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["Figure", "FigureResult", "run_figure", "format_table"]
+__all__ = ["Figure", "FigureError", "FigureResult", "Ms", "Ratio",
+           "point_id", "run_figure", "format_table"]
+
+
+class FigureError(RuntimeError):
+    """A point of a figure failed, so the figure has no result."""
+
+
+@dataclass(frozen=True)
+class Ms:
+    """Row cell: *point*'s time in milliseconds (application runs)."""
+
+    point: Any
+
+
+@dataclass(frozen=True)
+class Ratio:
+    """Row cell: column *num* divided by column *den* of the same row."""
+
+    num: str
+    den: str
 
 
 @dataclass
@@ -86,48 +109,86 @@ class Figure:
     paper_claim:
         One-sentence statement of the shape the paper reports (asserted
         loosely by the benchmark suite).
-    sweep:
-        ``sweep(mode)`` → list of point dicts.
-    measure:
-        ``measure(point, mode)`` → row dict (merged with the point).
-    columns:
-        Render order of row keys.
+    rows:
+        ``rows(mode)`` → the declared rows, in render order; each row's
+        key order is the column order.
     """
 
     figure_id: str
     title: str
     paper_claim: str
-    sweep: Callable[[str], list[dict]]
-    measure: Callable[[dict, str], dict]
-    columns: list[str] = field(default_factory=list)
+    rows: Callable[[str], list[dict]]
     notes: str = ""
 
+    def points(self, mode: str) -> list[tuple[str, Any]]:
+        """Every distinct sweep point the rows of *mode* measure, named
+        (:func:`point_id`), in first-use order."""
+        return list(_points_of(self.rows(mode)).items())
+
     def run(self, mode: str = "quick", progress: bool = False) -> FigureResult:
-        """Execute the sweep; returns the populated result."""
+        """Answer every point of the sweep; returns the populated result.
+        Raises :class:`FigureError` when any point fails."""
+        from repro.bench import sweep
+
         if mode not in ("quick", "paper"):
             raise ValueError("mode must be 'quick' or 'paper'")
         t0 = time.time()
+        declared = self.rows(mode)
+        points = _points_of(declared)
+        # No retries: the simulator is deterministic, so a failed point
+        # fails again.
+        report = sweep.run_sweep(list(points.values()), names=list(points),
+                                 cache=sweep.default_cache(), retries=0,
+                                 progress=progress)
+        if report["failures"]:
+            raise FigureError(f"{self.figure_id}: " + "; ".join(
+                f"{f['name']}: {f['error']}" for f in report["failures"]))
+        records = report["points"]
         rows = []
-        points = self.sweep(mode)
-        for i, point in enumerate(points):
-            if progress:
-                print(
-                    f"[{self.figure_id}] point {i + 1}/{len(points)}: {point}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-            row = dict(point)
-            row.update(self.measure(point, mode))
+        for cells in declared:
+            row: dict[str, Any] = {}
+            for column, cell in cells.items():
+                if isinstance(cell, Ratio):
+                    cell = row[cell.num] / row[cell.den]
+                elif isinstance(cell, Ms):
+                    cell = records[point_id(cell.point)]["latency_s"] * 1e3
+                elif isinstance(cell, sweep.SweepPoint):
+                    cell = records[point_id(cell)]["latency_us"]
+                row[column] = cell
             rows.append(row)
         return FigureResult(
             figure_id=self.figure_id,
             title=self.title,
-            columns=self.columns or (list(rows[0]) if rows else []),
+            columns=list(rows[0]) if rows else [],
             rows=rows,
             mode=mode,
             wall_seconds=time.time() - t0,
             notes=self.notes,
         )
+
+
+def point_id(point) -> str:
+    """A point's name within a figure: its :func:`point_name`, prefixed
+    with the machine preset unless that is ``hazel_hen`` (the paper's
+    Fig 7-10 run the same grid on two machines)."""
+    from repro.bench.sweep import point_name
+
+    name = point_name(point)
+    return name if point.machine == "hazel_hen" else f"{point.machine}/{name}"
+
+
+def _points_of(rows: list[dict]) -> dict:
+    from repro.bench.sweep import SweepPoint
+
+    found: dict = {}
+    for row in rows:
+        for cell in row.values():
+            point = cell.point if isinstance(cell, Ms) else cell
+            if isinstance(point, SweepPoint):
+                name = point_id(point)
+                if found.setdefault(name, point) != point:
+                    raise ValueError(f"two different points named {name}")
+    return found
 
 
 def run_figure(figure_id: str, mode: str = "quick",

@@ -34,6 +34,7 @@ __all__ = [
     "osu_allgather_latency",
     "hybrid_allgather_program",
     "pure_allgather_program",
+    "multileader_allgather_program",
 ]
 
 #: Timed repetitions.  The engine is deterministic, so repetitions do
@@ -120,6 +121,32 @@ def pure_allgather_program(mpi, nbytes_per_rank: int,
 
     latency = yield from osu_latency_program(mpi, op, reps, warmup)
     return latency
+
+
+def multileader_allgather_program(mpi, nbytes_per_rank: int, leaders: int):
+    """Rank program timing one multi-leader pure-MPI allgather ([14]):
+    *leaders* ranks per node run the inter-node exchange.  A warm-up
+    call builds the leader hierarchy (one-off, excluded from timing)."""
+    from repro.mpi.collectives.hierarchical import multileader_allgather
+    from repro.mpi.collectives.registry import bridge_allgatherv
+
+    comm = mpi.world
+    payload = Bytes(nbytes_per_rank)
+    total = nbytes_per_rank * comm.size
+
+    def select_bridge(bridge, blocks, tag):
+        result = yield from bridge_allgatherv(bridge, blocks, tag, total)
+        return result
+
+    yield from multileader_allgather(
+        comm, payload, 2**27, leaders, select_bridge
+    )
+    yield from comm.barrier()
+    t0 = mpi.now
+    yield from multileader_allgather(
+        comm, payload, 2**27 + 100, leaders, select_bridge
+    )
+    return mpi.now - t0
 
 
 def osu_allgather_latency(

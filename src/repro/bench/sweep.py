@@ -23,11 +23,11 @@ changed*.  This module provides the three pieces that exploit that:
   per-point records, structured failure records, and cache hit/miss
   counters (renderable via :func:`repro.metrics.sweep_metrics`).
 
-``bench/figures.py`` (Fig 7/9/10 + scaling/transport extensions),
-``repro-sweep run --figure`` (the committed ``BENCH_fig7/9/10.json``)
-and ``bench/model.py`` (the analytic sweeps) all execute their points
-through this module, so they share one cache format and one execution
-path.  The JSON-over-HTTP service mode lives in
+Every figure of ``bench/figures.py`` (OSU latencies, SUMMA, BPMF, the
+ablations and extensions), ``repro-sweep run --figure`` (the committed
+``BENCH_fig*.json`` pins) and ``bench/model.py`` (the analytic sweeps)
+execute their points through this module, so they share one cache
+format and one execution path.  The JSON-over-HTTP service mode lives in
 :mod:`repro.bench.service`; the user guide is ``docs/sweeps.md``.
 
 Determinism guarantee: the simulator's virtual-time results are
@@ -66,6 +66,11 @@ from repro.machine.model import MachineSpec
 from repro.machine.placement import Placement
 from repro.machine.transport import TRANSPORTS
 from repro.machine import presets as _presets
+from repro.mpi.collectives.registry import (
+    DEFAULT_POLICY,
+    ForcedSelection,
+    resolve_policy,
+)
 from repro.simulator import ENGINE_VERSION
 
 __all__ = [
@@ -84,7 +89,6 @@ __all__ = [
     "run_sweep",
     "check_against_bench",
     "default_cache",
-    "cached_latency_us",
     "main",
 ]
 
@@ -100,7 +104,7 @@ MACHINES = {
 }
 
 #: Environment variable naming a cache directory that the figure
-#: harness (`bench/figures.py`) transparently reads/writes through
+#: harness (``Figure.run``) transparently reads/writes through
 #: :func:`default_cache`.
 CACHE_ENV = "REPRO_SWEEP_CACHE"
 
@@ -108,6 +112,20 @@ CACHE_ENV = "REPRO_SWEEP_CACHE"
 #: long before executing — used by the timeout/retry tests to make a
 #: point predictably slow.  Never set this outside tests.
 TEST_DELAY_ENV = "REPRO_SWEEP_TEST_DELAY"
+
+#: Workload kinds, each with the ``params`` keys it accepts (the
+#: latency loop's are Hy_Allgather's ablation knobs and the rank
+#: ``order``; see docs/sweeps.md).
+WORKLOADS = {
+    "latency": ("sync", "pipelined", "chunk_bytes", "pack_datatypes",
+                "order"),
+    "overlap": (),
+    "summa": ("block", "detour_rate"),
+    "bpmf": ("iterations",),
+    "multileader": ("leaders",),
+}
+#: Application kinds: they time a whole program, not a message size.
+_APPS = ("summa", "bpmf")
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -144,15 +162,26 @@ class SweepPoint:
         Simulator payload mode (virtual-time results are independent of
         it; it is still part of the cache key).
     workload:
-        ``"latency"`` (blocking OSU latency, the default) or
-        ``"overlap"`` (the OSU communication/computation overlap
-        protocol of :mod:`repro.bench.overlap`; ``latency_us`` is then
-        the *effective* — exposed — latency).
+        The program a simulator point runs (a key of
+        :data:`WORKLOADS`): ``"latency"`` (blocking OSU latency, the
+        default), ``"overlap"`` (the OSU communication/computation
+        overlap protocol of :mod:`repro.bench.overlap`; ``latency_us``
+        is then the *effective* — exposed — latency), ``"summa"`` /
+        ``"bpmf"`` (the paper's applications; ``latency_us`` is the
+        slowest rank's total time, ``variant="pure"`` is the paper's
+        Ori code) or ``"multileader"`` (one timed multi-leader pure-MPI
+        allgather).  Only the OSU loop runs under the replay cache's
+        loop mode; every other kind runs with replay off.
     compute_grain:
         Overlap workload only: the compute grain as a multiple of the
         blocking latency (1.0 = the OSU default).  Part of the cache
         key — two overlap points differing only in grain are distinct
         entries.
+    params:
+        The workload's parameters (see :data:`WORKLOADS`), given as a
+        mapping and stored as sorted ``(key, value)`` pairs.  Empty
+        means the program's defaults, and an empty ``params`` is left
+        out of :meth:`to_dict`.
 
     >>> p = SweepPoint(machine="testing", counts=(2, 2), nbytes=64)
     >>> p.is_irregular
@@ -175,6 +204,7 @@ class SweepPoint:
     payload: str = "cost-only"
     workload: str = "latency"
     compute_grain: float = 1.0
+    params: tuple = ()
 
     def __post_init__(self):
         # Equal points must serialize equally (``cache_key`` is memoised
@@ -189,6 +219,9 @@ class SweepPoint:
             object.__setattr__(self, "compute_grain",
                                float(self.compute_grain))
         object.__setattr__(self, "counts", tuple(map(int, self.counts)))
+        if self.params != ():
+            object.__setattr__(self, "params",
+                               tuple(sorted(dict(self.params).items())))
         if self.machine not in MACHINES:
             raise ValueError(
                 f"unknown machine {self.machine!r}; "
@@ -212,8 +245,16 @@ class SweepPoint:
             raise ValueError("counts must be non-empty positive ints")
         if self.nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if self.workload not in ("latency", "overlap"):
+        if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
+        unknown = {k for k, _v in self.params} - set(WORKLOADS[self.workload])
+        if unknown:
+            raise ValueError(f"unknown {self.workload} param(s): "
+                             f"{', '.join(sorted(unknown))}")
+        if self.engine == "model" and (
+                self.params or self.workload not in ("latency", "overlap")):
+            raise ValueError("the model engine prices only the plain "
+                             "latency and overlap workloads")
         if self.compute_grain < 0:
             raise ValueError("compute_grain must be non-negative")
 
@@ -238,7 +279,12 @@ class SweepPoint:
 
     def placement(self) -> Placement:
         """The rank→node (and slot→socket) map of this point."""
-        pl = Placement.irregular(list(self.counts))
+        if dict(self.params).get("order") == "round_robin":
+            if self.is_irregular:
+                raise ValueError("round_robin order needs equal counts")
+            pl = Placement.round_robin(len(self.counts), self.counts[0])
+        else:
+            pl = Placement.irregular(list(self.counts))
         if self.socket_mode != "compact":
             pl = pl.with_socket_mode(self.socket_mode)
         return pl
@@ -246,11 +292,16 @@ class SweepPoint:
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-JSON form (round-trips via :meth:`from_dict`)."""
-        return {
+        doc = {
             f.name: (list(v) if isinstance(v := getattr(self, f.name), tuple)
                      else v)
             for f in fields(self)
         }
+        if self.params:
+            doc["params"] = dict(self.params)
+        else:
+            del doc["params"]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepPoint":
@@ -270,9 +321,10 @@ def point_name(point: SweepPoint) -> str:
 
     Uniform populations render as ``n<nodes>x<ppn>``, irregular ones as
     ``r<ranks>``; message sizes as ``<n>el`` (8-byte elements) when the
-    byte count divides evenly, else ``<n>B``.  Non-default axes
-    (algorithm, transport, socket mode, model engine) append suffixes
-    so grid points never collide.
+    byte count divides evenly, else ``<n>B``; an application kind
+    (SUMMA, BPMF) names itself in place of the size.  Non-default axes
+    (algorithm, transport, socket mode, workload, params, model engine)
+    append suffixes so grid points never collide.
 
     >>> point_name(SweepPoint(machine="hazel_hen", counts=(24,) * 4,
     ...                       nbytes=4096, variant="pure"))
@@ -281,12 +333,17 @@ def point_name(point: SweepPoint) -> str:
     ...                       nbytes=12, variant="hybrid", engine="model",
     ...                       algo="shared_window"))
     'r40/12B/hybrid/shared_window/model'
+    >>> point_name(SweepPoint(counts=(24, 24, 16), workload="summa",
+    ...                       params={"block": 64}))
+    'r64/summa/hybrid/block=64'
     """
     if point.is_irregular:
         shape = f"r{sum(point.counts)}"
     else:
         shape = f"n{len(point.counts)}x{point.counts[0]}"
-    if point.nbytes % 8 == 0 and point.nbytes > 0:
+    if point.workload in _APPS:
+        size = point.workload
+    elif point.nbytes % 8 == 0 and point.nbytes > 0:
         size = f"{point.nbytes // 8}el"
     else:
         size = f"{point.nbytes}B"
@@ -297,8 +354,12 @@ def point_name(point: SweepPoint) -> str:
         name += f"/{point.transport}"
     if point.socket_mode != "compact":
         name += f"/{point.socket_mode}"
-    if point.workload != "latency":
-        name += f"/{point.workload}{point.compute_grain:g}"
+    if point.workload == "overlap":
+        name += f"/overlap{point.compute_grain:g}"
+    elif point.workload == "multileader":
+        name += "/multileader"
+    if point.params:
+        name += "/" + ",".join(f"{k}={v}" for k, v in point.params)
     if point.engine != "sim":
         name += f"/{point.engine}"
     return name
@@ -372,7 +433,10 @@ def cache_key(point: SweepPoint) -> str:
     """Content address of a point's result: SHA-256 over the resolved
     machine description (every hardware constant, sockets/transport
     included), the topology kind, the full point description, the OSU
-    repetition settings, and the executing engine's version.
+    repetition settings, the executing engine's version and — for a
+    simulator point without a forced ``algo`` whose environment
+    (``REPRO_COLL_POLICY``, ``REPRO_COLL_<OP>``) selects other than the
+    default tables — that selection policy's description.
 
     Any change to any input — a preset recalibration, a different
     transport, an engine bump — changes the key, so stale cache entries
@@ -397,6 +461,10 @@ def cache_key(point: SweepPoint) -> str:
         versions = (("engine_version", ENGINE_VERSION),
                     ("reps", osu.DEFAULT_REPS),
                     ("warmup", osu.DEFAULT_WARMUP))
+        if not point.algo:
+            policy = resolve_policy(None).describe()
+            if policy != DEFAULT_POLICY.describe():
+                versions += (("policy", policy),)
     return _key_digest(point, _machine_of(point).description, versions)
 
 
@@ -602,44 +670,74 @@ def run_point(point: SweepPoint) -> dict:
     return _run_sim_point(point)
 
 
-def _run_sim_point(point: SweepPoint) -> dict:
-    from repro.bench.osu import (
-        hybrid_allgather_program,
-        pure_allgather_program,
-    )
-    from repro.mpi import run_program
-    from repro.mpi.collectives.registry import ForcedSelection
+def _workload(point: SweepPoint) -> tuple[Any, dict, Any, Any]:
+    """The rank program of a simulator point's workload kind, its
+    keyword arguments, the kind's replay mode and its noise model."""
+    from repro.bench import osu
 
-    policy = None
-    if point.algo:
-        policy = ForcedSelection({point.resolved_op: point.algo})
+    params = dict(point.params)
+    app_variant = "ori" if point.variant == "pure" else "hybrid"
+    if point.workload == "latency":
+        # The OSU latency loop is align-disciplined, so the replay
+        # cache's loop mode applies (virtual time is bit-identical
+        # either way; see tests/bench/test_replay_equivalence.py).
+        params.pop("order", None)
+        kwargs = {"nbytes_per_rank": point.nbytes, **params}
+        if point.variant == "pure":
+            if point.is_irregular:
+                kwargs["irregular"] = True
+            return osu.pure_allgather_program, kwargs, "loop", None
+        if "sync" in kwargs:
+            from repro.core.sync import BarrierSync, FlagSync
+
+            kwargs["sync"] = {"barrier": BarrierSync,
+                              "flags": FlagSync}[kwargs["sync"]]()
+        return osu.hybrid_allgather_program, kwargs, "loop", None
+    # Every other kind interleaves its collectives with compute or
+    # point-to-point traffic (or times one call), which replay's
+    # quiescence predicate would veto anyway: no session at all.
     if point.workload == "overlap":
         from repro.bench.overlap import overlap_program
 
-        program: Any = overlap_program
-        kwargs: dict[str, Any] = {
+        return overlap_program, {
             "nbytes": point.nbytes, "variant": point.variant,
             "compute_factor": point.compute_grain,
-        }
-    else:
-        program = (hybrid_allgather_program if point.variant == "hybrid"
-                   else pure_allgather_program)
-        kwargs = {"nbytes_per_rank": point.nbytes}
-        if point.variant == "pure" and point.is_irregular:
-            kwargs["irregular"] = True
-    # The OSU latency loop is align-disciplined, so the replay cache's
-    # loop mode applies (virtual time is bit-identical either way; see
-    # tests/bench/test_replay_equivalence.py).  The overlap workload
-    # interleaves non-blocking collectives with compute — replay's
-    # quiescence predicate would veto every dispatch anyway, so skip
-    # the session entirely.
+        }, False, None
+    if point.workload == "multileader":
+        return osu.multileader_allgather_program, {
+            "nbytes_per_rank": point.nbytes, **params,
+        }, False, None
+    if point.workload == "bpmf":
+        from repro.apps.bpmf import BPMFConfig, bpmf_program
+
+        return bpmf_program, {
+            "config": BPMFConfig(variant=app_variant, **params),
+        }, False, None
+    from repro.apps.summa import SummaConfig, summa_program
+    from repro.machine.noise import NoiseModel
+
+    rate = params.pop("detour_rate", 0.0)
+    noise = NoiseModel(jitter=0.02, detour_rate=rate) if rate else None
+    return summa_program, {
+        "config": SummaConfig(variant=app_variant, **params),
+    }, False, noise
+
+
+def _run_sim_point(point: SweepPoint) -> dict:
+    from repro.mpi import run_program
+
+    program, kwargs, replay, noise = _workload(point)
+    policy = None
+    if point.algo:
+        policy = ForcedSelection({point.resolved_op: point.algo})
     t0 = time.perf_counter()
     result = run_program(
         point.spec(), None, program,
         placement=point.placement(),
         payload=point.payload,
         policy=policy,
-        replay="loop" if point.workload == "latency" else False,
+        replay=replay,
+        noise=noise,
         program_kwargs=kwargs,
     )
     wall = time.perf_counter() - t0
@@ -657,6 +755,8 @@ def _run_sim_point(point: SweepPoint) -> dict:
                 100.0 * (1.0 - latency / t_pure) if t_pure > 0 else 0.0, 2
             ),
         }
+    elif point.workload in _APPS:
+        latency = max(r["total"] for r in result.returns)
     else:
         latency = max(result.returns)
     events = result.events_processed
@@ -749,21 +849,6 @@ def evaluate(point: SweepPoint,
     return record, "computed"
 
 
-def cached_latency_us(machine: str, counts: Sequence[int], nbytes: int,
-                      variant: str, cache: ResultCache | None = None,
-                      **point_fields: Any) -> float:
-    """Latency (µs) of one simulator point, through *cache* when given
-    — or through :func:`default_cache` (``$REPRO_SWEEP_CACHE``) when
-    not.  This is the entry point the figure definitions
-    (`bench/figures.py`) measure their allgather points with."""
-    point = SweepPoint(machine=machine, counts=tuple(counts),
-                       nbytes=nbytes, variant=variant, **point_fields)
-    record, _source = evaluate(
-        point, cache if cache is not None else default_cache()
-    )
-    return record["latency_us"]
-
-
 # ---------------------------------------------------------------------------
 # Spec expansion
 # ---------------------------------------------------------------------------
@@ -848,17 +933,36 @@ def expand_spec(spec: dict) -> list[SweepPoint]:
     return points
 
 
+#: Labels naming the Fig 7/9/10 pin grids rather than a registered
+#: figure (``fig7`` and ``fig10`` are also figure ids).
+PIN_GRIDS = ("fig7", "fig9", "fig10")
+
+
 def figure_points(label: str,
                   quick: bool = False) -> list[tuple[str, SweepPoint]]:
-    """The canonical Fig 7/9/10 point lists, run by ``repro-sweep run
-    --figure`` and pinned by the committed ``BENCH_<label>.json``
-    (``--check-bench``).  Names match the committed BENCH point keys.
+    """The named point list ``repro-sweep run --figure`` runs and the
+    committed ``BENCH_<label>.json`` pins (``--check-bench``).
+
+    ``fig7``/``fig9``/``fig10`` are the canonical Fig 7/9/10 pin grids;
+    any other label is a registered figure id (``repro-bench --list``),
+    whose rows' points are returned — the quick grid with *quick*, the
+    paper grid without.
 
     >>> [name for name, _ in figure_points("fig7")][:2]
     ['n1x24/1el/hybrid', 'n1x24/1el/pure']
     >>> len(figure_points("fig9", quick=True))
     6
+    >>> figure_points("fig11b", quick=True)[0][0]
+    'n1x4/summa/pure/block=64'
     """
+    if label not in PIN_GRIDS:
+        from repro.bench.figures import get_figure
+
+        try:
+            figure = get_figure(label)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        return figure.points("quick" if quick else "paper")
     points: list[tuple[str, SweepPoint]] = []
     if label == "fig7":
         for elements in (1, 1024, 16384):
@@ -873,7 +977,7 @@ def figure_points(label: str,
                 points.append((f"n{nodes}x{ppn}/512el/{variant}", SweepPoint(
                     machine="hazel_hen", counts=(ppn,) * nodes,
                     nbytes=512 * 8, variant=variant)))
-    elif label == "fig10":
+    else:
         counts = tuple([24] * 6 + [16]) if quick else tuple([24] * 42 + [16])
         ranks = sum(counts)
         for elements in (1, 1024, 16384):
@@ -881,10 +985,6 @@ def figure_points(label: str,
                 points.append((f"r{ranks}/{elements}el/{variant}", SweepPoint(
                     machine="hazel_hen", counts=counts,
                     nbytes=elements * 8, variant=variant)))
-    else:
-        raise ValueError(
-            f"unknown figure label {label!r}; known: fig7, fig9, fig10"
-        )
     return points
 
 
@@ -914,7 +1014,8 @@ def run_sweep(points: Sequence[SweepPoint],
               timeout: float | None = None,
               retries: int = 1,
               chunksize: int = 1,
-              progress: bool = False) -> dict:
+              progress: bool = False,
+              names: Sequence[str] | None = None) -> dict:
     """Run a sweep: cache lookups first, then the misses — serially
     (``workers=0``) or sharded over *workers* processes in chunks of
     *chunksize* points.
@@ -926,7 +1027,9 @@ def run_sweep(points: Sequence[SweepPoint],
     of crashing the sweep.  Results are written back to *cache* in the
     parent process.
 
-    Returns the sweep report::
+    Points are reported under *names* (default: each one's
+    :func:`point_name`), which must be unique.  Returns the sweep
+    report::
 
         {"points": {name: record},        # input order
          "failures": [{"name", "point", "error", "attempts"}, ...],
@@ -938,7 +1041,8 @@ def run_sweep(points: Sequence[SweepPoint],
     *workers* — a parallel run is bit-identical to a serial one.
     """
     t0 = time.perf_counter()
-    names = [point_name(p) for p in points]
+    if names is None:
+        names = [point_name(p) for p in points]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"sweep points collide: {', '.join(dupes)}")
@@ -956,7 +1060,7 @@ def run_sweep(points: Sequence[SweepPoint],
             records[name] = stored["result"]
             sources[name] = "cache"
             if progress:
-                print(f"  {name}: cache hit", flush=True)
+                print(f"  {name}: cache hit", file=sys.stderr, flush=True)
         else:
             misses.append((name, point))
 
@@ -968,7 +1072,7 @@ def run_sweep(points: Sequence[SweepPoint],
             store_record(cache, point, record)
         if progress:
             print(f"  {name}: computed ({record['wall_s']}s wall)",
-                  flush=True)
+                  file=sys.stderr, flush=True)
 
     if workers <= 0:
         for name, point in misses:
@@ -1112,15 +1216,15 @@ def _point_from_args(args) -> SweepPoint:
 def _cmd_run(args) -> int:
     cache = ResultCache(args.cache) if args.cache else None
     if args.figure:
-        named = figure_points(args.figure, quick=args.quick)
-        points = [p for _n, p in named]
+        names, points = zip(*figure_points(args.figure, quick=args.quick))
     else:
         with open(args.spec, encoding="utf-8") as fh:
             points = expand_spec(json.load(fh))
+        names = None
     report = run_sweep(
         points, cache=cache, workers=args.workers, timeout=args.timeout,
         retries=args.retries, chunksize=args.chunksize,
-        progress=not args.quiet,
+        progress=not args.quiet, names=names,
     )
     c = report["counters"]
     hit_rate = c["hits"] / c["points"] if c["points"] else 0.0
@@ -1223,8 +1327,13 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a sweep (spec file or figure)")
     group = p_run.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", help="sweep spec JSON file")
-    group.add_argument("--figure", choices=("fig7", "fig9", "fig10"),
-                       help="a canonical figure config")
+    from repro.bench.figures import FIGURES
+
+    group.add_argument("--figure",
+                       choices=PIN_GRIDS + tuple(sorted(set(FIGURES)
+                                                        - set(PIN_GRIDS))),
+                       help="a Fig 7/9/10 pin grid, or any other figure "
+                            "id's paper grid (--quick: its quick grid)")
     p_run.add_argument("--quick", action="store_true",
                        help="reduced figure grid (CI smoke)")
     p_run.add_argument("--cache", default=None, metavar="DIR")
@@ -1272,4 +1381,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    # Run the package's copy of this module: the figure registry builds
+    # its points from ``repro.bench.sweep``, not from ``__main__``.
+    from repro.bench.sweep import main as _main
+
+    raise SystemExit(_main())

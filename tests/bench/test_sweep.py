@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,6 @@ from repro.bench.sweep import (
     ResultCache,
     SweepPoint,
     cache_key,
-    cached_latency_us,
     evaluate,
     expand_spec,
     figure_points,
@@ -113,6 +113,117 @@ def _whole_document_key(point: SweepPoint) -> str:
                    reps=osu.DEFAULT_REPS, warmup=osu.DEFAULT_WARMUP)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _clear_selection_env(monkeypatch):
+    for var in [k for k in os.environ if k.startswith("REPRO_COLL_")]:
+        monkeypatch.delenv(var)
+
+
+#: Points the parent code could build, with the name, key and seed it
+#: gave them: adding a workload kind must move none of them.
+_PARENT_POINTS = {
+    "hybrid": (
+        dict(machine="hazel_hen", counts=(24,), nbytes=8),
+        "n1x24/1el/hybrid",
+        "8aaa285626215a91df3cbd26fb86b221bca8c76b2884b8fac7bf7bd18f5081c8",
+        206046966),
+    "pure-irregular": (
+        dict(machine="vulcan", counts=(24, 24, 16), nbytes=8192,
+             variant="pure"),
+        "r64/1024el/pure",
+        "c66d317abd841e5f467c4205e4a753453bb74edd3df4d9dcc2f0623db6387e68",
+        2501543673),
+    "model-algo-transport-socket": (
+        dict(machine="hazel_hen_2s", counts=(12, 12), nbytes=512,
+             engine="model", algo="shared_window_3l",
+             transport="cma_single_copy", socket_mode="scatter"),
+        "n2x12/64el/hybrid/shared_window_3l/cma_single_copy/scatter/model",
+        "a72c45a9db48f373c161851ca8779cc21bd18acf059b18d96b7f720f8cbce15f",
+        2478607992),
+    "model-op-payload": (
+        dict(machine="testing", counts=(3,), nbytes=12, variant="pure",
+             engine="model", op="allgather", algo="ring", payload="data"),
+        "n1x3/12B/pure/ring/model",
+        "3d3fbfe52d8c4630b2e036341d0912cac86cf9268dce8f0be5ea334d0b18db41",
+        2486769150),
+    "sim-forced-2s": (
+        dict(machine="hazel_hen_2s", counts=(24,) * 4, nbytes=64,
+             algo="shared_window", transport="pip_direct",
+             socket_mode="balanced"),
+        "n4x24/8el/hybrid/shared_window/pip_direct/balanced",
+        "f2072c8d232a11ebd25e6f7784cf99390bd454168cfab188cab2d7430909e661",
+        3096657178),
+    "overlap-grain": (
+        dict(machine="hazel_hen", counts=(4, 4), nbytes=4096,
+             variant="pure", workload="overlap", compute_grain=0.5),
+        "n2x4/512el/pure/overlap0.5",
+        "91b54c55b530856414c8287410d159e894e8f7a7d0263d715793b46b2eaa755c",
+        4054123009),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARENT_POINTS))
+def test_existing_point_identity_is_stable(case, monkeypatch):
+    _clear_selection_env(monkeypatch)
+    point_fields, name, key, seed = _PARENT_POINTS[case]
+    point = SweepPoint(**point_fields)
+    assert "params" not in point.to_dict()
+    assert point_name(point) == name
+    assert cache_key(point) == key
+    assert point_seed(point) == seed
+
+
+def test_workload_params_are_validated_and_round_trip():
+    point = SweepPoint(counts=(24, 24, 16), workload="summa",
+                       params={"block": 64})
+    assert point.to_dict()["params"] == {"block": 64}
+    assert SweepPoint.from_dict(json.loads(json.dumps(point.to_dict()))) \
+        == point
+    assert point_name(point) == "r64/summa/hybrid/block=64"
+    assert point_name(SweepPoint(counts=(24,) * 8, nbytes=4096,
+                                 variant="pure", workload="multileader",
+                                 params={"leaders": 2})) \
+        == "n8x24/512el/pure/multileader/leaders=2"
+    with pytest.raises(ValueError, match="unknown summa param.*iterations"):
+        SweepPoint(workload="summa", params={"iterations": 3})
+    with pytest.raises(ValueError, match="unknown workload"):
+        SweepPoint(workload="stencil")
+    with pytest.raises(ValueError, match="model engine"):
+        SweepPoint(engine="model", workload="bpmf")
+    with pytest.raises(ValueError, match="model engine"):
+        SweepPoint(engine="model", params={"sync": "flags"})
+    with pytest.raises(ValueError, match="round_robin"):
+        SweepPoint(counts=(4, 2), params={"order": "round_robin"}).placement()
+
+
+def test_cache_key_folds_the_selection_environment(cache, monkeypatch):
+    """``REPRO_COLL_*`` change a simulator point's latency, so they
+    change its key: a cache filled under a forced algorithm must not
+    answer a default run."""
+    _clear_selection_env(monkeypatch)
+    point = SweepPoint(machine="hazel_hen", counts=(24,), nbytes=8,
+                       variant="pure")
+    forced = replace(point, algo="bruck")
+    default_key, forced_key = cache_key(point), cache_key(forced)
+    default = run_point(point)["latency_us"]
+
+    monkeypatch.setenv("REPRO_COLL_ALLGATHER", "ring")
+    assert cache_key(point) != default_key
+    ring, _source = evaluate(point, cache)
+    assert ring["latency_us"] != default
+    # A point's own algo is forced over the table alone.
+    assert cache_key(forced) == forced_key
+
+    monkeypatch.delenv("REPRO_COLL_ALLGATHER")
+    record, source = evaluate(point, cache)
+    assert source == "computed"
+    assert record["latency_us"] == default
+    # Naming the default tables is the default selection.
+    monkeypatch.setenv("REPRO_COLL_POLICY", "table")
+    assert cache_key(point) == default_key
+    monkeypatch.setenv("REPRO_COLL_POLICY", "cost_model")
+    assert cache_key(point) != default_key
 
 
 def test_cache_key_bytes_are_pinned():
@@ -260,15 +371,19 @@ def test_gc(cache):
     assert cache.stats()["entries"] == 0
 
 
-def test_cached_latency_us_uses_env_cache(tmp_path, monkeypatch):
+def test_figure_run_uses_env_cache(tmp_path, monkeypatch):
+    from repro.bench.harness import Figure
+
     monkeypatch.setenv(sweeplib.CACHE_ENV, str(tmp_path / "env-cache"))
-    first = cached_latency_us("testing", (2, 2), 64, "hybrid")
-    # Second call must hit the on-disk entry the first one wrote.
+    point = SweepPoint(machine="testing", counts=(2, 2), nbytes=64)
+    figure = Figure("t", "T", "c", lambda mode: [{"lat_us": point}])
+    first = figure.run().rows
+    # The second run must hit the on-disk entry the first one wrote.
     def boom(_point):
         raise AssertionError("env-cache hit must not simulate")
 
     monkeypatch.setattr(sweeplib, "run_point", boom)
-    assert cached_latency_us("testing", (2, 2), 64, "hybrid") == first
+    assert figure.run().rows == first
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +485,11 @@ def test_committed_fig7_pins_are_live():
     assert check_against_bench(report, "fig7", ROOT) == []
 
 
-@pytest.mark.parametrize("label", ["fig7", "fig9", "fig10"])
+#: The committed pins of the paper's application figures (paper grid).
+APP_PINS = ["fig11a", "fig11b", "fig11c", "fig11d", "fig12"]
+
+
+@pytest.mark.parametrize("label", ["fig7", "fig9", "fig10", *APP_PINS])
 def test_committed_bench_points_pin_only_virtual_time(label):
     with open(os.path.join(ROOT, f"BENCH_{label}.json"),
               encoding="utf-8") as fh:
@@ -378,6 +497,21 @@ def test_committed_bench_points_pin_only_virtual_time(label):
     assert {name for name, _p in figure_points(label)} == set(doc["points"])
     for name, rec in doc["points"].items():
         assert set(rec) == {"latency_us", "events"}, name
+
+
+@pytest.mark.parametrize("label", APP_PINS)
+def test_committed_app_pins_are_live(label):
+    """The single-node points of each application pin are what the
+    code produces now (the whole grid runs in CI's --check-bench)."""
+    with open(os.path.join(ROOT, f"BENCH_{label}.json"),
+              encoding="utf-8") as fh:
+        pinned = json.load(fh)["points"]
+    small = [(n, p) for n, p in figure_points(label) if len(p.counts) == 1]
+    assert small
+    for name, point in small:
+        record = run_point(point)
+        assert {"latency_us": record["latency_us"],
+                "events": record["events"]} == pinned[name], name
 
 
 def test_model_report_finds_each_committed_point_in_its_grid():
@@ -424,6 +558,25 @@ def test_sweep_metrics_export(cache):
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_cli_runs_any_figure_through_the_cache(tmp_path, capsys):
+    """``run --figure`` takes a figure id beyond the pin grids, names
+    its points as the figure does, and a warm re-run is all hits."""
+    from repro.bench.figures import get_figure
+    from repro.bench.sweep import main
+
+    cache_dir, out = str(tmp_path / "cache"), tmp_path / "report.json"
+    args = ["run", "--figure", "fig8a", "--quick", "--cache", cache_dir,
+            "--quiet"]
+    assert main(args + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report["points"]) == {
+        name for name, _p in get_figure("fig8a").points("quick")}
+    assert all(name.startswith("vulcan/") for name in report["points"])
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "16 cache hits (100%)" in capsys.readouterr().out
+
 
 def test_cli_run_query_stats_gc(tmp_path, capsys):
     from repro.bench.sweep import main

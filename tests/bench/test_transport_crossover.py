@@ -39,14 +39,8 @@ def committed() -> dict:
 
 @pytest.fixture(scope="module")
 def regenerated() -> dict:
-    fig = get_figure("ext_transport_crossover")
-    points = {}
-    for point in fig.sweep("quick"):
-        out = fig.measure(point, "quick")
-        points[f"{point['elements']}el"] = {
-            "elements": point["elements"], **out,
-        }
-    return points
+    result = get_figure("ext_transport_crossover").run("quick")
+    return {f"{row['elements']}el": row for row in result.rows}
 
 
 def test_committed_points_match_current_code(committed, regenerated):
