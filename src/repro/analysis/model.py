@@ -53,6 +53,15 @@ from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.machine.placement import Placement
+from repro.mpi.collectives.registry import (
+    BRIDGE_ALLGATHERV,
+    BRIDGE_ALLREDUCE,
+    BRIDGE_BCAST,
+    SHM_BCAST,
+    CollRequest,
+    Shape,
+    table_choice,
+)
 from repro.mpi.collectives.tuning import CollectiveTuning, tuning_for_machine
 
 __all__ = [
@@ -694,33 +703,21 @@ class CostModel:
             return self.net_round(m, q)
         return max(self.shm_round(m, q - k), self.net_round(m, k))
 
-    # -- table-selection mirrors (inner composite stages) ----------------
+    # -- inner-stage selection (the registry's decision table) ----------
 
-    def _bridge_agv_algo(self, total: float) -> str:
-        return ("bruck_v" if total <= self.tuning.allgatherv_bruck_max_total
-                else "ring_v")
+    @property
+    def shape(self) -> Shape:
+        """The communicator shape this model prices — equal to
+        ``comm_shape`` of the simulated world it mirrors."""
+        return Shape(self.p, self.N, self.q, self.sockets)
 
-    def _bridge_bcast_algo(self, n: float, nnodes: int) -> str:
-        t = self.tuning
-        if n <= t.bcast_binomial_max or nnodes <= 2:
-            return "binomial"
-        if n > 8 * t.bcast_pipeline_chunk and nnodes >= 8:
-            return "pipeline"
-        return "scatter_allgather"
-
-    def _bridge_allreduce_algo(self, n: float, nnodes: int) -> str:
-        t = self.tuning
-        if n <= t.allreduce_rd_max:
-            return "recursive_doubling"
-        if _is_pof2(nnodes):
-            return "rabenseifner"
-        return "ring"
-
-    def _shm_bcast_algo(self, m: float, q: int) -> str:
-        # _select_shm_bcast: candidates (binomial, scatter_allgather).
-        if m <= self.tuning.bcast_binomial_max or q <= 2:
-            return "binomial"
-        return "scatter_allgather"
+    def _stage_algo(self, op: str, shape: Shape, n: float, total: float,
+                    candidates: tuple[str, ...]) -> str:
+        """The algorithm the registry's table picks for an inner stage
+        over a communicator of *shape* moving *n* bytes per rank
+        (*total* overall) — what the simulated stage dispatches."""
+        req = CollRequest(op, n, total)
+        return table_choice(op, shape, req, self.tuning, candidates).name
 
     # -- on-node stage evaluators (over q ranks of one node) --------------
 
@@ -792,7 +789,8 @@ class CostModel:
         *mult* concurrent instances share the node."""
         if q <= 1:
             return 0.0
-        if self._shm_bcast_algo(m, q) == "binomial":
+        node = Shape(q, 1, q, self.sockets)
+        if self._stage_algo("bcast", node, m, m, SHM_BCAST) == "binomial":
             return self._shm_bcast_binomial(m, q, mult, xfree)
         # scatter_allgather on-node: binomial scatter + ring allgather.
         block = m / q
@@ -822,7 +820,9 @@ class CostModel:
         if N <= 1:
             return t
         blocks = [block_of(c) for c, _k in self.classes]
-        if self._bridge_agv_algo(total) == "bruck_v":
+        bridge = Shape(N, N, 1, self.sockets)
+        if self._stage_algo("allgatherv", bridge, total / N, total,
+                            BRIDGE_ALLGATHERV) == "bruck_v":
             avg = sum(self._per_node(blocks)) / N
             pof = 1
             while pof < N:
@@ -835,7 +835,8 @@ class CostModel:
     def _bridge_bcast(self, n: float, nnodes: int) -> float:
         if nnodes <= 1:
             return 0.0
-        algo = self._bridge_bcast_algo(n, nnodes)
+        bridge = Shape(nnodes, nnodes, 1, self.sockets)
+        algo = self._stage_algo("bcast", bridge, n, n, BRIDGE_BCAST)
         if algo == "binomial":
             if nnodes <= self.exact_limit:
                 # Leaders sit on distinct nodes: all-inter DP tree.
@@ -865,7 +866,8 @@ class CostModel:
     def _bridge_allreduce(self, n: float, nnodes: int) -> float:
         if nnodes <= 1:
             return 0.0
-        algo = self._bridge_allreduce_algo(n, nnodes)
+        bridge = Shape(nnodes, nnodes, 1, self.sockets)
+        algo = self._stage_algo("allreduce", bridge, n, n, BRIDGE_ALLREDUCE)
         if algo == "recursive_doubling":
             return _ceil_log2(nnodes) * self.net_round(n, 1)
         if algo == "rabenseifner":
@@ -1014,7 +1016,7 @@ class CostModel:
             t += self._bridge_agv(lambda c: c * n, total)
         # Node leader releases the full result back across sockets
         # (binomial over the S leaders; S <= 2 in every preset, where
-        # the selection mirror always picks binomial).
+        # the table always picks binomial).
         masks = []
         mask = 1
         while mask < S:

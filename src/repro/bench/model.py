@@ -1,15 +1,19 @@
 """Analytic-model bench CLI (``repro-model``).
 
-Two subjects, both priced entirely by :mod:`repro.analysis.model` —
+Three subjects, all priced entirely by :mod:`repro.analysis.model` —
 no simulation runs, which is what makes 10k–1M-rank sweeps take
 milliseconds:
 
 * ``sweep`` — Fig-7/9/10-style hybrid-vs-pure allgather crossover maps
   at rank counts the DES cannot reach (default 10k/65k/1M ranks),
   printing per-size latencies, the crossover message sizes, and the
-  wall-clock the sweep itself took;
+  wall-clock the sweep itself took; each side is the cheapest of
+  :func:`candidates`, the registered algorithms applicable to the
+  configuration's shape (the same list ``/best`` prices);
 * ``report`` — divergence of the model against the committed
-  ``BENCH_<label>.json`` latencies at the repository root, written as a
+  ``BENCH_<label>.json`` latencies at the repository root, each point
+  priced with the algorithm the registry's decision table
+  (``table_choice``) dispatched when it was measured, written as a
   JSON artifact for CI;
 * ``transports`` — the socket-tier crossover map: two- vs three-level
   Hy_Allgather on the 2-socket preset under every registered on-node
@@ -39,11 +43,15 @@ from repro.analysis.model import CostModel, crossover_points
 from repro.bench import sweep as sweeplib
 from repro.machine.presets import hazel_hen, hazel_hen_2s, vulcan
 from repro.machine.transport import TRANSPORTS
+from repro.mpi.collectives.registry import (
+    CollRequest,
+    applicable_algorithms,
+    table_choice,
+)
 from repro.mpi.collectives.tuning import tuning_for_machine
 
-__all__ = ["model_best", "pure_candidates", "hybrid_candidates",
-           "sweep_config", "run_sweep", "run_report", "run_transports",
-           "main"]
+__all__ = ["model_best", "candidates", "sweep_config", "run_sweep",
+           "run_report", "run_transports", "main"]
 
 #: Message sizes swept (bytes per rank), eager through pipeline regime.
 SWEEP_SIZES = tuple(8 * (1 << k) for k in range(0, 15))  # 8 B .. 128 KiB
@@ -95,49 +103,12 @@ def model_best(model: CostModel, op: str, nbytes: float,
     return best
 
 
-def pure_candidates(model: CostModel, irregular: bool) -> list[str]:
-    """Structurally-applicable pure-MPI allgather(v) algorithms."""
-    hier = model.N > 1 and model.q > 1
-    if irregular:
-        cands = ["bruck_v", "ring_v", "gather_bcast"]
-        if hier:
-            cands.append("smp_hierarchical")
-        return cands
-    cands = ["bruck", "ring"]
-    if model.p > 0 and model.p & (model.p - 1) == 0:
-        cands.append("recursive_doubling")
-    if hier:
-        cands += ["smp_hierarchical", "multileader"]
-    return cands
-
-
-def hybrid_candidates(model: CostModel) -> list[str]:
-    """Structurally-applicable hybrid (Hy_Allgather) algorithms."""
-    cands = ["shared_window"]
-    if model.N > 1:
-        cands.append("pipelined_ring")
-    return cands
-
-
-def _table_pure_algo(model: CostModel, irregular: bool,
-                     nbytes: float) -> str:
-    """The allgather(v) algorithm ``TableSelection`` — the default DES
-    policy the committed BENCH numbers were measured under — picks."""
-    tuning = model.tuning
-    total = nbytes * model.p
-    smp = tuning.smp_aware and model.N > 1 and model.q > 1
-    if smp:
-        return "smp_hierarchical"
-    if irregular:
-        if total <= tuning.allgatherv_bruck_max_total:
-            return "bruck_v"
-        return "ring_v"
-    if (model.p & (model.p - 1) == 0
-            and total <= tuning.allgather_rd_max_total):
-        return "recursive_doubling"
-    if total <= tuning.allgather_bruck_max_total:
-        return "bruck"
-    return "ring"
+def candidates(model: CostModel, op: str, nbytes: float) -> list[str]:
+    """Every registered algorithm of the allgather-family *op*
+    structurally applicable to *model*'s communicator shape, in
+    registration order."""
+    req = CollRequest(op, nbytes, nbytes * model.p)
+    return [d.name for d in applicable_algorithms(op, model.shape, req)]
 
 
 def sweep_config(nranks: int, machine: str = "hazel_hen"):
@@ -167,11 +138,11 @@ def run_sweep(ranks=SWEEP_RANKS, sizes=SWEEP_SIZES,
         pure_lat, hy_lat = [], []
         for nbytes in sizes:
             pure = model_best(model, op, nbytes,
-                              pure_candidates(model, irregular),
+                              candidates(model, op, nbytes),
                               cache=cache, machine=machine,
                               counts=counts, variant="pure")
             hy = model_best(model, "hy_allgather", nbytes,
-                            hybrid_candidates(model),
+                            candidates(model, "hy_allgather", nbytes),
                             cache=cache, machine=machine,
                             counts=counts, variant="hybrid")
             pure_lat.append(pure[1])
@@ -220,13 +191,11 @@ def run_report(bench_dir: str = ".",
             spec = point.spec()
             model = CostModel(spec, list(point.counts),
                               tuning=tuning_for_machine(spec.name))
+            # The algorithm the default (table) policy dispatched when
+            # the committed latency was measured.
             op = point.resolved_op
-            if op == "hy_allgather":
-                # The OSU hybrid program dispatches shared_window.
-                algo = "shared_window"
-            else:
-                algo = _table_pure_algo(model, point.is_irregular,
-                                        point.nbytes)
+            req = CollRequest(op, point.nbytes, point.nbytes * model.p)
+            algo = table_choice(op, model.shape, req, model.tuning).name
             model_s = model.predict(op, algo, point.nbytes)
             bench_s = rec["latency_us"] / 1e6
             div = (abs(model_s - bench_s) / bench_s
@@ -369,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="answer candidate latencies through the "
                              "content-addressed sweep cache in DIR")
     args = parser.parse_args(argv)
+    if args.ranks and min(args.ranks) < 1:
+        print("--ranks must be >= 1", file=sys.stderr)
+        return 2
 
     cache = sweeplib.ResultCache(args.cache) if args.cache else None
     doc: dict[str, Any] = {}

@@ -166,7 +166,7 @@ def osu_allgather_latency(
     *variant* is ``"hybrid"`` or ``"pure"``.  Returns the slowest rank's
     mean latency in seconds.  The job runs in ``cost-only`` payload mode
     by default — byte-for-byte the same virtual-time charges as
-    ``"model"``/``"full"``, without materializing payload storage (the
+    ``"data"``, without materializing payload storage (the
     equivalence tests assert identical latencies across modes).
     *policy* overrides the collective selection policy (e.g. a
     ``ForcedSelection`` pinning the bridge-exchange variant).

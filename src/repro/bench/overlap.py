@@ -281,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.nodes < 1 or args.ppn < 1:
         print("--nodes and --ppn must be >= 1", file=sys.stderr)
         return 2
+    if (args.reps is not None and args.reps < 1) or (
+            args.warmup is not None and args.warmup < 0):
+        print("--reps must be >= 1 and --warmup >= 0", file=sys.stderr)
+        return 2
     suite = run_overlap_suite(
         quick=args.quick, nodes=args.nodes, ppn=args.ppn,
         compute_factor=args.compute_factor,

@@ -26,9 +26,10 @@ examples):
 ``POST /best``
     Body: a configuration (machine, nodes/ppn or counts, nbytes or
     elements, optional socket_mode/transport).  Prices every
-    structurally-applicable pure-MPI and hybrid algorithm with the
-    analytic model (each candidate a cacheable model point) and returns
-    the ranked candidates plus the recommendation.
+    registered pure-MPI and hybrid allgather algorithm applicable to
+    the configuration's shape with the analytic model (each candidate a
+    cacheable model point) and returns the ranked candidates plus the
+    recommendation.
 
 Connections are HTTP/1.1 persistent: a client that keeps its socket
 (``http.client``, ``curl`` with several URLs) is served by one handler
@@ -128,11 +129,12 @@ class SweepService:
     def best(self, doc: dict) -> dict:
         """Which algorithm (and variant) should this config use?
 
-        Prices every structurally-applicable candidate with the
-        analytic model; each candidate evaluation is itself a cacheable
-        model point, so repeated questions are pure cache reads.
+        Prices every registered algorithm applicable to the
+        configuration's shape with the analytic model; each candidate
+        evaluation is itself a cacheable model point, so repeated
+        questions are pure cache reads.
         """
-        from repro.bench.model import hybrid_candidates, pure_candidates
+        from repro.bench.model import candidates
 
         unknown = set(doc) - {"machine", "counts", "nodes", "ppn",
                               "nbytes", "elements", "socket_mode",
@@ -153,27 +155,21 @@ class SweepService:
         except (TypeError, ValueError) as exc:
             raise _BadRequest(str(exc)) from exc
         model = sweeplib.model_for(probe)
-        irregular = probe.is_irregular
-        pure_op = "allgatherv" if irregular else "allgather"
-        candidates = [
-            ("pure", pure_op, algo)
-            for algo in pure_candidates(model, irregular)
-        ] + [
-            ("hybrid", "hy_allgather", algo)
-            for algo in hybrid_candidates(model)
-        ]
+        pure_op = "allgatherv" if probe.is_irregular else "allgather"
         ranked = []
-        for variant, op, algo in candidates:
-            point = sweeplib.SweepPoint(
-                machine=machine, counts=counts, nbytes=nbytes,
-                variant=variant, engine="model", op=op, algo=algo,
-                transport=probe.transport, socket_mode=probe.socket_mode,
-            )
-            record, source = sweeplib.evaluate(point, self.cache)
-            ranked.append({
-                "variant": variant, "op": op, "algo": algo,
-                "latency_us": record["latency_us"], "source": source,
-            })
+        for variant, op in (("pure", pure_op), ("hybrid", "hy_allgather")):
+            for algo in candidates(model, op, nbytes):
+                point = sweeplib.SweepPoint(
+                    machine=machine, counts=counts, nbytes=nbytes,
+                    variant=variant, engine="model", op=op, algo=algo,
+                    transport=probe.transport,
+                    socket_mode=probe.socket_mode,
+                )
+                record, source = sweeplib.evaluate(point, self.cache)
+                ranked.append({
+                    "variant": variant, "op": op, "algo": algo,
+                    "latency_us": record["latency_us"], "source": source,
+                })
         ranked.sort(key=lambda row: row["latency_us"])
         best = ranked[0]
         return {

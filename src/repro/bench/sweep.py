@@ -71,6 +71,7 @@ from repro.mpi.collectives.registry import (
     ForcedSelection,
     resolve_policy,
 )
+from repro.mpi.runtime import PAYLOAD_MODES
 from repro.simulator import ENGINE_VERSION
 
 __all__ = [
@@ -245,6 +246,9 @@ class SweepPoint:
             raise ValueError("counts must be non-empty positive ints")
         if self.nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        if self.payload not in PAYLOAD_MODES:
+            raise ValueError(f"unknown payload {self.payload!r}; known: "
+                             f"{', '.join(PAYLOAD_MODES)}")
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
         unknown = {k for k, _v in self.params} - set(WORKLOADS[self.workload])
@@ -1214,6 +1218,10 @@ def _point_from_args(args) -> SweepPoint:
 
 
 def _cmd_run(args) -> int:
+    if args.check_bench and not args.figure:
+        print("--check-bench needs --figure: only a figure grid has a "
+              "committed BENCH file", file=sys.stderr)
+        return 2
     cache = ResultCache(args.cache) if args.cache else None
     if args.figure:
         names, points = zip(*figure_points(args.figure, quick=args.quick))
@@ -1237,7 +1245,7 @@ def _cmd_run(args) -> int:
             fh.write("\n")
         print(f"wrote {args.out}", flush=True)
     rc = 1 if report["failures"] else 0
-    if args.check_bench and args.figure:
+    if args.check_bench:
         problems = check_against_bench(report, args.figure, args.check_bench)
         for problem in problems:
             print(f"BENCH MISMATCH: {problem}", file=sys.stderr)

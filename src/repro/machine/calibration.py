@@ -54,7 +54,7 @@ def _pingpong(spec: MachineSpec, placement: Placement, nbytes: int,
         return (mpi.now - t0) / (2 * reps)
 
     result = run_program(
-        spec, None, prog, placement=placement, payload_mode="model"
+        spec, None, prog, placement=placement, payload="cost-only"
     )
     return max(r for r in result.returns if r is not None)
 
@@ -85,7 +85,7 @@ def probe_machine(spec_factory) -> ProbeResult:
         run_program(
             one_node, None, barrier_prog,
             placement=Placement.block(1, one_node.node.cores),
-            payload_mode="model",
+            payload="cost-only",
         ).returns
     )
 

@@ -121,12 +121,10 @@ def _select_shm_bcast(shm, nbytes: int):
     the candidate set restricted to the stage-appropriate algorithms
     (no pipelining across shared memory).  Imported lazily: the registry
     imports this module at load time."""
-    from repro.mpi.collectives.registry import CollRequest, policy_of
+    from repro.mpi.collectives.registry import SHM_BCAST, CollRequest, policy_of
 
     req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=0)
-    algo = policy_of(shm).select(
-        shm, req, candidates=("binomial", "scatter_allgather")
-    )
+    algo = policy_of(shm).select(shm, req, SHM_BCAST)
     return algo.fn
 
 

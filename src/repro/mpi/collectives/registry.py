@@ -31,6 +31,13 @@ A policy's pick must be a pure function of the communicator, the
 request and the candidate set (the replay cache already relies on it);
 that is what makes the per-communicator memo exact.
 
+Applicability and the decision tables read only a communicator
+:class:`Shape`, the request and the tuning.  :func:`table_choice` is
+that shape-level decision: :class:`TableSelection` answers through it
+for a live communicator, and the analytic cost model
+(:mod:`repro.analysis.model`) and ``repro-model``/``/best`` ask it for
+the configurations they price, so there is one selection table.
+
 Descriptor calling conventions (per operation)
 ----------------------------------------------
 
@@ -110,8 +117,15 @@ __all__ = [
     "algorithms_for",
     "get_algorithm",
     "ops",
+    "Shape",
     "spans_hierarchy",
     "comm_shape",
+    "applicable_algorithms",
+    "table_choice",
+    "BRIDGE_ALLGATHERV",
+    "BRIDGE_BCAST",
+    "BRIDGE_ALLREDUCE",
+    "SHM_BCAST",
     "SelectionPolicy",
     "TableSelection",
     "CostModelSelection",
@@ -163,15 +177,16 @@ class CollRequest(NamedTuple):
 class Algorithm:
     """One registered collective algorithm.
 
-    ``applicable(comm, req)`` is a *structural* predicate (communicator
-    shape, power-of-two-ness) — policy preferences such as
-    ``tuning.smp_aware`` belong to the policies, not to the descriptor.
+    ``applicable(shape, req)`` is a *structural* predicate over the
+    communicator's :class:`Shape` (node count, power-of-two-ness,
+    sockets) — policy preferences such as ``tuning.smp_aware`` belong
+    to the policies, not to the descriptor.
     """
 
     op: str
     name: str
     fn: Callable[..., Any]
-    applicable: Callable[[Any, CollRequest], bool]
+    applicable: Callable[[Shape, CollRequest], bool]
     cost: Callable[[Any, CollRequest], float]
     kind: str = "flat"  # "flat" | "hierarchical" | "hybrid"
 
@@ -223,8 +238,23 @@ def ops() -> list[str]:
 # Communicator shape (cached — selection runs on every collective call)
 # ---------------------------------------------------------------------------
 
-def comm_shape(comm) -> tuple[int, int]:
-    """``(num_nodes, max_ranks_per_node)`` of *comm*.
+class Shape(NamedTuple):
+    """What selection reads of a communicator: *size* ranks on *nodes*
+    nodes, at most *max_ppn* of them on one node, on a machine whose
+    nodes have *sockets* sockets.
+
+    :func:`comm_shape` derives it from a live communicator and
+    ``CostModel.shape`` from per-node rank counts, so the simulator and
+    the cost model decide from the same value."""
+
+    size: int
+    nodes: int
+    max_ppn: int
+    sockets: int = 1
+
+
+def comm_shape(comm) -> Shape:
+    """The :class:`Shape` of *comm*.
 
     Cached on the communicator's *shared* state: the shape is a pure
     function of group + placement, so one O(p) scan serves every rank
@@ -237,25 +267,34 @@ def comm_shape(comm) -> tuple[int, int]:
         for w in comm.group.world_ranks():
             n = placement.node_of(w)
             per_node[n] = per_node.get(n, 0) + 1
-        shape = cache["_shape"] = (
-            len(per_node), max(per_node.values(), default=1)
+        shape = cache["_shape"] = Shape(
+            comm.size, len(per_node), max(per_node.values(), default=1),
+            comm.ctx.machine.spec.node.sockets,
         )
     return shape
 
 
-def spans_hierarchy(comm) -> bool:
-    """True when *comm* covers >1 node and some node hosts >1 of its
+def spans_hierarchy(shape: Shape) -> bool:
+    """True when *shape* covers >1 node and some node hosts >1 of its
     ranks — the regime where SMP-aware algorithms apply."""
-    nodes, max_ppn = comm_shape(comm)
-    return nodes > 1 and max_ppn > 1
-
-
-def _single_node(comm) -> bool:
-    return comm_shape(comm)[0] == 1
+    return shape.nodes > 1 and shape.max_ppn > 1
 
 
 def _is_pof2(n: int) -> bool:
     return n & (n - 1) == 0
+
+
+def applicable_algorithms(op: str, shape: Shape, req: CollRequest,
+                          candidates: tuple[str, ...] | None = None
+                          ) -> list[Algorithm]:
+    """Registered algorithms of *op* structurally applicable to
+    *shape*, optionally restricted to the *candidates* names, in
+    registration order."""
+    return [
+        d for d in algorithms_for(op)
+        if (candidates is None or d.name in candidates)
+        and d.applicable(shape, req)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +324,8 @@ class SelectionPolicy:
         key = (self, req, candidates)
         algo = cache.get(key)
         if algo is None:
-            cands = [
-                d for d in algorithms_for(req.op)
-                if (candidates is None or d.name in candidates)
-                and d.applicable(comm, req)
-            ]
+            cands = applicable_algorithms(req.op, comm_shape(comm), req,
+                                          candidates)
             if not cands:
                 raise MPIError(
                     f"no applicable algorithm for op {req.op!r} on "
@@ -310,8 +346,8 @@ class SelectionPolicy:
 class TableSelection(SelectionPolicy):
     """MPICH-style decision tables driven by ``comm.ctx.tuning``.
 
-    This reproduces the pre-registry hardcoded selection logic exactly:
-    the thresholds come from the :class:`CollectiveTuning` personality,
+    The pick is :func:`table_choice` over the communicator's shape:
+    thresholds come from the :class:`CollectiveTuning` personality, and
     hierarchical variants are preferred when ``tuning.smp_aware`` and
     the communicator spans several multi-rank nodes.
     """
@@ -319,105 +355,83 @@ class TableSelection(SelectionPolicy):
     name = "table"
 
     def choose(self, comm, req, cands):
-        prefs = self._prefs(comm, req)
-        by_name = {d.name: d for d in cands}
-        for name in prefs:
-            if name in by_name:
-                return by_name[name]
-        return cands[0]
+        return table_choice(req.op, comm_shape(comm), req, comm.ctx.tuning,
+                            tuple(d.name for d in cands))
 
-    def _prefs(self, comm, req: CollRequest) -> list[str]:
-        """Ordered algorithm preference for this call."""
-        tuning = comm.ctx.tuning
-        smp = tuning.smp_aware and spans_hierarchy(comm)
-        table = getattr(self, f"_{req.op}", None)
-        if table is None:
-            return []
-        return table(comm, req, tuning, smp)
 
-    # -- per-op tables (mirroring the historical _select_* helpers) --------
-    def _allgather(self, comm, req, tuning, smp):
-        if smp:
-            return ["smp_hierarchical"]
-        if _is_pof2(comm.size) and req.total <= tuning.allgather_rd_max_total:
+def table_choice(op: str, shape: Shape, req: CollRequest, tuning,
+                 candidates: tuple[str, ...] | None = None) -> Algorithm:
+    """The algorithm the decision tables pick for *req* on a
+    communicator of *shape* under *tuning*: the first table preference
+    among the applicable registered algorithms of *op* (restricted to
+    the *candidates* names when given), else the first of those."""
+    cands = applicable_algorithms(op, shape, req, candidates)
+    if not cands:
+        raise MPIError(f"no applicable algorithm for op {op!r} on {shape}")
+    by_name = {d.name: d for d in cands}
+    for name in _preferences(op, shape, req, tuning):
+        if name in by_name:
+            return by_name[name]
+    return cands[0]
+
+
+#: Operations whose table prefers the SMP-aware variant when the
+#: tuning asks for it and the communicator spans multi-rank nodes.
+_SMP_OPS = frozenset({"allgather", "allgatherv", "bcast", "reduce",
+                      "allreduce", "barrier"})
+
+
+def _preferences(op: str, shape: Shape, req: CollRequest, t) -> list[str]:
+    """The MPICH-style decision table: ordered algorithm preferences of
+    one call, from the shape, the request and the tuning thresholds."""
+    if op in _SMP_OPS and t.smp_aware and spans_hierarchy(shape):
+        return ["smp_hierarchical"]
+    if op == "allgather":
+        if _is_pof2(shape.size) and req.total <= t.allgather_rd_max_total:
             return ["recursive_doubling"]
-        if req.total <= tuning.allgather_bruck_max_total:
+        if req.total <= t.allgather_bruck_max_total:
             return ["bruck"]
         return ["ring"]
-
-    def _allgatherv(self, comm, req, tuning, smp):
-        if smp:
-            return ["smp_hierarchical"]
+    if op == "allgatherv":
         # Never recursive doubling — the structural penalty of [29].
-        if req.total <= tuning.allgatherv_bruck_max_total:
+        if req.total <= t.allgatherv_bruck_max_total:
             return ["bruck_v"]
         return ["ring_v"]
-
-    def _bcast(self, comm, req, tuning, smp):
-        if smp:
-            return ["smp_hierarchical"]
-        if req.nbytes <= tuning.bcast_binomial_max or comm.size <= 2:
+    if op == "bcast":
+        if req.nbytes <= t.bcast_binomial_max or shape.size <= 2:
             return ["binomial"]
-        if (req.nbytes > 8 * tuning.bcast_pipeline_chunk
-                and comm.size >= 8):
+        if req.nbytes > 8 * t.bcast_pipeline_chunk and shape.size >= 8:
             return ["pipeline", "scatter_allgather"]
         return ["scatter_allgather"]
-
-    def _gather(self, comm, req, tuning, smp):
-        if req.nbytes > tuning.bcast_binomial_max * 4:
+    if op in ("gather", "gatherv"):
+        if req.nbytes > t.bcast_binomial_max * 4:
             return ["linear"]
         return ["binomial"]
-
-    _gatherv = _gather
-
-    def _scatter(self, comm, req, tuning, smp):
-        return ["binomial"]
-
-    def _reduce(self, comm, req, tuning, smp):
-        if smp:
-            return ["smp_hierarchical"]
-        return ["binomial"]
-
-    def _allreduce(self, comm, req, tuning, smp):
-        if smp:
-            return ["smp_hierarchical"]
-        if req.nbytes <= tuning.allreduce_rd_max:
+    if op == "allreduce":
+        if req.nbytes <= t.allreduce_rd_max:
             return ["recursive_doubling"]
-        if _is_pof2(comm.size):
+        if _is_pof2(shape.size):
             return ["rabenseifner"]
         return ["ring"]
-
-    def _reduce_scatter(self, comm, req, tuning, smp):
-        if (_is_pof2(comm.size)
-                and req.nbytes > tuning.reduce_scatter_halving_min):
+    if op == "reduce_scatter":
+        if _is_pof2(shape.size) and req.nbytes > t.reduce_scatter_halving_min:
             return ["recursive_halving"]
         return ["pairwise"]
-
-    def _scan(self, comm, req, tuning, smp):
-        if comm.size <= tuning.scan_linear_max_ranks:
+    if op == "scan":
+        if shape.size <= t.scan_linear_max_ranks:
             return ["linear"]
         return ["binomial"]
-
-    def _exscan(self, comm, req, tuning, smp):
-        return ["binomial"]
-
-    def _alltoall(self, comm, req, tuning, smp):
-        if req.nbytes <= tuning.alltoall_bruck_max:
+    if op == "alltoall":
+        if req.nbytes <= t.alltoall_bruck_max:
             return ["bruck"]
         return ["pairwise"]
-
-    def _barrier(self, comm, req, tuning, smp):
-        if _single_node(comm):
-            return ["shm_flags"]
-        if smp:
-            return ["smp_hierarchical"]
-        return ["dissemination"]
-
-    def _hy_allgather(self, comm, req, tuning, smp):
+    if op == "barrier":
+        return ["shm_flags"] if shape.nodes == 1 else ["dissemination"]
+    if op in ("hy_allgather", "hy_bcast"):
         return ["shared_window"]
-
-    def _hy_bcast(self, comm, req, tuning, smp):
-        return ["shared_window"]
+    if op in ("scatter", "reduce", "exscan"):
+        return ["binomial"]
+    return []
 
 
 class CostModelSelection(SelectionPolicy):
@@ -591,6 +605,16 @@ phase_end = trace_end
 # Stage helpers used by composite (hierarchical / hybrid) algorithms
 # ---------------------------------------------------------------------------
 
+#: Candidate sets of the composite algorithms' inner stages: the
+#: inter-leader bridge (one rank per node) and the on-node release
+#: broadcast.  The simulator's stages select from these, and the cost
+#: model prices what :func:`table_choice` picks from the same sets.
+BRIDGE_ALLGATHERV = ("bruck_v", "ring_v")
+BRIDGE_BCAST = ("binomial", "scatter_allgather", "pipeline")
+BRIDGE_ALLREDUCE = ("recursive_doubling", "rabenseifner", "ring")
+SHM_BCAST = ("binomial", "scatter_allgather")
+
+
 def _vector_overhead(comm, blocks: int):
     tuning = comm.ctx.tuning
     cost = tuning.vector_block_overhead * blocks
@@ -606,9 +630,7 @@ def bridge_allgatherv(bridge, node_blocks, tag: int, total: int):
     is required in general (paper §4.1)."""
     req = CollRequest(op="allgatherv", nbytes=total // max(bridge.size, 1),
                       total=total)
-    algo = policy_of(bridge).select(
-        bridge, req, candidates=("bruck_v", "ring_v")
-    )
+    algo = policy_of(bridge).select(bridge, req, BRIDGE_ALLGATHERV)
     yield from _vector_overhead(bridge, bridge.size)
     result = yield from algo.fn(bridge, node_blocks, tag, total)
     return result
@@ -618,10 +640,7 @@ def _bridge_bcast(bridge, payload, root: int, tag: int, nbytes: int):
     """Coroutine: inter-leader broadcast stage (flat algorithm chosen by
     the bridge's policy from the top-level message size)."""
     req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=root)
-    algo = policy_of(bridge).select(
-        bridge, req,
-        candidates=("binomial", "scatter_allgather", "pipeline"),
-    )
+    algo = policy_of(bridge).select(bridge, req, BRIDGE_BCAST)
     result = yield from algo.fn(bridge, payload, root, tag)
     return result
 
@@ -630,10 +649,7 @@ def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
     """Coroutine: inter-leader allreduce stage (flat algorithm chosen by
     the bridge's policy from the top-level message size)."""
     req = CollRequest(op="allreduce", nbytes=nbytes, total=nbytes)
-    algo = policy_of(bridge).select(
-        bridge, req,
-        candidates=("recursive_doubling", "rabenseifner", "ring"),
-    )
+    algo = policy_of(bridge).select(bridge, req, BRIDGE_ALLREDUCE)
     result = yield from algo.fn(bridge, payload, op, tag)
     return result
 
@@ -756,38 +772,34 @@ def _not_runnable(*_args, **_kwargs):
 # Applicability predicates
 # ---------------------------------------------------------------------------
 
-def _always(comm, req) -> bool:
+def _always(shape, req) -> bool:
     return True
 
 
-def _pof2_only(comm, req) -> bool:
-    return _is_pof2(comm.size)
+def _pof2_only(shape, req) -> bool:
+    return _is_pof2(shape.size)
 
 
-def _hier_only(comm, req) -> bool:
-    return spans_hierarchy(comm)
+def _hier_only(shape, req) -> bool:
+    return spans_hierarchy(shape)
 
 
-def _shm_only(comm, req) -> bool:
-    return _single_node(comm)
+def _shm_only(shape, req) -> bool:
+    return shape.nodes == 1
 
 
-def _multinode_only(comm, req) -> bool:
-    return comm_shape(comm)[0] > 1
+def _multinode_only(shape, req) -> bool:
+    return shape.nodes > 1
 
 
-def _multi_socket(comm) -> bool:
-    return comm.ctx.machine.spec.node.sockets > 1
-
-
-def _socket_hier_only(comm, req) -> bool:
+def _socket_hier_only(shape, req) -> bool:
     """3-level hierarchical forms: need both tiers to be non-trivial."""
-    return spans_hierarchy(comm) and _multi_socket(comm)
+    return spans_hierarchy(shape) and shape.sockets > 1
 
 
-def _socket_multinode_only(comm, req) -> bool:
+def _socket_multinode_only(shape, req) -> bool:
     """3-level hybrid forms: need a bridge and a socket tier."""
-    return comm_shape(comm)[0] > 1 and _multi_socket(comm)
+    return shape.nodes > 1 and shape.sockets > 1
 
 
 # ---------------------------------------------------------------------------

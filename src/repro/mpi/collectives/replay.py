@@ -1022,7 +1022,7 @@ class ReplaySession:
             pocket = MPIJob(
                 job.spec, program,
                 placement=job.placement,
-                payload=job.payload_mode,
+                payload="cost-only",    # sessions exist off data mode only
                 tuning=job.tuning,
                 policy=job.policy,
                 trace=trace,

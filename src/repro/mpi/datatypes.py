@@ -5,10 +5,12 @@ The runtime runs in one of two *payload modes*:
 * **data mode** — messages carry real ``numpy.ndarray`` views; receives
   copy bytes into destination buffers.  Used by the test-suite and the
   examples, where results are checked element-for-element.
-* **model mode** — messages carry :class:`Bytes` markers (a size, no
-  storage).  Timing is identical, memory use is O(1) per message.  Used
-  by the paper-scale benchmark sweeps (a 1536-rank allgather of 16 Ki
-  doubles would otherwise allocate ~190 MB *per rank*).
+* **model mode** (``payload="cost-only"``) — messages carry
+  :class:`Bytes` markers (a size, no storage) and sends take
+  :func:`snapshot` instead of :func:`clone`.  Timing is identical,
+  memory use is O(1) per message.  Used by the paper-scale benchmark
+  sweeps (a 1536-rank allgather of 16 Ki doubles would otherwise
+  allocate ~190 MB *per rank*).
 
 :func:`nbytes_of` is the single size oracle used by every cost model, so
 both modes are guaranteed to follow the same code paths and charge the

@@ -363,22 +363,21 @@ class _MatchQueue:
 class MessageEngine:
     """Owns message matching and transfer scheduling for one job.
 
-    ``cost_only=True`` switches send-time value semantics from
-    :func:`clone` (deep copy) to :func:`snapshot` (size-preserving,
-    storage-free) — every byte count and therefore every virtual-time
-    charge is unchanged, only Python-level copying is elided.
+    Sends take value semantics from :func:`clone` (deep copy) in data
+    mode and from :func:`snapshot` (size-preserving, storage-free)
+    otherwise — every byte count and therefore every virtual-time
+    charge is the same, only Python-level copying is elided.
     """
 
     def __init__(self, engine: Engine, machine: Machine, tracer=None,
-                 cost_only: bool = False):
+                 data_mode: bool = True):
         self.engine = engine
         self.machine = machine
         # At trace detail "p2p" the match step records receive queue
         # waits (time between posting a receive and the matching send).
         self.tracer = tracer if tracer is not None and tracer.wants("p2p") \
             else None
-        self.cost_only = cost_only
-        self._snapshot = snapshot if cost_only else clone
+        self._snapshot = clone if data_mode else snapshot
         self._queues: dict[tuple[int, int], _MatchQueue] = {}
         self.sent_messages = 0
         self.sent_bytes = 0.0

@@ -39,7 +39,11 @@ from repro.trace import Tracer
 
 import numpy as np
 
-__all__ = ["RankContext", "MPIJob", "JobResult", "run_program"]
+__all__ = ["RankContext", "MPIJob", "JobResult", "run_program",
+           "PAYLOAD_MODES"]
+
+#: Accepted ``payload`` values; ``"full"`` is an alias of ``"data"``.
+PAYLOAD_MODES = ("data", "full", "cost-only")
 
 
 class RankContext:
@@ -71,7 +75,7 @@ class RankContext:
         self.msg_engine = job.msg_engine
         self.machine = job.machine
         self.placement = job.placement
-        self.data_mode = job.payload_mode == "data"
+        self.data_mode = job.data_mode
         self.tuning = job.tuning
         self.policy = job.policy
         self.trace = job.tracer
@@ -217,18 +221,16 @@ class JobResult:
 class MPIJob:
     """One simulated MPI execution.
 
-    Payload handling is selected by ``payload`` (preferred) or the
-    legacy ``payload_mode``:
+    Payload handling is selected by ``payload``:
 
-    * ``"full"`` / ``"data"`` — real NumPy buffers, element-checked
-      results (the default; used by the correctness tests);
-    * ``"model"`` — symbolic :class:`Bytes` markers, O(1) memory per
-      message;
-    * ``"cost-only"`` — like ``"model"`` but additionally skips all
-      send-time deep copies and receive-side copy bookkeeping.  Virtual
-      times, event counts, and span streams are bit-identical to the
-      other modes (the equivalence tests assert this); only wall-clock
-      cost changes.  Used by the benchmark sweeps.
+    * ``"data"`` (``"full"`` is an alias) — real NumPy buffers,
+      element-checked results, deep copies at send (the default; used
+      by the correctness tests);
+    * ``"cost-only"`` — symbolic :class:`Bytes` markers, O(1) memory
+      per message: sends take storage-free snapshots instead of deep
+      copies.  Virtual times, event counts, and span streams are
+      bit-identical to ``"data"`` (the equivalence tests assert this);
+      only wall-clock cost changes.  Used by the benchmark sweeps.
     """
 
     def __init__(
@@ -237,8 +239,7 @@ class MPIJob:
         program: Callable[..., Any],
         nprocs: int | None = None,
         placement: Placement | None = None,
-        payload_mode: str = "data",
-        payload: str | None = None,
+        payload: str = "data",
         tuning: CollectiveTuning | None = None,
         policy: SelectionPolicy | str | None = None,
         trace: bool | str | Tracer = False,
@@ -248,12 +249,9 @@ class MPIJob:
         program_kwargs: dict | None = None,
         replay: bool | str | None = None,
     ):
-        if payload is not None:
-            payload_mode = {"full": "data"}.get(payload, payload)
-        if payload_mode not in ("data", "model", "cost-only"):
-            raise ValueError(
-                "payload mode must be 'data'/'full', 'model', or 'cost-only'"
-            )
+        if payload not in PAYLOAD_MODES:
+            raise ValueError(f"unknown payload {payload!r}; known: "
+                             f"{', '.join(PAYLOAD_MODES)}")
         if placement is None:
             if nprocs is None:
                 raise ValueError("pass nprocs or an explicit placement")
@@ -281,11 +279,11 @@ class MPIJob:
             self.tracer = Tracer(detail=detail, compute=bool(modifier))
         else:
             self.tracer = Tracer() if trace else None
+        self.data_mode = payload != "cost-only"
         self.msg_engine = MessageEngine(
             self.engine, self.machine, tracer=self.tracer,
-            cost_only=payload_mode == "cost-only",
+            data_mode=self.data_mode,
         )
-        self.payload_mode = payload_mode
         self.spec = spec
         self.tuning = tuning or tuning_for_machine(spec.name)
         # None -> environment-driven (REPRO_COLL_POLICY / REPRO_COLL_<OP>);
@@ -319,7 +317,7 @@ class MPIJob:
                 verify or env not in ("", "0")
             )
         self.replay = None
-        if replay and payload_mode != "data" and noise is None:
+        if replay and not self.data_mode and noise is None:
             from repro.mpi.collectives.replay import ReplaySession
 
             self.replay = ReplaySession(

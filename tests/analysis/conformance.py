@@ -196,26 +196,13 @@ def measure_model(mini: str, op: str, algo: str, nbytes: int) -> float:
     return _model_of(mini).predict(op, algo, nbytes)
 
 
-@functools.lru_cache(maxsize=None)
-def _probe_comm(mini: str):
-    """A (finished) world communicator for applicability checks."""
-    box = []
-
-    def probe(mpi):
-        box.append(mpi.world)
-        yield from mpi.world.barrier()
-
-    run_program(spec_of(mini), None, probe, placement=placement_of(mini),
-                payload="cost-only")
-    return box[0]
-
-
 def applicable(mini: str, op: str, algo: str) -> bool:
     """Whether (op, algo) is runnable on the mini's communicator shape
-    (delegates to the registry's own applicability predicate)."""
+    (the registry's own applicability predicate over the model's
+    :class:`~repro.mpi.collectives.registry.Shape`)."""
     algo_obj = registry.get_algorithm(op, algo)
     req = CollRequest(op=op, nbytes=0, total=0, root=0)
-    return algo_obj.applicable(_probe_comm(mini), req)
+    return algo_obj.applicable(_model_of(mini).shape, req)
 
 
 def divergence(mini: str, op: str, algo: str, nbytes: int) -> tuple:

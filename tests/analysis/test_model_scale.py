@@ -20,6 +20,12 @@ from repro.analysis.model import MODEL_FORMS, CostModel
 from repro.bench import sweep as sweeplib
 from repro.bench.model import sweep_config
 from repro.machine.presets import hazel_hen, hazel_hen_2s
+from repro.mpi.collectives.registry import (
+    BRIDGE_ALLGATHERV,
+    CollRequest,
+    Shape,
+    table_choice,
+)
 
 _FACTORIES = {"hazel_hen": hazel_hen, "hazel_hen_2s": hazel_hen_2s}
 _FAMILY = ("allgather", "allgatherv", "hy_allgather")
@@ -239,13 +245,22 @@ def test_scale_latencies_bit_identical(machine, nranks):
 
 # -- _bridge_agv against a node-by-node oracle --------------------------------
 
+def _bridge_algo(model: CostModel, total: float) -> str:
+    """The registry table's pick for the inter-leader allgatherv: one
+    rank per node, *total* result bytes."""
+    shape = Shape(model.N, model.N, 1, model.sockets)
+    req = CollRequest("allgatherv", total / model.N, total)
+    return table_choice("allgatherv", shape, req, model.tuning,
+                        BRIDGE_ALLGATHERV).name
+
+
 def _oracle_bridge_agv(model: CostModel, counts, block_of, total, conc,
                        t=0.0):
     """*t* plus the bridge allgatherv priced one node at a time — what
     ``_bridge_agv`` must equal bit for bit."""
     blocks = [block_of(c) for c in counts]
     nnodes = len(blocks)
-    if model._bridge_agv_algo(total) == "bruck_v":
+    if _bridge_algo(model, total) == "bruck_v":
         avg = sum(blocks) / nnodes
         pof = 1
         while pof < nnodes:
@@ -284,7 +299,7 @@ def test_bridge_agv_matches_node_by_node_oracle(counts, nbytes, split, conc,
     n = float(nbytes)
     limit = model.tuning.allgatherv_bruck_max_total
     total = float(limit if algo == "bruck_v" else limit + 1)
-    assert model._bridge_agv_algo(total) == algo
+    assert _bridge_algo(model, total) == algo
 
     def block_of(c):
         return math.ceil(c / split) * n

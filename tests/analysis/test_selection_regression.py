@@ -13,11 +13,13 @@ meaningless.  Costs are now seconds, shared with the DES clock.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
 
 from repro.analysis.model import predict_comm
+from repro.mpi import run_program
 from repro.mpi.collectives import registry
 from repro.mpi.collectives.registry import CollRequest, CostModelSelection
 
@@ -27,10 +29,26 @@ from .conformance import (
     MINIS,
     SIZES,
     TOLERANCES,
-    _probe_comm,
     applicable,
     measure_des,
+    placement_of,
+    spec_of,
 )
+
+@functools.lru_cache(maxsize=None)
+def _probe_comm(mini: str):
+    """A (finished) world communicator: the policies and
+    ``Algorithm.cost`` read the live communicator's machine state."""
+    box = []
+
+    def probe(mpi):
+        box.append(mpi.world)
+        yield from mpi.world.barrier()
+
+    run_program(spec_of(mini), None, probe, placement=placement_of(mini),
+                payload="cost-only")
+    return box[0]
+
 
 #: Ops exercised by the snapshot (every dispatchable collective).
 SNAPSHOT_OPS = (

@@ -72,7 +72,7 @@ class TestModelMode:
     def test_runs_at_scale_without_data(self):
         cfg = BPMFConfig(iterations=2, variant="hybrid")
         res = run(bpmf_program, nodes=2, cores=4, nprocs=8,
-                  payload_mode="model", program_kwargs={"config": cfg})
+                  payload="cost-only", program_kwargs={"config": cfg})
         r = res.returns[0]
         assert r["total"] > 0 and r["comm"] > 0
         assert r["rmse"] == []
@@ -81,7 +81,7 @@ class TestModelMode:
         def comm_time(variant):
             cfg = BPMFConfig(iterations=2, variant=variant)
             res = run(bpmf_program, nodes=2, cores=4, nprocs=8,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             return max(r["comm"] for r in res.returns)
 

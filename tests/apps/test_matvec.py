@@ -65,7 +65,7 @@ class TestVariantsAgree:
         def comm_time(variant):
             cfg = MatvecConfig(n=512, iterations=5, variant=variant)
             res = run(power_iteration_program, nodes=1, cores=8, nprocs=8,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             return max(r["comm"] for r in res.returns)
 

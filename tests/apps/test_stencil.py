@@ -125,7 +125,7 @@ class TestOverlap:
                                 iterations=4, variant=variant,
                                 overlap=overlap)
             res = run(stencil_program, nodes=2, cores=4, nprocs=8,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             return max(r["total"] for r in res.returns)
 

@@ -105,7 +105,7 @@ class TestOverlap:
             cfg = Stencil2DConfig(tile=64, iterations=3, variant=variant,
                                   overlap=overlap)
             res = run(stencil2d_program, nodes=2, cores=4, nprocs=8,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             return max(r["total"] for r in res.returns)
 

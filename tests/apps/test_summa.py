@@ -70,7 +70,7 @@ class TestModelMode:
         for variant in ("ori", "hybrid"):
             cfg = SummaConfig(block=16, variant=variant)
             res = run(summa_program, nodes=2, cores=2, nprocs=4,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             assert all(r["norm"] is None for r in res.returns)
             assert all(r["total"] > 0 for r in res.returns)
@@ -79,7 +79,7 @@ class TestModelMode:
         def total(variant):
             cfg = SummaConfig(block=16, variant=variant)
             res = run(summa_program, nodes=1, cores=16, nprocs=16,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             return max(r["total"] for r in res.returns)
 
@@ -114,7 +114,7 @@ class TestOverlap:
         def total(overlap):
             cfg = SummaConfig(block=64, variant=variant, overlap=overlap)
             res = run(summa_program, nodes=4, cores=4, nprocs=16,
-                      payload_mode="model",
+                      payload="cost-only",
                       program_kwargs={"config": cfg})
             return max(r["total"] for r in res.returns)
 
@@ -123,7 +123,7 @@ class TestOverlap:
     def test_overlap_reports_exposed_comm_only(self):
         cfg = SummaConfig(block=64, variant="ori", overlap=True)
         res = run(summa_program, nodes=4, cores=4, nprocs=16,
-                  payload_mode="model", program_kwargs={"config": cfg})
+                  payload="cost-only", program_kwargs={"config": cfg})
         for r in res.returns:
             assert r["total"] >= r["comm"] >= 0
             assert r["compute"] >= 0

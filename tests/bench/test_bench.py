@@ -31,7 +31,7 @@ class TestOsuProtocol:
             return latency
 
         result = run_program(
-            make_testing_spec(1, 2), 2, program, payload_mode="model"
+            make_testing_spec(1, 2), 2, program, payload="cost-only"
         )
         assert all(t < 1e-4 for t in result.returns)
 

@@ -91,6 +91,12 @@ class TestOverlapCli:
     def test_bad_args_rejected(self):
         assert overlap_main(["--nodes", "0"]) == 2
 
+    @pytest.mark.parametrize("args", [["--reps", "0"], ["--warmup", "-1"]])
+    def test_bad_repetitions_rejected(self, args, capsys):
+        assert overlap_main(["--quick", "--quiet", "--nodes", "2",
+                             "--ppn", "2"] + args) == 2
+        assert "--reps must be >= 1" in capsys.readouterr().err
+
 
 class TestOverlapSweepWorkload:
     def test_spec_expansion(self):

@@ -228,9 +228,9 @@ def test_nonblocking_program_never_replays():
         yield from req.wait()
 
     replaylib.clear_cache()
-    off = run_program(hazel_hen(1), 8, prog, payload="model",
+    off = run_program(hazel_hen(1), 8, prog, payload="cost-only",
                       replay=False)
-    on = run_program(hazel_hen(1), 8, prog, payload="model",
+    on = run_program(hazel_hen(1), 8, prog, payload="cost-only",
                      replay="loop")
     assert on.replay_hits == 0
     assert on.elapsed == off.elapsed

@@ -109,7 +109,7 @@ class TestTraceTools:
 
         result = run_program(
             make_testing_spec(2, 2), 4, prog,
-            trace=True, payload_mode="model",
+            trace=True, payload="cost-only",
         )
         return result.trace
 

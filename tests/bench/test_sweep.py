@@ -283,6 +283,15 @@ def test_point_rejects_unknown_socket_mode_and_transport(field, value,
                              else "pip_direct", value]})
 
 
+@pytest.mark.parametrize("payload", ["model", "weird"])
+def test_point_rejects_unknown_payload(payload):
+    """A payload mode the simulator does not have fails when the point
+    is built, not when its job runs."""
+    with pytest.raises(ValueError, match="data, full, cost-only"):
+        SweepPoint(machine="testing", counts=(2, 2), nbytes=8,
+                   payload=payload)
+
+
 def test_cost_model_rejects_unknown_socket_mode():
     from repro.analysis.model import CostModel
 
@@ -576,6 +585,20 @@ def test_cli_runs_any_figure_through_the_cache(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == 0
     assert "16 cache hits (100%)" in capsys.readouterr().out
+
+
+def test_cli_check_bench_needs_a_figure(tmp_path, capsys):
+    """A spec run has no committed BENCH file to check against: asking
+    for the check is a usage error, not a silent pass."""
+    from repro.bench.sweep import main
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "machine": "testing", "nodes": 2, "ppn": 2, "elements": [1],
+    }))
+    assert main(["run", "--spec", str(spec_path), "--check-bench",
+                 str(tmp_path), "--quiet"]) == 2
+    assert "--check-bench needs --figure" in capsys.readouterr().err
 
 
 def test_cli_run_query_stats_gc(tmp_path, capsys):

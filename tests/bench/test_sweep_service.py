@@ -112,6 +112,13 @@ def test_unknown_socket_mode_and_transport_are_400(service, path, field,
     assert value in doc["error"] and allowed in doc["error"]
 
 
+def test_unknown_payload_is_400(service):
+    status, doc = service.handle(
+        "POST", "/query", {"counts": [2], "payload": "model"})
+    assert status == 400
+    assert "'model'" in doc["error"] and "cost-only" in doc["error"]
+
+
 def test_unknown_endpoint_404(service):
     status, doc = service.handle("GET", "/nope", None)
     assert status == 404

@@ -94,12 +94,12 @@ class TestMemoryClaims:
         placement = Placement.block(2, 8)
         hy = run_program(
             spec, None, hybrid_allgather_program, placement=placement,
-            payload_mode="model",
+            payload="cost-only",
             program_kwargs={"nbytes_per_rank": 4096},
         )
         pure = run_program(
             spec, None, pure_allgather_program, placement=placement,
-            payload_mode="model",
+            payload="cost-only",
             program_kwargs={"nbytes_per_rank": 4096},
         )
         # Hybrid: zero CICO copies (only barriers + bridge traffic).
@@ -123,7 +123,7 @@ class TestMemoryClaims:
             placement = Placement.block(2, ppn)
             result = run_program(
                 spec, None, prog, placement=placement,
-                payload_mode="model",
+                payload="cost-only",
             )
             window_bytes = [b for b in result.returns if b]
             # One allocation per node, each the full result size.

@@ -78,7 +78,7 @@ class TestAllgatherPlan:
             return second <= first * 1.05
 
         assert all(returns_of(prog, nodes=2, cores=2,
-                              payload_mode="model"))
+                              payload="cost-only"))
 
 
 class TestBcastPlan:

@@ -13,20 +13,6 @@ from repro.mpi.datatypes import Bytes
 from tests.helpers import returns_of
 
 
-def build_buffer(mpi_nodes=2, cores=2, sizes=None, payload_mode="data"):
-    """Run a tiny job that returns per-rank buffer geometry facts."""
-    def prog(mpi):
-        ctx = yield from HybridContext.create(mpi.world)
-        if sizes is None:
-            buf = yield from ctx.allgather_buffer(16)
-        else:
-            buf = yield from ctx.allgatherv_buffer(list(sizes))
-        yield from ctx.shm.barrier()
-        return buf
-
-    raise RuntimeError("use the in-program helpers instead")
-
-
 class TestGeometry:
     def test_slot_offsets_partition_total(self):
         def prog(mpi):
@@ -77,7 +63,7 @@ class TestPayloads:
             _off, nbytes = buf.my_node_region
             return (isinstance(payload, Bytes), payload.nbytes == nbytes)
 
-        rets = returns_of(prog, nodes=2, cores=3, payload_mode="model")
+        rets = returns_of(prog, nodes=2, cores=3, payload="cost-only")
         assert all(r == (True, True) for r in rets)
 
     def test_node_payload_is_window_view_in_data_mode(self):
@@ -118,7 +104,7 @@ class TestPayloads:
             return buf.node_view() is None
 
         assert all(returns_of(prog, nodes=1, cores=2, nprocs=2,
-                              payload_mode="model"))
+                              payload="cost-only"))
 
     def test_region_payload_arbitrary_window(self):
         def prog(mpi):

@@ -21,7 +21,7 @@ def hybrid_ag(sync, *, nodes=2, cores=3, epochs=1, nbytes=8):
             times.append(mpi.now - t0)
         return times
 
-    return run(prog, nodes=nodes, cores=cores, payload_mode="model")
+    return run(prog, nodes=nodes, cores=cores, payload="cost-only")
 
 
 class TestBarrierSync:
@@ -36,7 +36,7 @@ class TestBarrierSync:
             yield from ctx.allgather(buf)
             return mpi.now
 
-        rets = returns_of(prog, nodes=2, cores=2, payload_mode="model")
+        rets = returns_of(prog, nodes=2, cores=2, payload="cost-only")
         assert all(t >= 1e-3 for t in rets)
 
 
@@ -68,7 +68,7 @@ class TestFlagSync:
             yield from ctx.allgather(buf)
             return mpi.now
 
-        rets = returns_of(prog, nodes=2, cores=3, payload_mode="model")
+        rets = returns_of(prog, nodes=2, cores=3, payload="cost-only")
         # Everyone (children included) finishes at/after the exchange.
         exchange_floor = 100_000 / 1.0e9  # node block / bandwidth
         assert all(t > exchange_floor for t in rets)

@@ -19,7 +19,7 @@ def noisy_job(noise, reps=30):
 
     return run_program(
         make_testing_spec(2, 4), 8, prog,
-        payload_mode="model", noise=noise,
+        payload="cost-only", noise=noise,
     )
 
 
@@ -85,8 +85,8 @@ class TestNoiseInJobs:
 
         def slowdown(prog):
             spec = make_testing_spec(2, 4)
-            clean = run_program(spec, 8, prog, payload_mode="model")
-            noisy = run_program(spec, 8, prog, payload_mode="model",
+            clean = run_program(spec, 8, prog, payload="cost-only")
+            noisy = run_program(spec, 8, prog, payload="cost-only",
                                 noise=nm)
             return max(noisy.returns) / max(clean.returns)
 

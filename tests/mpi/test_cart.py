@@ -129,7 +129,7 @@ class TestProfiler:
             yield from comm.bcast(Bytes(32), root=0)
             return None
 
-        result = run(prog, nodes=2, cores=2, payload_mode="model")
+        result = run(prog, nodes=2, cores=2, payload="cost-only")
         summary = result.comm_summary()
         assert summary["allgather"]["calls"] == 2 * 4
         assert summary["barrier"]["calls"] == 4

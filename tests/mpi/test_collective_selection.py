@@ -18,7 +18,7 @@ def traced(prog, *, nodes=1, cores=4, tuning=None, placement=None):
     spec = make_testing_spec(nodes, cores)
     nprocs = None if placement is not None else nodes * cores
     result = run_program(
-        spec, nprocs, prog, trace=True, payload_mode="model",
+        spec, nprocs, prog, trace=True, payload="cost-only",
         tuning=tuning, placement=placement,
     )
     return result.trace

@@ -130,7 +130,7 @@ class TestCollectiveSequences:
                 yield from mpi.world.barrier()
             return mpi.now
 
-        rets = returns_of(prog, nodes=2, cores=2, payload_mode="model")
+        rets = returns_of(prog, nodes=2, cores=2, payload="cost-only")
         assert len(set(rets)) == 1
 
 

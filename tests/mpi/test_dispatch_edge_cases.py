@@ -53,7 +53,7 @@ class TestSingletonComms:
             return mpi.now - t0
 
         rets = returns_of(prog, nodes=1, cores=1, nprocs=1,
-                          payload_mode="model")
+                          payload="cost-only")
         assert rets[0] < 1e-5  # just software overhead, no transfer
 
 
@@ -63,7 +63,7 @@ class TestZeroBytePayloads:
             blocks = yield from mpi.world.allgather(Bytes(0))
             return [b.nbytes for b in blocks]
 
-        rets = returns_of(prog, nodes=2, cores=2, payload_mode="model")
+        rets = returns_of(prog, nodes=2, cores=2, payload="cost-only")
         assert all(r == [0, 0, 0, 0] for r in rets)
 
     def test_zero_byte_bcast(self):
@@ -71,7 +71,7 @@ class TestZeroBytePayloads:
             out = yield from mpi.world.bcast(Bytes(0), root=0)
             return out.nbytes
 
-        rets = returns_of(prog, nodes=2, cores=2, payload_mode="model")
+        rets = returns_of(prog, nodes=2, cores=2, payload="cost-only")
         assert all(r == 0 for r in rets)
 
     def test_empty_array_allgatherv(self):
@@ -117,7 +117,7 @@ class TestLargeConfigurations:
 
         placement = Placement.irregular([2] * 9)
         rets = returns_of(prog, nodes=9, cores=2, placement=placement,
-                          payload_mode="model")
+                          payload="cost-only")
         assert all(r == 18 for r in rets)
 
 
@@ -134,5 +134,5 @@ class TestMixedModes:
             return mpi.now
 
         data = returns_of(prog, nodes=2, cores=3)
-        model = returns_of(prog, nodes=2, cores=3, payload_mode="model")
+        model = returns_of(prog, nodes=2, cores=3, payload="cost-only")
         assert data == model

@@ -48,7 +48,7 @@ class TestReduceScatter:
             return mine.nbytes
 
         rets = returns_of(prog, nodes=1, cores=4, nprocs=4,
-                          payload_mode="model")
+                          payload="cost-only")
         assert all(r == 100 for r in rets)
 
 
@@ -117,9 +117,9 @@ class TestNonBlockingCollectives:
             return prog
 
         seq = max(returns_of(make(False), nodes=2, cores=4,
-                             payload_mode="model"))
+                             payload="cost-only"))
         ovl = max(returns_of(make(True), nodes=2, cores=4,
-                             payload_mode="model"))
+                             payload="cost-only"))
         assert ovl < seq
 
     def test_two_nonblocking_collectives_in_flight(self):

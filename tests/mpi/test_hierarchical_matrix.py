@@ -147,5 +147,5 @@ class TestBarrierMatrix:
             return mpi.now
 
         rets = returns_of(prog, nodes=nodes, cores=cores,
-                          placement=placement, payload_mode="model")
+                          placement=placement, payload="cost-only")
         assert all(t >= 5e-4 for t in rets), pname

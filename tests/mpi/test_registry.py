@@ -29,7 +29,7 @@ def traced(prog, *, nodes=1, cores=4, policy=None, placement=None,
     spec = make_testing_spec(nodes, cores)
     nprocs = None if placement is not None else nodes * cores
     return run_program(
-        spec, nprocs, prog, trace=True, payload_mode="model",
+        spec, nprocs, prog, trace=True, payload="cost-only",
         policy=policy, placement=placement, **options,
     )
 
@@ -200,8 +200,8 @@ class TestCostModelSelection:
         run(probe, nodes=1, cores=4)
         comm = job_probe[0]
         req = CollRequest(op="allgather", nbytes=64, total=64 * 4)
-        cands = [d for d in registry.algorithms_for("allgather")
-                 if d.applicable(comm, req)]
+        cands = registry.applicable_algorithms(
+            "allgather", registry.comm_shape(comm), req)
         best = min(cands, key=lambda d: d.cost(comm, req))
         assert chosen == {best.name}
 
@@ -217,7 +217,7 @@ class TestCostModelSelection:
         for op in registry.ops():
             req = CollRequest(op=op, nbytes=1024, total=4096, root=0)
             for algo in registry.algorithms_for(op):
-                if not algo.applicable(comm, req):
+                if not algo.applicable(registry.comm_shape(comm), req):
                     continue
                 cost = algo.cost(comm, req)
                 assert np.isfinite(cost) and cost >= 0, (op, algo.name)
@@ -273,7 +273,7 @@ class TestSelectionErrors:
 
         with pytest.raises(SimulationError) as excinfo:
             run(prog, nodes=1, cores=2, policy=NonePolicy(),
-                payload_mode="model")
+                payload="cost-only")
         assert "no applicable algorithm" in str(excinfo.value.__cause__)
 
 
@@ -376,7 +376,7 @@ class TestBehaviorPreservation:
         prog = (pure_allgather_program if variant == "pure"
                 else hybrid_allgather_program)
         result = run_program(
-            spec, None, prog, placement=placement, payload_mode="model",
+            spec, None, prog, placement=placement, payload="cost-only",
             trace=True,
             program_kwargs={"nbytes_per_rank": nbytes, "reps": 1},
         )

@@ -10,7 +10,6 @@ the equivalence suites prove cost-neutral.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen, hazel_hen_flat
@@ -76,7 +75,7 @@ class TestJobPrefix:
     def test_insensitive_to_payload_mode(self):
         prefixes = {
             job_prefix(_job(payload=mode))
-            for mode in ("data", "model", "cost-only")
+            for mode in ("data", "cost-only")
         }
         assert len(prefixes) == 1
 
@@ -184,42 +183,6 @@ class TestSessionKeying:
         self._run(program_kwargs={"nbytes": 512})
         assert replaylib.cache_stats()["entries"] > entries
 
-    def test_payload_mode_shares_entries(self):
-        self._run(payload="cost-only")
-        entries = replaylib.cache_stats()["entries"]
-        result = self._run(payload="model")
-        assert replaylib.cache_stats()["entries"] == entries
-        assert result.replay_hits == 4
-
     def test_data_mode_never_replays(self):
         result = self._run(payload="data", replay=True)
         assert result.replay_hits == result.replay_misses == 0
-
-
-@pytest.mark.parametrize("variant", ["hybrid", "pure"])
-def test_pocket_payload_mode_does_not_change_the_record(variant):
-    """A pocket runs in its job's symbolic payload mode (a ``cost-only``
-    job does not pay for deep copies while recording); the key ignores
-    the mode, so the records must not depend on it."""
-    from repro.bench.osu import (
-        hybrid_allgather_program,
-        pure_allgather_program,
-    )
-
-    program = (hybrid_allgather_program if variant == "hybrid"
-               else pure_allgather_program)
-
-    def records(payload):
-        replaylib.clear_cache()
-        run_program(
-            hazel_hen(3), None, program, placement=Placement.block(3, 4),
-            payload=payload, trace="p2p", replay="loop",
-            program_kwargs={"nbytes_per_rank": 4096, "reps": 3},
-        )
-        return dict(replaylib._CACHE)
-
-    cost_only, model = records("cost-only"), records("model")
-    assert cost_only and cost_only.keys() == model.keys()
-    for key, rec in cost_only.items():
-        for field in replaylib._Record.__slots__:
-            assert getattr(rec, field) == getattr(model[key], field), field

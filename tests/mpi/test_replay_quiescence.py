@@ -46,7 +46,7 @@ def _background_then_rounds(mpi, nbytes):
 def _run(nbytes, replay):
     replaylib.clear_cache()
     job = MPIJob(hazel_hen(2), _background_then_rounds,
-                 placement=Placement.block(2, 4), payload="model",
+                 placement=Placement.block(2, 4), payload="cost-only",
                  replay=replay, program_kwargs={"nbytes": nbytes})
     return job.run()
 

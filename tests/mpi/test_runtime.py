@@ -69,7 +69,9 @@ class TestJobBasics:
     def test_invalid_payload_mode(self):
         spec = make_testing_spec(1, 1)
         with pytest.raises(ValueError):
-            MPIJob(spec, lambda mpi: None, nprocs=1, payload_mode="weird")
+            MPIJob(spec, lambda mpi: None, nprocs=1, payload="weird")
+        with pytest.raises(ValueError):
+            MPIJob(spec, lambda mpi: None, nprocs=1, payload="model")
 
     def test_scheduler_has_no_mode_switch(self):
         spec = make_testing_spec(1, 1)
@@ -121,7 +123,7 @@ class TestRankContext:
             ("ndarray", "ndarray")
         ]
         assert returns_of(prog, nodes=1, cores=1, nprocs=1,
-                          payload_mode="model") == [("Bytes", "Bytes")]
+                          payload="cost-only") == [("Bytes", "Bytes")]
 
     def test_rank_rngs_are_independent_and_stable(self):
         def prog(mpi):

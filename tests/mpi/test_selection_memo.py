@@ -95,9 +95,8 @@ def test_memoised_pick_equals_fresh_choose(name, variant):
             assert seen[key] is algo
             continue
         seen[key] = algo
-        cands = [d for d in registry.algorithms_for(req.op)
-                 if (candidates is None or d.name in candidates)
-                 and d.applicable(comm, req)]
+        cands = registry.applicable_algorithms(
+            req.op, registry.comm_shape(comm), req, candidates)
         assert fresh_policy.choose(comm, req, cands) is algo, key
 
 
@@ -119,7 +118,7 @@ def test_two_policies_keep_separate_entries():
         yield  # a rank program is a generator
 
     for picks, entries in returns_of(prog, nodes=1, cores=8,
-                                     payload_mode="model"):
+                                     payload="cost-only"):
         assert picks == ["recursive_doubling", "ring"] * 2
         assert entries == 2
 
@@ -136,7 +135,7 @@ def test_candidates_are_part_of_the_key():
         return picks
         yield  # a rank program is a generator
 
-    for picks in returns_of(prog, nodes=1, cores=8, payload_mode="model"):
+    for picks in returns_of(prog, nodes=1, cores=8, payload="cost-only"):
         assert picks[0] != "binomial"
         assert picks[1] == "binomial"
         assert picks[2:] == picks[:2]
@@ -152,11 +151,11 @@ def test_a_new_job_starts_with_no_entries():
         return before
 
     first = returns_of(prog, nodes=2, cores=2, policy=policy,
-                       payload_mode="model")
+                       payload="cost-only")
     per_job = policy.chosen
     assert per_job > 0
     second = returns_of(prog, nodes=2, cores=2, policy=policy,
-                        payload_mode="model")
+                        payload="cost-only")
     assert first[0] == second[0] == 0
     assert policy.chosen == 2 * per_job
 
@@ -176,7 +175,7 @@ def test_no_applicable_candidate_fails_every_time():
         yield  # a rank program is a generator
 
     for errors, keys in returns_of(prog, nodes=1, cores=2,
-                                   payload_mode="model"):
+                                   payload="cost-only"):
         assert errors == 2
         assert keys == []
 

@@ -109,7 +109,7 @@ class TestSharing:
             return win.whole() is None and win.segment(0) is None
 
         rets = returns_of(prog, nodes=1, cores=2, nprocs=2,
-                          payload_mode="model")
+                          payload="cost-only")
         assert all(rets)
 
 

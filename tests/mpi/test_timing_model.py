@@ -38,7 +38,7 @@ def timed_collective(op_name, nbytes, *, nodes=1, cores=4, placement=None,
 
     spec = make_testing_spec(nodes, cores)
     nprocs = None if placement is not None else nodes * cores
-    result = run_program(spec, nprocs, prog, payload_mode="model",
+    result = run_program(spec, nprocs, prog, payload="cost-only",
                          placement=placement, tuning=tuning)
     return max(result.returns)
 
@@ -156,7 +156,7 @@ class TestCollectiveComposition:
 
         placement = Placement.irregular([1, 1])
         spec = make_testing_spec(2, 1)
-        t = max(run_program(spec, None, prog, payload_mode="model",
+        t = max(run_program(spec, None, prog, payload="cost-only",
                             placement=placement).returns)
         # allgatherv = call overhead + per-block vector overhead * p
         # + one bruck round (alpha + transfer).
@@ -197,7 +197,7 @@ class TestContentionEffects:
 
         placement = Placement.irregular([1] * 5)
         spec = make_testing_spec(5, 1)
-        result = run_program(spec, None, prog, payload_mode="model",
+        result = run_program(spec, None, prog, payload="cost-only",
                              placement=placement)
         t = result.returns[0]
         serialization = 4 * 4000 / 1.0e9  # 4 messages through one NIC

@@ -62,7 +62,7 @@ def test_critical_rank_is_latest_finisher():
 def test_phase_times_sum_to_total_on_real_run():
     """Acceptance: per-category times sum to end-to-end virtual time."""
     result = run(mixed_program, nodes=2, cores=2, trace="phase",
-                 payload_mode="model")
+                 payload="cost-only")
     report = critical_path_report(result.trace, total_time=result.elapsed)
     assert report.total == result.elapsed
     assert sum(report.categories.values()) == pytest.approx(report.total,
@@ -101,7 +101,7 @@ def test_traced_run_is_deterministic():
 
 def test_format_report_renders_table():
     result = run(mixed_program, nodes=2, cores=2, trace="phase",
-                 payload_mode="model")
+                 payload="cost-only")
     report = critical_path_report(result.trace, total_time=result.elapsed)
     text = format_report(report)
     assert "critical rank:" in text

@@ -25,7 +25,7 @@ def mixed_program(mpi):
 
 def _metrics(detail="phase"):
     result = run(mixed_program, nodes=2, cores=2, trace=detail,
-                 payload_mode="model")
+                 payload="cost-only")
     return result, collect_metrics(result)
 
 
@@ -65,7 +65,7 @@ def test_profile_section_matches_comm_summary():
 
 
 def test_metrics_without_trace():
-    result = run(mixed_program, nodes=2, cores=2, payload_mode="model")
+    result = run(mixed_program, nodes=2, cores=2, payload="cost-only")
     m = collect_metrics(result)
     assert m["ops"] == {} and m["queue_wait"] is None
     assert m["counters"]["ranks"] == 4

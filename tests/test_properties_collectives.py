@@ -9,8 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import Placement
+from repro.machine import testing_machine as make_testing_spec
 from repro.mpi.collectives import registry
-from repro.mpi.collectives.registry import CollRequest, ForcedSelection
+from repro.mpi.collectives.registry import (
+    CollRequest,
+    ForcedSelection,
+    Shape,
+)
 from repro.mpi.collectives.tuning import generic_tuning
 from repro.mpi.constants import ReduceOp
 from tests.helpers import returns_of, run
@@ -276,23 +281,15 @@ _PROGRAMS = {
     "scatter": _prog_scatter,
 }
 
-_probe_comms: dict[str, object] = {}
 _flat_refs: dict[tuple[str, str], object] = {}
 
 
-def _comm_of(pkey):
-    """A (finished) communicator for applicability checks."""
-    if pkey not in _probe_comms:
-        placement = _PLACEMENTS[pkey]
-        box = []
-
-        def probe(mpi):
-            box.append(mpi.world)
-            yield from mpi.world.barrier()
-
-        run(probe, nodes=placement.num_nodes, cores=4, placement=placement)
-        _probe_comms[pkey] = box[0]
-    return _probe_comms[pkey]
+def _shape_of(pkey):
+    """The world communicator shape of a placement on the 4-core
+    testing machine, for applicability checks."""
+    counts = _PLACEMENTS[pkey].counts()
+    sockets = make_testing_spec(len(counts), 4).node.sockets
+    return Shape(sum(counts), len(counts), max(counts), sockets)
 
 
 def _flat_reference(pkey, op):
@@ -312,9 +309,8 @@ def _flat_reference(pkey, op):
 def test_every_algorithm_matches_flat_reference(pkey, op, algo_name):
     placement = _PLACEMENTS[pkey]
     algo = registry.get_algorithm(op, algo_name)
-    probe = _comm_of(pkey)
     req = CollRequest(op=op, nbytes=0, total=0, root=0)
-    if not algo.applicable(probe, req):
+    if not algo.applicable(_shape_of(pkey), req):
         pytest.skip(f"{op}/{algo_name} not applicable on {pkey}")
     result = run(
         _PROGRAMS[op], nodes=placement.num_nodes, cores=4,

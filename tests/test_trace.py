@@ -70,7 +70,7 @@ def test_span_nesting_links_parent_and_depth():
 
 def test_default_trace_one_record_per_collective():
     result = run(mixed_program, nodes=2, cores=2, trace=True,
-                 payload_mode="model")
+                 payload="cost-only")
     ops = [r["op"] for r in result.trace]
     nranks = 4
     assert ops.count("allgather") == nranks
@@ -83,7 +83,7 @@ def test_default_trace_one_record_per_collective():
 
 def test_phase_detail_adds_nested_children():
     result = run(mixed_program, nodes=2, cores=2, trace="phase",
-                 payload_mode="model")
+                 payload="cost-only")
     phases = [r for r in result.trace if r.get("kind") == "phase"]
     assert phases, "phase detail must add phase spans"
     by_sid = {r["sid"]: r for r in result.trace if "sid" in r}
@@ -94,7 +94,7 @@ def test_phase_detail_adds_nested_children():
 
 def test_p2p_detail_adds_waits():
     result = run(mixed_program, nodes=2, cores=2, trace="p2p",
-                 payload_mode="model")
+                 payload="cost-only")
     kinds = {r.get("kind", "dispatch") for r in result.trace}
     assert "queue_wait" in kinds
 
@@ -107,7 +107,7 @@ def test_same_program_yields_bit_identical_span_stream():
     streams = []
     for _ in range(2):
         result = run(mixed_program, nodes=2, cores=2, trace="p2p",
-                     payload_mode="model")
+                     payload="cost-only")
         streams.append(json.dumps(result.trace, sort_keys=True))
     assert streams[0] == streams[1]
 
@@ -118,7 +118,7 @@ def test_same_program_yields_bit_identical_span_stream():
 
 def test_chrome_trace_schema(tmp_path):
     result = run(mixed_program, nodes=2, cores=2, trace="phase",
-                 payload_mode="model")
+                 payload="cost-only")
     doc = to_chrome_trace(result.trace)
     assert set(doc) == {"traceEvents", "displayTimeUnit"}
     events = doc["traceEvents"]
@@ -143,7 +143,7 @@ def test_chrome_trace_schema(tmp_path):
 def test_chrome_trace_nesting_balanced():
     """Per rank, children lie within their parent's [ts, ts+dur]."""
     result = run(mixed_program, nodes=2, cores=2, trace="phase",
-                 payload_mode="model")
+                 payload="cost-only")
     by_sid = {r["sid"]: r for r in result.trace if "sid" in r}
     eps = 1e-12
     for rec in result.trace:
@@ -175,7 +175,7 @@ def test_empty_trace_handling():
 
 def test_summarize_bytes_match_profiler_conventions():
     result = run(allgather_program, nodes=2, cores=2, trace=True,
-                 payload_mode="model")
+                 payload="cost-only")
     summary = summarize(result.trace)
     [(key, agg)] = [(k, v) for k, v in summary.items()
                     if k[0] == "allgather"]
