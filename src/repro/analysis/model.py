@@ -711,6 +711,16 @@ class CostModel:
         ``comm_shape`` of the simulated world it mirrors."""
         return Shape(self.p, self.N, self.q, self.sockets)
 
+    def table_algo(self, op: str, nbytes: float, root: int = 0) -> str:
+        """The algorithm the simulator's decision table dispatches for
+        one call of *op* moving *nbytes* (read as :meth:`predict` reads
+        it) on the communicator this model prices — from the request
+        that op's dispatch builds."""
+        n = 0 if op in ("scatter", "barrier") else int(nbytes)
+        total = n * self.p if op in _ALLGATHER_FAMILY else n
+        req = CollRequest(op, n, total, root if op in _ROOTED else None)
+        return table_choice(op, self.shape, req, self.tuning).name
+
     def _stage_algo(self, op: str, shape: Shape, n: float, total: float,
                     candidates: tuple[str, ...]) -> str:
         """The algorithm the registry's table picks for an inner stage
@@ -1471,6 +1481,8 @@ MODEL_FORMS: Mapping[tuple[str, str], str] = {
 }
 
 _ALLGATHER_FAMILY = frozenset({"allgather", "allgatherv", "hy_allgather"})
+_ROOTED = frozenset({"bcast", "gather", "gatherv", "scatter", "reduce",
+                     "hy_bcast"})
 
 
 def _predict_impl(model: CostModel, op: str, algo: str, nbytes: float,

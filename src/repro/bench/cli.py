@@ -169,7 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_traced(args) -> int:
     """Handle --trace-out/--metrics-out: one traced allgather run."""
-    from repro.bench.observe import render_critical_path, run_traced_allgather
+    from repro.bench.observe import (
+        check_traced_run,
+        render_critical_path,
+        run_traced_allgather,
+    )
     from repro.metrics import collect_metrics, save_metrics
     from repro.trace import save_chrome_trace
 
@@ -177,6 +181,8 @@ def _run_traced(args) -> int:
 
     try:
         get_transport(args.transport)  # fail fast on typos
+        check_traced_run(args.trace_variant, args.trace_nodes,
+                         args.trace_ppn, args.trace_elements, args.sockets)
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ milliseconds:
 * ``report`` — divergence of the model against the committed
   ``BENCH_<label>.json`` latencies at the repository root, each point
   priced with the algorithm the registry's decision table
-  (``table_choice``) dispatched when it was measured, written as a
+  (``CostModel.table_algo``) dispatched when it was measured, written as a
   JSON artifact for CI;
 * ``transports`` — the socket-tier crossover map: two- vs three-level
   Hy_Allgather on the 2-socket preset under every registered on-node
@@ -43,11 +43,7 @@ from repro.analysis.model import CostModel, crossover_points
 from repro.bench import sweep as sweeplib
 from repro.machine.presets import hazel_hen, hazel_hen_2s, vulcan
 from repro.machine.transport import TRANSPORTS
-from repro.mpi.collectives.registry import (
-    CollRequest,
-    applicable_algorithms,
-    table_choice,
-)
+from repro.mpi.collectives.registry import CollRequest, applicable_algorithms
 from repro.mpi.collectives.tuning import tuning_for_machine
 
 __all__ = ["model_best", "candidates", "sweep_config", "run_sweep",
@@ -194,8 +190,7 @@ def run_report(bench_dir: str = ".",
             # The algorithm the default (table) policy dispatched when
             # the committed latency was measured.
             op = point.resolved_op
-            req = CollRequest(op, point.nbytes, point.nbytes * model.p)
-            algo = table_choice(op, model.shape, req, model.tuning).name
+            algo = model.table_algo(op, point.nbytes)
             model_s = model.predict(op, algo, point.nbytes)
             bench_s = rec["latency_us"] / 1e6
             div = (abs(model_s - bench_s) / bench_s

@@ -21,7 +21,25 @@ from repro.machine.presets import hazel_hen, hazel_hen_2s
 from repro.mpi.runtime import JobResult, run_program
 from repro.trace import Tracer
 
-__all__ = ["run_traced_allgather"]
+__all__ = ["check_traced_run", "run_traced_allgather"]
+
+
+def check_traced_run(variant: str, nodes: int, ppn: int, elements: int,
+                     sockets: int, reps: int | None = None,
+                     warmup: int | None = None) -> None:
+    """Raise ValueError naming the first input a traced run cannot take —
+    before any job is built."""
+    from repro.bench.osu import check_repetitions
+
+    if variant not in ("hybrid", "pure"):
+        raise ValueError(f"variant must be 'hybrid' or 'pure', got {variant!r}")
+    if sockets not in (1, 2):
+        raise ValueError(f"sockets must be 1 or 2, got {sockets!r}")
+    for name, value, least in (("nodes", nodes, 1), ("ppn", ppn, 1),
+                               ("elements", elements, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    check_repetitions(reps, warmup)
 
 
 def run_traced_allgather(
@@ -47,20 +65,22 @@ def run_traced_allgather(
     and maps slots to sockets per *socket_mode* — phase spans then carry
     a ``level`` tag so the exported trace shows which stages ran inside
     a socket, across sockets, or on the bridge network.
+
+    The aligned repetitions replay (``replay="loop"``, as every OSU
+    run): the first occurrence is simulated and recorded where it runs,
+    the later ones re-emit its spans tagged ``replayed`` — the spans of
+    a replay-off run at a fraction of the simulation cost (on one node
+    the hybrid variant's come in another order; see
+    ``docs/observability.md``).
     """
     from repro.bench.osu import (
         hybrid_allgather_program,
         pure_allgather_program,
     )
 
-    if variant not in ("hybrid", "pure"):
-        raise ValueError(f"variant must be 'hybrid' or 'pure', got {variant!r}")
-    if sockets == 1:
-        spec = hazel_hen(nodes)
-    elif sockets == 2:
-        spec = hazel_hen_2s(nodes, transport=transport)
-    else:
-        raise ValueError(f"sockets must be 1 or 2, got {sockets!r}")
+    check_traced_run(variant, nodes, ppn, elements, sockets, reps, warmup)
+    spec = (hazel_hen(nodes) if sockets == 1
+            else hazel_hen_2s(nodes, transport=transport))
     program = (
         hybrid_allgather_program if variant == "hybrid"
         else pure_allgather_program
@@ -73,6 +93,7 @@ def run_traced_allgather(
         placement=Placement.block(nodes, ppn).with_socket_mode(socket_mode),
         payload="cost-only",
         trace=tracer,
+        replay="loop",
         program_kwargs={
             "nbytes_per_rank": elements * 8,
             "reps": reps,

@@ -30,6 +30,7 @@ from repro.mpi import run_program
 from repro.mpi.datatypes import Bytes
 
 __all__ = [
+    "check_repetitions",
     "osu_latency_program",
     "osu_allgather_latency",
     "hybrid_allgather_program",
@@ -50,6 +51,15 @@ DEFAULT_REPS = 50
 DEFAULT_WARMUP = 1
 
 
+def check_repetitions(reps: int | None, warmup: int | None) -> None:
+    """Raise ValueError unless *reps* >= 1 and *warmup* >= 0 (None
+    stands for the module default)."""
+    if reps is not None and reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if warmup is not None and warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+
 def osu_latency_program(mpi, op: Callable, reps: int | None = None,
                         warmup: int | None = None):
     """Rank program: time ``op(mpi)`` with the OSU protocol.
@@ -64,6 +74,7 @@ def osu_latency_program(mpi, op: Callable, reps: int | None = None,
         reps = DEFAULT_REPS
     if warmup is None:
         warmup = DEFAULT_WARMUP
+    check_repetitions(reps, warmup)
     comm = mpi.world
     for _ in range(warmup):
         yield from op(mpi)
@@ -174,6 +185,7 @@ def osu_allgather_latency(
     loop is exactly the discipline it requires, and results are
     bit-identical to ``replay=False`` (the equivalence suite pins this).
     """
+    check_repetitions(reps, warmup)
     if variant == "hybrid":
         program, kwargs = hybrid_allgather_program, {
             "nbytes_per_rank": nbytes_per_rank, "reps": reps,

@@ -440,7 +440,8 @@ def cache_key(point: SweepPoint) -> str:
     repetition settings, the executing engine's version and — for a
     simulator point without a forced ``algo`` whose environment
     (``REPRO_COLL_POLICY``, ``REPRO_COLL_<OP>``) selects other than the
-    default tables — that selection policy's description.
+    default tables — that selection policy's description; for a model
+    point without ``algo``, the algorithm the table picks for it.
 
     Any change to any input — a preset recalibration, a different
     transport, an engine bump — changes the key, so stale cache entries
@@ -461,6 +462,10 @@ def cache_key(point: SweepPoint) -> str:
 
     if point.engine == "model":
         versions = (("model_version", MODEL_VERSION),)
+        if not point.algo:
+            # The table's pick, so a point priced under another pick
+            # (an older table, or a tuning change) is never served.
+            versions += (("algo", _model_algo(point, model_for(point))),)
     else:
         versions = (("engine_version", ENGINE_VERSION),
                     ("reps", osu.DEFAULT_REPS),
@@ -782,18 +787,17 @@ def _run_sim_point(point: SweepPoint) -> dict:
     }
 
 
+def _model_algo(point: SweepPoint, model: CostModel) -> str:
+    """A model point's algorithm: its ``algo``, else what the simulator's
+    decision table dispatches for the same call."""
+    return point.algo or model.table_algo(point.resolved_op, point.nbytes)
+
+
 def _run_model_point(point: SweepPoint) -> dict:
-    algo = point.algo
     op = point.resolved_op
-    if algo is None:
-        if op == "hy_allgather":
-            algo = "shared_window"
-        else:
-            raise ValueError(
-                f"model-engine point for op {op!r} needs an explicit algo"
-            )
     t0 = time.perf_counter()
     model = model_for(point)
+    algo = _model_algo(point, model)
     extra: dict[str, float] = {}
     if point.workload == "overlap":
         total = model.predict(op, algo, point.nbytes)

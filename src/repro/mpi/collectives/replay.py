@@ -41,11 +41,14 @@ measured where it runs, and the lane is primed so the second
 occurrence is a hit without a key.  The window only stands for the
 dispatch alone when, at its close, every other rank is waiting in the
 world's ``Comm.align()`` and nothing but the dispatch's own retiring
-message steps is left, no other replay decision ran inside it, no setup
-gate opened (``Comm._gate``: a first use that splits or allocates
-windows, which the job's ``gates`` counter shows) and every profile was
-on; otherwise (``STATS["inplace_vetoes"]``), and in default mode, a
-miss at a later occurrence runs a *pocket simulation*
+message steps is left, no setup gate opened (``Comm._gate``: a first
+use that splits or allocates windows, which the job's ``gates`` counter
+shows) and every profile was on.  A world dispatch nested in the
+measured one (a one-node hybrid call's barrier) is part of it: it parks
+and runs live inside the window, in the live job and in a pocket alike,
+and is not decided on its own.  Otherwise
+(``STATS["inplace_vetoes"]``), and in default mode, a miss at a later
+occurrence runs a *pocket simulation*
 (:meth:`ReplaySession._record`): a fresh nested
 :class:`~repro.mpi.runtime.MPIJob` on the same machine spec decodes
 each rank's signature back into the call's arguments
@@ -169,8 +172,7 @@ _UNUSABLE_LIMIT = 3
 #: Why a loop-mode first occurrence was not recorded in place (see
 #: :class:`_Window`; ``profile_off``: a rank's profile was off at the
 #: release, and a pocket's are always on).
-VETOES = ("profile_off", "trailing_work", "not_aligned", "setup_gate",
-          "nested")
+VETOES = ("profile_off", "trailing_work", "not_aligned", "setup_gate")
 
 #: Why a decided world dispatch ran live instead of replaying (see
 #: :meth:`ReplaySession._decide`): ranks entered at different timesteps;
@@ -390,7 +392,6 @@ class _Window:
     receives the :class:`_Record` and a veto, None or why the record
     does not stand for the dispatch alone:
 
-    * ``nested`` — another replay decision ran inside the window;
     * ``setup_gate`` — the run opened a setup gate (``job.gates``
       moved), so it was a warm run;
     * ``trailing_work`` — at the close anything but the dispatch's own
@@ -400,13 +401,15 @@ class _Window:
       ``Comm.align()`` right after its exit.
 
     Those steps are entries the dispatch still costs, so they count in
-    ``events``; under ``nested``, ``trailing_work`` and ``not_aligned``
-    the count may hold entries of something else and ``events`` is None.
+    ``events``, as do the park and release entries of a world dispatch
+    nested in it (:meth:`ReplaySession._decide` runs that live); under
+    ``trailing_work`` and ``not_aligned`` the count may hold entries of
+    something else and ``events`` is None.
     """
 
     __slots__ = ("job", "sink", "t0_ticks", "events0", "gates", "hops0",
                  "counters", "per_pair", "spans", "profiles", "exits",
-                 "nested", "aligned", "closed")
+                 "aligned", "closed")
 
     def __init__(self, job, sink):
         # Opened by a decision, which runs as an advance hook: the
@@ -430,7 +433,6 @@ class _Window:
         ]
         #: rank -> (d_ticks, result), in exit order.
         self.exits: dict[int, tuple[int, Any]] = {}
-        self.nested = False
         self.aligned = True
         self.closed = False
 
@@ -504,9 +506,7 @@ class _Window:
         aligned = self.aligned and all(
             self._in_align(r) for r in exits if r != last
         )
-        if self.nested:
-            reason = "nested"
-        elif job.gates != self.gates:
+        if job.gates != self.gates:
             reason = "setup_gate"
         elif not (quiet and spans_closed):
             reason = "trailing_work"
@@ -514,7 +514,7 @@ class _Window:
             reason = "not_aligned"
         else:
             reason = None
-        exact = quiet and aligned and not self.nested
+        exact = quiet and aligned
         ranks = range(len(exits))
         d_ticks = tuple(exits[r][0] for r in ranks)
         results = [exits[r][1] for r in ranks]
@@ -530,7 +530,7 @@ class _Window:
 
 
 def _templates(spans: list[dict], t0_ticks: int) -> tuple[list[dict], bool]:
-    """Span templates of a window's slice — times as ticks from
+    """Span templates of a window's slice — ``t`` as ticks from
     *t0_ticks* — and whether every span of it closed inside it, with
     its parent (a template cannot re-open either)."""
     templates = []
@@ -544,7 +544,8 @@ def _templates(spans: list[dict], t0_ticks: int) -> tuple[list[dict], bool]:
             if tpl.get("dur") is None or (par is not None and par not in sids):
                 closed = False
             sids.add(sid)
-        tpl["_tt"] = round(tpl.pop("t") * _INV_TICK) - t0_ticks
+        # In place, so a re-emitted record keeps the live key order.
+        tpl["t"] = round(tpl["t"] * _INV_TICK) - t0_ticks
         templates.append(tpl)
     return templates, closed
 
@@ -586,11 +587,12 @@ _SPAN_DROP = ("sid", "parent", "replayed")
 
 def _normalize(templates: list[dict]) -> list[dict]:
     """Span templates made comparable: span ids become slice
-    positions."""
+    positions (and the relative time is named ``_tt``)."""
     sid_pos = {}
     out = []
     for i, r in enumerate(templates):
         d = {k: v for k, v in r.items() if k not in _SPAN_DROP}
+        d["_tt"] = d.pop("t")
         sid = r.get("sid")
         if sid is not None:
             sid_pos[sid] = i
@@ -809,13 +811,28 @@ class ReplaySession:
         return result
 
     # -- decision -------------------------------------------------------
-    def _decide(self, lane: _Lane, seq: int) -> None:
+    def _parked(self, lane: _Lane, seq: int) -> _Pending | None:
+        """The entry *seq* parks, unless already decided; dropped from
+        the lane once every rank has arrived (a staggered one stays
+        for its late ranks)."""
         pend = lane.pending.get(seq)
         if pend is None or pend.decided is not None:
+            return None
+        if len(pend.arrivals) == self.world_size:
+            del lane.pending[seq]
+        return pend
+
+    def _decide(self, lane: _Lane, seq: int) -> None:
+        pend = self._parked(lane, seq)
+        if pend is None:
             return
-        for window in self._windows:
-            # A measured window holds its own dispatch and nothing else.
-            window.nested = True
+        if self._windows:
+            # Decided inside a measured dispatch (a one-node hybrid
+            # call's barrier on the world's ranks): part of that
+            # dispatch, so it runs live there, as in every live run the
+            # record stands for, and is not decided on its own.
+            self._release(pend, "live", None)
+            return
         live = STATS["live"]
         if len(pend.arrivals) < self.world_size:
             # Staggered entry: release the parked ranks in the same
@@ -823,7 +840,6 @@ class ReplaySession:
             live["staggered"] += 1
             self._release(pend, "live", None)
             return
-        del lane.pending[seq]
         # Every rank is parked here, so every memo holds this dispatch's
         # call (a rank that ran ahead changed the epoch on the way).
         shape = (pend.op, lane.epoch, tuple(pend.arrivals))
@@ -858,7 +874,7 @@ class ReplaySession:
                 # the second occurrence on.
                 self._warm.add((pend.op, sigs))
                 plan, reason = None, "first_occurrence"
-                if self.loop and not self._windows:
+                if self.loop:
                     window = self._first(lane, shape, sigs)
             if plan is None:
                 self.misses += 1
@@ -903,9 +919,9 @@ class ReplaySession:
     def _first(self, lane: _Lane, shape: tuple, sigs: tuple
                ) -> _Window | None:
         """Loop mode, the first aligned and quiescent occurrence of a
-        dispatch shape outside any window: the window that records it
-        where it runs and primes the lane with the record, so the second
-        occurrence is a hit without a key.  None when the record is
+        dispatch shape: the window that records it where it runs and
+        primes the lane with the record, so the second occurrence is a
+        hit without a key.  None when the record is
         cached already (the lane takes it), or when this occurrence
         cannot stand for the dispatch alone — a pocket then records it
         at the next one."""
@@ -1087,27 +1103,23 @@ class ReplaySession:
             push((base_ticks + d_ticks) * TICK, ev)
 
 
-class _PocketHost:
+class _PocketHost(ReplaySession):
     """The replay layer of a pocket job (:meth:`ReplaySession._record`).
 
     It parks the world dispatch of the recorded operation — the same
     boundary the live job parks at, after anything its public call does
     first — and, once every rank has parked, releases them in the live
-    arrival order into a :class:`_Window`.  Dispatches inside the window
-    (a hybrid call's own collectives) and every other call run
-    unparked, as with replay off.  A run vetoed as ``setup_gate`` was
-    warm, so the ranks loop for one more; any other veto leaves the
-    pocket without a record.
+    arrival order into a :class:`_Window`.  Inside the window a world
+    dispatch (a one-node hybrid call's barrier) parks and runs live
+    through the session it inherits, as it does inside the live job's
+    window, so both measure the same entries; every other call runs
+    unparked, as with replay off.  A pocket decides nothing itself.  A
+    run vetoed as ``setup_gate`` was warm, so the ranks loop for one
+    more; any other veto leaves the pocket without a record.
     """
 
-    __slots__ = ("job", "op", "order", "parked", "window", "runs",
-                 "record", "done", "pending_icolls")
-
-    # What the job's result reads of a session.
-    hits = misses = events_saved = 0
-
     def __init__(self, job, op: str, order: tuple):
-        self.job = job
+        super().__init__(job)
         self.op = op
         self.order = order
         self.parked: dict[int, Event] = {}
@@ -1115,17 +1127,19 @@ class _PocketHost:
         self.runs = 0
         self.record: _Record | None = None
         self.done = False
-        self.pending_icolls = 0
 
     def run(self, comm, op: str, call, make, args: tuple, rebuild=None):
         """Coroutine, :meth:`ReplaySession.run`'s counterpart."""
-        if (op != self.op or self.window is not None
+        if self.window is not None:
+            result = yield from super().run(comm, op, call, make, args)
+            return result
+        if (op != self.op
                 or comm._shared is not self.job.contexts[0].world._shared):
             result = yield from make(*args)
             return result
         eng = self.job.engine
         if not self.parked:
-            eng.on_time_advance(self._release)
+            eng.on_time_advance(self._start)
         ev = self.parked[comm.rank] = Event(eng, "replay.pocket")
         window = yield ev
         t0 = eng.now
@@ -1133,7 +1147,12 @@ class _PocketHost:
         window.report(comm.rank, round((eng.now - t0) * _INV_TICK), result)
         return result
 
-    def _release(self) -> None:
+    def _decide(self, lane: _Lane, seq: int) -> None:
+        pend = self._parked(lane, seq)
+        if pend is not None:
+            self._release(pend, "live", None)
+
+    def _start(self) -> None:
         parked, self.parked = self.parked, {}
         if len(parked) != len(self.order) or self.job.engine._heap:
             raise SimulationError(

@@ -172,9 +172,10 @@ class Tracer:
     def emit_replayed(self, templates: list[dict], base_ticks: float) -> None:
         """Append a recorded span slice, shifted to ``base_ticks``.
 
-        Used by the collective replay cache: *templates* carry times as
-        whole ticks relative to the recorded entry (``_tt``); emission
-        restores absolute times on the engine's tick grid, assigns fresh
+        Used by the collective replay cache: *templates* carry ``t`` as
+        whole ticks relative to the recorded entry; emission restores
+        absolute times on the engine's tick grid (the key keeps its
+        place, so a record reads as the live one did), assigns fresh
         span ids (remapping in-slice parents), and tags every record
         ``replayed``.  The open-span stacks are untouched — replay only
         fires when no span is open, so the slice is self-contained.
@@ -184,7 +185,7 @@ class Tracer:
         sid_map: dict[int, int] = {}
         for tpl in templates:
             rec = dict(tpl)
-            rec["t"] = (base_ticks + rec.pop("_tt")) * TICK
+            rec["t"] = (base_ticks + rec["t"]) * TICK
             rec["replayed"] = True
             sid = rec.get("sid")
             if sid is not None:

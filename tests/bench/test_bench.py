@@ -44,6 +44,35 @@ class TestOsuProtocol:
         with pytest.raises(ValueError):
             osu_allgather_latency(spec, placement, 64, "quantum")
 
+    @pytest.mark.parametrize("reps, warmup, message", [
+        (0, 1, "reps must be >= 1"), (2, -1, "warmup must be >= 0"),
+    ])
+    def test_bad_repetitions_raise_before_any_job(self, reps, warmup,
+                                                   message, monkeypatch):
+        from repro.bench import osu
+
+        def no_job(*_args, **_kwargs):
+            raise AssertionError("a job was built")
+
+        monkeypatch.setattr(osu, "run_program", no_job)
+        with pytest.raises(ValueError, match=message):
+            osu.osu_allgather_latency(make_testing_spec(2, 2),
+                                      Placement.block(2, 2), 64, "pure",
+                                      reps=reps, warmup=warmup)
+
+    def test_zero_repetitions_is_a_value_error_in_the_program(self):
+        def program(mpi):
+            return (yield from osu_latency_program(
+                mpi, lambda _mpi: _mpi.world.barrier(), reps=0))
+
+        from repro.simulator.engine import SimulationError
+
+        with pytest.raises(SimulationError) as info:
+            run_program(make_testing_spec(1, 2), 2, program,
+                        payload="cost-only")
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "reps must be >= 1" in str(info.value.__cause__)
+
 
 def _tiny(nbytes: int, variant: str, **fields):
     from repro.bench.sweep import SweepPoint

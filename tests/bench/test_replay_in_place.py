@@ -69,7 +69,8 @@ def mutated_result(mpi):
 
 def single_node_hybrid(mpi):
     """A one-node hy_allgather synchronises through a barrier on the
-    world communicator — a replay decision inside the window."""
+    world's ranks — a world dispatch nested in the measured one, which
+    parks and runs live inside its window."""
     hctx = yield from HybridContext.create(mpi.world)
     buf = yield from hctx.allgather_buffer(64)
     return (yield from _loop(mpi, lambda: hctx.allgather(buf)))
@@ -141,16 +142,17 @@ def entry_beside_the_align(mpi):
     return (yield from _loop(mpi, comm.barrier, after=stray))
 
 
-# program -> (nodes, ppn, records in place, pocket runs, vetoes)
+# program -> (nodes, ppn, records in place, pocket runs, vetoes,
+#             world dispatches parked per repetition)
 CASES = {
-    mutated_result: (3, 4, 1, 0, {}),
-    single_node_hybrid: (1, 8, 0, 1, {"nested": 1}),
-    profiles_off: (3, 4, 0, 1, {"profile_off": 1}),
-    subcommunicator_after_align: (3, 4, 1, 0, {}),
-    hybrid_allreduce: (3, 4, 0, 2, {"setup_gate": 1}),
-    compute_before_align(1e-3): (3, 4, 0, 1, {"trailing_work": 1}),
-    compute_before_align(1e-12): (3, 4, 0, 1, {"not_aligned": 1}),
-    entry_beside_the_align: (3, 4, 0, 1, {"trailing_work": 1}),
+    mutated_result: (3, 4, 1, 0, {}, 1),
+    single_node_hybrid: (1, 8, 1, 0, {}, 2),
+    profiles_off: (3, 4, 0, 1, {"profile_off": 1}, 1),
+    subcommunicator_after_align: (3, 4, 1, 0, {}, 1),
+    hybrid_allreduce: (3, 4, 0, 2, {"setup_gate": 1}, 1),
+    compute_before_align(1e-3): (3, 4, 0, 1, {"trailing_work": 1}, 1),
+    compute_before_align(1e-12): (3, 4, 0, 1, {"not_aligned": 1}, 1),
+    entry_beside_the_align: (3, 4, 0, 1, {"trailing_work": 1}, 1),
 }
 
 
@@ -158,10 +160,11 @@ CASES = {
 def test_hazard_is_bit_identical_and_counted(program, monkeypatch):
     """Besides the simulated outcome, the event accounting: every world
     dispatch that parked costs n release or wake entries replay-off
-    execution does not have (the nested barrier parks once, live), and
+    execution does not have (a nested one parks inside the first
+    repetition, and its entries are in the record a hit saves), and
     every hit saves exactly what its record says the dispatch costs."""
     monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
-    nodes, ppn, in_place, pocket_runs, vetoes = CASES[program]
+    nodes, ppn, in_place, pocket_runs, vetoes, parks = CASES[program]
     off_job, off = _job(program, False, nodes, ppn)
     before = replaylib.cache_stats()
     on_job, on = _job(program, "loop", nodes, ppn)
@@ -176,9 +179,8 @@ def test_hazard_is_bit_identical_and_counted(program, monkeypatch):
     } == dict.fromkeys(replaylib.VETOES, 0) | vetoes
     assert on.returns == off.returns
     assert on.finish_times == off.finish_times
-    parks = REPS + vetoes.get("nested", 0)
     assert on.events_processed + on.replay_events_saved == (
-        off.events_processed + nodes * ppn * parks
+        off.events_processed + nodes * ppn * parks * REPS
     )
     for counter in ("sent_messages", "sent_bytes", "intra_copies",
                     "intra_bytes", "network_messages", "network_bytes"):
@@ -191,14 +193,7 @@ def test_hazard_is_bit_identical_and_counted(program, monkeypatch):
     assert _spans(on.trace) == _spans(off.trace)
 
 
-@pytest.mark.parametrize("program", [
-    pytest.param(program, marks=pytest.mark.xfail(
-        strict=True, raises=replaylib.ReplayVerifyError,
-        reason="one-node hybrid span-slice order under verify: the "
-               "known fig7-hybrid verify failure (ROADMAP item 1)",
-    )) if program is single_node_hybrid else program
-    for program in CASES
-], ids=lambda p: p.__name__)
+@pytest.mark.parametrize("program", CASES, ids=lambda p: p.__name__)
 def test_hazard_verifies_clean(program, monkeypatch):
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
     nodes, ppn, *_ = CASES[program]
@@ -206,19 +201,39 @@ def test_hazard_verifies_clean(program, monkeypatch):
     assert result.replay_hits == REPS - 1
 
 
-def test_a_first_occurrence_inside_a_window_is_not_recorded(monkeypatch):
-    """The barrier nested in a one-node hy_allgather is itself a first
-    occurrence — in the OSU program, an aligned and quiescent one; it
-    runs live and makes no record of its own.  (Verify executes the
-    hits, so the barrier runs again there and may pocket.)"""
-    monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+def _one_node_osu_stats(monkeypatch, verify: str) -> tuple[dict, dict]:
+    monkeypatch.setenv("REPRO_REPLAY_VERIFY", verify)
     replaylib.clear_cache()
+    before = replaylib.cache_stats()
     MPIJob(
         hazel_hen(1), hybrid_allgather_program,
         placement=Placement.block(1, 8), payload="cost-only",
-        replay="loop", program_kwargs={"nbytes_per_rank": 64, "reps": 3},
+        replay="loop",
+        program_kwargs={"nbytes_per_rank": 64, "reps": 3, "warmup": 1},
     ).run()
+    return before, replaylib.cache_stats()
+
+
+def _is_part_of_the_window(before: dict, after: dict) -> None:
     assert [key[1] for key in replaylib._CACHE] == ["hy_allgather"]
+    assert after["pocket_runs"] == before["pocket_runs"]
+    decided = after["hits"] - before["hits"] + sum(
+        n - before["live"][reason] for reason, n in after["live"].items()
+    )
+    assert decided == 1 + 3  # the warm-up and the repetitions
+
+
+def test_a_first_occurrence_inside_a_window_is_not_recorded(monkeypatch):
+    """The barrier nested in a one-node hy_allgather runs live inside
+    the window that records the hy_allgather: part of that dispatch, it
+    is neither decided nor recorded on its own, and no pocket runs."""
+    _is_part_of_the_window(*_one_node_osu_stats(monkeypatch, ""))
+
+
+def test_a_dispatch_inside_a_verified_hit_is_not_recorded(monkeypatch):
+    """Verify executes every hit live inside a window: the nested
+    barrier runs there as it did in the recorded run."""
+    _is_part_of_the_window(*_one_node_osu_stats(monkeypatch, "1"))
 
 
 def _pure(mpi):
@@ -249,9 +264,9 @@ def test_verify_compares_the_whole_record(field, what, monkeypatch):
 
 def test_cache_stats_copy_the_vetoes():
     stats = replaylib.cache_stats()
-    stats["inplace_vetoes"]["nested"] += 1
-    assert replaylib.cache_stats()["inplace_vetoes"]["nested"] == (
-        stats["inplace_vetoes"]["nested"] - 1
+    stats["inplace_vetoes"]["setup_gate"] += 1
+    assert replaylib.cache_stats()["inplace_vetoes"]["setup_gate"] == (
+        stats["inplace_vetoes"]["setup_gate"] - 1
     )
 
 

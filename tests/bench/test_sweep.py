@@ -35,6 +35,7 @@ from repro.bench.sweep import (
     run_point,
     run_sweep,
 )
+from repro.mpi.collectives import registry
 
 # A Fig-9 miniature: ppn sweep at fixed node count, hybrid vs pure —
 # small enough for process-pool tests to stay fast.
@@ -642,3 +643,78 @@ def test_cli_run_query_stats_gc(tmp_path, capsys):
     assert main(["query", "--machine", "testing", "--nodes", "2",
                  "--ppn", "2", "--elements", "8", "--cache", cache_dir,
                  "--cache-only"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Model points without an algorithm price the table's pick
+# ---------------------------------------------------------------------------
+
+def _issue(op: str, mpi, nbytes: int):
+    """Coroutine: one call of *op* moving *nbytes* per rank."""
+    from repro.core import HybridContext
+    from repro.mpi.constants import ReduceOp
+    from repro.mpi.datatypes import Bytes
+
+    comm = mpi.world
+    if op == "hy_allgather":
+        hctx = yield from HybridContext.create(comm)
+        buf = yield from hctx.allgather_buffer(nbytes)
+        return (yield from hctx.allgather(buf))
+    if op == "hy_bcast":
+        hctx = yield from HybridContext.create(comm)
+        buf = yield from hctx.bcast_buffer(nbytes)
+        return (yield from hctx.bcast(buf, root=0))
+    b = Bytes(nbytes)
+    args = {
+        "bcast": (b, 0), "gather": (b, 0), "gatherv": (b, 0),
+        "scatter": ([b] * comm.size if comm.rank == 0 else None, 0),
+        "reduce": (b, ReduceOp.SUM, 0), "alltoall": ([b] * comm.size,),
+        "barrier": (),
+        "allreduce": (b, ReduceOp.SUM), "reduce_scatter": (b, ReduceOp.SUM),
+        "scan": (b, ReduceOp.SUM), "exscan": (b, ReduceOp.SUM),
+    }.get(op, (b,))
+    return (yield from getattr(comm, op)(*args))
+
+
+def _simulated_pick(point: SweepPoint) -> str:
+    """The algorithm the simulator dispatches for *point*'s call, read
+    off the trace of one run of it."""
+    from repro.mpi import run_program
+
+    op = point.resolved_op
+    result = run_program(
+        point.spec(), None, lambda mpi: _issue(op, mpi, point.nbytes),
+        placement=point.placement(), payload="cost-only", trace="dispatch",
+        replay=False)
+    (algo,) = {rec["algo"] for rec in result.trace
+               if rec["op"] == op and rec["parent"] is None}
+    return algo
+
+
+@pytest.mark.parametrize("op", sorted(registry.ops()))
+@pytest.mark.parametrize("machine, counts", [
+    ("hazel_hen", (8,)), ("hazel_hen", (1,) * 5), ("hazel_hen", (4, 4)),
+    ("hazel_hen_2s", (8, 8)),
+])
+def test_model_point_without_algo_prices_the_table_pick(op, machine,
+                                                        counts):
+    for nbytes in (64, 65536):
+        point = SweepPoint(machine=machine, counts=counts, nbytes=nbytes,
+                           variant="hybrid" if op.startswith("hy_")
+                           else "pure", op=op, engine="model")
+        algo = _simulated_pick(point)
+        assert (run_point(point)["latency_us"]
+                == run_point(replace(point, algo=algo))["latency_us"])
+
+
+def test_model_point_key_follows_the_table_pick(monkeypatch):
+    """A result priced under one pick is never served for another."""
+    from repro.analysis.model import CostModel
+
+    point = SweepPoint(machine="hazel_hen_2s", counts=(24, 24, 24, 24),
+                       nbytes=4096, variant="hybrid", engine="model")
+    key = cache_key(point)
+    assert cache_key(replace(point, algo="shared_window_3l")) != key
+    monkeypatch.setattr(CostModel, "table_algo",
+                        lambda self, op, nbytes, root=0: "pipelined_ring")
+    assert cache_key(point) != key

@@ -138,7 +138,6 @@ def test_stats_counts_requests(service):
     )
     assert list(doc["replay"]["inplace_vetoes"]) == [
         "profile_off", "trailing_work", "not_aligned", "setup_gate",
-        "nested",
     ]
     assert list(doc["replay"]["live"]) == [
         "staggered", "not_quiescent", "unsigned", "first_occurrence",

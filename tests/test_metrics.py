@@ -127,3 +127,17 @@ def test_cli_pure_variant(tmp_path):
     ])
     assert rc == 0
     assert "repro_collective" in mpath.read_text()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trace-nodes", "0"], "nodes must be >= 1"),
+    (["--trace-ppn", "0"], "ppn must be >= 1"),
+    (["--trace-elements", "-1"], "elements must be >= 0"),
+])
+def test_cli_rejects_bad_trace_inputs(flags, message, tmp_path, capsys):
+    tpath = tmp_path / "trace.json"
+    rc = cli_main(["--trace-out", str(tpath), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.strip() == message + f", got {flags[1]}"
+    assert not tpath.exists()
