@@ -176,8 +176,14 @@ def bpmf_program(mpi, config: BPMFConfig):
     size, rank = comm.size, comm.rank
     d = config.latent_dim
     n_comp, n_targ, nnz_total = config.dims()
-    comp_parts = block_partition(n_comp, size)
-    targ_parts = block_partition(n_targ, size)
+    # Partitions and slot sizes, the same on every rank: once per comm.
+    key = ("_bpmf", n_comp, n_targ, d)
+    if key not in comm.shared_cache:
+        comm.shared_cache[key] = [
+            (parts, tuple(8 * d * (hi - lo) for lo, hi in parts))
+            for parts in (block_partition(n_comp, size),
+                          block_partition(n_targ, size))]
+    (comp_parts, u_sizes), (targ_parts, v_sizes) = comm.shared_cache[key]
     my_comp = comp_parts[rank]
     my_targ = targ_parts[rank]
     data = mpi.data_mode and config.dataset is not None
@@ -201,8 +207,6 @@ def bpmf_program(mpi, config: BPMFConfig):
     u_buf = v_buf = None
     if config.variant == "hybrid":
         hybrid = yield from HybridContext.create(comm)
-        u_sizes = [8 * d * (hi - lo) for lo, hi in comp_parts]
-        v_sizes = [8 * d * (hi - lo) for lo, hi in targ_parts]
         u_buf = yield from hybrid.allgatherv_buffer(u_sizes)
         v_buf = yield from hybrid.allgatherv_buffer(v_sizes)
         if data:

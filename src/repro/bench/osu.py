@@ -21,7 +21,7 @@ are bit-identical with replay off (the equivalence suite asserts it).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.core import HybridContext, SyncPolicy
 from repro.machine.model import MachineSpec
@@ -60,22 +60,27 @@ def check_repetitions(reps: int | None, warmup: int | None) -> None:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
 
 
-def osu_latency_program(mpi, op: Callable, reps: int | None = None,
+def osu_latency_program(mpi, op, reps: int | None = None,
                         warmup: int | None = None):
     """Rank program: time ``op(mpi)`` with the OSU protocol.
 
     *op* takes the rank context and returns the coroutine to drive (the
-    programs below return the collective's own, so no wrapper frame
-    sits on its resumes).  Returns the mean per-operation latency on
-    this rank.  ``reps``/``warmup`` default to
-    :data:`DEFAULT_REPS`/:data:`DEFAULT_WARMUP` at call time.
+    programs below return the collective's own, and this one, so a
+    repetition's resumes climb only this frame and the dispatch's); a
+    coroutine in its place is one-off setup, untimed, that returns it.
+    Returns the mean per-operation latency on this rank.
+    ``reps``/``warmup`` default to :data:`DEFAULT_REPS`/:data:`DEFAULT_WARMUP`
+    at call time.
     """
     if reps is None:
         reps = DEFAULT_REPS
     if warmup is None:
         warmup = DEFAULT_WARMUP
     check_repetitions(reps, warmup)
+    if not callable(op):
+        op = yield from op
     comm = mpi.world
+    engine = mpi.engine
     for _ in range(warmup):
         yield from op(mpi)
     # Align-delimited repetitions: every rep starts from a simultaneous
@@ -85,9 +90,9 @@ def osu_latency_program(mpi, op: Callable, reps: int | None = None,
     total = 0.0
     for _ in range(reps):
         yield from comm.align()
-        t0 = mpi.now
+        t0 = engine.now
         yield from op(mpi)
-        total += mpi.now - t0
+        total += engine.now - t0
     return total / reps
 
 
@@ -99,19 +104,16 @@ def hybrid_allgather_program(mpi, nbytes_per_rank: int,
                              chunk_bytes: int = 128 * 1024,
                              pack_datatypes: bool = False):
     """Rank program measuring the paper's Hy_Allgather latency."""
-    ctx = yield from HybridContext.create(mpi.world)
-    if sync is not None:
-        ctx.default_sync = sync
-    buf = yield from ctx.allgather_buffer(nbytes_per_rank)
 
-    def op(_mpi):
-        return ctx.allgather(
+    def setup():
+        ctx = yield from HybridContext.create(mpi.world, default_sync=sync)
+        buf = yield from ctx.allgather_buffer(nbytes_per_rank)
+        return lambda _mpi: ctx.allgather(
             buf, pipelined=pipelined, chunk_bytes=chunk_bytes,
             pack_datatypes=pack_datatypes,
         )
 
-    latency = yield from osu_latency_program(mpi, op, reps, warmup)
-    return latency
+    return osu_latency_program(mpi, setup(), reps, warmup)
 
 
 def pure_allgather_program(mpi, nbytes_per_rank: int,
@@ -130,8 +132,7 @@ def pure_allgather_program(mpi, nbytes_per_rank: int,
     def op(_mpi):
         return collective(payload)
 
-    latency = yield from osu_latency_program(mpi, op, reps, warmup)
-    return latency
+    return osu_latency_program(mpi, op, reps, warmup)
 
 
 def multileader_allgather_program(mpi, nbytes_per_rank: int, leaders: int):
@@ -146,8 +147,7 @@ def multileader_allgather_program(mpi, nbytes_per_rank: int, leaders: int):
     total = nbytes_per_rank * comm.size
 
     def select_bridge(bridge, blocks, tag):
-        result = yield from bridge_allgatherv(bridge, blocks, tag, total)
-        return result
+        return bridge_allgatherv(bridge, blocks, tag, total)
 
     yield from multileader_allgather(
         comm, payload, 2**27, leaders, select_bridge

@@ -186,23 +186,29 @@ class HybridContext:
         return self.layout.nodes[bridge_rank]
 
     # -- buffer factories --------------------------------------------------------
-    def _alloc(self, slot_sizes: list[int], cache_key: Any = None):
+    def _alloc(self, slot_sizes, cache_key: Any = None):
         """Coroutine: allocate a node-shared buffer with the given
-        node-major *slot_sizes* (leader allocates all; children zero)."""
+        node-major *slot_sizes* (leader allocates all; children zero);
+        the communicator's ranks share its slot offsets."""
         if cache_key is not None and cache_key in self._buffers:
             return self._buffers[cache_key]
-        total = sum(slot_sizes)
+        sizes = tuple(slot_sizes)
         win = yield from win_allocate_shared(
-            self.shm, total if self.is_leader else 0
+            self.shm, sum(sizes) if self.is_leader else 0
         )
+        shared = self.comm.shared_cache
+        offsets = shared.get(("_hy_offsets", sizes))
         buf = SharedBuffer(
             win=win,
             layout=self.layout,
-            slot_sizes=slot_sizes,
+            slot_sizes=sizes,
             my_rank=self.comm.rank,
             node=self.node,
             data_mode=self.comm.ctx.data_mode,
+            slot_offsets=offsets,
         )
+        if offsets is None:
+            shared[("_hy_offsets", sizes)] = buf.slot_offsets
         if cache_key is not None:
             self._buffers[cache_key] = buf
         return buf
@@ -210,22 +216,24 @@ class HybridContext:
     def allgather_buffer(self, nbytes_per_rank: int, cache: bool = True):
         """Coroutine: buffer for a *regular* allgather — one
         ``nbytes_per_rank`` slot per comm rank, one copy per node."""
-        sizes = [int(nbytes_per_rank)] * self.comm.size
-        key = ("ag", nbytes_per_rank) if cache else None
-        buf = yield from self._alloc(sizes, key)
-        return buf
+        sizes = (int(nbytes_per_rank),) * self.comm.size
+        return self._alloc(sizes, ("ag", nbytes_per_rank) if cache else None)
 
     def allgatherv_buffer(self, nbytes_by_rank: list[int], cache: bool = True):
         """Coroutine: buffer for an *irregular* allgather — per-rank slot
-        sizes (indexed by comm rank, reordered node-major internally)."""
-        if len(nbytes_by_rank) != self.comm.size:
+        sizes (indexed by comm rank, reordered node-major internally —
+        once per communicator and size vector, shared by its ranks)."""
+        by_rank = tuple(nbytes_by_rank)
+        if len(by_rank) != self.comm.size:
             raise ValueError("one size per comm rank required")
-        sizes = [0] * self.comm.size
-        for rank, nb in enumerate(nbytes_by_rank):
-            sizes[self.layout.slot_of_rank(rank)] = int(nb)
-        key = ("agv", tuple(nbytes_by_rank)) if cache else None
-        buf = yield from self._alloc(sizes, key)
-        return buf
+        shared = self.comm.shared_cache
+        sizes = shared.get(("_hy_agv_slots", by_rank))
+        if sizes is None:
+            slots = [0] * len(by_rank)
+            for rank, nb in enumerate(by_rank):
+                slots[self.layout.slot_of_rank(rank)] = int(nb)
+            sizes = shared[("_hy_agv_slots", by_rank)] = tuple(slots)
+        return self._alloc(sizes, ("agv", by_rank) if cache else None)
 
     def bcast_buffer(self, nbytes: int, cache: bool = True):
         """Coroutine: buffer for broadcast — a single shared region per
@@ -235,16 +243,15 @@ class HybridContext:
         (regions, payloads) applies unchanged."""
         sizes = [0] * self.comm.size
         sizes[0] = int(nbytes)
-        key = ("bc", nbytes) if cache else None
-        buf = yield from self._alloc(sizes, key)
-        return buf
+        return self._alloc(sizes, ("bc", nbytes) if cache else None)
 
     # -- collective operations (delegates) --------------------------------------
     def _replayed(self, op: str, fn, args: tuple, sync, *call):
-        """Route hybrid collective ``fn(*args)`` through the job's replay
-        session, which builds that body only where the dispatch runs
-        live; with replay off the body is built and returned as is, and
-        nothing is encoded.
+        """The coroutine of hybrid collective ``fn(*args)`` routed through
+        the job's replay session, which builds that body only where the
+        dispatch runs live; with replay off the body is built and
+        returned as is, and nothing is encoded.  The delegates below
+        return it, so no frame of theirs sits on the rank's resumes.
 
         *call* is the public call's positional arguments as a pocket
         simulation re-issues them (see :func:`_reissue`): each shared
@@ -273,7 +280,7 @@ class HybridContext:
 
         ``pipelined=True`` forces the chunked bridge exchange; ``None``
         (default) lets the rank's selection policy pick the variant."""
-        yield from self._replayed(
+        return self._replayed(
             "hy_allgather", hy_allgather,
             (self, buf, sync, pipelined, chunk_bytes, pack_datatypes),
             sync, buf.slot_sizes, None, pipelined, chunk_bytes,
@@ -283,7 +290,7 @@ class HybridContext:
     def bcast(self, buf: SharedBuffer, root: int = 0,
               sync: SyncPolicy | None = None):
         """Coroutine: hybrid broadcast over *buf* (paper Fig 6)."""
-        yield from self._replayed(
+        return self._replayed(
             "hy_bcast", hy_bcast, (self, buf, root, sync),
             sync, buf.slot_sizes, root, None,
         )
@@ -292,12 +299,11 @@ class HybridContext:
                   op=None, sync: SyncPolicy | None = None):
         """Coroutine: hybrid allreduce extension; returns result payload."""
         rop = op or ReduceOp.SUM
-        result = yield from self._replayed(
+        return self._replayed(
             "hy_allreduce", hy_allreduce,
             (self, contribution, nbytes, rop, sync),
             sync, contribution, int(nbytes), rop, None,
         )
-        return result
 
     # -- immediate (non-blocking) variants ---------------------------------
     def _ihy(self, op: str, nbytes: int, fn, args: tuple):

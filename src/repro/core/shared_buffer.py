@@ -15,6 +15,7 @@ for the leader's single ``MPI_Allgatherv`` on the bridge communicator.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -44,6 +45,9 @@ class SharedBuffer:
         This rank's node id.
     data_mode:
         Whether the window carries real memory.
+    slot_offsets:
+        Byte offset per slot when the caller has them already (the
+        ranks of a communicator share one tuple).
     """
 
     __slots__ = (
@@ -59,18 +63,17 @@ class SharedBuffer:
         my_rank: int,
         node: int,
         data_mode: bool,
+        slot_offsets: tuple[int, ...] | None = None,
     ):
         if len(slot_sizes) != layout.size:
             raise ValueError("one slot size per rank required")
         self.win = win
         self.layout = layout
         self.slot_sizes = tuple(slot_sizes)
-        self.slot_offsets: list[int] = []
-        off = 0
-        for s in self.slot_sizes:
-            self.slot_offsets.append(off)
-            off += s
-        self.total_nbytes = off
+        self.slot_offsets = slot_offsets or (
+            0, *accumulate(self.slot_sizes[:-1])
+        )
+        self.total_nbytes = self.slot_offsets[-1] + self.slot_sizes[-1]
         self.my_rank = my_rank
         self.node = node
         self.data_mode = data_mode

@@ -59,13 +59,13 @@ class BarrierSync(SyncPolicy):
         return ("barrier",)
 
     def pre_exchange(self, hybrid):
-        yield from hybrid.shm.barrier()
+        return hybrid.shm.barrier()
 
     def post_exchange(self, hybrid):
-        yield from hybrid.shm.barrier()
+        return hybrid.shm.barrier()
 
     def single(self, hybrid):
-        yield from hybrid.shm.barrier()
+        return hybrid.shm.barrier()
 
 
 class _FlagCell:

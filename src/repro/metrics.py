@@ -29,6 +29,7 @@ repro_ranks 4
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -46,10 +47,11 @@ LATENCY_BUCKETS = (
 
 
 def _histogram(values: list[float]) -> dict:
-    """Cumulative bucket counts plus sum/count (Prometheus semantics)."""
-    buckets = []
-    for bound in LATENCY_BUCKETS:
-        buckets.append([bound, sum(1 for v in values if v <= bound)])
+    """Cumulative bucket counts plus sum/count (Prometheus semantics):
+    one sort, then a bisection per bound (values ``<= bound``)."""
+    ordered = sorted(values)
+    buckets = [[bound, bisect_right(ordered, bound)]
+               for bound in LATENCY_BUCKETS]
     return {
         "buckets": buckets,
         "count": len(values),

@@ -22,14 +22,12 @@ __all__ = ["allgatherv_bruck", "allgatherv_ring", "allgatherv_gather_bcast"]
 
 def allgatherv_bruck(comm, payload: Any, tag: int, total=None):
     """Bruck exchange with per-rank block sizes (small total sizes)."""
-    result = yield from allgather_bruck(comm, payload, tag)
-    return result
+    return allgather_bruck(comm, payload, tag)
 
 
 def allgatherv_ring(comm, payload: Any, tag: int, total=None):
     """Ring exchange with per-rank block sizes (large total sizes)."""
-    result = yield from allgather_ring(comm, payload, tag)
-    return result
+    return allgather_ring(comm, payload, tag)
 
 
 def allgatherv_gather_bcast(comm, payload: Any, tag: int, root: int = 0):

@@ -641,8 +641,7 @@ def _bridge_bcast(bridge, payload, root: int, tag: int, nbytes: int):
     the bridge's policy from the top-level message size)."""
     req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=root)
     algo = policy_of(bridge).select(bridge, req, BRIDGE_BCAST)
-    result = yield from algo.fn(bridge, payload, root, tag)
-    return result
+    return algo.fn(bridge, payload, root, tag)
 
 
 def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
@@ -650,8 +649,7 @@ def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
     the bridge's policy from the top-level message size)."""
     req = CollRequest(op="allreduce", nbytes=nbytes, total=nbytes)
     algo = policy_of(bridge).select(bridge, req, BRIDGE_ALLREDUCE)
-    result = yield from algo.fn(bridge, payload, op, tag)
-    return result
+    return algo.fn(bridge, payload, op, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -659,77 +657,62 @@ def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
 # ---------------------------------------------------------------------------
 
 def _run_gather_bcast_v(comm, payload, tag, total):
-    result = yield from allgatherv_gather_bcast(comm, payload, tag)
-    return result
+    return allgatherv_gather_bcast(comm, payload, tag)
 
 
 def _run_smp_allgather(comm, payload, tag, total):
     def bridge_xchg(bridge, node_blocks, btag):
-        result = yield from bridge_allgatherv(bridge, node_blocks, btag, total)
-        return result
+        return bridge_allgatherv(bridge, node_blocks, btag, total)
 
-    full = yield from hier.hier_allgather(
+    return hier.hier_allgather(
         comm, payload, tag, bridge_xchg, total_nbytes=total
     )
-    return full
 
 
 def _run_smp3_allgather(comm, payload, tag, total):
     def bridge_xchg(bridge, node_blocks, btag):
-        result = yield from bridge_allgatherv(bridge, node_blocks, btag, total)
-        return result
+        return bridge_allgatherv(bridge, node_blocks, btag, total)
 
-    full = yield from hier.smp_3level_allgather(
+    return hier.smp_3level_allgather(
         comm, payload, tag, bridge_xchg, total_nbytes=total
     )
-    return full
 
 
 def _run_multileader_allgather(comm, payload, tag, total):
     k = max(1, comm.ctx.tuning.multileader_k)
 
     def bridge_xchg(bridge, node_blocks, btag):
-        result = yield from bridge_allgatherv(bridge, node_blocks, btag, total)
-        return result
+        return bridge_allgatherv(bridge, node_blocks, btag, total)
 
-    full = yield from hier.multileader_allgather(
-        comm, payload, tag, k, bridge_xchg
-    )
-    return full
+    return hier.multileader_allgather(comm, payload, tag, k, bridge_xchg)
 
 
 def _run_bcast_pipeline(comm, payload, root, tag):
-    result = yield from bcast_pipeline(
+    return bcast_pipeline(
         comm, payload, root, tag, comm.ctx.tuning.bcast_pipeline_chunk
     )
-    return result
 
 
 def _run_smp_bcast(comm, payload, root, tag):
     nbytes = nbytes_of(payload)
 
     def bridge_bc(bridge, p, broot, btag):
-        result = yield from _bridge_bcast(bridge, p, broot, btag, nbytes)
-        return result
+        return _bridge_bcast(bridge, p, broot, btag, nbytes)
 
-    result = yield from hier.hier_bcast(comm, payload, root, tag, bridge_bc)
-    return result
+    return hier.hier_bcast(comm, payload, root, tag, bridge_bc)
 
 
 def _run_smp_reduce(comm, payload, op, root, tag):
-    result = yield from hier.hier_reduce(comm, payload, op, root, tag)
-    return result
+    return hier.hier_reduce(comm, payload, op, root, tag)
 
 
 def _run_smp_allreduce(comm, payload, op, tag):
     nbytes = nbytes_of(payload)
 
     def bridge_ar(bridge, p, o, btag):
-        result = yield from _bridge_allreduce(bridge, p, o, btag, nbytes)
-        return result
+        return _bridge_allreduce(bridge, p, o, btag, nbytes)
 
-    result = yield from hier.hier_allreduce(comm, payload, op, tag, bridge_ar)
-    return result
+    return hier.hier_allreduce(comm, payload, op, tag, bridge_ar)
 
 
 def _run_barrier_smp(comm, tag):

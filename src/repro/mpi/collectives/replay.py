@@ -449,8 +449,9 @@ class _Window:
 
     def _in_align(self, rank: int) -> bool:
         comm = self.job.contexts[rank].world
-        gate = comm._shared._gates.get(("align", comm._gate_seq))
-        return gate is not None and rank in gate.values
+        gate = comm._shared._align
+        return (gate is not None and gate.seq == comm._gate_seq
+                and gate.slots[rank] is not None)
 
     def _went_to_align(self, rank: int) -> None:
         # Right after an earlier rank's exit entry: anything it did
@@ -654,13 +655,17 @@ class _Plan:
         d = rec.d_ticks
         #: Every rank exits at one timestep (what default mode requires).
         self.uniform = d.count(d[0]) == len(d)
-        #: ``(rank, d_ticks, wake value)`` in exit order; a list result
-        #: is copied per hit instead (callers may mutate it): None here.
-        self.wakes = [
-            (r, d[r], None if type(rec.results[r]) is list
-             else ("done", rec.results[r]))
-            for r in rec.exit_order
-        ]
+        #: The wake table: ``(d_ticks, [(rank, wake value), ...])`` per
+        #: exit tick, in the order the ticks first occur in the exit
+        #: order, ranks in exit order; a list result is copied per hit
+        #: instead (callers may mutate it): None here.
+        wakes: dict[int, list] = {}
+        for r in rec.exit_order:
+            wakes.setdefault(d[r], []).append(
+                (r, None if type(rec.results[r]) is list
+                 else ("done", rec.results[r]))
+            )
+        self.wakes = list(wakes.items())
         #: ``(profile, OpStats, calls, bytes, time)``, one flat list over
         #: every rank's increments, bound by :meth:`bind`.
         self.profiles: list[tuple] = []
@@ -769,8 +774,7 @@ class ReplaySession:
                 else None
             )
         if lane is None:
-            result = yield from make(*args)
-            return result
+            return (yield from make(*args))
         rank = comm.rank
         try:
             repeat = call == lane.calls[rank]
@@ -797,8 +801,7 @@ class ReplaySession:
             pend.late += 1
             if len(pend.arrivals) + pend.late == self.world_size:
                 del lane.pending[seq]
-            result = yield from make(*args)
-            return result
+            return (yield from make(*args))
         ev = pend.arrivals[rank] = Event(eng, "replay.park")
         verdict, value = yield ev
         if verdict == "done":
@@ -1091,16 +1094,21 @@ class ReplaySession:
         # Relative to replay-off execution: the dispatch would have cost
         # rec.events; replay costs the n wake events below instead.
         self.events_saved += rec.events - self.world_size
-        # Push wakes in recorded exit order: ranks leaving at the same
-        # tick resume in the same relative order as live execution, so
-        # the *next* dispatch sees an identical entry permutation.  Each
-        # is Engine.timeout() spelled out: pre-triggered, one per rank.
-        push = eng._push
-        for rank, d_ticks, done in plan.wakes:
-            ev = arrivals[rank]
-            ev._state = _TRIGGERED
-            ev._value = done or ("done", list(rec.results[rank]))
-            push((base_ticks + d_ticks) * TICK, ev)
+        # Wake in recorded exit order: ranks leaving at the same tick
+        # resume in the same relative order as live execution, so the
+        # *next* dispatch sees an identical entry permutation.  Each wake
+        # is Engine.timeout() spelled out, pre-triggered, one per rank;
+        # a tick's wakes join its bucket in one step.
+        push_all = eng._push_all
+        results = rec.results
+        for d_ticks, wakes in plan.wakes:
+            evs = []
+            for rank, done in wakes:
+                ev = arrivals[rank]
+                ev._state = _TRIGGERED
+                ev._value = done or ("done", list(results[rank]))
+                evs.append(ev)
+            push_all((base_ticks + d_ticks) * TICK, evs)
 
 
 class _PocketHost(ReplaySession):
@@ -1131,12 +1139,10 @@ class _PocketHost(ReplaySession):
     def run(self, comm, op: str, call, make, args: tuple, rebuild=None):
         """Coroutine, :meth:`ReplaySession.run`'s counterpart."""
         if self.window is not None:
-            result = yield from super().run(comm, op, call, make, args)
-            return result
+            return (yield from super().run(comm, op, call, make, args))
         if (op != self.op
                 or comm._shared is not self.job.contexts[0].world._shared):
-            result = yield from make(*args)
-            return result
+            return (yield from make(*args))
         eng = self.job.engine
         if not self.parked:
             eng.on_time_advance(self._start)

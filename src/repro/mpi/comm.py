@@ -9,8 +9,9 @@ A communicator is split into:
 * :class:`Comm` — the per-rank handle the application holds; it knows its
   own rank and drives coroutines against the shared state.
 
-All blocking methods are generator coroutines: drive them with
-``yield from`` inside a rank program.
+All blocking methods return a coroutine: drive it with ``yield from``
+inside a rank program.  A blocking collective returns its dispatch
+coroutine itself, with no frame of its own on the rank's resumes.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ __all__ = ["Comm"]
 class _CommShared:
     """State shared by every rank's view of one communicator."""
 
-    __slots__ = ("id", "group", "job", "name", "cache", "_gates", "_children")
+    __slots__ = ("id", "group", "size", "job", "name", "cache", "_gates",
+                 "_align", "_children")
 
     def __init__(self, job: Any, group: Group, name: str):
         self.id: int = job.next_comm_id()
         self.group = group
+        self.size = len(group)
         self.job = job
         self.name = name
         # Communicator-wide cache for data derived purely from globally
@@ -51,7 +54,11 @@ class _CommShared:
         # layouts.  Computing these per *rank* is O(p) each and turns the
         # per-job setup O(p^2) at paper scale — one shared copy suffices.
         self.cache: dict[Any, Any] = {}
-        self._gates: dict[Any, _GateState] = {}
+        #: Gates in progress: key -> (event, {rank: value}).
+        self._gates: dict[Any, tuple[Event, dict[int, Any]]] = {}
+        #: The align in progress (at most one: nobody leaves an align
+        #: before every member entered it).
+        self._align: _AlignGate | None = None
         # Registry of deterministically-derived child communicators
         # (internal hierarchies): key -> _CommShared.  Membership is a
         # pure function of globally-known state (placement + group), so
@@ -89,49 +96,53 @@ class _CommShared:
         """
         st = self._gates.get(key)
         if st is None:
-            st = self._gates[key] = _GateState(
-                Event(self.job.engine, name="gate")
-            )
-        if rank in st.values:
-            raise MPIError(f"rank {rank} arrived twice at gate {key!r}")
-        st.values[rank] = value
-        if len(st.values) == len(self.group.world_ranks()):
-            del self._gates[key]
-            st.event.succeed(reducer(st.values))
-        return st.event
-
-    def align_arrive(self, key: Any, rank: int) -> Event:
-        """Rendezvous with *rank-order* wakes (see :meth:`Comm.align`).
-
-        Unlike :meth:`arrive` — one shared event whose waiters resume in
-        arrival order — every rank gets its own event here, and the last
-        arrival succeeds them sorted by rank.  Succeeding queues each
-        event at the current timestep in succeed order, so all ranks
-        (the last arriver included: its own already-triggered event sits
-        in its rank-order queue slot by the time it yields) resume in
-        the canonical permutation.
-        """
-        gates = self._gates
-        st = gates.get(key)
-        if st is None:
-            st = gates[key] = _GateState(None)
-        values = st.values
+            st = self._gates[key] = (Event(self.job.engine, name="gate"), {})
+        event, values = st
         if rank in values:
             raise MPIError(f"rank {rank} arrived twice at gate {key!r}")
-        ev = values[rank] = Event(self.job.engine, "align")
-        if len(values) == len(self.group.world_ranks()):
-            del gates[key]
-            for r in sorted(values):
-                values[r].succeed(None)
+        values[rank] = value
+        if len(values) == self.size:
+            del self._gates[key]
+            event.succeed(reducer(values))
+        return event
+
+    def align_arrive(self, seq: int, rank: int) -> Event:
+        """Rendezvous with *rank-order* wakes (see :meth:`Comm.align`):
+        align number *seq* of the arriving handle.
+
+        Unlike :meth:`arrive` — one shared event whose waiters resume in
+        arrival order — every rank gets its own event, in its slot, and
+        the last arrival succeeds them in slot order.  Succeeding queues
+        each event at the current timestep in succeed order, so all
+        ranks (the last arriver included: its own already-triggered
+        event sits in its rank-order queue slot by the time it yields)
+        resume in the canonical permutation.
+        """
+        st = self._align
+        if st is None:
+            st = self._align = _AlignGate(seq, self.size)
+        elif st.seq != seq:
+            raise MPIError(f"rank {rank} entered align #{seq} of "
+                           f"{self.name!r} during align #{st.seq}")
+        slots = st.slots
+        if slots[rank] is not None:
+            raise MPIError(f"rank {rank} arrived twice at align #{seq}")
+        ev = slots[rank] = Event(self.job.engine, "align")
+        st.left -= 1
+        if not st.left:
+            self._align = None
+            for slot in slots:
+                slot.succeed(None)
         return ev
 
 
-class _GateState:
-    __slots__ = ("values", "event")
+class _AlignGate:
+    __slots__ = ("seq", "slots", "left")
 
-    def __init__(self, event: Event):
-        self.values: dict[int, Any] = {}
-        self.event = event
+    def __init__(self, seq: int, size: int):
+        self.seq = seq
+        self.slots: list[Event | None] = [None] * size
+        self.left = size
 
 
 class Comm:
@@ -500,7 +511,7 @@ class Comm:
 
     def barrier(self):
         """Barrier over all member ranks (coroutine)."""
-        yield from self._collective(
+        return self._collective(
             "barrier", 0, _coll.run_barrier, (self, self._next_coll_tag()),
             (),
         )
@@ -524,36 +535,28 @@ class Comm:
         counters, or the trace.
         """
         self._gate_seq += 1
-        yield self._shared.align_arrive(("align", self._gate_seq), self.rank)
+        yield self._shared.align_arrive(self._gate_seq, self.rank)
 
     def bcast(self, payload: Any, root: int = 0):
         """Broadcast from *root*; returns the payload on every rank."""
-        return (
-            yield from self._collective(
-                "bcast", nbytes_of(payload), _coll.run_bcast,
-                (self, payload, root, self._next_coll_tag()),
-                (payload, root),
-            )
+        return self._collective(
+            "bcast", nbytes_of(payload), _coll.run_bcast,
+            (self, payload, root, self._next_coll_tag()), (payload, root),
         )
 
     def gather(self, payload: Any, root: int = 0):
         """Gather to *root*; returns list of payloads (None elsewhere)."""
-        return (
-            yield from self._collective(
-                "gather", nbytes_of(payload), _coll.run_gather,
-                (self, payload, root, self._next_coll_tag()),
-                (payload, root),
-            )
+        return self._collective(
+            "gather", nbytes_of(payload), _coll.run_gather,
+            (self, payload, root, self._next_coll_tag()), (payload, root),
         )
 
     def gatherv(self, payload: Any, root: int = 0):
         """Irregular gather to *root* (per-rank sizes may differ)."""
-        return (
-            yield from self._collective(
-                "gatherv", nbytes_of(payload), _coll.run_gather,
-                (self, payload, root, self._next_coll_tag(), True),
-                (payload, root),
-            )
+        return self._collective(
+            "gatherv", nbytes_of(payload), _coll.run_gather,
+            (self, payload, root, self._next_coll_tag(), True),
+            (payload, root),
         )
 
     def scatter(self, payloads: list[Any] | None, root: int = 0):
@@ -561,22 +564,16 @@ class Comm:
         nbytes = (
             sum(nbytes_of(p) for p in payloads) if payloads is not None else 0
         )
-        return (
-            yield from self._collective(
-                "scatter", nbytes, _coll.run_scatter,
-                (self, payloads, root, self._next_coll_tag()),
-                (payloads, root),
-            )
+        return self._collective(
+            "scatter", nbytes, _coll.run_scatter,
+            (self, payloads, root, self._next_coll_tag()), (payloads, root),
         )
 
     def allgather(self, payload: Any):
         """Regular allgather; returns the list of per-rank payloads."""
-        return (
-            yield from self._collective(
-                "allgather", nbytes_of(payload) * self.size,
-                _coll.run_allgather,
-                (self, payload, self._next_coll_tag()), (payload,),
-            )
+        return self._collective(
+            "allgather", nbytes_of(payload) * self.size, _coll.run_allgather,
+            (self, payload, self._next_coll_tag()), (payload,),
         )
 
     def allgatherv(self, payload: Any):
@@ -593,71 +590,56 @@ class Comm:
             total = yield self._shared.arrive(
                 ("agv_total", tag), self.rank, total, _coll._sum_of
             )
-        return (
-            yield from self._collective(
-                "allgatherv", total, _coll.run_allgatherv,
-                (self, payload, tag, total), (payload,),
-            )
-        )
+        return (yield from self._collective(
+            "allgatherv", total, _coll.run_allgatherv,
+            (self, payload, tag, total), (payload,),
+        ))
 
     def reduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0):
         """Reduce to *root*; returns the reduction there, None elsewhere."""
-        return (
-            yield from self._collective(
-                "reduce", nbytes_of(payload), _coll.run_reduce,
-                (self, payload, op, root, self._next_coll_tag()),
-                (payload, op, root),
-            )
+        return self._collective(
+            "reduce", nbytes_of(payload), _coll.run_reduce,
+            (self, payload, op, root, self._next_coll_tag()),
+            (payload, op, root),
         )
 
     def allreduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Allreduce; returns the reduction on every rank."""
-        return (
-            yield from self._collective(
-                "allreduce", nbytes_of(payload), _coll.run_reduction,
-                (self, "allreduce", payload, op, self._next_coll_tag()),
-                (payload, op),
-            )
+        return self._collective(
+            "allreduce", nbytes_of(payload), _coll.run_reduction,
+            (self, "allreduce", payload, op, self._next_coll_tag()),
+            (payload, op),
         )
 
     def alltoall(self, payloads: list[Any]):
         """All-to-all personalized exchange; returns received list."""
-        return (
-            yield from self._collective(
-                "alltoall", sum(nbytes_of(p) for p in payloads),
-                _coll.run_alltoall,
-                (self, payloads, self._next_coll_tag()), (payloads,),
-            )
+        return self._collective(
+            "alltoall", sum(nbytes_of(p) for p in payloads),
+            _coll.run_alltoall,
+            (self, payloads, self._next_coll_tag()), (payloads,),
         )
 
     def scan(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Inclusive prefix reduction."""
-        return (
-            yield from self._collective(
-                "scan", nbytes_of(payload), _coll.run_reduction,
-                (self, "scan", payload, op, self._next_coll_tag()),
-                (payload, op),
-            )
+        return self._collective(
+            "scan", nbytes_of(payload), _coll.run_reduction,
+            (self, "scan", payload, op, self._next_coll_tag()), (payload, op),
         )
 
     def exscan(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Exclusive prefix reduction (None on rank 0)."""
-        return (
-            yield from self._collective(
-                "exscan", nbytes_of(payload), _coll.run_reduction,
-                (self, "exscan", payload, op, self._next_coll_tag()),
-                (payload, op),
-            )
+        return self._collective(
+            "exscan", nbytes_of(payload), _coll.run_reduction,
+            (self, "exscan", payload, op, self._next_coll_tag()),
+            (payload, op),
         )
 
     def reduce_scatter(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Block reduce-scatter: returns this rank's reduced block."""
-        return (
-            yield from self._collective(
-                "reduce_scatter", nbytes_of(payload), _coll.run_reduction,
-                (self, "reduce_scatter", payload, op, self._next_coll_tag()),
-                (payload, op),
-            )
+        return self._collective(
+            "reduce_scatter", nbytes_of(payload), _coll.run_reduction,
+            (self, "reduce_scatter", payload, op, self._next_coll_tag()),
+            (payload, op),
         )
 
     # -- non-blocking collectives ------------------------------------------
@@ -710,11 +692,10 @@ class Comm:
                 total = yield self._shared.arrive(
                     ("agv_total", tag), self.rank, total, _coll._sum_of
                 )
-            result = yield from self._collective(
+            return (yield from self._collective(
                 "iallgatherv", total, _coll.run_allgatherv,
                 (self, payload, tag, total),
-            )
-            return result
+            ))
 
         return spawn_collective(self, "iallgatherv", run())
 

@@ -5,7 +5,8 @@ machine, the placement, the message engine, and ``COMM_WORLD``; spawns
 one process per rank running the user *program*; and collects results and
 statistics into a :class:`JobResult`.
 
-A rank program is a generator taking the per-rank :class:`RankContext`::
+A rank program takes the per-rank :class:`RankContext` and returns the
+coroutine the rank runs — a generator function, typically::
 
     def program(mpi):
         comm = mpi.world
@@ -34,7 +35,7 @@ from repro.mpi.group import Group
 from repro.mpi.p2p import MessageEngine
 from repro.mpi.profiler import CommProfile, aggregate_profiles
 from repro.mpi.shm import win_allocate_shared
-from repro.simulator import Engine, Event
+from repro.simulator import Engine, Event, SimulationError
 from repro.trace import Tracer
 
 import numpy as np
@@ -147,10 +148,7 @@ class RankContext:
     def touch(self, nbytes: float):
         """Coroutine: stream *nbytes* through this rank's memory system
         (its socket's channel on multi-socket nodes)."""
-        result = yield from self.machine.shared_touch(
-            self.node, nbytes, self.socket
-        )
-        return result
+        return self.machine.shared_touch(self.node, nbytes, self.socket)
 
     # -- payload helpers ------------------------------------------------------
     def payload(self, nbytes: int, fill: Any = None) -> Any:
@@ -176,8 +174,7 @@ class RankContext:
     def win_allocate_shared(self, comm: Comm, nbytes: int):
         """Coroutine: allocate a shared window over *comm* (must be a
         single-node communicator)."""
-        win = yield from win_allocate_shared(comm, nbytes)
-        return win
+        return win_allocate_shared(comm, nbytes)
 
 
 @dataclass
@@ -341,8 +338,6 @@ class MPIJob:
             self, Group(list(range(nranks))), name="world"
         )
         contexts = []
-        finish_times = [0.0] * nranks
-        returns: list[Any] = [None] * nranks
         for rank in range(nranks):
             ctx = RankContext(self, rank)
             ctx.world = Comm(world_shared, ctx)
@@ -350,24 +345,27 @@ class MPIJob:
         # Exposed for the replay layer, which applies recorded per-rank
         # profile increments without executing the profiled dispatch.
         self.contexts = contexts
-
-        def wrapper(ctx: RankContext):
-            value = yield from self.program(
-                ctx, *self.program_args, **self.program_kwargs
-            )
-            finish_times[ctx.world_rank] = self.engine.now
-            returns[ctx.world_rank] = value
-            return value
-
+        # A rank's process drives the program's coroutine itself (a
+        # frame between them would cost every resume) and keeps its
+        # return value and finish time.
+        procs = []
         for ctx in contexts:
-            self.engine.spawn(wrapper(ctx), name=f"rank{ctx.world_rank}")
+            name = f"rank{ctx.world_rank}"
+            try:
+                procs.append(self.engine.spawn(self.program(
+                    ctx, *self.program_args, **self.program_kwargs
+                ), name=name))
+            except Exception as exc:
+                raise SimulationError(
+                    f"unhandled exception in process {name!r}"
+                ) from exc
         self.engine.run()
         self.msg_engine.assert_drained()
         net = self.machine.network.stats
         return JobResult(
-            returns=returns,
+            returns=[proc._value for proc in procs],
             elapsed=self.engine.now,
-            finish_times=finish_times,
+            finish_times=[proc.finish_time for proc in procs],
             events_processed=self.engine.event_count,
             sent_messages=self.msg_engine.sent_messages,
             sent_bytes=self.msg_engine.sent_bytes,

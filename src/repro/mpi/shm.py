@@ -104,10 +104,9 @@ class SharedWindow:
         socket channel on multi-socket nodes)."""
         ctx = self.comm.ctx
         machine = ctx.machine
-        result = yield from machine.shared_touch(
+        return machine.shared_touch(
             self._shared.node, nbytes, machine.socket_of(ctx.world_rank)
         )
-        return result
 
     # -- flag store (light-weight sync substrate) ------------------------------
     def flag_read(self, name: str) -> int:
@@ -139,14 +138,17 @@ def win_allocate_shared(comm, nbytes: int):
     """
     if nbytes < 0:
         raise WindowError("window size must be non-negative")
-    placement = comm.ctx.placement
-    nodes = {placement.node_of(w) for w in comm.group.world_ranks()}
-    if len(nodes) != 1:
-        raise WindowError(
-            f"win_allocate_shared requires a single-node communicator; "
-            f"got ranks on nodes {sorted(nodes)}"
-        )
-    node = nodes.pop()
+    # The node is the same for every member: checked once per comm.
+    node = comm.shared_cache.get("_shm_node")
+    if node is None:
+        placement = comm.ctx.placement
+        nodes = {placement.node_of(w) for w in comm.group.world_ranks()}
+        if len(nodes) != 1:
+            raise WindowError(
+                f"win_allocate_shared requires a single-node communicator; "
+                f"got ranks on nodes {sorted(nodes)}"
+            )
+        node = comm.shared_cache["_shm_node"] = nodes.pop()
     data_mode = comm.ctx.data_mode
 
     def reducer(values: dict[int, int]) -> dict[int, Any]:

@@ -334,7 +334,7 @@ class Process(Event):
         result = yield child
     """
 
-    __slots__ = ("generator", "_waiting_on", "_alive")
+    __slots__ = ("generator", "_waiting_on", "_alive", "finish_time")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
         # Slots are assigned inline (not via Event.__init__): processes are
@@ -352,6 +352,8 @@ class Process(Event):
         # (an interrupt after the event triggered) resumes nothing.
         self._waiting_on: Event | None = None
         self._alive = True
+        #: Virtual time at which the generator returned or raised.
+        self.finish_time: float | None = None
         engine._live_processes.add(self)
         engine._defer(self._first_step)
 
@@ -481,6 +483,7 @@ class Process(Event):
     def _finish_ok(self, value: Any) -> None:
         self._alive = False
         engine = self.engine
+        self.finish_time = engine.now
         engine._live_processes.discard(self)
         # Inlined succeed() — the already-triggered check cannot fire (a
         # process event triggers exactly once, here).
@@ -491,6 +494,7 @@ class Process(Event):
     def _finish_fail(self, exc: BaseException) -> None:
         self._alive = False
         engine = self.engine
+        self.finish_time = engine.now
         engine._live_processes.discard(self)
         self._state = _TRIGGERED
         self._exc = exc
@@ -668,6 +672,19 @@ class Engine:
                 heappush(self._heap, time)
             else:
                 bucket.append(item)
+
+    def _push_all(self, time: float, items: list[Any]) -> None:
+        """:meth:`_push` of each of *items* in order, in one step: the
+        list itself becomes the bucket of a timestamp that has none."""
+        if time <= self.now:
+            self._deferred.extend(items)
+        else:
+            bucket = self._timed.get(time)
+            if bucket is None:
+                self._timed[time] = items
+                heappush(self._heap, time)
+            else:
+                bucket.extend(items)
 
     def _note_cancelled(self) -> None:
         # Lazy deletion bookkeeping: once cancelled entries are at least

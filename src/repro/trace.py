@@ -269,8 +269,7 @@ def summarize(trace: list[dict]) -> dict[tuple[str, str], dict]:
     return dict(out)
 
 
-def _event_name(rec: dict) -> str:
-    kind = _kind(rec)
+def _event_name(rec: dict, kind: str) -> str:
     if kind == "dispatch":
         return f"{rec['op']}:{rec['algo']}"
     if kind == "phase":
@@ -346,12 +345,12 @@ def to_chrome_trace(trace: list[dict]) -> dict:
                       "sid", "parent", "peer", "level", "replayed")
             if k in rec
         }
-        args.setdefault("kind", _kind(rec))
+        kind = args["kind"] = _kind(rec)
         track = track_of.get(rec.get("sid"), 0)
         if track:
             lifted.add((rec["rank"], track))
         event: dict[str, Any] = {
-            "name": _event_name(rec),
+            "name": _event_name(rec, kind),
             "ts": rec["t"] * 1e6,
             "pid": 0,
             "tid": rec["rank"] + track * stride,
@@ -417,7 +416,7 @@ def format_timeline(trace: list[dict], width: int = 72,
         dur_s = f"{dur * 1e6:>9.2f}" if dur is not None else f"{'-':>9}"
         lines.append(
             f"{rec['t'] * 1e6:>10.2f}  {dur_s}  {rec['rank']:>4}  "
-            f"{_event_name(rec):<32} {bar}"
+            f"{_event_name(rec, _kind(rec)):<32} {bar}"
         )
     if len(ordered) > max_rows:
         lines.append(f"... (+{len(ordered) - max_rows} more records)")

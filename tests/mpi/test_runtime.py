@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.machine import Placement, testing_machine as make_testing_spec
 from repro.mpi import Bytes, MPIJob, run_program
-from repro.simulator import DeadlockError
+from repro.simulator import DeadlockError, SimulationError
 from tests.helpers import returns_of, run
 
 
@@ -185,3 +187,58 @@ class TestPlacementIntegration:
         placement = Placement.irregular([3, 1])
         rets = returns_of(prog, nodes=2, cores=4, placement=placement)
         assert rets == [3, 3, 3, 1]
+
+
+class TestRankProcesses:
+    """Each rank's process drives the program's coroutine itself: the
+    result, finish times and failures read as with a wrapper around it."""
+
+    def test_returns_and_finish_times_of_staggered_ranks(self):
+        delays = [3e-6, 0.0, 1e-3, 2.5e-7]
+
+        def prog(mpi):
+            delay = delays[mpi.world_rank]
+            if delay:
+                yield mpi.compute(delay)
+            return ("done", mpi.world_rank)
+
+        result = run(prog, nodes=1, cores=4, nprocs=4)
+        # The tick grid's exact arithmetic (Engine.qtime from t = 0).
+        expected = [math.ceil(d * 2.0 ** 50) * 2.0 ** -50 for d in delays]
+        assert result.finish_times == expected
+        assert result.returns == [("done", r) for r in range(4)]
+        assert result.elapsed == max(expected)
+
+    def test_a_raising_rank_is_named(self):
+        def prog(mpi):
+            yield mpi.compute(1e-6)
+            if mpi.world_rank == 2:
+                raise KeyError("boom")
+            return None
+
+        with pytest.raises(SimulationError,
+                           match="unhandled exception in process 'rank2'"
+                           ) as info:
+            run(prog, nodes=1, cores=4, nprocs=4)
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_a_program_without_a_coroutine_is_named(self):
+        def prog(mpi):
+            return mpi.world_rank
+
+        with pytest.raises(SimulationError,
+                           match="unhandled exception in process 'rank0'"
+                           ) as info:
+            run(prog, nodes=1, cores=2, nprocs=2)
+        assert isinstance(info.value.__cause__, TypeError)
+
+    def test_a_program_may_return_its_coroutine(self):
+        def body(mpi):
+            total = yield from mpi.world.allreduce(
+                np.array([float(mpi.world_rank)]))
+            return float(total[0])
+
+        def prog(mpi):
+            return body(mpi)
+
+        assert returns_of(prog, nodes=1, cores=3, nprocs=3) == [3.0] * 3

@@ -153,3 +153,35 @@ def test_entries_run_in_time_then_push_order(raw):
         stepped.step()
     assert by_step == expected
     assert stepped.event_count == ran.event_count
+
+
+@given(groups=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
+                       min_size=1, max_size=8),
+       before=st.lists(st.integers(0, 3), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_a_pushed_group_runs_as_its_items_pushed_one_by_one(groups, before):
+    """``Engine._push_all`` (a replay hit's wakes of one tick) takes the
+    places ``_push`` gives its items one by one: behind what the bucket
+    holds already, or in the FIFO at the current time (0 steps)."""
+    orders = []
+    for grouped in (False, True):
+        eng = Engine()
+        seen: list = []
+
+        def start(eng=eng, seen=seen, grouped=grouped):
+            for j, k in enumerate(before):
+                eng.call_later(k * UNIT, lambda j=j: seen.append(("b", j)))
+            for g, (k, n) in enumerate(groups):
+                items = [lambda g=g, i=i: seen.append((g, i))
+                         for i in range(n)]
+                time = eng.now + k * UNIT
+                if grouped:
+                    eng._push_all(time, items)
+                else:
+                    for item in items:
+                        eng._push(time, item)
+
+        eng.call_later(UNIT, start)
+        eng.run()
+        orders.append((seen, eng.event_count))
+    assert orders[0] == orders[1]

@@ -141,3 +141,69 @@ def test_cli_rejects_bad_trace_inputs(flags, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == message + f", got {flags[1]}"
     assert not tpath.exists()
+
+
+def _histogram_per_bound(values):
+    """The histogram as a count over all values per bound."""
+    return {
+        "buckets": [[bound, sum(1 for v in values if v <= bound)]
+                    for bound in LATENCY_BUCKETS],
+        "count": len(values),
+        "sum": sum(values),
+    }
+
+
+def _name_and_kind(rec):
+    """A Chrome event's name and ``args.kind``, derived from scratch."""
+    kind = rec.get("kind", "dispatch")
+    name = {
+        "dispatch": lambda: f"{rec['op']}:{rec['algo']}",
+        "phase": lambda: rec["phase"],
+        "p2p": lambda: f"p2p.{rec['op']}",
+        "shm": lambda: f"shm.{rec['op']}",
+        "compute": lambda: f"compute:{rec['op']}",
+    }.get(kind, lambda: kind)()
+    return name, kind
+
+
+def test_consumers_match_the_per_record_formulas_on_a_p2p_trace():
+    """One sorted pass per histogram and one kind lookup per Chrome
+    event give what a count per bound and a lookup per use give, on a
+    recorded p2p-detail OSU trace — with latencies and queue waits equal
+    to every bucket bound added, where ``<=`` decides."""
+    from repro.bench import osu
+    from repro.machine.placement import Placement
+    from repro.machine.presets import hazel_hen
+    from repro.mpi import run_program
+    from repro.trace import to_chrome_trace
+
+    result = run_program(
+        hazel_hen(2), None, osu.pure_allgather_program,
+        placement=Placement.block(2, 6), payload="cost-only", trace="p2p",
+        program_kwargs={"nbytes_per_rank": 4096, "reps": 3, "warmup": 1})
+    edges = [dict(rank=0, kind="dispatch", op="allgather", algo="edge",
+                  t=0.0, dur=bound) for bound in LATENCY_BUCKETS]
+    edges += [dict(rank=1, kind="queue_wait", t=0.0, wait=bound)
+              for bound in LATENCY_BUCKETS]
+    result.trace.extend(edges)
+    m = collect_metrics(result)
+    assert m["ops"]["allgather:edge"]["latency"] == _histogram_per_bound(
+        list(LATENCY_BUCKETS))
+    by_key: dict[str, list] = {}
+    waits = []
+    for rec in result.trace:
+        kind = rec.get("kind", "dispatch")
+        if kind == "dispatch" and rec.get("dur") is not None:
+            by_key.setdefault(f"{rec['op']}:{rec['algo']}", []).append(
+                rec["dur"])
+        elif kind == "queue_wait":
+            waits.append(rec["wait"])
+    assert len(by_key) >= 2 and len(waits) > len(LATENCY_BUCKETS)
+    for key, durations in by_key.items():
+        assert m["ops"][key]["latency"] == _histogram_per_bound(durations)
+    assert m["queue_wait"] == _histogram_per_bound(waits)
+    events = to_chrome_trace(result.trace)["traceEvents"]
+    for rec, event in zip(result.trace, events):
+        name, kind = _name_and_kind(rec)
+        assert (event["name"], event["args"]["kind"]) == (name, kind)
+        assert list(event["args"])[-1] == "kind"
