@@ -69,6 +69,7 @@ from repro.machine import presets as _presets
 from repro.mpi.collectives.registry import (
     DEFAULT_POLICY,
     ForcedSelection,
+    ops as registered_ops,
     resolve_policy,
 )
 from repro.mpi.runtime import PAYLOAD_MODES
@@ -149,11 +150,13 @@ class SweepPoint:
         ``"sim"`` (discrete-event simulator) or ``"model"``
         (closed-form analytic model).
     op / algo:
-        Explicit operation / algorithm.  For ``engine="sim"`` a set
-        ``algo`` is forced through ``ForcedSelection``; for
-        ``engine="model"`` both default from the variant
-        (``hy_allgather/shared_window`` for hybrid) but a pure-variant
-        model point must name its algorithm explicitly.
+        Explicit operation / algorithm.  A simulator point runs the
+        variant's collective, so its ``op`` may only name that one
+        (``hy_allgather``, else ``allgather``/``allgatherv`` by the
+        population); a set ``algo`` is forced through
+        ``ForcedSelection``.  A model point prices any registered
+        ``op``; both default from the variant, and without ``algo``
+        the decision table's pick is priced.
     transport:
         On-node transport override (``None`` keeps the preset's).
     socket_mode:
@@ -261,6 +264,17 @@ class SweepPoint:
                              "latency and overlap workloads")
         if self.compute_grain < 0:
             raise ValueError("compute_grain must be non-negative")
+        if self.op is None:
+            return
+        if self.engine == "model":
+            if self.op not in registered_ops():
+                raise ValueError(
+                    f"unknown op {self.op!r}; known: "
+                    f"{', '.join(sorted(registered_ops()))}")
+        elif self.op != self._variant_op:
+            raise ValueError(
+                f"a {self.variant} simulator point on counts {self.counts} "
+                f"runs {self._variant_op!r}, not op={self.op!r}")
 
     # -- derived views ---------------------------------------------------
     @property
@@ -269,13 +283,16 @@ class SweepPoint:
         return len(set(self.counts)) > 1
 
     @property
-    def resolved_op(self) -> str:
-        """The collective this point measures (explicit or derived)."""
-        if self.op:
-            return self.op
+    def _variant_op(self) -> str:
+        """The collective the variant measures on this population."""
         if self.variant == "hybrid":
             return "hy_allgather"
         return "allgatherv" if self.is_irregular else "allgather"
+
+    @property
+    def resolved_op(self) -> str:
+        """The collective this point measures (explicit or derived)."""
+        return self.op or self._variant_op
 
     def spec(self) -> MachineSpec:
         """The resolved :class:`~repro.machine.model.MachineSpec`."""
@@ -1230,8 +1247,12 @@ def _cmd_run(args) -> int:
     if args.figure:
         names, points = zip(*figure_points(args.figure, quick=args.quick))
     else:
-        with open(args.spec, encoding="utf-8") as fh:
-            points = expand_spec(json.load(fh))
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                points = expand_spec(json.load(fh))
+        except ValueError as exc:
+            print(f"repro-sweep run: {args.spec}: {exc}", file=sys.stderr)
+            return 2
         names = None
     report = run_sweep(
         points, cache=cache, workers=args.workers, timeout=args.timeout,

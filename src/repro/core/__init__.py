@@ -16,10 +16,11 @@ Public API
   hybrid allgather(v) (Fig 4 lines 21-40).
 * ``ctx.bcast_buffer(nbytes)`` / ``yield from ctx.bcast(buf, root)`` —
   hybrid broadcast (Fig 6).
-* Extensions in the same style: ``allreduce``, ``gather``, ``scatter``,
-  ``alltoall``; pipelined large-message bridge exchange
-  (:mod:`repro.core.pipeline`, paper §7); non-SMP rank placement support
-  via the node-sorted rank array (:mod:`repro.core.placement`, §6).
+* Extensions in the same style: ``allreduce`` (the journal version's
+  third collective) and ``alltoall``; pipelined large-message bridge
+  exchange (:mod:`repro.core.pipeline`, paper §7); non-SMP rank
+  placement support via the node-sorted rank array
+  (:mod:`repro.core.placement`, §6).
 * Synchronization policies (:mod:`repro.core.sync`): heavy-weight
   :class:`BarrierSync` (the paper's default) and light-weight
   :class:`FlagSync` (§6/§7 discussion).
@@ -41,10 +42,9 @@ Example
 from repro.core.allgather import hy_allgather, hy_allgatherv
 from repro.core.alltoall import hy_alltoall
 from repro.core.bcast import hy_bcast
-from repro.core.gather import hy_gather, hy_scatter
 from repro.core.hierarchy import HybridContext
 from repro.core.placement import NodeSortedLayout
-from repro.core.reduce import hy_allreduce, hy_reduce
+from repro.core.reduce import hy_allreduce
 from repro.core.shared_buffer import SharedBuffer
 from repro.core.sync import BarrierSync, FlagSync, SyncPolicy
 
@@ -60,7 +60,4 @@ __all__ = [
     "hy_allreduce",
     "hy_alltoall",
     "hy_bcast",
-    "hy_gather",
-    "hy_reduce",
-    "hy_scatter",
 ]

@@ -1,4 +1,4 @@
-"""Hybrid allreduce / reduce — extensions in the paper's style.
+"""Hybrid allreduce — an extension in the paper's style.
 
 The paper implements allgather and broadcast and names allreduce among
 the "important" collectives (§1); the same one-copy-per-node recipe
@@ -32,7 +32,7 @@ from repro.mpi.collectives.reduce import combine
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes, nbytes_of
 
-__all__ = ["hy_allreduce", "hy_reduce"]
+__all__ = ["hy_allreduce"]
 
 
 def _fold_factor(ctx) -> float:
@@ -110,49 +110,6 @@ def hy_allreduce(ctx, contribution: Any, nbytes: int,
         if isinstance(partial, np.ndarray):
             result_buf.write_region(0, partial.view(np.uint8))
     yield from sync.post_exchange(ctx)
-    view = result_buf.region_view(0, nbytes, np.float64)
-    if view is not None:
-        return view
-    return Bytes(nbytes)
-
-
-def hy_reduce(ctx, contribution: Any, nbytes: int,
-              op: ReduceOp = ReduceOp.SUM, root: int = 0,
-              sync: SyncPolicy | None = None) -> Any:
-    """Coroutine: hybrid reduce to comm rank *root*.
-
-    Same staging as :func:`hy_allreduce` with the bridge step replaced
-    by a rooted reduce toward the root's node leader.  Returns the
-    result on ranks of the root's node (shared view); None elsewhere.
-    """
-    if nbytes_of(contribution) != nbytes:
-        raise ValueError(
-            f"contribution is {nbytes_of(contribution)} B, declared {nbytes} B"
-        )
-    sync = sync or ctx.default_sync
-    placement = ctx.comm.ctx.placement
-    root_world = ctx.comm.world_rank_of(root)
-    root_node = placement.node_of(root_world)
-    scratch, result_buf = yield from _scratch_buffer(ctx, nbytes)
-
-    local = scratch.local_view(np.float64)
-    if local is not None and isinstance(contribution, np.ndarray):
-        local[:] = np.asarray(contribution, dtype=np.float64).reshape(-1)
-    yield from sync.pre_exchange(ctx)
-
-    if ctx.is_leader:
-        ppn = scratch.layout.node_count(ctx.node)
-        yield from ctx.comm.ctx.touch(ppn * nbytes * _fold_factor(ctx))
-        yield ctx.comm.ctx.compute_flops(ppn * nbytes / 8.0, kind="blas1")
-        partial = _node_partial(ctx, scratch, nbytes, op)
-        if ctx.multi_node:
-            root_bridge = ctx.bridge_rank_of_node(root_node)
-            partial = yield from ctx.bridge.reduce(partial, op, root=root_bridge)
-        if ctx.node == root_node and isinstance(partial, np.ndarray):
-            result_buf.write_region(0, partial.view(np.uint8))
-    yield from sync.post_exchange(ctx)
-    if ctx.node != root_node:
-        return None
     view = result_buf.region_view(0, nbytes, np.float64)
     if view is not None:
         return view

@@ -293,6 +293,33 @@ def test_point_rejects_unknown_payload(payload):
                    payload=payload)
 
 
+@pytest.mark.parametrize("engine,op", [
+    ("sim", "bcast"), ("sim", "allgather"), ("sim", "nosuch"),
+    ("model", "nosuch"), ("model", "hy_reduce"),
+])
+def test_point_rejects_an_op_it_would_not_measure(tmp_path, capsys, engine,
+                                                  op):
+    """A simulator point runs its variant's collective (a hybrid one on
+    (4, 4) runs ``hy_allgather``), so any other ``op`` would be cached
+    under its own key with that latency; a model point prices only
+    registered ops.  Both fail when the point is built, and a spec
+    naming one exits 2."""
+    from repro.bench.sweep import main
+
+    with pytest.raises(ValueError, match=repr(op)):
+        SweepPoint(machine="testing", counts=(4, 4), nbytes=4096,
+                   engine=engine, op=op)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "machine": "testing", "counts": [4, 4], "nbytes": 4096,
+        "engine": engine, "op": op,
+    }))
+    assert main(["run", "--spec", str(spec_path), "--quiet"]) == 2
+    assert repr(op) in capsys.readouterr().err
+    SweepPoint(machine="testing", counts=(4, 4), nbytes=4096,
+               engine=engine, op="hy_allgather")
+
+
 def test_cost_model_rejects_unknown_socket_mode():
     from repro.analysis.model import CostModel
 

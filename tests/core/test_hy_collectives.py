@@ -7,8 +7,6 @@ import pytest
 
 from repro.core import FlagSync, HybridContext
 from repro.core.alltoall import alloc_alltoall_buffers, hy_alltoall
-from repro.core.gather import hy_gather, hy_scatter
-from repro.core.reduce import hy_reduce
 from repro.machine import Placement
 from repro.mpi.constants import ReduceOp
 from tests.helpers import returns_of
@@ -199,22 +197,6 @@ class TestHyReductions:
         rets = returns_of(prog, nodes=2, cores=3)
         assert all(r == 5.0 for r in rets)
 
-    def test_reduce_to_root_node(self):
-        def prog(mpi):
-            comm = mpi.world
-            ctx = yield from HybridContext.create(comm)
-            from repro.core.reduce import hy_reduce
-
-            out = yield from hy_reduce(
-                ctx, np.array([1.0]), 8, ReduceOp.SUM, root=2
-            )
-            return None if out is None else float(np.asarray(out)[0])
-
-        rets = returns_of(prog, nodes=2, cores=2)
-        # root 2 is on node 1; both node-1 ranks share the result window.
-        assert rets[2] == 4.0
-        assert rets[0] is None and rets[1] is None
-
     def test_allreduce_size_mismatch_rejected(self):
         def prog(mpi):
             comm = mpi.world
@@ -228,41 +210,6 @@ class TestHyReductions:
 
         rets = returns_of(prog, nodes=1, cores=2, nprocs=2)
         assert all(r == "rejected" for r in rets)
-
-
-class TestHyGatherScatter:
-    def test_gather_to_root_node(self):
-        def prog(mpi):
-            comm = mpi.world
-            ctx = yield from HybridContext.create(comm)
-            buf = yield from ctx.allgather_buffer(8)
-            buf.local_view(np.float64)[:] = comm.rank * 3.0
-            yield from hy_gather(ctx, buf, root=0)
-            if mpi.node == 0:
-                return [
-                    float(buf.slot_view(r, np.float64)[0])
-                    for r in range(comm.size)
-                ]
-            return None
-
-        rets = returns_of(prog, nodes=2, cores=2)
-        assert rets[0] == [0.0, 3.0, 6.0, 9.0]
-        assert rets[1] == [0.0, 3.0, 6.0, 9.0]  # shared on the node
-        assert rets[2] is None
-
-    def test_scatter_from_root(self):
-        def prog(mpi):
-            comm = mpi.world
-            ctx = yield from HybridContext.create(comm)
-            buf = yield from ctx.allgather_buffer(8)
-            if comm.rank == 0:
-                view = buf.node_view(np.float64)
-                view[:] = np.arange(comm.size, dtype=np.float64) * 5
-            yield from hy_scatter(ctx, buf, root=0)
-            return float(buf.local_view(np.float64)[0])
-
-        rets = returns_of(prog, nodes=2, cores=2)
-        assert rets == [0.0, 5.0, 10.0, 15.0]
 
 
 class TestHyAlltoall:
