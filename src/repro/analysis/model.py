@@ -53,6 +53,7 @@ from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.machine.placement import Placement
+from repro.machine.topology import topology_for
 from repro.mpi.collectives.registry import (
     BRIDGE_ALLGATHERV,
     BRIDGE_ALLREDUCE,
@@ -80,44 +81,29 @@ __all__ = [
 #: result cache (:mod:`repro.bench.sweep`) folds this into the cache key
 #: of every model-engine point, so cached predictions invalidate
 #: automatically when the formulas move.
-MODEL_VERSION = "7.0"
+MODEL_VERSION = "7.1"
 
 
 # ---------------------------------------------------------------------------
 # Representative hop counts
 # ---------------------------------------------------------------------------
 
-def _rep_hops_kind(kind: str, num_nodes: int) -> int:
-    """Representative (worst-pair) router hop count for *num_nodes* of a
-    topology family, mirroring the constructions in
-    :mod:`repro.machine.topology`."""
-    if num_nodes <= 1:
-        return 0
-    if kind == "dragonfly":
-        if num_nodes <= 4:       # one router (nodes_per_router=4)
-            return 1
-        if num_nodes <= 64:      # one group (16 routers/group)
-            return 2
-        return 4                 # cross-group via gateways
-    if kind == "fattree":
-        return 1 if num_nodes <= 24 else 3   # same leaf : via spine
-    return 2                     # flat (uniform_hops)
-
-
 def _rep_hops(topology, kind: str, node_ids: Sequence[int] | None,
               n: int) -> int:
     """Worst pairwise hops over the *n* nodes *node_ids* (``None`` means
-    ``0..n-1``; exact for small sets)."""
+    ``0..n-1``): exact over a small set on a *topology* instance, else
+    the diameter of the *kind*'s topology over the nodes' span."""
     if n <= 1:
         return 0
-    if topology is not None and not isinstance(topology, str) and n <= 64:
+    if topology is not None and n <= 64:
         ids = node_ids if node_ids is not None else range(n)
         worst = 0
         for i in range(n):
             for j in range(i + 1, n):
                 worst = max(worst, topology.hops(ids[i], ids[j]))
         return worst
-    return _rep_hops_kind(kind, max(node_ids) + 1 if node_ids else n)
+    span = max(node_ids) + 1 if node_ids else n
+    return topology_for(kind, span).diameter_hops()
 
 
 def _is_pof2(n: int) -> bool:

@@ -1283,8 +1283,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    try:
+        point = _point_from_args(args)
+    except ValueError as exc:
+        print(f"repro-sweep query: {exc}", file=sys.stderr)
+        return 2
     cache = ResultCache(args.cache) if args.cache else None
-    point = _point_from_args(args)
     key = cache_key(point)
     if args.cache_only:
         stored = cache.get(key) if cache is not None else None

@@ -14,7 +14,7 @@ The central classes are:
 * :class:`Placement` — the rank→(node, core) map (SMP/block, round-robin,
   or irregular per-node counts).
 * :class:`NetworkModel` / :class:`Topology` — inter-node latency,
-  bandwidth, and hop counts (dragonfly / fat-tree / torus via networkx).
+  bandwidth, and closed-form hop counts (dragonfly / fat-tree / torus).
 
 Presets live in :mod:`repro.machine.presets`; use
 :func:`~repro.machine.presets.hazel_hen` or

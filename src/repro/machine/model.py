@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from repro.machine.compute import ComputeModel
 from repro.machine.network import NetworkModel, NetworkSpec
 from repro.machine.placement import Placement
-from repro.machine.topology import Topology
+from repro.machine.topology import TOPOLOGY_KINDS, Topology, topology_for
 from repro.machine.transport import Transport, get_transport
 from repro.simulator import BandwidthChannel, Engine
 
@@ -155,7 +155,7 @@ class MachineSpec:
     def validate(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.topology_kind not in ("flat", "dragonfly", "fattree"):
+        if self.topology_kind not in TOPOLOGY_KINDS:
             raise ValueError(f"unknown topology_kind {self.topology_kind!r}")
         self.node.validate()
         self.network.validate()
@@ -197,17 +197,7 @@ class MachineSpec:
 
     def build_topology(self) -> Topology:
         """Construct the default topology for this spec."""
-        from repro.machine.topology import (
-            DragonflyTopology,
-            FatTreeTopology,
-            FlatTopology,
-        )
-
-        if self.topology_kind == "dragonfly":
-            return DragonflyTopology(self.num_nodes)
-        if self.topology_kind == "fattree":
-            return FatTreeTopology(self.num_nodes)
-        return FlatTopology(self.num_nodes)
+        return topology_for(self.topology_kind, self.num_nodes)
 
 
 class Machine:

@@ -1,66 +1,48 @@
 """Inter-node network topologies.
 
 A :class:`Topology` answers one question for the cost model: how many
-router-to-router hops separate two nodes?  Three concrete topologies are
-provided, matching the evaluation platforms of the paper plus a torus for
-ablations:
+router hops separate two nodes?  Every count is closed form, from the
+node ids alone; a pair on the same node is 0 hops and a pair sharing a
+router is 1.  Four concrete topologies are provided, matching the
+evaluation platforms of the paper plus a torus for ablations:
 
 * :class:`DragonflyTopology` — Cray Aries-style: nodes attach to routers,
   routers form all-to-all *groups*, groups are connected all-to-all by
-  global links.  Minimal routing gives 1-5 hops.
-* :class:`FatTreeTopology` — InfiniBand-style k-ary fat-tree (2-level:
-  leaf and spine).  Same-leaf pairs are 2 hops; otherwise 4.
+  one global link between their gateways (each group's lowest router).
+  Minimal routing gives 1-4 hops.
+* :class:`FatTreeTopology` — InfiniBand-style 2-level fat tree (leaf and
+  spine).  Same-leaf pairs are 1 hop; otherwise 3 (leaf-spine-leaf).
 * :class:`FlatTopology` — uniform hop count; useful for calibration and
   unit tests.
 * :class:`TorusTopology` — n-dimensional torus, for ablation studies.
 
-Topologies build an explicit :mod:`networkx` graph; the hop counts of
-its minimal routes are what :class:`repro.machine.network.NetworkModel`
-charges per message.
+These hop counts are what :class:`repro.machine.network.NetworkModel`
+charges per message and what :mod:`repro.analysis.model` prices as a
+placement's worst pair (:meth:`Topology.diameter_hops`).
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 
-import networkx as nx
-
 __all__ = [
+    "TOPOLOGY_KINDS",
     "Topology",
     "FlatTopology",
     "DragonflyTopology",
     "FatTreeTopology",
     "TorusTopology",
+    "topology_for",
 ]
 
 
 class Topology(ABC):
-    """Abstract base: maps node ids to router graph positions."""
+    """Abstract base: hop counts between compute nodes ``0..num_nodes-1``."""
 
     def __init__(self, num_nodes: int):
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
-        self._graph: nx.Graph | None = None
-        # (router, router) -> hops, memoized per instance so the cache
-        # dies with the topology (and its graph) instead of pinning it.
-        self._hops: dict[tuple[object, object], int] = {}
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The router-level graph (lazily built)."""
-        if self._graph is None:
-            self._graph = self._build_graph()
-        return self._graph
-
-    @abstractmethod
-    def _build_graph(self) -> nx.Graph:
-        """Construct the router graph; nodes attach via ``attachment``."""
-
-    @abstractmethod
-    def attachment(self, node: int) -> object:
-        """Router-graph vertex that compute node *node* attaches to."""
 
     def hops(self, src: int, dst: int) -> int:
         """Router hops between two compute nodes (0 if same node)."""
@@ -68,39 +50,21 @@ class Topology(ABC):
         self._check(dst)
         if src == dst:
             return 0
-        return self._router_hops(self.attachment(src), self.attachment(dst))
+        return self._pair_hops(src, dst)
 
-    def path(self, src: int, dst: int) -> list[tuple[object, object]]:
-        """Sequence of router-graph edges a minimally-routed message uses."""
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return []
-        nodes = nx.shortest_path(self.graph, self.attachment(src), self.attachment(dst))
-        return list(itertools.pairwise(nodes))
+    @abstractmethod
+    def _pair_hops(self, src: int, dst: int) -> int:
+        """Hops between two distinct, in-range nodes."""
 
-    def _router_hops(self, a: object, b: object) -> int:
-        if a == b:
-            # Same router: one hop up and down through it, counted as 1.
-            return 1
-        hops = self._hops.get((a, b))
-        if hops is None:
-            hops = self._hops[a, b] = (
-                nx.shortest_path_length(self.graph, a, b) + 1
-            )
-        return hops
+    @abstractmethod
+    def diameter_hops(self) -> int:
+        """Maximum of :meth:`hops` over all node pairs (0 for one node)."""
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ValueError(
                 f"node {node} out of range for {self.num_nodes}-node topology"
             )
-
-    def diameter_hops(self) -> int:
-        """Maximum hop count over all node pairs (router diameter + 1)."""
-        if self.num_nodes == 1:
-            return 0
-        return nx.diameter(self.graph) + 1
 
 
 class FlatTopology(Topology):
@@ -112,21 +76,11 @@ class FlatTopology(Topology):
             raise ValueError("uniform_hops must be >= 1")
         self.uniform_hops = uniform_hops
 
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_node("switch")
-        return g
+    def _pair_hops(self, src: int, dst: int) -> int:
+        return self.uniform_hops
 
-    def attachment(self, node: int) -> object:
-        return "switch"
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        return 0 if src == dst else self.uniform_hops
-
-    def path(self, src: int, dst: int) -> list[tuple[object, object]]:
-        return []  # single switch: no router-router edges
+    def diameter_hops(self) -> int:
+        return self.uniform_hops if self.num_nodes > 1 else 0
 
 
 class DragonflyTopology(Topology):
@@ -140,7 +94,8 @@ class DragonflyTopology(Topology):
         Compute nodes attached to each router (Aries: 4).
     routers_per_group:
         Routers forming one all-to-all group (Aries: 96; smaller values
-        keep test graphs tiny while preserving the 1/3/5-hop structure).
+        keep test systems tiny while preserving the 1/2/3/4-hop
+        structure).
     """
 
     def __init__(
@@ -155,12 +110,6 @@ class DragonflyTopology(Topology):
         self.nodes_per_router = nodes_per_router
         self.routers_per_group = routers_per_group
 
-    def _router_of(self, node: int) -> int:
-        return node // self.nodes_per_router
-
-    def _group_of_router(self, router: int) -> int:
-        return router // self.routers_per_group
-
     @property
     def num_routers(self) -> int:
         return -(-self.num_nodes // self.nodes_per_router)
@@ -169,33 +118,31 @@ class DragonflyTopology(Topology):
     def num_groups(self) -> int:
         return -(-self.num_routers // self.routers_per_group)
 
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        routers = range(self.num_routers)
-        g.add_nodes_from(routers)
-        # Intra-group all-to-all (local links).
-        for grp in range(self.num_groups):
-            members = [
-                r
-                for r in routers
-                if self._group_of_router(r) == grp
-            ]
-            for a, b in itertools.combinations(members, 2):
-                g.add_edge(a, b, kind="local")
-        # Inter-group: connect group g1<->g2 via one deterministic global
-        # link between low-indexed routers of each group.
-        for g1, g2 in itertools.combinations(range(self.num_groups), 2):
-            r1 = min(
-                r for r in routers if self._group_of_router(r) == g1
-            )
-            r2 = min(
-                r for r in routers if self._group_of_router(r) == g2
-            )
-            g.add_edge(r1, r2, kind="global")
-        return g
+    def _pair_hops(self, src: int, dst: int) -> int:
+        a = src // self.nodes_per_router
+        b = dst // self.nodes_per_router
+        if a == b:
+            return 1
+        rpg = self.routers_per_group
+        if a // rpg == b // rpg:
+            return 2  # one local link
+        # local link to the gateway (unless at it), the global link,
+        # local link from the far gateway (unless at it).
+        return 2 + (a % rpg > 0) + (b % rpg > 0)
 
-    def attachment(self, node: int) -> object:
-        return self._router_of(node)
+    def diameter_hops(self) -> int:
+        if self.num_nodes == 1:
+            return 0
+        if self.num_routers == 1:
+            return 1
+        groups = self.num_groups
+        if groups == 1:
+            return 2
+        # A cross-group pair adds a hop per end off its group's gateway;
+        # count the groups that have a router other than their gateway.
+        last = self.num_routers - (groups - 1) * self.routers_per_group
+        off_gateway = (groups - 1) * (self.routers_per_group > 1) + (last > 1)
+        return 2 + min(2, off_gateway)
 
 
 class FatTreeTopology(Topology):
@@ -212,19 +159,13 @@ class FatTreeTopology(Topology):
     def num_leaves(self) -> int:
         return -(-self.num_nodes // self.leaf_radix)
 
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        leaves = [("leaf", i) for i in range(self.num_leaves)]
-        spines = [("spine", i) for i in range(self.num_spines)]
-        g.add_nodes_from(leaves)
-        g.add_nodes_from(spines)
-        for leaf in leaves:
-            for spine in spines:
-                g.add_edge(leaf, spine, kind="uplink")
-        return g
+    def _pair_hops(self, src: int, dst: int) -> int:
+        return 1 if src // self.leaf_radix == dst // self.leaf_radix else 3
 
-    def attachment(self, node: int) -> object:
-        return ("leaf", node // self.leaf_radix)
+    def diameter_hops(self) -> int:
+        if self.num_nodes == 1:
+            return 0
+        return 1 if self.num_leaves == 1 else 3
 
 
 class TorusTopology(Topology):
@@ -249,22 +190,39 @@ class TorusTopology(Topology):
             rem //= d
         return tuple(reversed(out))
 
-    def _build_graph(self) -> nx.Graph:
-        g: nx.Graph = nx.grid_graph(dim=list(reversed(self.dims)), periodic=True)
-        return g
-
-    def attachment(self, node: int) -> object:
-        # networkx grid_graph uses reversed coordinate order.
-        return tuple(reversed(self.coords(node)))
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return 0
+    def _pair_hops(self, src: int, dst: int) -> int:
         a, b = self.coords(src), self.coords(dst)
         total = 0
         for x, y, d in zip(a, b, self.dims):
             delta = abs(x - y)
             total += min(delta, d - delta)
         return total + 1  # +1 for the injection hop
+
+    def diameter_hops(self) -> int:
+        if self.num_nodes == 1:
+            return 0
+        return sum(d // 2 for d in self.dims) + 1
+
+
+_KINDS: dict[str, type[Topology]] = {
+    "flat": FlatTopology,
+    "dragonfly": DragonflyTopology,
+    "fattree": FatTreeTopology,
+}
+
+#: The ``MachineSpec.topology_kind`` values :func:`topology_for` builds.
+TOPOLOGY_KINDS = tuple(_KINDS)
+
+
+def topology_for(kind: str, num_nodes: int) -> Topology:
+    """The default topology of a ``MachineSpec.topology_kind`` over
+    *num_nodes* nodes, with each class's default parameters.
+
+    >>> topology_for("fattree", 48).diameter_hops()
+    3
+    """
+    try:
+        cls = _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown topology_kind {kind!r}") from None
+    return cls(num_nodes)

@@ -23,12 +23,10 @@ from repro.mpi.collectives import registry
 from repro.mpi.collectives.registry import (
     CollRequest,
     _vector_overhead,
-    bridge_allgatherv as _bridge_allgatherv,
     policy_of,
     trace_begin,
     trace_end,
 )
-from repro.mpi.collectives.barrier import barrier_shm_flags as _shm_barrier
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import nbytes_of
 

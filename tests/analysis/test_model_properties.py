@@ -2,16 +2,19 @@
 
 For every registered (op, algo) pair: predictions are finite and
 positive, deterministic across calls, and non-decreasing in both the
-message size and the rank count.
+message size and the rank count.  The model's hop count is the
+simulator's worst pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
-from repro.analysis.model import predict
+from repro.analysis.model import CostModel, predict
+from repro.machine import presets
 from repro.mpi.collectives import registry
 
 from .conformance import CASES
@@ -93,3 +96,18 @@ def test_registry_and_cases_agree():
         for algo in registry.algorithms_for(op)
     }
     assert registered == set(CASES)
+
+
+@pytest.mark.parametrize(
+    "make", [presets.hazel_hen, presets.vulcan, presets.testing_machine],
+    ids=["dragonfly", "fattree", "flat"])
+def test_representative_hops_are_the_des_worst_pair(make):
+    """Priced without a topology object, the model's hop count over n
+    nodes is the largest the simulator charges between two of them."""
+    for n in range(1, 129):
+        spec = make(n)
+        topo = spec.build_topology()
+        worst = max((topo.hops(a, b)
+                     for a, b in itertools.combinations(range(n), 2)),
+                    default=0)
+        assert CostModel(spec, (1,) * n).hops == worst, n

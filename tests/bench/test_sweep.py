@@ -122,7 +122,9 @@ def _clear_selection_env(monkeypatch):
 
 
 #: Points the parent code could build, with the name, key and seed it
-#: gave them: adding a workload kind must move none of them.
+#: gave them: adding a workload kind must move none of them.  A model
+#: point's key folds in ``MODEL_VERSION`` (here "7.1"), so it moves, by
+#: design, when the model's predictions do.
 _PARENT_POINTS = {
     "hybrid": (
         dict(machine="hazel_hen", counts=(24,), nbytes=8),
@@ -140,13 +142,13 @@ _PARENT_POINTS = {
              engine="model", algo="shared_window_3l",
              transport="cma_single_copy", socket_mode="scatter"),
         "n2x12/64el/hybrid/shared_window_3l/cma_single_copy/scatter/model",
-        "a72c45a9db48f373c161851ca8779cc21bd18acf059b18d96b7f720f8cbce15f",
+        "2a0dbe2454d643894471cf90f5a53d971e762c80a63b2a96d61235a6690d1995",
         2478607992),
     "model-op-payload": (
         dict(machine="testing", counts=(3,), nbytes=12, variant="pure",
              engine="model", op="allgather", algo="ring", payload="data"),
         "n1x3/12B/pure/ring/model",
-        "3d3fbfe52d8c4630b2e036341d0912cac86cf9268dce8f0be5ea334d0b18db41",
+        "dad90ff3c5af4465f017bc53080dd88aa128adb73f91d39cb1de631539d31ec5",
         2486769150),
     "sim-forced-2s": (
         dict(machine="hazel_hen_2s", counts=(24,) * 4, nbytes=64,
@@ -230,7 +232,8 @@ def test_cache_key_folds_the_selection_environment(cache, monkeypatch):
 def test_cache_key_bytes_are_pinned():
     """Literal keys of a model and a sim point, each equal to the hash
     of the whole key document: the spliced document must hash exactly
-    like ``json.dumps`` of the whole one."""
+    like ``json.dumps`` of the whole one.  (The model key is at
+    ``MODEL_VERSION`` "7.1".)"""
     model_point = SweepPoint(machine="hazel_hen", counts=(24, 24, 16),
                              nbytes=4096, variant="hybrid", engine="model",
                              algo="shared_window")
@@ -239,7 +242,7 @@ def test_cache_key_bytes_are_pinned():
                            transport="pip_direct", socket_mode="scatter")
     for point, pinned in [
         (model_point,
-         "c7874c240469af4ce96033b94d7ec8809f8d7021390dc6a81faf340a7bc57a56"),
+         "0a31dc3fb22fbd37549013771f8dbd712b325dcd86f3f5e0b38c3234e4d9a51e"),
         (sim_point,
          "5a7601df50dad7bfaa5596e6f49a73919cb71260143ef9ddd05fed3d19f117c7"),
     ]:
@@ -627,6 +630,20 @@ def test_cli_check_bench_needs_a_figure(tmp_path, capsys):
     assert main(["run", "--spec", str(spec_path), "--check-bench",
                  str(tmp_path), "--quiet"]) == 2
     assert "--check-bench needs --figure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts, message", [
+    ("4,0", "counts must be non-empty positive ints"),
+    ("4,x", "invalid literal"),
+])
+def test_cli_query_rejects_a_bad_point(capsys, counts, message):
+    """A point ``SweepPoint`` refuses is a usage error (exit 2 with the
+    reason), as for ``run --spec``, not a traceback."""
+    from repro.bench.sweep import main
+
+    assert main(["query", "--machine", "testing", "--counts", counts]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-sweep query: ") and message in err
 
 
 def test_cli_run_query_stats_gc(tmp_path, capsys):

@@ -7,13 +7,13 @@ import pytest
 
 from repro.machine import Placement
 from repro.mpi import Bytes
-from repro.mpi.collectives import _bridge_allgatherv
 from repro.mpi.collectives.hierarchical import (
     hier_allgather,
     hier_bcast,
     hier_comms,
     multileader_allgather,
 )
+from repro.mpi.collectives.registry import bridge_allgatherv
 from repro.mpi.constants import ReduceOp
 from tests.helpers import returns_of
 
@@ -22,7 +22,7 @@ TAG = 2**28 + 77
 
 def _bridge(bridge, blocks, tag):
     total = blocks.nbytes * bridge.size if blocks is not None else 0
-    result = yield from _bridge_allgatherv(bridge, blocks, tag, total)
+    result = yield from bridge_allgatherv(bridge, blocks, tag, total)
     return result
 
 
