@@ -24,7 +24,7 @@ from repro.core.bcast import hy_bcast
 from repro.core.placement import NodeSortedLayout
 from repro.core.reduce import hy_allreduce
 from repro.core.shared_buffer import SharedBuffer
-from repro.core.sync import BarrierSync, SyncPolicy, sync_from_signature
+from repro.core.sync import BarrierSync, SyncPolicy
 from repro.mpi.collectives.replay import sync_signature
 from repro.mpi.constants import UNDEFINED, ReduceOp
 from repro.mpi.shm import win_allocate_shared
@@ -253,13 +253,11 @@ class HybridContext:
         returned as is, and nothing is encoded.  The delegates below
         return it, so no frame of theirs sits on the rank's resumes.
 
-        *call* is the public call's positional arguments as a pocket
-        simulation re-issues them (see :func:`_reissue`): each shared
-        buffer as its slot-size tuple, and None in the sync position —
-        the effective policy's descriptor travels in front instead and
-        becomes the rebuilt context's default.  The i-variants bypass
-        this (they run as background processes and veto replay via the
-        non-blocking counter instead)."""
+        *call* is what keys the dispatch besides the effective sync
+        policy's descriptor, which goes in front: the public call's other
+        positional arguments, each shared buffer as its slot-size tuple.
+        The i-variants bypass this (they run as background processes and
+        veto replay via the non-blocking counter instead)."""
         sess = self.comm.ctx.job.replay
         if sess is None:
             return fn(*args)
@@ -269,7 +267,6 @@ class HybridContext:
         sd = self._sync_sig[1]
         return sess.run(
             self.comm, op, None if sd is None else (sd, *call), fn, args,
-            _reissue,
         )
 
     def allgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
@@ -283,8 +280,7 @@ class HybridContext:
         return self._replayed(
             "hy_allgather", hy_allgather,
             (self, buf, sync, pipelined, chunk_bytes, pack_datatypes),
-            sync, buf.slot_sizes, None, pipelined, chunk_bytes,
-            pack_datatypes,
+            sync, buf.slot_sizes, pipelined, chunk_bytes, pack_datatypes,
         )
 
     def bcast(self, buf: SharedBuffer, root: int = 0,
@@ -292,7 +288,7 @@ class HybridContext:
         """Coroutine: hybrid broadcast over *buf* (paper Fig 6)."""
         return self._replayed(
             "hy_bcast", hy_bcast, (self, buf, root, sync),
-            sync, buf.slot_sizes, root, None,
+            sync, buf.slot_sizes, root,
         )
 
     def allreduce(self, contribution, nbytes: int,
@@ -302,7 +298,7 @@ class HybridContext:
         return self._replayed(
             "hy_allreduce", hy_allreduce,
             (self, contribution, nbytes, rop, sync),
-            sync, contribution, int(nbytes), rop, None,
+            sync, contribution, int(nbytes), rop,
         )
 
     # -- immediate (non-blocking) variants ---------------------------------
@@ -355,25 +351,3 @@ class HybridContext:
             f"HybridContext(nodes={self.num_nodes}, "
             f"leader={self.is_leader}, comm={self.comm.name!r})"
         )
-
-
-def _reissue(comm, op: str, sd: tuple, *args):
-    """Replay recipe (coroutine, run by a pocket simulation on its own
-    world *comm*): rebuild what the recorded ``hy_*`` call stood on —
-    the context, with the recorded sync policy as its default, and a
-    shared buffer per slot-size tuple; one-off activities excluded from
-    timing exactly as the paper's §5 excludes them — and return the
-    zero-argument call that issues *op* with the decoded *args*."""
-    # One policy object for the whole pocket job: FlagSync keeps its
-    # flag cells on the instance, so per-rank copies would never meet.
-    sync = comm.shared_cache.setdefault(
-        ("_hy_replay_sync", sd), sync_from_signature(sd)
-    )
-    hctx = yield from HybridContext.create(comm, default_sync=sync)
-    call = []
-    for a in args:
-        if type(a) is tuple:
-            a = yield from hctx._alloc(a)
-        call.append(a)
-    method = getattr(hctx, op.removeprefix("hy_"))
-    return lambda: method(*call)

@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.simulator import Event
 
-__all__ = ["SyncPolicy", "BarrierSync", "FlagSync", "sync_from_signature"]
+__all__ = ["SyncPolicy", "BarrierSync", "FlagSync"]
 
 
 class SyncPolicy(ABC):
@@ -174,9 +174,3 @@ class FlagSync(SyncPolicy):
         # leader releases.
         yield from self.pre_exchange(hybrid)
         yield from self.post_exchange(hybrid)
-
-
-def sync_from_signature(desc: tuple) -> SyncPolicy:
-    """A fresh policy from its ``replay_signature`` (replay pockets
-    rebuild the recorded call's policy from the cache key)."""
-    return BarrierSync() if desc[0] == "barrier" else FlagSync(desc[1])

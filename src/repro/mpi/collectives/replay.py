@@ -25,52 +25,40 @@ increments, and the recorded span slice re-emitted time-shifted with a
 streams are bit-identical to normal execution (the equivalence suite
 asserts this); only the processed-event count drops — that is the point.
 
-Recording — one measurement, in place or in a pocket
+Recording — one measurement, where the dispatch runs
 ----------------------------------------------------
 The *first* occurrence of each dispatch shape in a job always executes
 live: one-off lazy setup (hierarchy sub-communicators, shared windows,
 per-comm caches) must happen in the live job exactly as it would with
 replay off, so first-occurrence cost — which includes that setup —
 stays bit-identical.  Every record is measured by one :class:`_Window`,
-from the simultaneous release of the parked ranks to the entry in which
-the last of them exits: per-rank tick durations, exit order, results,
-counter, traffic, hop and profile increments, span templates and the
-engine entries the dispatch cost.  In loop mode that window is opened
-on the first aligned, quiescent occurrence itself — the record is
-measured where it runs, and the lane is primed so the second
-occurrence is a hit without a key.  The window only stands for the
-dispatch alone when, at its close, every other rank is waiting in the
-world's ``Comm.align()`` and nothing but the dispatch's own retiring
-message steps is left, no setup gate opened (``Comm._gate``: a first
+opened on an aligned, quiescent occurrence whose key has no record yet
+— the first one, or a later one (another arrival order, an occurrence
+whose window was vetoed) — from the simultaneous release of the parked
+ranks to the entry in which the last of them exits: per-rank tick
+durations, exit order, results, counter, traffic, hop and profile
+increments, span templates and the engine entries the dispatch cost.
+The record is measured where it runs, and it primes the lane so the
+next occurrence is a hit without a key.  The window only stands for the
+dispatch alone when, at its close, every other rank is waiting — in the
+world's ``Comm.align()``, or parked at the entry of the next world
+dispatch — and nothing but the dispatch's own retiring message steps is
+left, no setup gate opened (``Comm._gate``: a first
 use that splits or allocates windows, which the job's ``gates`` counter
-shows) and every profile was on.  A world dispatch nested in the
-measured one (a one-node hybrid call's barrier) is part of it: it parks
-and runs live inside the window, in the live job and in a pocket alike,
-and is not decided on its own.  Otherwise
-(``STATS["inplace_vetoes"]``), and in default mode, a miss at a later
-occurrence runs a *pocket simulation*
-(:meth:`ReplaySession._record`): a fresh nested
-:class:`~repro.mpi.runtime.MPIJob` on the same machine spec decodes
-each rank's signature back into the call's arguments
-(:func:`call_arguments`) and re-issues *the public call the live rank
-made* in an aligned loop — ``getattr(comm, op)(*args)``, or for the
-hybrid collectives the call a recipe from :mod:`repro.core.hierarchy`
-rebuilds (context and shared buffers are one-off setup, excluded from
-the record as the paper's §5 excludes them).  Its :class:`_PocketHost`
-parks the call where the live job parks it and releases the ranks in
-the live arrival permutation into the same window.  That first run is
-already steady state: lazy hierarchy sub-communicators come from the
-deterministic-child registry (no rendezvous, no events, no virtual
-time) and the selection caches are host-only; only a run that opened a
-setup gate was warm, and the pocket measures a second one.  There is no
-per-operation table: whatever reaches :meth:`ReplaySession.run` with an
-encodable call is replayable.  A pocket's record is applied to the live
-job immediately (that miss itself becomes a hit).  Because scheduled
-delays are translation-invariant on the engine's tick grid, records
-replay bit-identically from any later quiescent entry at any absolute
-time.  Records are cached process-globally, so repetitions across jobs
-in one process (the sweep service, parameter sweeps) record only once
-per dispatch shape.
+shows) and every profile was on.  Otherwise (``STATS["inplace_vetoes"]``)
+that occurrence simply stays live and the next one tries again; where
+the window closed on work beside the dispatch (``trailing_work``,
+``not_aligned``), the program does that again, so its key is not
+measured again in the job.  A
+world dispatch nested in the measured one (a one-node hybrid call's
+barrier) is part of it: it parks and runs live inside the window, and
+is not decided on its own.  There is no per-operation table: whatever
+reaches :meth:`ReplaySession.run` with an encodable call is replayable.
+Because scheduled delays are translation-invariant on the engine's tick
+grid, records replay bit-identically from any later quiescent entry at
+any absolute time.  Records are cached process-globally, so repetitions
+across jobs in one process (the sweep service, parameter sweeps) record
+only once per dispatch shape.
 
 Lanes — a repetition is recognised, not re-keyed
 ------------------------------------------------
@@ -86,8 +74,8 @@ Bodies — built on the live branch only
 A dispatch reaches :meth:`ReplaySession.run` as a recipe, ``make(*args)``
 — :meth:`Comm._timed` over the ``run_*`` function, or a ``hy_*``
 function and its arguments — never as a built coroutine.  The session
-builds the body only where the dispatch runs live (released, late, on a
-communicator without a lane, in a pocket), so a hit builds no body: per
+builds the body only where the dispatch runs live (released, late, or on
+a communicator without a lane), so a hit builds no body: per
 rank it runs the call's entry, its park and wake, and its align.
 ``Comm._timed`` stays the one profiler; what a hit adds to a profile is
 its record's increments, bound once per plan.
@@ -106,13 +94,11 @@ so misses are unconditionally undistorted.
 
 Each decided dispatch is counted once (:func:`cache_stats`): a hit —
 ``lane_hits`` of them taken by the lane — or a live run by reason,
-``live`` (:data:`LIVE_REASONS`); the last four reasons are the misses.
+``live`` (:data:`LIVE_REASONS`); the last three reasons are the misses.
 
 ``REPRO_REPLAY_VERIFY=1`` executes every hit live, measures it with the
 window that records, and compares the two records whole — ``events``
-only where the window closed clean; a pocket that raises re-raises
-there, where otherwise its shape becomes a negative entry that runs
-live.
+only where the window closed clean.
 """
 
 from __future__ import annotations
@@ -131,7 +117,6 @@ from repro.simulator.engine import (
     ENGINE_VERSION,
     TICK,
     Event,
-    SimulationError,
 )
 
 __all__ = [
@@ -140,7 +125,6 @@ __all__ = [
     "payload_signature",
     "sync_signature",
     "call_signature",
-    "call_arguments",
     "replay_key",
     "cache_stats",
     "clear_cache",
@@ -156,42 +140,31 @@ class ReplayVerifyError(AssertionError):
 # ---------------------------------------------------------------------------
 
 #: FIFO-capped record cache shared by every job in the process (the
-#: sweep service's workers warm it across requests).  ``None`` values
-#: are negative entries: the dispatch proved unreplayable once and is
-#: not re-attempted.
-_CACHE: dict[Any, "_Record | None"] = {}
+#: sweep service's workers warm it across requests).
+_CACHE: dict[Any, "_Record"] = {}
 _CACHE_CAP = 4096
 _MISSING = object()
 
-#: Per-shape budget of recorded-but-unusable pockets: once a dispatch
-#: shape has produced this many records the session's mode could not
-#: apply, it stops recording that shape and falls through to live
-#: execution (pockets are not free; see ``ReplaySession._decide``).
-_UNUSABLE_LIMIT = 3
-
-#: Why a loop-mode first occurrence was not recorded in place (see
-#: :class:`_Window`; ``profile_off``: a rank's profile was off at the
-#: release, and a pocket's are always on).
+#: Why an occurrence was not recorded where it ran (see :class:`_Window`;
+#: ``profile_off``: a rank's profile was off at the release, so the
+#: record would lack that rank's increments).
 VETOES = ("profile_off", "trailing_work", "not_aligned", "setup_gate")
 
 #: Why a decided world dispatch ran live instead of replaying (see
 #: :meth:`ReplaySession._decide`): ranks entered at different timesteps;
 #: something was in flight; a rank's call had no signature; the shape's
-#: first occurrence in the job; its cached record is negative (a pocket
-#: that produced none); the shape spent its ``_UNUSABLE_LIMIT``; its
-#: record's ranks exit at different ticks, which only loop mode applies.
-#: The last four are the misses.
+#: first occurrence in the job; a later occurrence whose key has no
+#: record yet; its record's ranks exit at different ticks, which only
+#: loop mode applies.  The last three are the misses.
 LIVE_REASONS = ("staggered", "not_quiescent", "unsigned",
-                "first_occurrence", "negative", "unusable_limit",
-                "non_uniform")
+                "first_occurrence", "unrecorded", "non_uniform")
 
 #: Process-lifetime counters (exposed by the sweep service ``/stats``),
 #: once per dispatch: every decided dispatch is a hit (``lane_hits`` of
 #: them taken without building a key) or runs live for one reason.
 STATS = {"hits": 0, "misses": 0, "records": 0, "evictions": 0,
-         "unreplayable": 0, "pocket_runs": 0, "inplace_records": 0,
-         "inplace_vetoes": dict.fromkeys(VETOES, 0), "lane_hits": 0,
-         "live": dict.fromkeys(LIVE_REASONS, 0)}
+         "inplace_vetoes": dict.fromkeys(VETOES, 0),
+         "lane_hits": 0, "live": dict.fromkeys(LIVE_REASONS, 0)}
 
 
 def cache_stats() -> dict:
@@ -206,15 +179,12 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _cache_put(key: Any, rec: "_Record | None") -> None:
+def _cache_put(key: Any, rec: "_Record") -> None:
     if len(_CACHE) >= _CACHE_CAP:
         _CACHE.pop(next(iter(_CACHE)))
         STATS["evictions"] += 1
     _CACHE[key] = rec
-    if rec is None:
-        STATS["unreplayable"] += 1
-    else:
-        STATS["records"] += 1
+    STATS["records"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +252,6 @@ def call_signature(args: tuple):
                 return None
         sig.append(a)
     return tuple(sig)
-
-
-def call_arguments(sig: tuple) -> list:
-    """Inverse of :func:`call_signature`: payload signatures become
-    payloads again; scalars and descriptors stay as they are (only the
-    caller that encoded a descriptor knows what it rebuilds into)."""
-    args = []
-    for s in sig:
-        kind = s[0] if type(s) is tuple else None
-        if kind == "none":
-            s = None
-        elif kind == "b":
-            s = Bytes(s[1])
-        elif kind == "lb":
-            s = [None if n < 0 else Bytes(n) for n in s[1]]
-        args.append(s)
-    return args
 
 
 def replay_key(prefix: tuple, op: str, sigs: tuple, offsets: tuple,
@@ -382,9 +335,8 @@ _RETIRE = _Message._retire
 class _Window:
     """One dispatch measured in the job it runs in, from the simultaneous
     release of its parked ranks to the entry in which the last of them
-    exits — the one measurement behind every record: a loop-mode first
-    occurrence recorded in place, a pocket's run, and the live run of a
-    verified hit.
+    exits — the one measurement behind every record, and behind the
+    live run of a verified hit.
 
     Each rank reports its duration and result from its exit entry; the
     last report closes the window, and right after that entry — where
@@ -397,8 +349,10 @@ class _Window:
     * ``trailing_work`` — at the close anything but the dispatch's own
       trailing :meth:`_Message._retire` steps was scheduled or in flight,
       or a span of the slice was still open;
-    * ``not_aligned`` — a rank was not waiting in its world
-      ``Comm.align()`` right after its exit.
+    * ``not_aligned`` — right after its exit a rank was neither
+      waiting in its world ``Comm.align()`` nor parked at the entry of
+      the next world dispatch, or it was released into that dispatch
+      while the window was open.
 
     Those steps are entries the dispatch still costs, so they count in
     ``events``, as do the park and release entries of a world dispatch
@@ -443,20 +397,29 @@ class _Window:
         exits = self.exits
         exits[rank] = (d_ticks, result)
         if len(exits) < len(self.profiles):
-            self.job.engine.after_entry(lambda: self._went_to_align(rank))
+            self.job.engine.after_entry(lambda: self._went_waiting(rank))
         else:
             self._close(rank)
 
-    def _in_align(self, rank: int) -> bool:
+    def _waiting(self, rank: int) -> bool:
+        """*rank* does nothing: it waits in its world ``Comm.align()``,
+        or is parked at the entry of a world dispatch not decided yet
+        (the next call of a loop without aligns)."""
         comm = self.job.contexts[rank].world
         gate = comm._shared._align
-        return (gate is not None and gate.seq == comm._gate_seq
-                and gate.slots[rank] is not None)
+        if (gate is not None and gate.seq == comm._gate_seq
+                and gate.slots[rank] is not None):
+            return True
+        return any(
+            rank in pend.arrivals and pend.decided is None
+            for lane in self.job.replay._lanes.values() if lane is not None
+            for pend in lane.pending.values()
+        )
 
-    def _went_to_align(self, rank: int) -> None:
+    def _went_waiting(self, rank: int) -> None:
         # Right after an earlier rank's exit entry: anything it did
-        # before parking in the align would have run inside the window.
-        if not self.closed and not self._in_align(rank):
+        # before it started waiting would have run inside the window.
+        if not self.closed and not self._waiting(rank):
             self.aligned = False
 
     def _close(self, last: int) -> None:
@@ -505,7 +468,7 @@ class _Window:
             and not eng._heap and len(eng._live_processes) == len(exits)
         )
         aligned = self.aligned and all(
-            self._in_align(r) for r in exits if r != last
+            self._waiting(r) for r in exits if r != last
         )
         if job.gates != self.gates:
             reason = "setup_gate"
@@ -606,11 +569,10 @@ def _normalize(templates: list[dict]) -> list[dict]:
 class _Pending:
     """Parking state of one collective entry (one lane, one sequence)."""
 
-    __slots__ = ("op", "rebuild", "arrivals", "late", "decided")
+    __slots__ = ("op", "arrivals", "late", "decided")
 
-    def __init__(self, op: str, rebuild):
+    def __init__(self, op: str):
         self.op = op
-        self.rebuild = rebuild
         self.arrivals: dict[int, Event] = {}  # rank -> park, arrival order
         self.late = 0  # ranks arriving after the parked ones were released
         self.decided: str | None = None
@@ -638,7 +600,7 @@ class _Lane:
         self.epoch = 0                  # bumped when any rank's memo changes
         self.pending: dict[int, _Pending] = {}
         #: ``(op, epoch, arrival order)`` of the last applied hit — or of
-        #: a first occurrence recorded in place — and the plan it applied.
+        #: an occurrence that found or made a record — and its plan.
         self.applied: tuple | None = None
         self.plan: _Plan | None = None
 
@@ -703,7 +665,7 @@ class ReplaySession:
     and structurally possible (symbolic payload mode, no noise model).
     """
 
-    def __init__(self, job, verify: bool = False, loop: bool = False):
+    def __init__(self, job, verify: bool, loop: bool):
         self.job = job
         self.engine = job.engine
         self.verify = verify
@@ -717,10 +679,11 @@ class ReplaySession:
         #: safely overlap a window; loop mode is therefore reserved for
         #: align-disciplined programs (the benchmark harnesses), whose
         #: ranks go straight from each collective into ``Comm.align()``.
-        #: The same contract lets loop mode record a shape's first
-        #: occurrence where it runs.  The default mode only applies
-        #: uniform-exit records — an atomic time jump with an empty
-        #: window, unconditionally exact for arbitrary programs.
+        #: The default mode only applies uniform-exit records — an atomic
+        #: time jump with an empty window, unconditionally exact for
+        #: arbitrary programs.  Both modes record the same way: a window
+        #: on an aligned occurrence, which stands for the dispatch only
+        #: where that occurrence kept the align contract.
         self.loop = loop
         self.world_size = job.placement.num_ranks
         self.hits = 0
@@ -736,7 +699,11 @@ class ReplaySession:
         #: Dispatch shapes ``(op, sigs)`` that have executed live at
         #: least once in this job — replay only applies after that.
         self._warm: set[tuple] = set()
-        self._unusable: dict[tuple, int] = {}
+        #: Keys whose window closed vetoed by what the program does
+        #: beside the dispatch (``trailing_work``, ``not_aligned``),
+        #: which it does again at the next occurrence: not measured
+        #: again in this job.
+        self._unrecordable: set[tuple] = set()
         self._prefix: tuple | None = None
         #: Windows open now: in-place recordings and verified hits.
         self._windows: list[_Window] = []
@@ -748,22 +715,17 @@ class ReplaySession:
         return self._prefix
 
     # -- entry ----------------------------------------------------------
-    def run(self, comm, op: str, call, make, args: tuple, rebuild=None):
+    def run(self, comm, op: str, call, make, args: tuple):
         """Coroutine: route one dispatch through the replay layer.
 
         ``make(*args)`` builds the coroutine of normal execution
-        (profiling included, so a pocket and the live job record the
-        same profile entries); it is built only where the dispatch runs
-        live — released, late, on a communicator without a lane, or in a
-        pocket — so a hit builds nothing.  *call* is the argument tuple
-        of the public call ``getattr(comm, op)`` that issued it, from
-        which this rank's signature is derived — None, or an argument
-        without a signature, vetoes (the decision is still collective,
-        so every rank parks either way).  A pocket re-issues that public
-        call on its own world communicator; callers whose call needs
-        more than a communicator pass *rebuild*, a coroutine ``(comm,
-        op, *args)`` that performs the one-off setup and returns the
-        zero-argument call to issue.
+        (profiling included, so a record holds the profile entries the
+        live run makes); it is built only where the dispatch runs live —
+        released, late, or on a communicator without a lane — so a hit
+        builds nothing.  *call* is the argument tuple of the public call
+        that issued it, from which this rank's signature is derived —
+        None, or an argument without a signature, vetoes (the decision is
+        still collective, so every rank parks either way).
         """
         shared = comm._shared
         lane = self._lanes.get(shared.id, _MISSING)
@@ -793,7 +755,7 @@ class ReplaySession:
         seq = lane.seq[rank] = lane.seq[rank] + 1
         pend = lane.pending.get(seq)
         if pend is None:
-            pend = lane.pending[seq] = _Pending(op, rebuild)
+            pend = lane.pending[seq] = _Pending(op)
             eng.on_time_advance(lambda: self._decide(lane, seq))
         if pend.decided is not None:
             # Earlier ranks were already released for live execution;
@@ -814,26 +776,28 @@ class ReplaySession:
         return result
 
     # -- decision -------------------------------------------------------
-    def _parked(self, lane: _Lane, seq: int) -> _Pending | None:
-        """The entry *seq* parks, unless already decided; dropped from
-        the lane once every rank has arrived (a staggered one stays
-        for its late ranks)."""
+    def _decide(self, lane: _Lane, seq: int) -> None:
         pend = lane.pending.get(seq)
         if pend is None or pend.decided is not None:
-            return None
-        if len(pend.arrivals) == self.world_size:
-            del lane.pending[seq]
-        return pend
-
-    def _decide(self, lane: _Lane, seq: int) -> None:
-        pend = self._parked(lane, seq)
-        if pend is None:
             return
+        if len(pend.arrivals) == self.world_size:
+            # Every rank arrived; a staggered entry stays for its late
+            # ranks.
+            del lane.pending[seq]
         if self._windows:
-            # Decided inside a measured dispatch (a one-node hybrid
-            # call's barrier on the world's ranks): part of that
-            # dispatch, so it runs live there, as in every live run the
-            # record stands for, and is not decided on its own.
+            # Decided inside a measured dispatch.  Ranks that already
+            # left it ran ahead into this one, a staggered entry, and
+            # run it inside that window, which no longer stands for its
+            # dispatch alone; otherwise this one is nested in it (a
+            # one-node hybrid call's barrier on the world's ranks): part
+            # of that dispatch, so it runs live there, as in every live
+            # run the record stands for, and is not decided on its own.
+            ahead = False
+            for w in self._windows:
+                if any(r in w.exits for r in pend.arrivals):
+                    w.aligned, ahead = False, True
+            if ahead:
+                STATS["live"]["staggered"] += 1
             self._release(pend, "live", None)
             return
         live = STATS["live"]
@@ -867,9 +831,9 @@ class ReplaySession:
             plan, reason = None, "unsigned"
         else:
             sigs = tuple(lane.sigs)
-            if (pend.op, sigs) in self._warm:
-                plan, reason = self._lookup(pend, sigs, shape[2])
-            else:
+            key = self._key(pend.op, sigs, shape[2])
+            rec = _CACHE.get(key)
+            if (pend.op, sigs) not in self._warm:
                 # First execution of this dispatch shape in the job: run
                 # it live so one-off lazy setup (sub-comms, windows,
                 # caches) lands in the live job exactly as it would with
@@ -877,13 +841,17 @@ class ReplaySession:
                 # the second occurrence on.
                 self._warm.add((pend.op, sigs))
                 plan, reason = None, "first_occurrence"
-                if self.loop:
-                    window = self._first(lane, shape, sigs)
+                if rec is not None:
+                    self._prime(lane, shape, rec)
+            elif rec is None:
+                plan, reason = None, "unrecorded"
+            else:
+                plan, reason = self._prime(lane, shape, rec), "non_uniform"
             if plan is None:
                 self.misses += 1
                 STATS["misses"] += 1
-            else:
-                lane.applied, lane.plan = shape, plan
+                if rec is None and key not in self._unrecordable:
+                    window = self._in_place(lane, shape, key)
         if plan is None:
             live[reason] += 1
             self._release(pend, "live", window)
@@ -919,64 +887,45 @@ class ReplaySession:
         self._windows.append(window)
         return window
 
-    def _first(self, lane: _Lane, shape: tuple, sigs: tuple
-               ) -> _Window | None:
-        """Loop mode, the first aligned and quiescent occurrence of a
-        dispatch shape: the window that records it where it runs and
-        primes the lane with the record, so the second occurrence is a
-        hit without a key.  None when the record is
-        cached already (the lane takes it), or when this occurrence
-        cannot stand for the dispatch alone — a pocket then records it
-        at the next one."""
-        key = self._key(shape[0], sigs, shape[2])
-        rec = _CACHE.get(key, _MISSING)
-        if rec is not _MISSING:
-            if rec is not None:
-                lane.applied, lane.plan = shape, self._plan(rec)
+    def _prime(self, lane: _Lane, shape: tuple, rec: _Record
+               ) -> _Plan | None:
+        """The plan of *rec*, which the lane takes for the next
+        occurrence of *shape* — None where this mode does not apply it
+        (non-uniform exits in default mode)."""
+        plan = self._plan(rec)
+        if not (self.loop or plan.uniform):
             return None
+        lane.applied, lane.plan = shape, plan
+        return plan
+
+    def _in_place(self, lane: _Lane, shape: tuple, key: tuple
+                  ) -> _Window | None:
+        """An aligned, quiescent occurrence whose key has no record: the
+        window that records it where it runs, caches the record under
+        *key* and primes the lane with it.  None when this occurrence
+        cannot stand for the dispatch alone; it then stays live, and the
+        next occurrence tries again — unless the window closed on what
+        the program does beside the dispatch."""
+        vetoes = STATS["inplace_vetoes"]
         if not all(ctx.profile.enabled for ctx in self.job.contexts):
-            # A pocket's profiles are on: deltas here would miss a rank.
-            STATS["inplace_vetoes"]["profile_off"] += 1
+            # An off profile records nothing: the record would lack
+            # that rank's increments.
+            vetoes["profile_off"] += 1
             return None
         if self.engine._heap:
-            STATS["inplace_vetoes"]["trailing_work"] += 1
+            vetoes["trailing_work"] += 1
             return None
 
         def recorded(rec: _Record, reason: str | None) -> None:
             if reason is not None:
-                STATS["inplace_vetoes"][reason] += 1
+                vetoes[reason] += 1
+                if reason in ("trailing_work", "not_aligned"):
+                    self._unrecordable.add(key)
                 return
-            STATS["inplace_records"] += 1
             _cache_put(key, rec)
-            lane.applied, lane.plan = shape, self._plan(rec)
+            self._prime(lane, shape, rec)
 
         return self._open(recorded)
-
-    def _lookup(self, pend: _Pending, sigs: tuple, order: tuple
-                ) -> tuple[_Plan | None, str | None]:
-        """The full-key path of a shape that already ran live in this
-        job: the plan of the record this dispatch replays, or None and
-        the reason it runs live instead (a miss)."""
-        wkey = (pend.op, sigs)
-        key = self._key(pend.op, sigs, order)
-        rec = _CACHE.get(key, _MISSING)
-        if rec is _MISSING:
-            if self._unusable.get(wkey, 0) >= _UNUSABLE_LIMIT:
-                # This shape keeps producing records this mode cannot
-                # apply (non-uniform exits in default mode, rotating
-                # entry permutations): stop paying for pockets it will
-                # only throw away.
-                return None, "unusable_limit"
-            rec = self._record(pend, sigs, key, order)
-        if rec is None:
-            reason = "negative"
-        else:
-            plan = self._plan(rec)
-            if self.loop or plan.uniform:
-                return plan, None
-            reason = "non_uniform"
-        self._unusable[wkey] = self._unusable.get(wkey, 0) + 1
-        return None, reason
 
     def _release(self, pend: _Pending, verdict: str, value) -> None:
         # Arrival order (dict insertion order), NOT rank order: released
@@ -1006,57 +955,6 @@ class ReplaySession:
                 if stack:
                     return False
         return True
-
-    # -- recording (the pocket simulation) ------------------------------
-    def _record(self, pend: _Pending, sigs: tuple, key, order: tuple
-                ) -> _Record | None:
-        job = self.job
-        from repro.mpi.runtime import MPIJob
-        from repro.trace import Tracer
-
-        op, rebuild = pend.op, pend.rebuild
-
-        def program(mpi):
-            comm = mpi.world
-            sig = sigs[comm.rank]
-            if rebuild is None:
-                def issue():
-                    return getattr(comm, op)(*call_arguments(sig))
-            else:
-                issue = yield from rebuild(comm, op, *call_arguments(sig))
-            # An aligned loop of the call, as in the live job; the host
-            # records the first run, or the second after a warm one.
-            yield from comm.align()
-            while True:
-                yield from issue()
-                yield from comm.align()
-                if host.done:
-                    return
-
-        trace = (
-            Tracer(detail=job.tracer.detail, compute=job.tracer.compute)
-            if job.tracer is not None else False
-        )
-        try:
-            pocket = MPIJob(
-                job.spec, program,
-                placement=job.placement,
-                payload="cost-only",    # sessions exist off data mode only
-                tuning=job.tuning,
-                policy=job.policy,
-                trace=trace,
-                seed=job.seed,
-                replay=False,
-            )
-            host = pocket.replay = _PocketHost(pocket, op, order)
-            pocket.run()
-        except Exception:
-            if self.verify:
-                raise
-            host = None
-        rec = None if host is None else host.record
-        _cache_put(key, rec)
-        return rec
 
     # -- application ----------------------------------------------------
     def _apply(self, plan: _Plan, arrivals: dict[int, Event]) -> None:
@@ -1109,72 +1007,3 @@ class ReplaySession:
                 ev._value = done or ("done", list(results[rank]))
                 evs.append(ev)
             push_all((base_ticks + d_ticks) * TICK, evs)
-
-
-class _PocketHost(ReplaySession):
-    """The replay layer of a pocket job (:meth:`ReplaySession._record`).
-
-    It parks the world dispatch of the recorded operation — the same
-    boundary the live job parks at, after anything its public call does
-    first — and, once every rank has parked, releases them in the live
-    arrival order into a :class:`_Window`.  Inside the window a world
-    dispatch (a one-node hybrid call's barrier) parks and runs live
-    through the session it inherits, as it does inside the live job's
-    window, so both measure the same entries; every other call runs
-    unparked, as with replay off.  A pocket decides nothing itself.  A
-    run vetoed as ``setup_gate`` was warm, so the ranks loop for one
-    more; any other veto leaves the pocket without a record.
-    """
-
-    def __init__(self, job, op: str, order: tuple):
-        super().__init__(job)
-        self.op = op
-        self.order = order
-        self.parked: dict[int, Event] = {}
-        self.window: _Window | None = None
-        self.runs = 0
-        self.record: _Record | None = None
-        self.done = False
-
-    def run(self, comm, op: str, call, make, args: tuple, rebuild=None):
-        """Coroutine, :meth:`ReplaySession.run`'s counterpart."""
-        if self.window is not None:
-            return (yield from super().run(comm, op, call, make, args))
-        if (op != self.op
-                or comm._shared is not self.job.contexts[0].world._shared):
-            return (yield from make(*args))
-        eng = self.job.engine
-        if not self.parked:
-            eng.on_time_advance(self._start)
-        ev = self.parked[comm.rank] = Event(eng, "replay.pocket")
-        window = yield ev
-        t0 = eng.now
-        result = yield from make(*args)
-        window.report(comm.rank, round((eng.now - t0) * _INV_TICK), result)
-        return result
-
-    def _decide(self, lane: _Lane, seq: int) -> None:
-        pend = self._parked(lane, seq)
-        if pend is not None:
-            self._release(pend, "live", None)
-
-    def _start(self) -> None:
-        parked, self.parked = self.parked, {}
-        if len(parked) != len(self.order) or self.job.engine._heap:
-            raise SimulationError(
-                f"replay pocket for {self.op!r}: the ranks did not park "
-                "together at a quiescent instant"
-            )
-        self.runs += 1
-        STATS["pocket_runs"] += 1
-        window = self.window = _Window(self.job, self._closed)
-        for r in self.order:
-            parked[r].succeed(window)
-
-    def _closed(self, rec: _Record, reason: str | None) -> None:
-        self.window = None
-        if reason == "setup_gate" and self.runs == 1:
-            return  # a warm run: measure the next one
-        self.done = True
-        if reason is None:
-            self.record = rec

@@ -491,12 +491,11 @@ class Comm:
         the job replays (:mod:`repro.mpi.collectives.replay`), the
         session gets the recipe instead of the body and builds it only
         on its live branch — a hit builds nothing; *call* is then the
-        public call's argument tuple, ``getattr(self, op)(*call)`` —
-        everything the session needs to key the dispatch and to re-issue
-        it in a pocket simulation.  Non-blocking collectives leave it
-        None: they still park (the decision is collective) but never
-        replay.  Tags are drawn by the caller, at call time, so a hit
-        keeps every later tag aligned.
+        public call's argument tuple, which keys the dispatch; the
+        session measures a record on a live run of the call itself.
+        Non-blocking collectives leave it None: they still park (the
+        decision is collective) but never replay.  Tags are drawn by the
+        caller, at call time, so a hit keeps every later tag aligned.
 
         Per-op byte conventions (see :mod:`repro.mpi.profiler`):
         rooted/scan family charge the local message size; allgather

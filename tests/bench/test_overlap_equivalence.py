@@ -21,6 +21,7 @@ from repro.machine import presets
 from repro.machine.placement import Placement
 from repro.mpi import run_program
 from repro.mpi.datatypes import Bytes
+from tests.helpers import UNDER_VERIFY
 
 NBYTES = 2048
 
@@ -114,8 +115,13 @@ def _run(program, counts):
     )
 
 
-@pytest.mark.parametrize("name,blocking,immediate,counts,ncolls",
-                         CASES, ids=[c[0] for c in CASES])
+# Verify turns replay on for these jobs: fig9's blocking hybrid calls
+# then park on the world communicator, and the hybrid i-variants
+# bypass the session, so the event difference below cannot hold there.
+@pytest.mark.parametrize("name,blocking,immediate,counts,ncolls", [
+    pytest.param(*c, id=c[0], marks=UNDER_VERIFY if c[0] == "fig9" else ())
+    for c in CASES
+])
 class TestImmediateWaitEquivalence:
     def test_bit_identical(self, name, blocking, immediate, counts,
                            ncolls):

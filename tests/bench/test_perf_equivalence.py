@@ -29,6 +29,7 @@ from repro.bench.osu import (
 from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen
 from repro.mpi import run_program
+from tests.helpers import UNDER_VERIFY
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -50,7 +51,9 @@ CONFIGS = {
 
 PAYLOADS = [
     pytest.param("full", id="full"),
-    pytest.param("cost-only", id="costonly"),
+    # Symbolic payloads: the job leaves replay to the environment, and
+    # verify turns it on, so the pinned events cannot hold there.
+    pytest.param("cost-only", id="costonly", marks=UNDER_VERIFY),
 ]
 
 
@@ -100,6 +103,7 @@ def test_bit_identical_to_reference(cfg_id, payload):
     assert observe(cfg_id, payload) == PINS[cfg_id]
 
 
+@UNDER_VERIFY
 def test_pins_hold_under_any_hash_seed():
     """Nothing the simulator reports may depend on string-hash order
     (set or dict iteration over str keys): fresh interpreters at two

@@ -9,12 +9,12 @@ that drifts moves virtual time everywhere it is replayed.
 registered op, ``hy_allreduce`` and the FlagSync hybrid allgather) on a
 flat and a two-socket ``hazel_hen``, the single record a 3-repetition
 job makes; templates are pinned as the SHA-256 of their shift-normalized
-form.  The record has two sources that must agree: ``replay="loop"``
-measures the first aligned occurrence where it runs (``hy_allreduce``
-still pockets: its first call opens a setup gate), default mode
-(``replay=True``) measures a pocket at the second occurrence, under the
-same key.  How either reaches its steady state may change, the record
-it measures may not.
+form.  Both modes measure the record where the dispatch runs, under
+the same key: the first aligned occurrence (for ``hy_allreduce`` the
+second, since its first call opens a setup gate), in ``replay="loop"``
+and in default mode (``replay=True``) alike, and the same pins hold for
+both.  How either reaches its steady state may change, the record it
+measures may not.
 """
 
 from __future__ import annotations
@@ -61,17 +61,14 @@ def _run(case: str, machine: str, replay) -> None:
 
 
 def record(case_id: str, replay="loop") -> replaylib._Record:
-    """The one record a job of *case_id* makes, and check where it was
-    measured: in place in loop mode, else in a pocket."""
+    """The one record a job of *case_id* makes, in either mode."""
     case, machine = case_id.rsplit("-", 1)
     replaylib.clear_cache()
     before = replaylib.cache_stats()
     _run(case, machine, replay)
     after = replaylib.cache_stats()
     (rec,) = replaylib._CACHE.values()
-    in_place = replay == "loop" and not case.startswith("hy_allreduce")
-    assert after["inplace_records"] - before["inplace_records"] == in_place
-    assert (after["pocket_runs"] > before["pocket_runs"]) != in_place
+    assert after["records"] - before["records"] == 1
     return rec
 
 
@@ -109,18 +106,19 @@ def test_record_is_pinned(case_id):
 
 @pytest.mark.parametrize("case_id", IDS)
 def test_pocket_record_is_pinned(case_id):
-    """Default mode records every shape in a pocket, under the key loop
-    mode uses (the job prefix carries no mode): the same pins hold."""
+    """Default mode records in place too, under the key loop mode uses
+    (the job prefix carries no mode): the same pins hold."""
     assert observe(case_id, replay=True) == PINS[case_id]
 
 
 @pytest.mark.parametrize("case_id", IDS)
 def test_in_place_and_pocket_records_are_equal(case_id):
-    """Field for field; span ids are the measuring tracer's own, so
-    templates compare in their shift-normalized form."""
-    in_place, pocket = record(case_id), record(case_id, replay=True)
+    """Loop mode and default mode, field for field; span ids are the
+    measuring tracer's own, so templates compare in their
+    shift-normalized form."""
+    loop, default = record(case_id), record(case_id, replay=True)
     for field in replaylib._Record.__slots__:
-        a, b = getattr(in_place, field), getattr(pocket, field)
+        a, b = getattr(loop, field), getattr(default, field)
         if field == "templates":
             a, b = replaylib._normalize(a), replaylib._normalize(b)
         assert a == b, field

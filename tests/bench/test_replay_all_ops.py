@@ -1,9 +1,9 @@
 """Every registered collective replays, bit for bit.
 
-The replay layer derives both a dispatch's signature and its pocket
-body from the call itself (:func:`repro.mpi.collectives.replay.
-call_signature` / :func:`~repro.mpi.collectives.replay.call_arguments`),
-so nothing per-op exists that could be forgotten — this suite pins that:
+The replay layer derives a dispatch's signature from the call itself
+(:func:`repro.mpi.collectives.replay.call_signature`) and measures its
+record on a live run of that call, so nothing per-op exists that could
+be forgotten — this suite pins that:
 one case per op in ``registry.ops()`` (plus ``hy_allreduce``, which has
 no registry entry), each an align-disciplined loop run with replay off
 and on, and once more under ``REPRO_REPLAY_VERIFY=1``.  A newly
@@ -123,18 +123,13 @@ def test_replay_bit_identical(op):
     # The first aligned occurrence is the record, measured where it
     # runs — unless that run opened a setup gate.  Only hy_allreduce
     # does (it allocates scratch windows on first use), so its record
-    # comes from a pocket at the second occurrence, which runs the warm
-    # call once more before the measured one.
+    # is measured where the second occurrence runs.
     assert after["records"] - before["records"] == 1
-    in_place = after["inplace_records"] - before["inplace_records"]
     vetoes = {reason: n - before["inplace_vetoes"][reason]
               for reason, n in after["inplace_vetoes"].items()}
-    pocket_runs = after["pocket_runs"] - before["pocket_runs"]
     if op == "hy_allreduce":
-        assert (in_place, pocket_runs) == (0, 2)
         assert vetoes == dict.fromkeys(vetoes, 0) | {"setup_gate": 1}
     else:
-        assert (in_place, pocket_runs) == (1, 0)
         assert vetoes == dict.fromkeys(vetoes, 0)
     assert on.returns == off.returns
     assert on.finish_times == off.finish_times
@@ -158,30 +153,26 @@ def test_replay_verifies_clean(op, monkeypatch):
 
 @pytest.mark.parametrize("op", CASES)
 def test_signature_round_trip(op, monkeypatch):
-    """The pocket rebuilds a call from nothing but its signature, so
-    decoding a signature must yield arguments that encode right back
-    to it."""
+    """Every call an aligned loop of *op* issues encodes: a call without
+    a signature would veto replay of the op everywhere."""
     seen = []
     real = replaylib.ReplaySession.run
 
-    def spy(self, comm, name, call, make, args, rebuild=None):
+    def spy(self, comm, name, call, make, args):
         seen.append((name, call))
-        return real(self, comm, name, call, make, args, rebuild)
+        return real(self, comm, name, call, make, args)
 
     monkeypatch.setattr(replaylib.ReplaySession, "run", spy)
     _run(op, replay="loop")
     calls = [call for name, call in seen if name == op]
     assert len(calls) == REPS * NODES * PPN
     for call in calls:
-        sig = replaylib.call_signature(call)
-        assert sig is not None
-        assert replaylib.call_signature(replaylib.call_arguments(sig)) == sig
+        assert replaylib.call_signature(call) is not None
 
 
 def test_flag_sync_hybrid_replays(monkeypatch):
-    """FlagSync keeps its flag cells on the instance, so a pocket must
-    share one policy object between its ranks (per-rank copies deadlock
-    and the shape silently never replays)."""
+    """FlagSync is keyed by its replay signature: the hybrid allgather
+    over it records, replays and verifies like the barrier one."""
     from repro.bench.osu import hybrid_allgather_program
     from repro.core import FlagSync
 
@@ -202,39 +193,6 @@ def test_flag_sync_hybrid_replays(monkeypatch):
     assert on.returns == off.returns
     assert on.comm_summary() == off.comm_summary()
     assert _spans(on.trace) == _spans(off.trace)
-
-
-def _broken_recipe(comm, op, sd, *args):
-    raise RuntimeError("cannot rebuild")
-    yield  # pragma: no cover - keeps this a coroutine
-
-
-# hy_allreduce still records in a pocket: its first occurrence opens a
-# setup gate, so it cannot be recorded where it runs.
-
-def test_a_raising_pocket_surfaces_under_verify(monkeypatch):
-    from repro.core import hierarchy
-    from repro.simulator.engine import SimulationError
-
-    monkeypatch.setattr(hierarchy, "_reissue", _broken_recipe)
-    monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
-    with pytest.raises(SimulationError) as info:
-        _run("hy_allreduce", "loop")
-    assert "cannot rebuild" in str(info.value.__cause__)
-
-
-def test_a_raising_pocket_falls_through_to_live(monkeypatch):
-    """Outside verify a pocket that raises is an unreplayable shape:
-    every repetition runs live, at the replay-off latency."""
-    from repro.core import hierarchy
-
-    monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
-    off = _run("hy_allreduce", replay=False)
-    monkeypatch.setattr(hierarchy, "_reissue", _broken_recipe)
-    on = _run("hy_allreduce", "loop")
-    assert on.replay_hits == 0 and on.replay_misses > 0
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
 
 
 def test_data_arguments_veto():

@@ -12,8 +12,6 @@ are never replayed, and the verify mode
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.bench.osu import (
@@ -24,6 +22,7 @@ from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen, hazel_hen_2s
 from repro.mpi import run_program
 from repro.mpi.collectives import replay as replaylib
+from tests.helpers import UNDER_VERIFY
 
 REPS = 6
 
@@ -43,14 +42,6 @@ MACHINES = [
     pytest.param(hazel_hen, id="flat"),
     pytest.param(hazel_hen_2s, id="2socket"),
 ]
-
-#: Verify mode executes every hit live and checks it against its record,
-#: so a run under it replays no span and saves no event.
-_UNDER_VERIFY = pytest.mark.skipif(
-    os.environ.get("REPRO_REPLAY_VERIFY", "0") not in ("", "0"),
-    reason="REPRO_REPLAY_VERIFY executes every hit live: nothing is "
-           "replayed, by design",
-)
 
 #: Span fields that may legitimately differ under replay: span ids and
 #: parent links are allocation-order artifacts, and the ``replayed``
@@ -120,7 +111,7 @@ def test_replay_bit_identical(cfg, machine):
     assert _strip(on.trace) == _strip(off.trace)
 
 
-@_UNDER_VERIFY
+@UNDER_VERIFY
 def test_replayed_spans_are_marked():
     _cfg_id, nodes, placement, elements, variant, options = CONFIGS[0]
     replaylib.clear_cache()
@@ -131,7 +122,7 @@ def test_replayed_spans_are_marked():
     assert marked, "replayed dispatches must re-emit marked spans"
 
 
-@_UNDER_VERIFY
+@UNDER_VERIFY
 def test_replay_skips_events():
     """The headline: a replayed repetition costs O(ranks) events."""
     _cfg_id, nodes, placement, elements, variant, options = CONFIGS[2]
@@ -182,6 +173,29 @@ def test_overlap_workload_replay_is_invisible(variant):
     )
     assert on.returns == off.returns
     assert on.elapsed == off.elapsed
+
+
+def test_overlap_workload_verifies_clean(monkeypatch):
+    """Verify over the pure overlap protocol: its allgather is vetoed as
+    trailing work wherever it runs, so no record stands for it, and the
+    run is the replay-off run."""
+    from repro.bench.overlap import overlap_program
+
+    monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
+    kwargs = {"nbytes": 8 * 512, "variant": "pure", "reps": 3}
+    runs = [
+        run_program(
+            hazel_hen(2), None, overlap_program,
+            placement=Placement.block(2, 6), payload="cost-only",
+            replay=replay, program_kwargs=kwargs,
+        )
+        for replay in (False, "loop")
+    ]
+    off, on = runs
+    assert on.returns == off.returns
+    assert on.finish_times == off.finish_times
+    assert on.sent_messages == off.sent_messages
+    assert on.comm_summary() == off.comm_summary()
 
 
 def test_sweep_disables_replay_for_overlap(monkeypatch):

@@ -1,12 +1,14 @@
-"""Recording in place: a loop-mode miss is measured where it runs.
+"""Recording in place: a miss is measured where it runs.
 
-In ``replay="loop"`` the first aligned, quiescent occurrence of a
-dispatch shape becomes its record, measured in the live job by the same
-window a pocket and verify use; a pocket records at the next occurrence
-only where that cannot stand for the dispatch alone.  Each program here
-hits one hazard of that measurement, runs bit-identical to
-``replay=False``, and pins where its record came from — records made in
-place, pocket runs, and the veto that sent it to a pocket
+The first aligned, quiescent occurrence of a dispatch shape whose key
+has no record becomes its record, measured in the live job by the same
+window verify uses; where that occurrence cannot stand for the dispatch
+alone, it stays live and the next occurrence tries again — unless the
+window closed on work the program does beside the dispatch, which it
+does again: that key is not measured again in the job.  Each program
+here hits one hazard of that measurement, runs bit-identical to
+``replay=False``, and pins what came of it — the hits, the records made
+in place, and the vetoes that kept occurrences live
 (``cache_stats()["inplace_vetoes"]``).  The last tests check that verify
 compares the whole record, ``max_hops`` and ``events`` included.
 """
@@ -77,8 +79,8 @@ def single_node_hybrid(mpi):
 
 
 def profiles_off(mpi):
-    """Odd ranks profile nothing: a pocket's profiles are on, so the
-    record must come from one."""
+    """Odd ranks profile nothing: a record measured here would lack
+    their increments, so every occurrence is vetoed and runs live."""
     comm = mpi.world
     mpi.profile.enabled = comm.rank % 2 == 0
     return (yield from _loop(mpi, lambda: comm.allgather(Bytes(512))))
@@ -102,7 +104,8 @@ def subcommunicator_after_align(mpi):
 
 def hybrid_allreduce(mpi):
     """The first hy_allreduce allocates its scratch windows: a setup
-    gate opens inside the window, so that run was warm."""
+    gate opens inside the window, so that run was warm, and the second
+    occurrence is the record."""
     hctx = yield from HybridContext.create(mpi.world)
     return (yield from _loop(
         mpi, lambda: hctx.allreduce(Bytes(256), 256, ReduceOp.MAX)
@@ -112,7 +115,9 @@ def hybrid_allreduce(mpi):
 def compute_before_align(delay):
     """Rank 0, the first to exit, computes before it aligns: still
     running at the last rank's exit (trailing work), or done by then but
-    not waiting in the align right after its own exit (not aligned)."""
+    not waiting in the align right after its own exit (not aligned).
+    It does so at every occurrence, so after the first window the key
+    is not measured again, and none is recorded."""
 
     def program(mpi):
         comm = mpi.world
@@ -142,17 +147,17 @@ def entry_beside_the_align(mpi):
     return (yield from _loop(mpi, comm.barrier, after=stray))
 
 
-# program -> (nodes, ppn, records in place, pocket runs, vetoes,
+# program -> (nodes, ppn, hits, records in place, vetoes,
 #             world dispatches parked per repetition)
 CASES = {
-    mutated_result: (3, 4, 1, 0, {}, 1),
-    single_node_hybrid: (1, 8, 1, 0, {}, 2),
-    profiles_off: (3, 4, 0, 1, {"profile_off": 1}, 1),
-    subcommunicator_after_align: (3, 4, 1, 0, {}, 1),
-    hybrid_allreduce: (3, 4, 0, 2, {"setup_gate": 1}, 1),
-    compute_before_align(1e-3): (3, 4, 0, 1, {"trailing_work": 1}, 1),
-    compute_before_align(1e-12): (3, 4, 0, 1, {"not_aligned": 1}, 1),
-    entry_beside_the_align: (3, 4, 0, 1, {"trailing_work": 1}, 1),
+    mutated_result: (3, 4, REPS - 1, 1, {}, 1),
+    single_node_hybrid: (1, 8, REPS - 1, 1, {}, 2),
+    profiles_off: (3, 4, 0, 0, {"profile_off": REPS}, 1),
+    subcommunicator_after_align: (3, 4, REPS - 1, 1, {}, 1),
+    hybrid_allreduce: (3, 4, REPS - 2, 1, {"setup_gate": 1}, 1),
+    compute_before_align(1e-3): (3, 4, 0, 0, {"trailing_work": 1}, 1),
+    compute_before_align(1e-12): (3, 4, 0, 0, {"not_aligned": 1}, 1),
+    entry_beside_the_align: (3, 4, 0, 0, {"trailing_work": 1}, 1),
 }
 
 
@@ -164,15 +169,16 @@ def test_hazard_is_bit_identical_and_counted(program, monkeypatch):
     repetition, and its entries are in the record a hit saves), and
     every hit saves exactly what its record says the dispatch costs."""
     monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
-    nodes, ppn, in_place, pocket_runs, vetoes, parks = CASES[program]
+    _check(program, "loop", *CASES[program])
+
+
+def _check(program, replay, nodes, ppn, hits, in_place, vetoes, parks):
     off_job, off = _job(program, False, nodes, ppn)
     before = replaylib.cache_stats()
-    on_job, on = _job(program, "loop", nodes, ppn)
+    on_job, on = _job(program, replay, nodes, ppn)
     after = replaylib.cache_stats()
-    assert on.replay_hits == REPS - 1
-    assert after["records"] - before["records"] == 1
-    assert (after["inplace_records"] - before["inplace_records"]) == in_place
-    assert after["pocket_runs"] - before["pocket_runs"] == pocket_runs
+    assert on.replay_hits == hits
+    assert after["records"] - before["records"] == in_place
     assert {
         reason: n - before["inplace_vetoes"][reason]
         for reason, n in after["inplace_vetoes"].items()
@@ -196,9 +202,51 @@ def test_hazard_is_bit_identical_and_counted(program, monkeypatch):
 @pytest.mark.parametrize("program", CASES, ids=lambda p: p.__name__)
 def test_hazard_verifies_clean(program, monkeypatch):
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
-    nodes, ppn, *_ = CASES[program]
+    nodes, ppn, hits, *_ = CASES[program]
     _, result = _job(program, "loop", nodes, ppn)
-    assert result.replay_hits == REPS - 1
+    assert result.replay_hits == hits
+
+
+def back_to_back(mpi):
+    """Barriers with no align between them: a rank that leaves one
+    parks at the entry of the next, which waits as an align would.  The
+    ranks leave the first in another order than they entered it, so the
+    second is recorded too, and the rest are hits."""
+    comm = mpi.world
+    for _ in range(REPS):
+        yield from comm.barrier()
+
+
+def compute_between(mpi):
+    """Every rank computes between its barriers: still computing at the
+    last rank's exit, so a window does not stand for the barrier alone,
+    its key is not measured again, and none is recorded."""
+    comm = mpi.world
+    for _ in range(REPS):
+        yield mpi.compute(1e-6)
+        yield from comm.barrier()
+
+
+# program -> (hits, records in place, vetoes), in either mode
+WITHOUT_ALIGN = {
+    back_to_back: (REPS - 2, 2, {}),
+    # One window per arrival order: the first, and the ranks' exit order.
+    compute_between: (0, 0, {"trailing_work": 2}),
+}
+
+
+@pytest.mark.parametrize("replay", ["loop", True], ids=["loop", "default"])
+@pytest.mark.parametrize("program", WITHOUT_ALIGN, ids=lambda p: p.__name__)
+def test_a_program_without_aligns(program, replay, monkeypatch):
+    """Default mode records and applies uniform-exit records where the
+    ranks go straight from one world collective into the next; a rank
+    that does anything else first keeps every occurrence live, in
+    either mode."""
+    monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+    _check(program, replay, 3, 4, *WITHOUT_ALIGN[program], 1)
+    monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
+    _, result = _job(program, replay)
+    assert result.replay_hits == WITHOUT_ALIGN[program][0]
 
 
 def _one_node_osu_stats(monkeypatch, verify: str) -> tuple[dict, dict]:
@@ -216,7 +264,7 @@ def _one_node_osu_stats(monkeypatch, verify: str) -> tuple[dict, dict]:
 
 def _is_part_of_the_window(before: dict, after: dict) -> None:
     assert [key[1] for key in replaylib._CACHE] == ["hy_allgather"]
-    assert after["pocket_runs"] == before["pocket_runs"]
+    assert after["records"] - before["records"] == 1
     decided = after["hits"] - before["hits"] + sum(
         n - before["live"][reason] for reason, n in after["live"].items()
     )
@@ -226,7 +274,7 @@ def _is_part_of_the_window(before: dict, after: dict) -> None:
 def test_a_first_occurrence_inside_a_window_is_not_recorded(monkeypatch):
     """The barrier nested in a one-node hy_allgather runs live inside
     the window that records the hy_allgather: part of that dispatch, it
-    is neither decided nor recorded on its own, and no pocket runs."""
+    is neither decided nor recorded on its own."""
     _is_part_of_the_window(*_one_node_osu_stats(monkeypatch, ""))
 
 
@@ -234,6 +282,42 @@ def test_a_dispatch_inside_a_verified_hit_is_not_recorded(monkeypatch):
     """Verify executes every hit live inside a window: the nested
     barrier runs there as it did in the recorded run."""
     _is_part_of_the_window(*_one_node_osu_stats(monkeypatch, "1"))
+
+
+def test_a_new_arrival_order_is_recorded_in_place(monkeypatch):
+    """Round-robin placement, as in the placement ablation: the ranks
+    leave the first hybrid allgather in another order than they entered
+    it, so the next occurrence arrives in a new order, a key without a
+    record.  That occurrence is recorded where it runs, and the rest
+    are hits."""
+    monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+
+    def run(replay):
+        replaylib.clear_cache()
+        job = MPIJob(
+            hazel_hen(2), hybrid_allgather_program,
+            placement=Placement.round_robin(2, 4), payload="cost-only",
+            trace="p2p", replay=replay,
+            program_kwargs={"nbytes_per_rank": 512, "reps": 3, "warmup": 1},
+        )
+        return job, job.run()
+
+    off_job, off = run(False)
+    before = replaylib.cache_stats()
+    on_job, on = run("loop")
+    after = replaylib.cache_stats()
+    assert after["records"] - before["records"] == 2
+    assert on.replay_hits == 2
+    assert after["live"]["unrecorded"] - before["live"]["unrecorded"] == 1
+    assert on.returns == off.returns
+    assert on.finish_times == off.finish_times
+    assert on.comm_summary() == off.comm_summary()
+    for counter in ("sent_messages", "sent_bytes", "intra_copies",
+                    "intra_bytes", "network_messages", "network_bytes"):
+        assert getattr(on, counter) == getattr(off, counter), counter
+    on_net, off_net = (j.machine.network.stats for j in (on_job, off_job))
+    assert on_net.per_pair == off_net.per_pair
+    assert _spans(on.trace) == _spans(off.trace)
 
 
 def _pure(mpi):
@@ -273,7 +357,7 @@ def test_cache_stats_copy_the_vetoes():
 def test_a_record_holds_its_own_hop_count(monkeypatch):
     """On an 8-node ring, a message across the ring takes 5 hops and a
     ring allgather at most 2: the record measured after that message
-    holds 2, as the pocket measures for the same key."""
+    holds 2, in either mode."""
     from repro.machine.model import MachineSpec
     from repro.machine.topology import TorusTopology
 
@@ -301,7 +385,8 @@ def test_a_record_holds_its_own_hop_count(monkeypatch):
         (rec,) = replaylib._CACHE.values()
         return job, rec
 
-    job, in_place = record("loop")
+    job, loop = record("loop")
     assert job.machine.network.stats.max_hops == 5
-    _, pocket = record(True)
-    assert in_place.max_hops == pocket.max_hops == 2
+    job, default = record(True)
+    assert job.machine.network.stats.max_hops == 5
+    assert loop.max_hops == default.max_hops == 2

@@ -5,9 +5,9 @@ counts the decision once (``cache_stats()``, and so the sweep service's
 ``/stats``): a hit — ``lane_hits`` of them taken by the lane, without
 building a key — or a live run for one reason of
 :data:`~repro.mpi.collectives.replay.LIVE_REASONS`.  The first program
-below reaches every reason but two between its two modes, and a program
-whose ranks rotate their entry order reaches those two — a negative
-record and a spent ``_UNUSABLE_LIMIT``; the counts are exact, so a
+below reaches every reason but one between its two modes, and a program
+whose ranks rotate their entry order reaches that one — a later
+occurrence whose key has no record yet; the counts are exact, so a
 per-rank count or a dispatch counted twice fails here.
 """
 
@@ -58,6 +58,15 @@ def every_reason(mpi):
     yield from comm.align()
 
 
+def repeated(mpi):
+    """One allgather shape, entered in one rank order each time."""
+    comm = mpi.world
+    for _ in range(6):
+        yield from comm.align()
+        yield from comm.allgather(Bytes(512))
+    yield from comm.align()
+
+
 def rotating(mpi):
     """One allgather shape, entered in a rotated rank order each time:
     every repetition has a key of its own, so each one looks up a record
@@ -99,16 +108,14 @@ def _deltas(replay, program=every_reason):
     ("loop", {
         "hits": 6, "misses": 3, "lane_hits": 4,
         "live": {"staggered": 1, "not_quiescent": 2, "unsigned": 1,
-                 "first_occurrence": 3, "negative": 0, "unusable_limit": 0,
-                 "non_uniform": 0},
+                 "first_occurrence": 3, "unrecorded": 0, "non_uniform": 0},
     }),
     # Default mode applies only records whose ranks exit together; these
     # shapes' do not, so every repetition runs live for want of one.
     (True, {
         "hits": 0, "misses": 9, "lane_hits": 0,
         "live": {"staggered": 1, "not_quiescent": 2, "unsigned": 1,
-                 "first_occurrence": 3, "negative": 0, "unusable_limit": 0,
-                 "non_uniform": 6},
+                 "first_occurrence": 3, "unrecorded": 0, "non_uniform": 6},
     }),
 ], ids=["loop", "default"])
 def test_every_decided_dispatch_is_counted_once(replay, expected):
@@ -117,8 +124,7 @@ def test_every_decided_dispatch_is_counted_once(replay, expected):
     live = counts["live"]
     assert counts["hits"] + sum(live.values()) == DISPATCHES
     assert counts["misses"] == (
-        live["first_occurrence"] + live["negative"]
-        + live["unusable_limit"] + live["non_uniform"]
+        live["first_occurrence"] + live["unrecorded"] + live["non_uniform"]
     )
     # The job's own counters agree with the process-global ones.
     assert (result.replay_hits, result.replay_misses) == (
@@ -126,28 +132,33 @@ def test_every_decided_dispatch_is_counted_once(replay, expected):
     )
 
 
-def _raise(*_args, **_kwargs):
-    raise RuntimeError("the pocket cannot run")
-
-
-@pytest.mark.parametrize("pocket_fails, cause", [
-    # Each rotated key records a pocket whose ranks exit apart.
-    (False, "non_uniform"),
-    # Each pocket raises and its key caches a negative record.
-    (True, "negative"),
-], ids=["non_uniform", "negative"])
-def test_default_mode_names_each_miss_by_cause(monkeypatch, pocket_fails,
-                                               cause):
-    if pocket_fails:
-        # Verify re-raises a failing pocket; this case is the other path.
-        monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
-        monkeypatch.setattr(replaylib._PocketHost, "run", _raise)
-    _result, counts = _deltas(True, rotating)
-    # Three lookups pay for a pocket and fail; the shape has then spent
-    # its budget, and the last two run live without one.
+@pytest.mark.parametrize("program, cause", [
+    # Recorded where its first occurrence runs; its ranks exit apart.
+    (repeated, "non_uniform"),
+    # Each rotated key is recorded where its occurrence runs.
+    (rotating, "unrecorded"),
+], ids=["non_uniform", "unrecorded"])
+def test_default_mode_names_each_miss_by_cause(program, cause):
+    _result, counts = _deltas(True, program)
     live = dict.fromkeys(replaylib.LIVE_REASONS, 0)
-    live.update({"first_occurrence": 1, cause: 3, "unusable_limit": 2})
+    live.update({"first_occurrence": 1, cause: 5})
     assert counts == {"hits": 0, "misses": 6, "lane_hits": 0, "live": live}
+
+
+def back_to_back(mpi):
+    """Allgathers with no align between them: the ranks that leave one
+    run ahead into the next while the window on the first is open."""
+    comm = mpi.world
+    for _ in range(6):
+        yield from comm.allgather(Bytes(512))
+
+
+@pytest.mark.parametrize("replay", ["loop", True], ids=["loop", "default"])
+def test_a_dispatch_entered_inside_a_window_is_counted(replay):
+    _result, counts = _deltas(replay, back_to_back)
+    live = dict.fromkeys(replaylib.LIVE_REASONS, 0)
+    live.update({"first_occurrence": 1, "staggered": 5})
+    assert counts == {"hits": 0, "misses": 1, "lane_hits": 0, "live": live}
 
 
 def test_cache_stats_copy_the_live_reasons():

@@ -36,6 +36,7 @@ from repro.bench.sweep import (
     run_sweep,
 )
 from repro.mpi.collectives import registry
+from tests.helpers import UNDER_VERIFY
 
 # A Fig-9 miniature: ppn sweep at fixed node count, hybrid vs pure —
 # small enough for process-pool tests to stay fast.
@@ -517,8 +518,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
+@UNDER_VERIFY
 def test_committed_fig7_pins_are_live():
-    """The committed BENCH_fig7.json is what the code produces now."""
+    """The committed BENCH_fig7.json is what the code produces now (its
+    ``events`` count replay-on work, which verify runs live)."""
     from repro.bench.sweep import check_against_bench
 
     report = run_sweep([p for _n, p in figure_points("fig7")])

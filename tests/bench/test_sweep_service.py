@@ -133,7 +133,7 @@ def test_stats_counts_requests(service):
     assert doc["requests"] == 3
     assert doc["errors"] == 1
     assert doc["cache"]["entries"] == 0
-    assert {"records", "pocket_runs", "inplace_records", "lane_hits"} <= (
+    assert {"records", "lane_hits"} <= (
         doc["replay"].keys()
     )
     assert list(doc["replay"]["inplace_vetoes"]) == [
@@ -141,7 +141,7 @@ def test_stats_counts_requests(service):
     ]
     assert list(doc["replay"]["live"]) == [
         "staggered", "not_quiescent", "unsigned", "first_occurrence",
-        "negative", "unusable_limit", "non_uniform",
+        "unrecorded", "non_uniform",
     ]
 
 

@@ -6,12 +6,25 @@ as ``from tests.helpers import run``.)
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from repro.machine import testing_machine
 from repro.mpi import run_program
 
-__all__ = ["run", "returns_of", "assert_allclose"]
+__all__ = ["run", "returns_of", "assert_allclose", "UNDER_VERIFY"]
+
+#: Verify mode executes every hit live and checks it against its record,
+#: so a run under it replays no span and saves no event, and it turns
+#: replay on where a job left it to the environment: a test that pins
+#: replay-on ``events`` or replayed spans cannot hold there, by design.
+UNDER_VERIFY = pytest.mark.skipif(
+    os.environ.get("REPRO_REPLAY_VERIFY", "0") not in ("", "0"),
+    reason="REPRO_REPLAY_VERIFY executes every hit live: nothing is "
+           "replayed, by design",
+)
 
 
 def run(program, *, nodes=2, cores=4, nprocs=None, placement=None,
