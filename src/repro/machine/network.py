@@ -20,7 +20,7 @@ messages themselves are driven by :mod:`repro.mpi.p2p`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.machine.topology import FlatTopology, Topology
 from repro.simulator import BandwidthChannel, Engine
@@ -95,24 +95,10 @@ class NetworkSpec:
 
 @dataclass
 class NetworkStats:
-    """Aggregate counters maintained by :class:`NetworkModel`."""
+    """Network traffic counters, incremented as each message lands."""
 
     messages: int = 0
     bytes: float = 0.0
-    max_hops: int = 0
-    rendezvous_messages: int = 0
-    per_pair: dict = field(default_factory=dict)
-
-    def record(self, src_node: int, dst_node: int, nbytes: float, hops: int,
-               rendezvous: bool) -> None:
-        self.messages += 1
-        self.bytes += nbytes
-        self.max_hops = max(self.max_hops, hops)
-        if rendezvous:
-            self.rendezvous_messages += 1
-        key = (src_node, dst_node)
-        cnt, byt = self.per_pair.get(key, (0, 0.0))
-        self.per_pair[key] = (cnt + 1, byt + nbytes)
 
 
 class NetworkModel:

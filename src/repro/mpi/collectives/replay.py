@@ -36,8 +36,8 @@ opened on an aligned, quiescent occurrence whose key has no record yet
 — the first one, or a later one (another arrival order, an occurrence
 whose window was vetoed) — from the simultaneous release of the parked
 ranks to the entry in which the last of them exits: per-rank tick
-durations, exit order, results, counter, traffic, hop and profile
-increments, span templates and the engine entries the dispatch cost.
+durations, exit order, results, counter and profile increments, span
+templates and the engine entries the dispatch cost.
 The record is measured where it runs, and it primes the lane so the
 next occurrence is a hit without a key.  The window only stands for the
 dispatch alone when, at its close, every other rank is waiting — in the
@@ -301,32 +301,27 @@ class _Record:
     """Outcome of one dispatch from a quiescent simultaneous entry."""
 
     __slots__ = (
-        "d_ticks", "results", "counters", "per_pair", "max_hops",
-        "templates", "events", "exit_order", "profiles",
+        "d_ticks", "results", "counters", "templates", "events",
+        "exit_order", "profiles",
     )
 
-    def __init__(self, d_ticks, results, counters, per_pair, max_hops,
-                 templates, events, exit_order, profiles):
+    def __init__(self, d_ticks, results, counters, templates, events,
+                 exit_order, profiles):
         self.d_ticks = d_ticks        # per-rank duration in whole ticks
         self.results = results        # per-rank return values
-        self.counters = counters      # bulk counter deltas (see _snapshot)
-        self.per_pair = per_pair      # {(src,dst): (d_count, d_bytes)}
-        self.max_hops = max_hops      # the dispatch's own maximum
+        self.counters = counters      # job counter deltas (see _counters)
         self.templates = templates    # span templates (t as relative ticks)
         self.events = events          # n release events plus its own
         self.exit_order = exit_order  # ranks in exit-event processing order
         self.profiles = profiles      # per-rank (op, dcalls, dbytes, dtime)
 
 
-def _snapshot(job):
-    """Bulk counters + per-pair traffic of *job*, for window deltas."""
+def _counters(job):
+    """The six counters a :class:`JobResult` reports, for window deltas."""
     net = job.machine.network.stats
-    return (
-        (job.msg_engine.sent_messages, job.msg_engine.sent_bytes,
-         job.machine.intra_copies, job.machine.intra_bytes,
-         net.messages, net.bytes, net.rendezvous_messages),
-        dict(net.per_pair),
-    )
+    return (job.msg_engine.sent_messages, job.msg_engine.sent_bytes,
+            job.machine.intra_copies, job.machine.intra_bytes,
+            net.messages, net.bytes)
 
 
 _RETIRE = _Message._retire
@@ -361,9 +356,9 @@ class _Window:
     something else and ``events`` is None.
     """
 
-    __slots__ = ("job", "sink", "t0_ticks", "events0", "gates", "hops0",
-                 "counters", "per_pair", "spans", "profiles", "exits",
-                 "aligned", "closed")
+    __slots__ = ("job", "sink", "t0_ticks", "events0", "gates",
+                 "counters", "spans", "profiles", "exits", "aligned",
+                 "closed")
 
     def __init__(self, job, sink):
         # Opened by a decision, which runs as an advance hook: the
@@ -374,11 +369,7 @@ class _Window:
         self.t0_ticks = round(eng.now * _INV_TICK)
         self.events0 = eng.event_count
         self.gates = job.gates
-        self.counters, self.per_pair = _snapshot(job)
-        # Count hops from zero: the record holds the dispatch's own
-        # maximum, not the job's running one (restored at the close).
-        net = job.machine.network.stats
-        self.hops0, net.max_hops = net.max_hops, 0
+        self.counters = _counters(job)
         self.spans = len(job.tracer.records) if job.tracer is not None else 0
         self.profiles = [
             {o: (s.calls, s.bytes, s.time)
@@ -426,17 +417,7 @@ class _Window:
         self.closed = True
         job = self.job
         eng = job.engine
-        net = job.machine.network.stats
-        hops = net.max_hops
-        if self.hops0 > hops:
-            net.max_hops = self.hops0
-        counters, end_pairs = _snapshot(job)
-        counters = tuple(a - b for a, b in zip(counters, self.counters))
-        per_pair = {}
-        for pair, (c, b) in end_pairs.items():
-            c0, b0 = self.per_pair.get(pair, (0, 0.0))
-            if c != c0 or b != b0:
-                per_pair[pair] = (c - c0, b - b0)
+        counters = tuple(a - b for a, b in zip(_counters(job), self.counters))
         # Every quantity on the tick grid at benchmark magnitudes sums
         # exactly in binary floating point, so plain deltas reproduce
         # live accumulation bit-for-bit.
@@ -486,7 +467,7 @@ class _Window:
         def measured() -> None:
             events = eng.event_count - self.events0 + trailing
             self.sink(_Record(
-                d_ticks, results, counters, per_pair, hops, templates,
+                d_ticks, results, counters, templates,
                 events if exact else None, tuple(exits), tuple(profiles),
             ), reason)
 
@@ -528,8 +509,6 @@ def _compare(op: str, rec: _Record, live: _Record, contexts) -> None:
         ("exit order", rec.exit_order, live.exit_order),
         ("results", rec.results, live.results),
         ("counter deltas", rec.counters, live.counters),
-        ("per-pair traffic", rec.per_pair, live.per_pair),
-        ("max hops", rec.max_hops, live.max_hops),
         ("profile deltas", profiles, live.profiles),
     ]
     if rec.templates is not None and live.templates is not None:
@@ -965,21 +944,13 @@ class ReplaySession:
         me = job.msg_engine
         mach = job.machine
         net = mach.network.stats
-        dm, db, dic, dib, dnm, dnb, drv = rec.counters
+        dm, db, dic, dib, dnm, dnb = rec.counters
         me.sent_messages += dm
         me.sent_bytes += db
         mach.intra_copies += dic
         mach.intra_bytes += dib
         net.messages += dnm
         net.bytes += dnb
-        net.rendezvous_messages += drv
-        if rec.max_hops > net.max_hops:
-            net.max_hops = rec.max_hops
-        for pair, (dc, dby) in rec.per_pair.items():
-            cur = net.per_pair.get(pair)
-            net.per_pair[pair] = (
-                (dc, dby) if cur is None else (cur[0] + dc, cur[1] + dby)
-            )
         if job.tracer is not None and rec.templates is not None:
             job.tracer.emit_replayed(rec.templates, base_ticks)
         if plan.unbound:

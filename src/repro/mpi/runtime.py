@@ -21,6 +21,7 @@ coroutine the rank runs — a generator function, typically::
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -215,6 +216,16 @@ class JobResult:
         }
 
 
+def _env_choice(name: str, accepted: tuple[str, ...]) -> str:
+    """The value of environment variable *name* ("" when unset), which
+    must be one of *accepted*."""
+    value = os.environ.get(name, "")
+    if value not in accepted:
+        raise ValueError(f"unknown {name}={value!r}; known: "
+                         f"{', '.join(map(repr, accepted))}")
+    return value
+
+
 class MPIJob:
     """One simulated MPI execution.
 
@@ -228,6 +239,18 @@ class MPIJob:
       copies.  Virtual times, event counts, and span streams are
       bit-identical to ``"data"`` (the equivalence tests assert this);
       only wall-clock cost changes.  Used by the benchmark sweeps.
+
+    ``replay`` selects the replay cache
+    (:mod:`repro.mpi.collectives.replay`): ``False`` runs every dispatch
+    live, ``True`` applies records whose ranks exit at one timestep, and
+    ``"loop"`` also applies the others — safe only for align-disciplined
+    programs (benchmark harnesses).  ``None`` defers to ``REPRO_REPLAY``:
+    ``""`` or ``"0"`` off, ``"1"`` on, ``"loop"``.
+    ``REPRO_REPLAY_VERIFY`` (``""``, ``"0"`` or ``"1"``) executes every
+    hit live and compares it with its record; ``"1"`` also turns replay
+    on where ``REPRO_REPLAY`` leaves it off.  Any other value of the
+    three raises :class:`ValueError`.  The cache only exists where it
+    can fire: with ``"cost-only"`` payloads and no noise model.
     """
 
     def __init__(
@@ -297,22 +320,13 @@ class MPIJob:
         #: dup, shared-window allocation) — one-off setup, which is how
         #: replay recording tells a warm run from a steady-state one.
         self.gates = 0
-        # Replay: None defers to the environment (REPRO_REPLAY, with
-        # "loop" selecting loop mode; REPRO_REPLAY_VERIFY implies replay
-        # in verify mode).  ``replay="loop"`` additionally applies
-        # records whose ranks exit at different timesteps — safe only
-        # for align-disciplined programs (benchmark harnesses; see
-        # ReplaySession).  The session only exists when it can ever fire
-        # — symbolic payloads and no noise model; otherwise dispatches
-        # run unchanged.
-        import os as _os
-
-        verify = _os.environ.get("REPRO_REPLAY_VERIFY", "0") not in ("", "0")
+        verify = _env_choice("REPRO_REPLAY_VERIFY", ("", "0", "1")) == "1"
         if replay is None:
-            env = _os.environ.get("REPRO_REPLAY", "0")
-            replay = env if env == "loop" else (
-                verify or env not in ("", "0")
-            )
+            env = _env_choice("REPRO_REPLAY", ("", "0", "1", "loop"))
+            replay = "loop" if env == "loop" else verify or env == "1"
+        elif replay not in (False, True, "loop"):
+            raise ValueError(f"unknown replay {replay!r}; known: "
+                             "None, False, True, 'loop'")
         self.replay = None
         if replay and not self.data_mode and noise is None:
             from repro.mpi.collectives.replay import ReplaySession

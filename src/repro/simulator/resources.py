@@ -133,8 +133,6 @@ class BandwidthChannel:
         #: Stream slots held, and transfers waiting for one (FIFO).
         self._in_use = 0
         self._waiters: deque[_Transfer] = deque()
-        self.bytes_moved = 0.0
-        self.busy_time = 0.0
 
     @property
     def stream_bandwidth(self) -> float:
@@ -175,9 +173,9 @@ class BandwidthChannel:
 
 class _Transfer:
     """One transfer through a :class:`BandwidthChannel`: the start step
-    takes a stream slot or queues for one, the grant step charges the
-    bytes and waits out the duration, the finish passes the slot on and
-    triggers *done* (an :class:`Event`) or schedules it (a callable)."""
+    takes a stream slot or queues for one, the grant step waits out the
+    duration, the finish passes the slot on and triggers *done* (an
+    :class:`Event`) or schedules it (a callable)."""
 
     __slots__ = ("channel", "nbytes", "done")
 
@@ -197,10 +195,7 @@ class _Transfer:
 
     def _grant(self) -> None:
         ch = self.channel
-        nbytes = self.nbytes
-        duration = nbytes / ch._stream_bw
-        ch.bytes_moved += nbytes
-        ch.busy_time += duration
+        duration = self.nbytes / ch._stream_bw
         if duration > 0:
             ch.engine.call_later(duration, self._finish)
         else:

@@ -1,8 +1,9 @@
 """Replay records pinned to literals, one per collective and machine.
 
 A record is what one measured run of a dispatch shape produced —
-per-rank tick durations, exit order, counter and traffic increments,
-profile increments, results, span templates and engine events.  Every
+per-rank tick durations, exit order, the increments of the six counters
+a ``JobResult`` reports, profile increments, results, span templates and
+engine events.  Every
 later hit of the shape applies it instead of simulating, so a record
 that drifts moves virtual time everywhere it is replayed.
 ``record_pins.json`` holds, per case of ``test_replay_all_ops.py`` (each
@@ -79,10 +80,6 @@ def observe(case_id: str, replay="loop") -> dict:
         "d_ticks": rec.d_ticks,
         "exit_order": rec.exit_order,
         "counters": rec.counters,
-        "per_pair": sorted(
-            (*pair, c, b) for pair, (c, b) in rec.per_pair.items()
-        ),
-        "max_hops": rec.max_hops,
         "events": rec.events,
         "profiles": rec.profiles,
         "results": repr(rec.results),

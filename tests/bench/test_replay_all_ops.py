@@ -23,7 +23,7 @@ from repro.mpi.collectives import registry
 from repro.mpi.collectives import replay as replaylib
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
-from tests.bench.test_replay_equivalence import _strip as _spans
+from tests.helpers import assert_same_run
 
 REPS = 6
 NODES, PPN = 3, 4
@@ -131,17 +131,7 @@ def test_replay_bit_identical(op):
         assert vetoes == dict.fromkeys(vetoes, 0) | {"setup_gate": 1}
     else:
         assert vetoes == dict.fromkeys(vetoes, 0)
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
-    assert on.elapsed == off.elapsed
-    assert on.sent_messages == off.sent_messages
-    assert on.sent_bytes == off.sent_bytes
-    assert on.network_messages == off.network_messages
-    assert on.network_bytes == off.network_bytes
-    assert on.intra_copies == off.intra_copies
-    assert on.intra_bytes == off.intra_bytes
-    assert on.comm_summary() == off.comm_summary()
-    assert _spans(on.trace) == _spans(off.trace)
+    assert_same_run(on, off)
 
 
 @pytest.mark.parametrize("op", CASES)
@@ -190,9 +180,7 @@ def test_flag_sync_hybrid_replays(monkeypatch):
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
     on = run("loop")
     assert on.replay_hits == REPS
-    assert on.returns == off.returns
-    assert on.comm_summary() == off.comm_summary()
-    assert _spans(on.trace) == _spans(off.trace)
+    assert_same_run(on, off)
 
 
 def test_data_arguments_veto():

@@ -22,7 +22,7 @@ from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen, hazel_hen_2s
 from repro.mpi import run_program
 from repro.mpi.collectives import replay as replaylib
-from tests.helpers import UNDER_VERIFY
+from tests.helpers import UNDER_VERIFY, assert_same_run
 
 REPS = 6
 
@@ -42,27 +42,6 @@ MACHINES = [
     pytest.param(hazel_hen, id="flat"),
     pytest.param(hazel_hen_2s, id="2socket"),
 ]
-
-#: Span fields that may legitimately differ under replay: span ids and
-#: parent links are allocation-order artifacts, and the ``replayed``
-#: marker tag is the one *intentional* difference.
-_DROP = ("sid", "parent", "replayed")
-
-
-def _strip(records):
-    """Normalize a span stream for comparison: drop allocation-order
-    artifacts and canonicalize the order of records sharing a
-    timestamp (the relative emission order of same-tick spans is a
-    queue-processing artifact, not a simulated quantity)."""
-    stripped = [
-        {k: v for k, v in r.items() if k not in _DROP} for r in records
-    ]
-    return sorted(
-        stripped,
-        key=lambda d: (d.get("t", 0.0), sorted(
-            (k, repr(v)) for k, v in d.items()
-        )),
-    )
 
 
 def _run(machine, nodes, placement, elements, variant, options, replay):
@@ -93,22 +72,10 @@ def test_replay_bit_identical(cfg, machine):
     # nothing (warm-first runs the first occurrence of each shape live,
     # every later aligned repetition replays).
     assert on.replay_hits > 0
-    # Exact per-rank virtual-time equality: mean latencies (returns),
-    # rank finish times, job span.
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
-    assert on.elapsed == off.elapsed
-    # Byte/message counters, including per-transport splits.
-    assert on.sent_messages == off.sent_messages
-    assert on.sent_bytes == off.sent_bytes
-    assert on.network_messages == off.network_messages
-    assert on.network_bytes == off.network_bytes
-    assert on.intra_bytes == off.intra_bytes
-    assert on.comm_summary() == off.comm_summary()
-    # Span streams: identical records at identical virtual timestamps;
-    # replayed spans differ only by their `replayed` marker (and span
+    # Exact per-rank latencies, finish times, counters, profiles, and
+    # span streams that differ only by the `replayed` marker (and span
     # ids, an allocation-order artifact).
-    assert _strip(on.trace) == _strip(off.trace)
+    assert_same_run(on, off)
 
 
 @UNDER_VERIFY

@@ -10,7 +10,7 @@ here hits one hazard of that measurement, runs bit-identical to
 ``replay=False``, and pins what came of it — the hits, the records made
 in place, and the vetoes that kept occurrences live
 (``cache_stats()["inplace_vetoes"]``).  The last tests check that verify
-compares the whole record, ``max_hops`` and ``events`` included.
+compares the whole record, ``events`` included.
 """
 
 from __future__ import annotations
@@ -25,19 +25,18 @@ from repro.mpi.collectives import replay as replaylib
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
 from repro.mpi.runtime import MPIJob
-from tests.bench.test_replay_equivalence import _strip as _spans
+from tests.helpers import assert_same_run
 
 REPS = 5
 
 
 def _job(program, replay, nodes=3, ppn=4):
     replaylib.clear_cache()
-    job = MPIJob(
+    return MPIJob(
         hazel_hen(nodes), program,
         placement=Placement.block(nodes, ppn),
         payload="cost-only", trace="p2p", replay=replay,
-    )
-    return job, job.run()
+    ).run()
 
 
 def _loop(mpi, issue, reps=REPS, after=None):
@@ -173,9 +172,9 @@ def test_hazard_is_bit_identical_and_counted(program, monkeypatch):
 
 
 def _check(program, replay, nodes, ppn, hits, in_place, vetoes, parks):
-    off_job, off = _job(program, False, nodes, ppn)
+    off = _job(program, False, nodes, ppn)
     before = replaylib.cache_stats()
-    on_job, on = _job(program, replay, nodes, ppn)
+    on = _job(program, replay, nodes, ppn)
     after = replaylib.cache_stats()
     assert on.replay_hits == hits
     assert after["records"] - before["records"] == in_place
@@ -183,27 +182,17 @@ def _check(program, replay, nodes, ppn, hits, in_place, vetoes, parks):
         reason: n - before["inplace_vetoes"][reason]
         for reason, n in after["inplace_vetoes"].items()
     } == dict.fromkeys(replaylib.VETOES, 0) | vetoes
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
     assert on.events_processed + on.replay_events_saved == (
         off.events_processed + nodes * ppn * parks * REPS
     )
-    for counter in ("sent_messages", "sent_bytes", "intra_copies",
-                    "intra_bytes", "network_messages", "network_bytes"):
-        assert getattr(on, counter) == getattr(off, counter), counter
-    on_net, off_net = (j.machine.network.stats for j in (on_job, off_job))
-    assert on_net.per_pair == off_net.per_pair
-    assert on_net.max_hops == off_net.max_hops
-    assert ([p.summary() for p in on.profiles]
-            == [p.summary() for p in off.profiles])
-    assert _spans(on.trace) == _spans(off.trace)
+    assert_same_run(on, off)
 
 
 @pytest.mark.parametrize("program", CASES, ids=lambda p: p.__name__)
 def test_hazard_verifies_clean(program, monkeypatch):
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
     nodes, ppn, hits, *_ = CASES[program]
-    _, result = _job(program, "loop", nodes, ppn)
+    result = _job(program, "loop", nodes, ppn)
     assert result.replay_hits == hits
 
 
@@ -245,7 +234,7 @@ def test_a_program_without_aligns(program, replay, monkeypatch):
     monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
     _check(program, replay, 3, 4, *WITHOUT_ALIGN[program], 1)
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
-    _, result = _job(program, replay)
+    result = _job(program, replay)
     assert result.replay_hits == WITHOUT_ALIGN[program][0]
 
 
@@ -294,30 +283,21 @@ def test_a_new_arrival_order_is_recorded_in_place(monkeypatch):
 
     def run(replay):
         replaylib.clear_cache()
-        job = MPIJob(
+        return MPIJob(
             hazel_hen(2), hybrid_allgather_program,
             placement=Placement.round_robin(2, 4), payload="cost-only",
             trace="p2p", replay=replay,
             program_kwargs={"nbytes_per_rank": 512, "reps": 3, "warmup": 1},
-        )
-        return job, job.run()
+        ).run()
 
-    off_job, off = run(False)
+    off = run(False)
     before = replaylib.cache_stats()
-    on_job, on = run("loop")
+    on = run("loop")
     after = replaylib.cache_stats()
     assert after["records"] - before["records"] == 2
     assert on.replay_hits == 2
     assert after["live"]["unrecorded"] - before["live"]["unrecorded"] == 1
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
-    assert on.comm_summary() == off.comm_summary()
-    for counter in ("sent_messages", "sent_bytes", "intra_copies",
-                    "intra_bytes", "network_messages", "network_bytes"):
-        assert getattr(on, counter) == getattr(off, counter), counter
-    on_net, off_net = (j.machine.network.stats for j in (on_job, off_job))
-    assert on_net.per_pair == off_net.per_pair
-    assert _spans(on.trace) == _spans(off.trace)
+    assert_same_run(on, off)
 
 
 def _pure(mpi):
@@ -325,17 +305,14 @@ def _pure(mpi):
     return (yield from _loop(mpi, lambda: comm.allgather(Bytes(4096))))
 
 
-@pytest.mark.parametrize("field, what", [
-    ("max_hops", "max hops"), ("events", "events"),
-])
+@pytest.mark.parametrize("field, what", [("events", "events")])
 def test_verify_compares_the_whole_record(field, what, monkeypatch):
     """Verify measures a hit through the window that records and
-    compares every field: a record that applies a wrong hop count or
-    event count is caught, not trusted."""
+    compares every field: a record that applies a wrong event count is
+    caught, not trusted."""
     monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
     _job(_pure, "loop")
     (rec,) = replaylib._CACHE.values()
-    assert rec.max_hops > 0
     setattr(rec, field, getattr(rec, field) + 1)
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
     job = MPIJob(
@@ -352,41 +329,3 @@ def test_cache_stats_copy_the_vetoes():
     assert replaylib.cache_stats()["inplace_vetoes"]["setup_gate"] == (
         stats["inplace_vetoes"]["setup_gate"] - 1
     )
-
-
-def test_a_record_holds_its_own_hop_count(monkeypatch):
-    """On an 8-node ring, a message across the ring takes 5 hops and a
-    ring allgather at most 2: the record measured after that message
-    holds 2, in either mode."""
-    from repro.machine.model import MachineSpec
-    from repro.machine.topology import TorusTopology
-
-    monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
-    monkeypatch.setenv("REPRO_COLL_ALLGATHER", "ring")
-    monkeypatch.setattr(MachineSpec, "build_topology",
-                        lambda self: TorusTopology((self.num_nodes,)))
-
-    def program(mpi):
-        comm = mpi.world
-        if comm.rank in (0, 4):
-            if comm.rank == 0:
-                yield from comm.send(Bytes(64), 4)
-            else:
-                yield from comm.recv(source=0)
-        return (yield from _loop(mpi, lambda: comm.allgather(Bytes(64))))
-
-    def record(replay):
-        replaylib.clear_cache()
-        job = MPIJob(
-            hazel_hen(8), program, placement=Placement.block(8, 1),
-            payload="cost-only", replay=replay,
-        )
-        job.run()
-        (rec,) = replaylib._CACHE.values()
-        return job, rec
-
-    job, loop = record("loop")
-    assert job.machine.network.stats.max_hops == 5
-    job, default = record(True)
-    assert job.machine.network.stats.max_hops == 5
-    assert loop.max_hops == default.max_hops == 2

@@ -32,7 +32,7 @@ from repro.mpi.collectives import replay as replaylib
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
 from repro.mpi.runtime import MPIJob
-from tests.bench.test_replay_equivalence import _strip as _spans
+from tests.helpers import assert_same_run
 
 NODES, PPN = 4, 3
 REPS = 12
@@ -40,13 +40,12 @@ REPS = 12
 
 def _job(program, replay, **kwargs):
     replaylib.clear_cache()
-    job = MPIJob(
+    return MPIJob(
         hazel_hen(NODES), program,
         placement=Placement.block(NODES, PPN),
         payload="cost-only", trace="p2p", replay=replay,
         program_kwargs=kwargs,
-    )
-    return job, job.run()
+    ).run()
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def test_keying_work_does_not_grow_with_repetitions(program, monkeypatch):
 
     def run(reps):
         counts.update(call_signature=0, replay_key=0)
-        _, result = _job(program, "loop", nbytes_per_rank=512, reps=reps)
+        result = _job(program, "loop", nbytes_per_rank=512, reps=reps)
         return dict(counts), result
 
     few, few_result = run(5)
@@ -264,22 +263,11 @@ PROGRAMS = [
 @pytest.mark.parametrize("replay", ["loop", True], ids=["loop", "default"])
 @pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.__name__)
 def test_bit_identical_to_replay_off(program, replay):
-    off_job, off = _job(program, False)
-    on_job, on = _job(program, replay)
+    off = _job(program, False)
+    on = _job(program, replay)
     if replay == "loop":
         assert on.replay_hits > 0
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
-    assert on.elapsed == off.elapsed
-    for counter in ("sent_messages", "sent_bytes", "intra_copies",
-                    "intra_bytes", "network_messages", "network_bytes"):
-        assert getattr(on, counter) == getattr(off, counter), counter
-    on_net, off_net = (j.machine.network.stats for j in (on_job, off_job))
-    assert on_net.per_pair == off_net.per_pair
-    assert on_net.max_hops == off_net.max_hops
-    assert ([p.summary() for p in on.profiles]
-            == [p.summary() for p in off.profiles])
-    assert _spans(on.trace) == _spans(off.trace)
+    assert_same_run(on, off)
 
 
 @pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.__name__)
@@ -287,7 +275,7 @@ def test_verifies_clean(program, monkeypatch):
     """Every hit executed live and checked against its record, every
     lane-selected record against the full key's."""
     monkeypatch.setenv("REPRO_REPLAY_VERIFY", "1")
-    _, result = _job(program, "loop")
+    result = _job(program, "loop")
     assert result.replay_hits > 0
 
 
@@ -301,7 +289,7 @@ def test_repeats_take_the_lane_and_changes_leave_it(monkeypatch):
         replaylib, "replay_key",
         lambda *args: keys.append(args[1]) or inner(*args),
     )
-    _, result = _job(size_changes_and_changes_back, "loop")
+    result = _job(size_changes_and_changes_back, "loop")
     # 256 ×4, 1024 ×3, 256 ×4, 1024: each shape's first occurrence runs
     # live unkeyed; a key is built when a shape returns, not per repeat.
     assert result.replay_hits == REPS - 2

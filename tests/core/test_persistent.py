@@ -105,7 +105,7 @@ def test_plan_starts_replay(kind):
     """"Bind once, start many" is exactly what the replay cache
     memoises: a plan loop replays, and nothing observable moves."""
     from repro.mpi.collectives import replay as replaylib
-    from tests.helpers import run
+    from tests.helpers import assert_same_run, run
 
     def prog(mpi):
         comm = mpi.world
@@ -130,13 +130,7 @@ def test_plan_starts_replay(kind):
     off, on = job(False), job("loop")
     # The first start runs live; the other nineteen replay.
     assert (on.replay_hits, off.replay_hits) == (19, 0)
-    assert on.returns == off.returns
-    assert on.finish_times == off.finish_times
-    for counter in ("sent_messages", "sent_bytes", "intra_copies",
-                    "intra_bytes", "network_messages", "network_bytes"):
-        assert getattr(on, counter) == getattr(off, counter), counter
-    assert ([p.summary() for p in on.profiles]
-            == [p.summary() for p in off.profiles])
+    assert_same_run(on, off)
 
 
 class TestCalibrationProbes:

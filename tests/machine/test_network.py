@@ -112,11 +112,7 @@ class TestTransmit:
 
         net, result = run_job(prog)
         assert result.network_messages == net.stats.messages == 2
-        assert net.stats.bytes == 500 + 8192
-        assert net.stats.rendezvous_messages == 1
-        assert net.stats.per_pair[(0, 1)] == (1, 500.0)
-        assert net.nic_tx(0).bytes_moved == 500 + 8192
-        assert net.nic_rx(2).bytes_moved == 8192
+        assert result.network_bytes == net.stats.bytes == 500 + 8192
 
     def test_on_node_message_skips_the_network(self):
         def prog(mpi):
@@ -128,7 +124,6 @@ class TestTransmit:
 
         net, result = run_job(prog, nodes=1, cores=2)
         assert net.stats.messages == result.network_messages == 0
-        assert net.nic_tx(0).bytes_moved == 0
         assert result.intra_copies == 2
 
     def test_topology_capacity_checked(self, engine):

@@ -10,6 +10,7 @@ the equivalence suites prove cost-neutral.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen, hazel_hen_flat
@@ -186,3 +187,42 @@ class TestSessionKeying:
     def test_data_mode_never_replays(self):
         result = self._run(payload="data", replay=True)
         assert result.replay_hits == result.replay_misses == 0
+
+
+class TestReplayModes:
+    """``replay`` and the two environment variables take their modes
+    and nothing else: a misspelt mode raises instead of running some
+    other one."""
+
+    @staticmethod
+    def _job(**kwargs):
+        return MPIJob(_testing(num_nodes=2, cores=4), _bench,
+                      placement=Placement.block(2, 4), payload="cost-only",
+                      **kwargs)
+
+    @pytest.mark.parametrize("replay", ["off", "Loop", "true", 2])
+    def test_unknown_replay_argument_raises(self, replay, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+        with pytest.raises(ValueError, match="None, False, True, 'loop'"):
+            self._job(replay=replay)
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_REPLAY", "off"), ("REPRO_REPLAY", "false"),
+        ("REPRO_REPLAY", "Loop"), ("REPRO_REPLAY_VERIFY", "false"),
+        ("REPRO_REPLAY_VERIFY", "loop"),
+    ])
+    def test_unknown_environment_value_raises(self, name, value,
+                                              monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name}={value!r}"):
+            self._job()
+
+    @pytest.mark.parametrize("env, mode", [
+        ("", None), ("0", None), ("1", False), ("loop", True),
+    ])
+    def test_accepted_environment_values(self, env, mode, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY_VERIFY", raising=False)
+        monkeypatch.setenv("REPRO_REPLAY", env)
+        session = self._job().replay
+        assert (None if session is None else session.loop) == mode

@@ -113,17 +113,6 @@ class TestBandwidthChannel:
         engine.run()
         assert done == [0.0]
 
-    def test_accounting(self, engine):
-        ch = BandwidthChannel(engine, bandwidth=10.0)
-
-        def mover():
-            yield ch.transfer(5.0)
-
-        engine.spawn(mover())
-        engine.run()
-        assert ch.bytes_moved == 5.0
-        assert ch.busy_time == pytest.approx(0.5)
-
     def test_negative_bytes_rejected(self, engine):
         ch = BandwidthChannel(engine, bandwidth=10.0)
         with pytest.raises(ValueError):
