@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["SyntheticActivity", "synthetic_chembl"]
 
@@ -33,7 +32,7 @@ class SyntheticActivity:
         Rank of the generating factor model.
     """
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     latent_dim: int
     seed: int
 
@@ -65,10 +64,10 @@ class SyntheticActivity:
         rng = np.random.default_rng(self.seed + 1)
         mask = rng.random(coo.nnz) < test_fraction
         shape = self.matrix.shape
-        test = sp.csr_matrix(
+        test = type(self.matrix)(
             (coo.data[mask], (coo.row[mask], coo.col[mask])), shape=shape
         )
-        train = sp.csr_matrix(
+        train = type(self.matrix)(
             (coo.data[~mask], (coo.row[~mask], coo.col[~mask])), shape=shape
         )
         return train, test
@@ -91,6 +90,7 @@ def synthetic_chembl(
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+    from scipy.sparse import csr_matrix
     rng = np.random.default_rng(seed)
     nnz = int(round(density * n_compounds * n_targets))
     rows = rng.integers(0, n_compounds, size=nnz)
@@ -102,7 +102,7 @@ def synthetic_chembl(
         + 1.5 * np.einsum("ij,ij->i", u[rows], v[cols])
         + noise * rng.standard_normal(nnz)
     )
-    matrix = sp.csr_matrix(
+    matrix = csr_matrix(
         (vals, (rows, cols)), shape=(n_compounds, n_targets)
     )
     matrix.sum_duplicates()
