@@ -88,8 +88,8 @@ def _sum_of(values: dict[int, int]) -> int:
     The gate models the fact that ``MPI_Allgatherv`` callers pass the
     full recvcounts array on every rank — the size knowledge is an
     argument, not something communicated; the gate costs zero virtual
-    time.  :meth:`Comm.allgatherv` and :meth:`Comm.iallgatherv` yield it
-    as one shared event keyed by the collective's issue-time tag, so
+    time.  :meth:`Comm.allgatherv` and :meth:`Comm.iallgatherv` arrive at
+    it as one shared event keyed by the collective's issue-time tag, so
     concurrent non-blocking collectives can never cross-match."""
     return sum(values.values())
 

@@ -113,6 +113,7 @@ from repro.mpi.p2p import _Message
 from repro.mpi.profiler import OpStats
 from repro.simulator.engine import (
     _INV_TICK,
+    _PENDING,
     _TRIGGERED,
     ENGINE_VERSION,
     TICK,
@@ -554,12 +555,19 @@ class _Pending:
         self.op = op
         self.arrivals: dict[int, Event] = {}  # rank -> park, arrival order
         self.late = 0  # ranks arriving after the parked ones were released
+        #: "live" once released; "gated" until its gate fires.
         self.decided: str | None = None
 
 
 #: Remembered in place of a call that must not be recognised again: one
 #: without a signature, or holding a list (callers mutate and reuse them).
 _NEVER = object()
+
+#: A plan's wake value for a list result, which each hit copies.
+_COPY = object()
+#: The wake of a rank released live, unmeasured (a measured one gets
+#: its window); a value of any other type is a hit's result.
+_LIVE = object.__new__(_Window)
 
 
 class _Lane:
@@ -596,15 +604,15 @@ class _Plan:
         d = rec.d_ticks
         #: Every rank exits at one timestep (what default mode requires).
         self.uniform = d.count(d[0]) == len(d)
-        #: The wake table: ``(d_ticks, [(rank, wake value), ...])`` per
-        #: exit tick, in the order the ticks first occur in the exit
-        #: order, ranks in exit order; a list result is copied per hit
-        #: instead (callers may mutate it): None here.
+        #: The wake table: ``(d_ticks, [(rank, result), ...])`` per exit
+        #: tick, in the order the ticks first occur in the exit order,
+        #: ranks in exit order; a list result is copied per hit instead
+        #: (callers may mutate it): :data:`_COPY` here.
         wakes: dict[int, list] = {}
         for r in rec.exit_order:
+            result = rec.results[r]
             wakes.setdefault(d[r], []).append(
-                (r, None if type(rec.results[r]) is list
-                 else ("done", rec.results[r]))
+                (r, _COPY if type(result) is list else result)
             )
         self.wakes = list(wakes.items())
         #: ``(profile, OpStats, calls, bytes, time)``, one flat list over
@@ -705,6 +713,12 @@ class ReplaySession:
         that issued it, from which this rank's signature is derived —
         None, or an argument without a signature, vetoes (the decision is
         still collective, so every rank parks either way).
+
+        A recipe whose first argument is an :class:`Event` is behind it
+        (``Comm.allgatherv``'s size gate): its ranks park at once, none
+        waits on the gate, and the decision is taken where it fires.  The
+        park is pooled (:meth:`Engine.pooled`); it wakes with the result
+        on a hit, a :class:`_Window` (or :data:`_LIVE`) on a release.
         """
         shared = comm._shared
         lane = self._lanes.get(shared.id, _MISSING)
@@ -735,21 +749,31 @@ class ReplaySession:
         pend = lane.pending.get(seq)
         if pend is None:
             pend = lane.pending[seq] = _Pending(op)
-            eng.on_time_advance(lambda: self._decide(lane, seq))
-        if pend.decided is not None:
+            if type(args[0]) is not Event:
+                eng.on_time_advance(lambda: self._decide(lane, seq))
+            else:
+                # Behind a gate: decided from where it fires, as when its
+                # ranks waited on it.
+                pend.decided = "gated"
+                args[0].add_callback(lambda _: eng.on_time_advance(
+                    lambda: self._decide(lane, seq)))
+        elif pend.decided == "live":
             # Earlier ranks were already released for live execution;
             # this rank arrived at a later timestep and runs directly.
             pend.late += 1
             if len(pend.arrivals) + pend.late == self.world_size:
                 del lane.pending[seq]
             return (yield from make(*args))
-        ev = pend.arrivals[rank] = Event(eng, "replay.park")
-        verdict, value = yield ev
-        if verdict == "done":
-            return value
+        # Engine.pooled() inlined; the wake sets the value.
+        pool = eng._pause_pool
+        ev = pend.arrivals[rank] = pool.pop() if pool else eng.pooled()
+        ev._state = _PENDING
+        value = yield ev
+        if type(value) is not _Window:
+            return value  # a hit: the recorded result
         t0 = eng.now
         result = yield from make(*args)
-        if value is not None:
+        if value is not _LIVE:
             # A measured run: recorded in place, or a verified hit.
             value.report(rank, round((eng.now - t0) * _INV_TICK), result)
         return result
@@ -757,7 +781,7 @@ class ReplaySession:
     # -- decision -------------------------------------------------------
     def _decide(self, lane: _Lane, seq: int) -> None:
         pend = lane.pending.get(seq)
-        if pend is None or pend.decided is not None:
+        if pend is None or pend.decided == "live":
             return
         if len(pend.arrivals) == self.world_size:
             # Every rank arrived; a staggered entry stays for its late
@@ -777,14 +801,14 @@ class ReplaySession:
                     w.aligned, ahead = False, True
             if ahead:
                 STATS["live"]["staggered"] += 1
-            self._release(pend, "live", None)
+            self._release(pend, None)
             return
         live = STATS["live"]
         if len(pend.arrivals) < self.world_size:
             # Staggered entry: release the parked ranks in the same
             # timestep they arrived — zero virtual-time distortion.
             live["staggered"] += 1
-            self._release(pend, "live", None)
+            self._release(pend, None)
             return
         # Every rank is parked here, so every memo holds this dispatch's
         # call (a rank that ran ahead changed the epoch on the way).
@@ -833,13 +857,13 @@ class ReplaySession:
                     window = self._in_place(lane, shape, key)
         if plan is None:
             live[reason] += 1
-            self._release(pend, "live", window)
+            self._release(pend, window)
             return
         self.hits += 1
         STATS["hits"] += 1
         if self.verify:
             rec, contexts = plan.rec, self.job.contexts
-            self._release(pend, "live", self._open(
+            self._release(pend, self._open(
                 lambda live, _reason: _compare(pend.op, rec, live, contexts)
             ))
         else:
@@ -906,14 +930,15 @@ class ReplaySession:
 
         return self._open(recorded)
 
-    def _release(self, pend: _Pending, verdict: str, value) -> None:
+    def _release(self, pend: _Pending, window: _Window | None) -> None:
         # Arrival order (dict insertion order), NOT rank order: released
         # ranks re-execute their entry actions in the same relative
         # order they would have run unparked, so order-sensitive
         # resource queues (links, memory channels) grant identically.
-        pend.decided = verdict
+        pend.decided = "live"
+        value = _LIVE if window is None else window
         for ev in pend.arrivals.values():
-            ev.succeed((verdict, value))
+            ev.succeed(value)
 
     def quiescent(self) -> bool:
         """True when replay cannot interact with anything in flight."""
@@ -966,15 +991,16 @@ class ReplaySession:
         # Wake in recorded exit order: ranks leaving at the same tick
         # resume in the same relative order as live execution, so the
         # *next* dispatch sees an identical entry permutation.  Each wake
-        # is Engine.timeout() spelled out, pre-triggered, one per rank;
-        # a tick's wakes join its bucket in one step.
+        # is the rank's park, triggered and queued at its exit tick; a
+        # tick's wakes join its bucket in one step.
         push_all = eng._push_all
         results = rec.results
         for d_ticks, wakes in plan.wakes:
             evs = []
-            for rank, done in wakes:
+            for rank, result in wakes:
                 ev = arrivals[rank]
                 ev._state = _TRIGGERED
-                ev._value = done or ("done", list(results[rank]))
+                ev._value = (result if result is not _COPY
+                             else list(results[rank]))
                 evs.append(ev)
             push_all((base_ticks + d_ticks) * TICK, evs)

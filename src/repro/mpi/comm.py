@@ -33,6 +33,7 @@ from repro.mpi.group import Group
 from repro.mpi.nonblocking import CollRequest, spawn_collective
 from repro.mpi.p2p import Request, Status, _Round
 from repro.simulator import AllOf, AnyOf, Event
+from repro.simulator.engine import _PENDING, _TRIGGERED
 
 __all__ = ["Comm"]
 
@@ -112,11 +113,11 @@ class _CommShared:
 
         Unlike :meth:`arrive` — one shared event whose waiters resume in
         arrival order — every rank gets its own event, in its slot, and
-        the last arrival succeeds them in slot order.  Succeeding queues
-        each event at the current timestep in succeed order, so all
-        ranks (the last arriver included: its own already-triggered
-        event sits in its rank-order queue slot by the time it yields)
-        resume in the canonical permutation.
+        the last arrival queues them, triggered, in slot order at the
+        current timestep, so all ranks (the last arriver included: its
+        own triggered event sits in its rank-order queue slot by the
+        time it yields) resume in the canonical permutation.  The slots
+        are pooled (:meth:`Engine.pooled`).
         """
         st = self._align
         if st is None:
@@ -127,12 +128,17 @@ class _CommShared:
         slots = st.slots
         if slots[rank] is not None:
             raise MPIError(f"rank {rank} arrived twice at align #{seq}")
-        ev = slots[rank] = Event(self.job.engine, "align")
+        eng = self.job.engine
+        # Engine.pooled() inlined; the value an align wakes with is unread.
+        pool = eng._pause_pool
+        ev = slots[rank] = pool.pop() if pool else eng.pooled()
+        ev._state = _PENDING
         st.left -= 1
         if not st.left:
             self._align = None
             for slot in slots:
-                slot.succeed(None)
+                slot._state = _TRIGGERED
+            eng._deferred.extend(slots)
         return ev
 
 
@@ -578,21 +584,34 @@ class Comm:
     def allgatherv(self, payload: Any):
         """Irregular allgather (per-rank sizes may differ).
 
-        The size-agreement gate runs first (zero virtual time) so the
-        profiler charges the *actual* summed per-rank bytes rather than
-        ``local_size * comm_size`` — the two differ exactly when the
-        v-variant matters (irregular nodes, Fig 10).  The gate is yielded
-        here, one shared event, without a coroutine of its own."""
-        tag = self._next_coll_tag()
+        A size-agreement gate (zero virtual time) precedes the body, so
+        the profiler charges the *actual* summed per-rank bytes rather
+        than ``local_size * comm_size`` — the two differ exactly when the
+        v-variant matters (irregular nodes, Fig 10)."""
+        return self._allgatherv("allgatherv", payload,
+                                self._next_coll_tag(), (payload,))
+
+    def _allgatherv(self, op: str, payload: Any, tag: int, call):
+        """Coroutine of :meth:`allgatherv` and :meth:`iallgatherv`: arrive
+        at the size gate, one shared event, which the body waits for; a
+        replayed rank parks at once instead (:meth:`ReplaySession.run`)."""
         total = nbytes_of(payload)
-        if self.size > 1:
-            total = yield self._shared.arrive(
-                ("agv_total", tag), self.rank, total, _coll._sum_of
-            )
-        return (yield from self._collective(
-            "allgatherv", total, _coll.run_allgatherv,
-            (self, payload, tag, total), (payload,),
-        ))
+        if self.size == 1:
+            return self._collective(op, total, _coll.run_allgatherv,
+                                    (self, payload, tag, total), call)
+        gate = self._shared.arrive(("agv_total", tag), self.rank, total,
+                                   _coll._sum_of)
+        sess = self.ctx.job.replay
+        if sess is None:
+            return self._after_gate(gate, op, payload, tag)
+        return sess.run(self, op, call, self._after_gate,
+                        (gate, op, payload, tag))
+
+    def _after_gate(self, gate: Event, op: str, payload: Any, tag: int):
+        """Coroutine: the profiled body on the total *gate* agrees."""
+        total = gate._value if gate.processed else (yield gate)
+        return (yield from self._timed(
+            op, total, _coll.run_allgatherv, (self, payload, tag, total)))
 
     def reduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0):
         """Reduce to *root*; returns the reduction there, None elsewhere."""
@@ -679,22 +698,14 @@ class Comm:
     def iallgatherv(self, payload: Any) -> CollRequest:
         """Non-blocking irregular allgather; request value is the list.
 
-        The size-agreement gate runs inside the background process, so
-        issuing never blocks; the profiler still charges the agreed
-        per-rank byte sum, exactly like :meth:`allgatherv`."""
+        The size-agreement gate is :meth:`allgatherv`'s, arrived at
+        inside the background process, so issuing never blocks; the
+        profiler still charges the agreed per-rank byte sum."""
         tag = self._next_coll_tag()
-        nbytes = nbytes_of(payload)
 
         def run():
-            total = nbytes
-            if self.size > 1:
-                total = yield self._shared.arrive(
-                    ("agv_total", tag), self.rank, total, _coll._sum_of
-                )
-            return (yield from self._collective(
-                "iallgatherv", total, _coll.run_allgatherv,
-                (self, payload, tag, total),
-            ))
+            return (yield from self._allgatherv("iallgatherv", payload,
+                                                tag, None))
 
         return spawn_collective(self, "iallgatherv", run())
 

@@ -138,8 +138,8 @@ class Event:
         # processing (``_state`` — not ``callbacks`` — distinguishes the
         # two); the waiting :class:`Process` itself while it is the only
         # one, which is what almost every waited-on event has; a list of
-        # callables from the second subscriber on.
-        self.callbacks: Process | list[Callable[[Event], None]] | None = None
+        # processes and callables from the second subscriber on.
+        self.callbacks: Process | list | None = None
         self._state = _PENDING
         self._value: Any = None
         self._exc: BaseException | None = None
@@ -228,17 +228,19 @@ class Event:
         elif type(cbs) is list:
             cbs.append(fn)
         else:  # a lone waiting process: it keeps the first place
-            self.callbacks = [cbs._resume_from, fn]
+            self.callbacks = [cbs, fn]
 
     def _process(self) -> None:
         self._state = _PROCESSED
         callbacks, self.callbacks = self.callbacks, None
-        if callbacks is not None:
-            if type(callbacks) is list:
-                for fn in callbacks:
+        if type(callbacks) is list:
+            for fn in callbacks:
+                if type(fn) is Process:
+                    fn._resume_from(self)
+                else:
                     fn(self)
-            else:
-                callbacks._resume_from(self)
+        elif callbacks is not None:
+            callbacks._resume_from(self)
 
     def __repr__(self) -> str:
         return f"<Event {self.name!r} {_STATE_NAMES[self._state]}>"
@@ -396,7 +398,7 @@ class Process(Event):
                 target.callbacks = None
             elif callbacks is not None:
                 try:
-                    callbacks.remove(self._resume_from)
+                    callbacks.remove(self)
                 except ValueError:  # pragma: no cover - already detached
                     pass
         self.engine._defer(
@@ -450,15 +452,15 @@ class Process(Event):
             else:  # already processed: resume at current time
                 self.engine._defer(lambda: self._resume_from(target))
         elif type(cbs) is list:
-            cbs.append(self._resume_from)
+            cbs.append(self)
         else:
-            target.callbacks = [cbs._resume_from, self._resume_from]
+            target.callbacks = [cbs, self]
 
     def _resume_from(self, ev: Event) -> None:
         # Resume with what *ev* carries and subscribe to the next target.
-        # Engine.run() inlines this body for the lone process of an event's
-        # slot; this method serves step(), the callback lists and the
-        # general _process paths.
+        # Engine.run() inlines this body for the processes waiting on a
+        # plain event; this method serves step() and the general
+        # _process paths.
         if self._waiting_on is not ev:
             return  # stale subscription (e.g. after interrupt)
         self._waiting_on = None
@@ -503,18 +505,10 @@ class Process(Event):
     def _process(self) -> None:
         # A failing process with no waiters at processing time is a lost
         # crash — surface it.  (Waiters subscribing between the failure
-        # and this tick still count.)  Inlines Event._process.
-        self._state = _PROCESSED
-        callbacks = self.callbacks
-        self.callbacks = None
-        if callbacks:
-            if type(callbacks) is list:
-                for fn in callbacks:
-                    fn(self)
-            else:
-                callbacks._resume_from(self)
-        elif self._exc is not None:
+        # and this tick still count.)
+        if not self.callbacks and self._exc is not None:
             self.engine._unhandled.append((self, self._exc))
+        Event._process(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} alive={self._alive}>"
@@ -603,11 +597,12 @@ class Engine:
     def pause(self, delay: float, value: Any = None) -> Event:
         """A pooled :meth:`timeout` for internal hot loops.
 
-        The returned event MUST be yielded immediately and never stored:
-        it is recycled into a free list the moment it is processed, so a
-        held reference would observe an unrelated later pause.  Public
-        code should keep using :meth:`timeout`, whose events are safe to
-        retain (e.g. to read ``.value`` afterwards).
+        The pool contract, :meth:`pooled`'s too: the event MUST be yielded
+        at once and never stored.  It is recycled into a free list the
+        moment it is processed (an interrupted waiter detaches first), so
+        a held reference would observe an unrelated later pause or park.
+        Public code should keep using :meth:`timeout`, whose events are
+        safe to retain (e.g. to read ``.value`` afterwards).
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
@@ -624,6 +619,20 @@ class Engine:
             ev._value = value
             ev._poolable = True
         self._push((self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK, ev)
+        return ev
+
+    def pooled(self) -> Event:
+        """A pending event with no value from :meth:`pause`'s free list,
+        under its contract, and never failed: the replay park's and
+        ``Comm.align``'s."""
+        pool = self._pause_pool
+        if pool:
+            ev = pool.pop()
+            ev._state = _PENDING
+            ev._value = None
+            return ev
+        ev = Event(self, "pause")
+        ev._poolable = True
         return ev
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
@@ -816,8 +825,8 @@ class Engine:
             If a process with no waiter raises an exception.
         """
         # Fully fused event loop: the bodies of step(), Event._process and
-        # — for an event's lone waiting process — Process._resume_from are
-        # inlined, and ``now``/``event_count`` are carried in locals:
+        # — for the processes waiting on a plain event — Process._resume_from
+        # are inlined, and ``now``/``event_count`` are carried in locals:
         # per-event attribute traffic and frames are what dominate at
         # paper scale.  step() remains the semantic reference for one
         # iteration.
@@ -889,48 +898,41 @@ class Engine:
                             self._cancelled -= 1
                         continue
                     item._state = _PROCESSED
-                    callbacks = item.callbacks
+                    # The slot's lone process, or each entry of its list
+                    # in order: a waiting process is resumed in place
+                    # (Process._resume_from without its frame), a
+                    # callable called.
+                    proc = item.callbacks
                     item.callbacks = None
-                    if type(callbacks) is list:
-                        for fn in callbacks:
-                            fn(item)
-                    elif (callbacks is not None
-                          and callbacks._waiting_on is item):
-                        # The lone waiting process, resumed in place:
-                        # Process._resume_from without its frame.
-                        callbacks._waiting_on = None
-                        try:
-                            if item._exc is None:
-                                target = callbacks.generator.send(item._value)
+                    rest = None
+                    if type(proc) is list:
+                        rest = iter(proc)
+                        proc = next(rest, None)
+                    while proc is not None:
+                        if type(proc) is not Process:
+                            proc(item)
+                        elif proc._waiting_on is item:
+                            proc._waiting_on = None
+                            try:
+                                if item._exc is None:
+                                    target = proc.generator.send(item._value)
+                                else:
+                                    target = proc.generator.throw(item._exc)
+                            except StopIteration as stop:
+                                proc._finish_ok(stop.value)
+                            except BaseException as exc:  # noqa: BLE001
+                                proc._finish_fail(exc)
                             else:
-                                target = callbacks.generator.throw(item._exc)
-                        except StopIteration as stop:
-                            callbacks._finish_ok(stop.value)
-                        except BaseException as exc:  # noqa: BLE001
-                            callbacks._finish_fail(exc)
-                        else:
-                            if (type(target) is Event
-                                    and target.callbacks is None
-                                    and target._state != _PROCESSED):
-                                callbacks._waiting_on = target
-                                target.callbacks = callbacks
-                            else:
-                                callbacks._wait_on(target)
+                                if (type(target) is Event
+                                        and target.callbacks is None
+                                        and target._state != _PROCESSED):
+                                    proc._waiting_on = target
+                                    target.callbacks = proc
+                                else:
+                                    proc._wait_on(target)
+                        proc = None if rest is None else next(rest, None)
                     if item._poolable:
                         pool.append(item)
-                elif type(item) is Process:
-                    # Inlined Process._process.
-                    item._state = _PROCESSED
-                    callbacks = item.callbacks
-                    item.callbacks = None
-                    if callbacks:
-                        if type(callbacks) is list:
-                            for fn in callbacks:
-                                fn(item)
-                        else:
-                            callbacks._resume_from(item)
-                    elif item._exc is not None:
-                        unhandled.append((item, item._exc))
                 elif isinstance(item, Event):
                     item._process()
                 else:

@@ -6,8 +6,9 @@ rank every resume.  The rank process drives the program's coroutine
 itself, the blocking collectives of ``Comm`` and the ``HybridContext``
 delegates return their dispatch coroutine instead of delegating to it,
 and the OSU programs return ``osu_latency_program``'s: a replayed
-repetition parks two frames deep, and a live ``Comm.bcast`` starts at
-the profiler.  The chains are read by walking ``gi_yieldfrom`` from
+repetition parks two frames deep, an irregular ``Comm.allgatherv`` too
+(its ranks park at once instead of waiting on the size gate), and a
+live ``Comm.bcast`` starts at the profiler.  The chains are read by walking ``gi_yieldfrom`` from
 each live rank's generator, so the checks are exact, not timed; they
 hold with ``REPRO_REPLAY_VERIFY=1`` too, where every hit runs live.
 """
@@ -37,7 +38,15 @@ def parked_chains(engine) -> set[tuple[str, ...]]:
     return {chain(proc.generator) for proc in engine._live_processes}
 
 
-@pytest.mark.parametrize("variant", ["pure", "hybrid"])
+VARIANTS = {
+    "pure": (osu.pure_allgather_program, Placement.block(2, 4), {}),
+    "hybrid": (osu.hybrid_allgather_program, Placement.block(2, 4), {}),
+    "irregular": (osu.pure_allgather_program, Placement.irregular((5, 3)),
+                  {"irregular": True}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_a_replayed_repetition_parks_two_frames_deep(variant, monkeypatch):
     seen: list[set] = []
     decide = ReplaySession._decide
@@ -48,12 +57,12 @@ def test_a_replayed_repetition_parks_two_frames_deep(variant, monkeypatch):
         decide(self, lane, seq)
 
     monkeypatch.setattr(ReplaySession, "_decide", spy)
-    program = (osu.hybrid_allgather_program if variant == "hybrid"
-               else osu.pure_allgather_program)
+    program, placement, kwargs = VARIANTS[variant]
     result = run_program(
-        hazel_hen(2), None, program, placement=Placement.block(2, 4),
+        hazel_hen(2), None, program, placement=placement,
         payload="cost-only", replay="loop",
-        program_kwargs={"nbytes_per_rank": 256, "reps": 4, "warmup": 1},
+        program_kwargs={"nbytes_per_rank": 256, "reps": 4, "warmup": 1,
+                        **kwargs},
     )
     # The warm-up runs live (the shape's first occurrence) and every
     # repetition is a hit.

@@ -161,6 +161,38 @@ def test_a_dispatch_entered_inside_a_window_is_counted(replay):
     assert counts == {"hits": 0, "misses": 1, "lane_hits": 0, "live": live}
 
 
+def gated(mpi):
+    """Irregular allgathers behind their size gate: one with rank 0
+    entering a timestep late, then three back to back.  The early ranks
+    wait for the gate, so every occurrence is decided where it fires,
+    with all ranks in: none is staggered.  A rank waiting at the next
+    gate is not parked yet, so the windows on the back-to-back ones
+    close unaligned, and those run live for want of a record."""
+    comm = mpi.world
+    for i in range(4):
+        yield from comm.align()
+        if comm.rank == 0 and i == 2:
+            yield mpi.compute(1e-6)
+        yield from comm.allgatherv(Bytes(256 + comm.rank))
+    for _ in range(3):
+        yield from comm.allgatherv(Bytes(256 + comm.rank))
+    yield from comm.align()
+
+
+@pytest.mark.parametrize("replay, expected", [
+    ("loop", {"hits": 2, "misses": 5, "lane_hits": 1,
+              "live": {"first_occurrence": 1, "unrecorded": 4}}),
+    (True, {"hits": 0, "misses": 7, "lane_hits": 0,
+            "live": {"first_occurrence": 1, "unrecorded": 4,
+                     "non_uniform": 2}}),
+], ids=["loop", "default"])
+def test_a_gated_dispatch_is_decided_where_its_gate_fires(replay, expected):
+    _result, counts = _deltas(replay, gated)
+    live = dict.fromkeys(replaylib.LIVE_REASONS, 0)
+    live.update(expected["live"])
+    assert counts == dict(expected, live=live)
+
+
 def test_cache_stats_copy_the_live_reasons():
     stats = replaylib.cache_stats()
     assert list(stats["live"]) == list(replaylib.LIVE_REASONS)

@@ -13,6 +13,8 @@ tables:
   4 KiB, empty job subtracted;
 * entries per dispatch of every flat algorithm built from send+receive
   rounds (:meth:`Comm.exchange`), and of one ``sendrecv`` shift;
+* entries per replayed repetition of an aligned OSU loop, pure,
+  hybrid and irregular pure;
 * entries of the exchange rounds that leave the matched path (a
   ``PROC_NULL`` side, an ``ANY_SOURCE`` receive, a caught truncation),
   with the time and order in which every rank's round resolves;
@@ -30,11 +32,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench.osu import hybrid_allgather_program, pure_allgather_program
 from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen, hazel_hen_2s
 from repro.machine.transport import TRANSPORTS
 from repro.mpi import ANY_SOURCE, Bytes, TruncationError, run_program
 from repro.mpi.constants import PROC_NULL
+from tests.helpers import UNDER_VERIFY
 
 EAGER, RENDEZVOUS = 64, 65536  # hazel_hen's eager threshold is 8 KiB
 REPS = 4
@@ -88,6 +92,24 @@ PER_ROUND = {
     ("alltoall", 4, 12, 512): ("bruck", 4848),
     ("barrier", 8, 1, 0): ("dissemination", 392),
     ("sendrecv", 4, 12, 4096): (None, 864),
+}
+
+#: Entries per replayed repetition of an aligned OSU loop
+#: (``replay="loop"``, 256 bytes per rank), from the event counts of a
+#: K- and a (K+M)-repetition job: per rank its align's wake and its
+#: park's wake, and once per irregular dispatch ``allgatherv``'s size
+#: gate; ``REPETITION_SHAPES`` holds each case's placement, program and
+#: its extra arguments (one ``hazel_hen`` node per placement node).
+PER_REPETITION = {
+    "pure": 96,         # 4x12: 2 x 48
+    "hybrid": 96,       # 4x12: 2 x 48
+    "irregular": 109,   # 14+12+13+15: 2 x 54 + 1
+}
+REPETITION_SHAPES = {
+    "pure": (Placement.block(4, 12), pure_allgather_program, {}),
+    "hybrid": (Placement.block(4, 12), hybrid_allgather_program, {}),
+    "irregular": (Placement.irregular((14, 12, 13, 15)),
+                  pure_allgather_program, {"irregular": True}),
 }
 
 SENDRECV = {
@@ -207,6 +229,26 @@ def per_round(op: str, nodes: int, ppn: int, nbytes: int) -> tuple:
     entries = (_events(spec, placement, _collective, op=op, nbytes=nbytes)
                - _events(spec, placement, _empty))
     return (algos.pop() if algos else None), entries
+
+
+def per_repetition(case: str, first: int = 2, more: int = 3) -> int:
+    """Entries per replayed repetition: the event counts of a *first*-
+    and a (*first* + *more*)-repetition job, their difference per
+    repetition (every repetition after the warm-up is a hit)."""
+    placement, program, kwargs = REPETITION_SHAPES[case]
+    spec = hazel_hen(len(placement.counts()))
+    counts = []
+    for reps in (first, first + more):
+        result = run_program(
+            spec, None, program, placement=placement, payload="cost-only",
+            replay="loop", program_kwargs={
+                "nbytes_per_rank": 256, "reps": reps, "warmup": 1, **kwargs},
+        )
+        assert result.replay_hits == reps, (case, reps)
+        counts.append(result.events_processed)
+    entries, rest = divmod(counts[1] - counts[0], more)
+    assert rest == 0, case
+    return entries
 
 
 def _mixed(mpi):
@@ -335,6 +377,12 @@ def test_entries_per_message(machine):
 @pytest.mark.parametrize("op", sorted(PER_DISPATCH))
 def test_entries_per_dispatch(op):
     assert per_dispatch(op) == PER_DISPATCH[op]
+
+
+@UNDER_VERIFY
+@pytest.mark.parametrize("case", sorted(PER_REPETITION))
+def test_entries_per_replayed_repetition(case):
+    assert per_repetition(case) == PER_REPETITION[case]
 
 
 def test_mixed_program_span_stream():

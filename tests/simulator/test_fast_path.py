@@ -1,7 +1,8 @@
 """Unit tests for the engine's same-time scheduling and its companions.
 
 Covers AnyOf index reporting under duplicate/late events, interrupt
-detaching its stale resume callback, pause-event pooling, and a small
+detaching its stale resume callback, pause-event pooling and the pending
+events :meth:`Engine.pooled` draws from the same pool, and a small
 ping-pong network pinned to literal ``(now, event_count)`` values.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator import AnyOf, Engine, Interrupt
+from repro.simulator import AnyOf, Engine, Interrupt, SimulationError
 
 
 def _collect(engine, waitable):
@@ -131,6 +132,78 @@ class TestPausePooling:
         eng.spawn(ticker(), name="ticker")
         eng.run()
         assert got == [0, 1, 2, 3, 4]
+
+
+class TestPooledEvents:
+    """The contract of :meth:`Engine.pooled`, which the replay park and
+    ``Comm.align``'s slots rely on."""
+
+    def test_a_drawn_event_is_pending_and_holds_no_value(self):
+        eng = Engine()
+
+        def ticker():
+            yield eng.pause(1.0, value="stale")
+
+        eng.spawn(ticker(), name="ticker")
+        eng.run()
+        recycled = eng._pause_pool[-1]
+        ev = eng.pooled()
+        assert ev is recycled
+        assert not ev.triggered and ev.callbacks is None
+        assert ev._value is None and ev._exc is None
+        with pytest.raises(SimulationError):
+            ev.value
+        fresh = eng.pooled()  # the pool is empty now: a new one
+        assert fresh is not ev and not fresh.triggered
+
+    def test_a_processed_event_is_back_in_the_pool(self):
+        eng = Engine()
+        ev = eng.pooled()
+        got = []
+
+        def waiter():
+            got.append((yield ev))
+
+        eng.spawn(waiter(), name="waiter")
+        eng.step()
+        assert ev.callbacks is not None and ev not in eng._pause_pool
+        ev.succeed("v")
+        eng.run()
+        assert got == ["v"]
+        assert eng._pause_pool == [ev]
+        assert eng.pooled() is ev and not ev.triggered
+
+    @pytest.mark.parametrize("by_step", [False, True],
+                             ids=["run", "step"])
+    def test_an_interrupted_waiter_detaches_and_the_event_recycles(
+            self, by_step):
+        eng = Engine()
+        park = eng.pooled()
+        log = []
+
+        def rank():
+            try:
+                yield park
+            except Interrupt as exc:
+                log.append(("interrupted", eng.now, exc.cause))
+            log.append(("woke", (yield eng.timeout(2.0, "later"))))
+
+        proc = eng.spawn(rank(), name="rank")
+
+        def driver():
+            yield eng.timeout(1.0)
+            proc.interrupt("stop")
+            assert park.callbacks is None
+            park.succeed("wake")  # nobody left to resume
+
+        eng.spawn(driver(), name="driver")
+        if by_step:
+            while eng._deferred or eng._heap:
+                eng.step()
+        else:
+            eng.run()
+        assert log == [("interrupted", 1.0, "stop"), ("woke", "later")]
+        assert park in eng._pause_pool
 
 
 def _pingpong(eng, rounds):

@@ -59,8 +59,8 @@ def test_later_subscribers_queue_behind_the_first_process(by_step):
     eng.step()
     cbs = ev.callbacks
     assert type(cbs) is list and len(cbs) == 4
-    assert cbs[0] == first._resume_from
-    assert cbs[1] == second._resume_from
+    assert cbs[0] is first
+    assert cbs[1] is second
     assert type(cbs[3]) is _Countdown
     ev.succeed("x")
     _drive(eng, by_step)
