@@ -19,7 +19,9 @@ with their enclosing function).  A function is *reached* when some
 driver called it; code only the tests call counts as unreached.  Lines
 are ``end_lineno - lineno + 1`` of the ``def``, decorators excluded.
 The script prints the unreached functions, the reached ones, one
-per-file table and the two totals; it exits 1 when a driver fails.
+per-file table and the two totals; it exits 1 when a driver fails, and
+when a module of ``src/repro`` changed while the drivers ran (the
+function table is read before they start).
 Nothing is written inside the repository.
 """
 
@@ -127,11 +129,17 @@ def drivers(work: Path) -> list[tuple[str, list[str]]]:
     return runs
 
 
-def ledger() -> dict[tuple[str, int], tuple[str, int]]:
+def sources() -> dict[Path, str]:
+    """The text of every module of the package."""
+    return {path: path.read_text(encoding="utf-8")
+            for path in sorted(PKG.rglob("*.py"))}
+
+
+def ledger(texts: dict[Path, str]) -> dict[tuple[str, int], tuple[str, int]]:
     """``(file, first line) -> (qualified name, lines)`` of every
-    top-level function and method of the package.  Both the ``def``
-    line and the first decorator's line key the entry: a code object's
-    ``co_firstlineno`` is the latter."""
+    top-level function and method of the modules *texts* holds.  Both
+    the ``def`` line and the first decorator's line key the entry: a
+    code object's ``co_firstlineno`` is the latter."""
     out: dict[tuple[str, int], tuple[str, int]] = {}
 
     def visit(body, prefix: str, path: str) -> None:
@@ -145,13 +153,16 @@ def ledger() -> dict[tuple[str, int], tuple[str, int]]:
                 for deco in node.decorator_list:
                     out[(path, deco.lineno)] = entry
 
-    for path in sorted(PKG.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        visit(tree.body, "", str(path))
+    for path, text in texts.items():
+        visit(ast.parse(text).body, "", str(path))
     return out
 
 
 def main() -> int:
+    # The table is read from the tree the drivers import, before they
+    # run; a tree edited meanwhile cannot be attributed and fails below.
+    texts = sources()
+    table = ledger(texts)
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         work = Path(tmp)
         hook = work / "hook"
@@ -184,7 +195,10 @@ def main() -> int:
                 name, _sep, lineno = line.rpartition(":")
                 called.add((name, int(lineno)))
 
-    table = ledger()
+    if sources() != texts:
+        print("src/repro changed while the drivers ran: the ledger cannot "
+              "say which functions they reached", file=sys.stderr)
+        return 1
     functions: dict[tuple[str, str], int] = {}
     reached: set[tuple[str, str]] = set()
     for (path, _line), (qualname, lines) in table.items():

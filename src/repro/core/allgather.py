@@ -25,41 +25,15 @@ from repro.core.shared_buffer import SharedBuffer
 from repro.core.sync import SyncPolicy
 from repro.mpi.collectives.registry import (
     CollRequest,
+    in_phase,
     phase_begin,
     phase_end,
-    policy_of,
     trace_begin,
     trace_end,
 )
 from repro.mpi.datatypes import Bytes
 
 __all__ = ["hy_allgather", "hy_allgatherv"]
-
-
-def _select_hy_allgather(ctx, buf, pipelined):
-    """Pick the bridge-exchange variant and open its dispatch span.
-
-    ``pipelined=True`` is a caller-forced choice (the ablation knob
-    predating the registry); ``False``/``None`` delegates to the rank's
-    selection policy — the ``shared_window`` descriptor under the
-    default tables, ``pipelined_ring`` / ``shared_window_3l`` when
-    forced via ``REPRO_COLL_HY_ALLGATHER`` or preferred by the cost
-    model.
-
-    Returns ``(algo_name, span)``; the caller closes the span when the
-    collective completes."""
-    total = buf.total_nbytes
-    comm = ctx.comm
-    if pipelined:
-        name, policy_name = "pipelined_ring", "caller"
-    else:
-        policy = policy_of(comm)
-        req = CollRequest(
-            op="hy_allgather", nbytes=total // max(comm.size, 1), total=total
-        )
-        name, policy_name = policy.select(comm, req).name, policy.name
-    span = trace_begin(comm, "hy_allgather", name, total, policy_name)
-    return name, span
 
 
 def _socket_payload(buf: SharedBuffer, members: list[int]):
@@ -105,9 +79,8 @@ def _hy_allgather_3l(ctx, buf: SharedBuffer, sync: SyncPolicy, span):
     (sock, sleaders, sbridge, socket_id, sbridge_nodes, by_sock) = (
         yield from ctx.socket_comms()
     )
-    ph = phase_begin(comm, "pre_sync", level="node")
-    yield from sync.pre_exchange(ctx)
-    phase_end(comm, ph)
+    yield from in_phase(comm, "pre_sync", sync.pre_exchange(ctx),
+                        level="node")
 
     if sock.rank == 0:
         if sbridge.size > 1:
@@ -136,9 +109,8 @@ def _hy_allgather_3l(ctx, buf: SharedBuffer, sync: SyncPolicy, span):
                 yield from sleaders.send(Bytes(0), 0, tag=0)
             phase_end(comm, ph)
 
-    ph = phase_begin(comm, "post_sync", level="node")
-    yield from sync.post_exchange(ctx)
-    phase_end(comm, ph)
+    yield from in_phase(comm, "post_sync", sync.post_exchange(ctx),
+                        level="node")
     trace_end(comm, span)
 
 
@@ -156,9 +128,12 @@ def hy_allgather(
     After completion every rank on every node can read the full result
     from ``buf.node_view()`` with plain loads.
 
-    ``pipelined=True`` forces the chunked pipelined-ring bridge exchange;
-    ``False``/``None`` lets the selection policy choose (the plain
-    shared-window exchange under the default tables).
+    ``pipelined=True`` forces the chunked pipelined-ring bridge exchange
+    (the ablation knob predating the registry, traced with policy
+    ``"caller"``); ``False``/``None`` lets the rank's selection policy
+    choose — the plain shared-window exchange under the default tables,
+    ``pipelined_ring`` / ``shared_window_3l`` when forced via
+    ``REPRO_COLL_HY_ALLGATHER`` or preferred by the cost model.
 
     ``pack_datatypes`` selects the §6 *derived-datatype* fallback for
     non-SMP rank placements: instead of the node-sorted buffer layout,
@@ -168,8 +143,18 @@ def hy_allgather(
     node-sorted layout no packing is ever needed.
     """
     sync = sync or ctx.default_sync
-    algo, span = _select_hy_allgather(ctx, buf, pipelined)
     comm = ctx.comm
+    total = buf.total_nbytes
+    if pipelined:
+        algo, policy_name = "pipelined_ring", "caller"
+    else:
+        policy = comm.ctx.policy
+        algo = policy.select(comm, CollRequest(
+            "hy_allgather", total // max(comm.size, 1), total)).name
+        policy_name = policy.name
+    traced = comm.ctx.trace is not None
+    span = (trace_begin(comm, "hy_allgather", algo, total, policy_name)
+            if traced else None)
     if algo == "shared_window_3l" and ctx.multi_node:
         yield from _hy_allgather_3l(ctx, buf, sync, span)
         return
@@ -177,20 +162,17 @@ def hy_allgather(
     if not ctx.multi_node:
         # Fig 4 lines 29-30 / 37-38: single node → a single barrier makes
         # the buffer consistent.
-        ph = phase_begin(comm, "sync")
-        yield from sync.single(ctx)
-        phase_end(comm, ph)
+        yield from in_phase(comm, "sync", sync.single(ctx))
         trace_end(comm, span)
         return
 
     # Fig 4 line 25 / 34: every on-node rank enters the pre-sync; leaders
     # thereby observe all partitions initialized.
-    ph = phase_begin(comm, "pre_sync")
-    yield from sync.pre_exchange(ctx)
-    phase_end(comm, ph)
+    yield from in_phase(comm, "pre_sync", sync.pre_exchange(ctx))
 
     if ctx.is_leader:
-        ph = phase_begin(comm, "bridge_exchange", buf.total_nbytes)
+        ph = (phase_begin(comm, "bridge_exchange", total) if traced
+              else None)
         payload = buf.node_payload()
         if pack_datatypes and not ctx.layout.is_identity:
             # Pack my node's blocks (one pass) before the exchange.
@@ -222,9 +204,7 @@ def hy_allgather(
         phase_end(comm, ph)
 
     # Fig 4 line 27 / 35: children wait until leaders finished exchanging.
-    ph = phase_begin(comm, "post_sync")
-    yield from sync.post_exchange(ctx)
-    phase_end(comm, ph)
+    yield from in_phase(comm, "post_sync", sync.post_exchange(ctx))
     trace_end(comm, span)
 
 

@@ -20,9 +20,9 @@ from repro.core.shared_buffer import SharedBuffer
 from repro.core.sync import SyncPolicy
 from repro.mpi.collectives.registry import (
     CollRequest,
+    in_phase,
     phase_begin,
     phase_end,
-    policy_of,
     trace_begin,
     trace_end,
 )
@@ -40,15 +40,13 @@ def hy_bcast(ctx, buf: SharedBuffer, root: int = 0,
     message from ``buf.node_view()``.
     """
     sync = sync or ctx.default_sync
-    policy = policy_of(ctx.comm)
-    algo = policy.select(
-        ctx.comm,
-        CollRequest(op="hy_bcast", nbytes=buf.total_nbytes,
-                    total=buf.total_nbytes, root=root),
-    )
     comm = ctx.comm
-    span = trace_begin(comm, "hy_bcast", algo.name, buf.total_nbytes,
-                       policy.name)
+    nbytes = buf.total_nbytes
+    policy = comm.ctx.policy
+    algo = policy.select(comm, CollRequest("hy_bcast", nbytes, nbytes, root))
+    traced = comm.ctx.trace is not None
+    span = (trace_begin(comm, "hy_bcast", algo.name, nbytes, policy.name)
+            if traced else None)
     placement = comm.ctx.placement
     root_world = comm.world_rank_of(root)
     root_node = placement.node_of(root_world)
@@ -56,13 +54,10 @@ def hy_bcast(ctx, buf: SharedBuffer, root: int = 0,
 
     if not root_is_leader:
         # Leader must observe the root's stores before transmitting.
-        ph = phase_begin(comm, "pre_sync")
-        yield from sync.pre_exchange(ctx)
-        phase_end(comm, ph)
+        yield from in_phase(comm, "pre_sync", sync.pre_exchange(ctx))
 
     if ctx.multi_node and ctx.is_leader:
-        nbytes = buf.total_nbytes
-        ph = phase_begin(comm, "bridge_exchange", nbytes)
+        ph = phase_begin(comm, "bridge_exchange", nbytes) if traced else None
         payload = buf.region_payload(0, nbytes)
         root_bridge = ctx.bridge_rank_of_node(root_node)
         result = yield from ctx.bridge.bcast(payload, root=root_bridge)
@@ -71,7 +66,5 @@ def hy_bcast(ctx, buf: SharedBuffer, root: int = 0,
         phase_end(comm, ph)
 
     # Fig 6 lines 7/10/13: exactly one sync releases the readers.
-    ph = phase_begin(comm, "release_sync")
-    yield from sync.single(ctx)
-    phase_end(comm, ph)
+    yield from in_phase(comm, "release_sync", sync.single(ctx))
     trace_end(comm, span)

@@ -314,8 +314,14 @@ class HybridContext:
         issue-to-completion timing."""
         from repro.mpi.nonblocking import spawn_collective
 
-        comm = self.comm
-        return spawn_collective(comm, op, comm._timed(op, nbytes, fn, args))
+        def timed():
+            ctx = self.comm.ctx
+            t0 = ctx.engine.now
+            result = yield from fn(*args)
+            ctx.profile.record(op, nbytes, ctx.engine.now - t0)
+            return result
+
+        return spawn_collective(self.comm, op, timed())
 
     def iallgather(self, buf: SharedBuffer, sync: SyncPolicy | None = None,
                    pipelined: bool | None = None,

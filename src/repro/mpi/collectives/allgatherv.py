@@ -15,7 +15,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mpi.collectives.allgather import allgather_bruck, allgather_ring
+from repro.mpi.collectives.bcast import bcast_binomial
 from repro.mpi.collectives.blocks import BlockSet
+from repro.mpi.collectives.gather import gather_binomial
 
 __all__ = ["allgatherv_bruck", "allgatherv_ring", "allgatherv_gather_bcast"]
 
@@ -36,9 +38,6 @@ def allgatherv_gather_bcast(comm, payload: Any, tag: int, root: int = 0):
     Used by some libraries for very irregular distributions; provided for
     ablation studies (it sends ``2·total`` bytes through the root).
     """
-    from repro.mpi.collectives.bcast import bcast_binomial
-    from repro.mpi.collectives.gather import gather_binomial
-
     gathered = yield from gather_binomial(comm, payload, root, tag)
     if comm.rank == root:
         full = gathered

@@ -43,11 +43,17 @@ def barrier_shm_flags(comm, tag: int, rounds_cost: float | None = None,
     cost.  ``rounds_cost`` overrides the charged time (used for the
     cheap release phase of the hierarchical barrier).  The rendezvous is
     keyed by the collective's issue-time *tag*, so concurrent
-    non-blocking barriers cannot cross-match."""
-    tuning = comm.ctx.tuning
+    non-blocking barriers cannot cross-match.  The flag-tree cost is a
+    function of the communicator's size and the job's tuning: read once
+    per communicator."""
     if rounds_cost is None:
-        rounds = (max(comm.size, 2) - 1).bit_length()
-        rounds_cost = tuning.shm_barrier_base + rounds * tuning.shm_barrier_flag
+        cache = comm._shared.cache
+        rounds_cost = cache.get("_shm_barrier_cost")
+        if rounds_cost is None:
+            tuning = comm.ctx.tuning
+            rounds = (max(comm.size, 2) - 1).bit_length()
+            rounds_cost = cache["_shm_barrier_cost"] = (
+                tuning.shm_barrier_base + rounds * tuning.shm_barrier_flag)
     yield comm._shared.arrive(
         ("shm_barrier", phase, tag), comm.rank, None, dict.fromkeys,
     )

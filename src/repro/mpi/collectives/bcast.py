@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.mpi.collectives.allgather import allgather_ring
 from repro.mpi.collectives.blocks import BlockSet
 from repro.mpi.datatypes import Bytes, nbytes_of
 from repro.simulator import AllOf
@@ -106,8 +107,6 @@ def bcast_scatter_allgather(comm, payload: Any, root: int, tag: int):
     Moves ~``2·n`` bytes per rank instead of ``n·log p``; the standard
     choice for long messages on power-of-two and general sizes alike.
     """
-    from repro.mpi.collectives.allgather import allgather_ring
-
     size = comm.size
     if size == 1:
         return payload

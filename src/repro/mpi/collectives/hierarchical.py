@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.mpi.collectives.allgather import allgather_ring
 from repro.mpi.collectives.blocks import BlockSet
+from repro.mpi.collectives.gather import gather_binomial
+from repro.mpi.collectives.reduce import reduce_binomial
+from repro.mpi.collectives.registry import SHM_BCAST, CollRequest, in_phase
 from repro.mpi.datatypes import nbytes_of
 
 __all__ = [
@@ -119,13 +123,9 @@ def _select_shm_bcast(shm, nbytes: int):
 
     Routed through the rank's selection policy over the registry, with
     the candidate set restricted to the stage-appropriate algorithms
-    (no pipelining across shared memory).  Imported lazily: the registry
-    imports this module at load time."""
-    from repro.mpi.collectives.registry import SHM_BCAST, CollRequest, policy_of
-
-    req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=0)
-    algo = policy_of(shm).select(shm, req, SHM_BCAST)
-    return algo.fn
+    (no pipelining across shared memory)."""
+    req = CollRequest("bcast", nbytes, nbytes, 0)
+    return shm.ctx.policy.select(shm, req, SHM_BCAST).fn
 
 
 def hier_allgather(comm, payload: Any, tag: int, select_bridge,
@@ -139,14 +139,11 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
     the on-node fan-out stage.  Returns the full :class:`BlockSet` keyed
     by parent comm ranks.
     """
-    from repro.mpi.collectives.gather import gather_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
-
     shm, bridge = hier_comms(comm)
     # Stage 1: gather blocks at the node leader (shared-memory p2p).
-    ph = phase_begin(comm, "on_node_gather", nbytes_of(payload))
-    local = yield from gather_binomial(shm, payload, 0, tag)
-    phase_end(comm, ph)
+    local = yield from in_phase(
+        comm, "on_node_gather",
+        gather_binomial(shm, payload, 0, tag), nbytes_of(payload))
     if shm.rank == 0:
         node_blocks = BlockSet(
             {
@@ -158,9 +155,9 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
         node_blocks = None
     # Stage 2: leaders exchange aggregated node blocks.
     if bridge is not None and bridge.size > 1:
-        ph = phase_begin(comm, "bridge_exchange", node_blocks.nbytes)
-        exchanged = yield from select_bridge(bridge, node_blocks, tag)
-        phase_end(comm, ph)
+        exchanged = yield from in_phase(
+            comm, "bridge_exchange",
+            select_bridge(bridge, node_blocks, tag), node_blocks.nbytes)
         full = BlockSet()
         for node_set in exchanged.blocks.values():
             full.merge(node_set)
@@ -172,9 +169,8 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
     if total_nbytes is None:
         total_nbytes = nbytes_of(payload) * comm.size
     shm_bcast = _select_shm_bcast(shm, total_nbytes)
-    ph = phase_begin(comm, "on_node_bcast", total_nbytes)
-    full = yield from shm_bcast(shm, full, 0, tag + 1)
-    phase_end(comm, ph)
+    full = yield from in_phase(
+        comm, "on_node_bcast", shm_bcast(shm, full, 0, tag + 1), total_nbytes)
     return full
 
 
@@ -184,8 +180,6 @@ def hier_bcast(comm, payload: Any, root: int, tag: int, bridge_bcast) -> Any:
     ``bridge_bcast(bridge, payload, root_bridge_rank, tag)`` is the flat
     algorithm for the inter-leader stage.
     """
-    from repro.mpi.collectives.registry import phase_begin, phase_end
-
     shm, bridge = hier_comms(comm)
     placement = comm.ctx.placement
     root_world = comm.world_rank_of(root)
@@ -196,13 +190,12 @@ def hier_bcast(comm, payload: Any, root: int, tag: int, bridge_bcast) -> Any:
 
     # Stage 0: root hands the message to its node leader if distinct.
     if i_am_root and shm.rank != 0:
-        ph = phase_begin(comm, "root_to_leader", nbytes_of(payload))
-        yield from shm.send(payload, 0, tag=tag)
-        phase_end(comm, ph)
+        yield from in_phase(
+            comm, "root_to_leader",
+            shm.send(payload, 0, tag=tag), nbytes_of(payload))
     if shm.rank == 0 and root_on_my_node and root_shm_rank != 0:
-        ph = phase_begin(comm, "root_to_leader")
-        payload = yield from shm.recv(source=root_shm_rank, tag=tag)
-        phase_end(comm, ph)
+        payload = yield from in_phase(
+            comm, "root_to_leader", shm.recv(source=root_shm_rank, tag=tag))
     # Stage 1: inter-leader broadcast, rooted at the root-node leader.
     if bridge is not None and bridge.size > 1:
         root_bridge_rank = next(
@@ -210,23 +203,21 @@ def hier_bcast(comm, payload: Any, root: int, tag: int, bridge_bcast) -> Any:
             for w in bridge.group.world_ranks()
             if placement.node_of(w) == root_node
         )
-        ph = phase_begin(comm, "bridge_exchange", nbytes_of(payload))
-        payload = yield from bridge_bcast(bridge, payload, root_bridge_rank, tag)
-        phase_end(comm, ph)
+        payload = yield from in_phase(
+            comm, "bridge_exchange",
+            bridge_bcast(bridge, payload, root_bridge_rank, tag),
+            nbytes_of(payload))
     # Stage 2: on-node broadcast from the leader (size known locally:
     # every rank passed a same-sized buffer, as MPI_Bcast requires).
     shm_bcast = _select_shm_bcast(shm, nbytes_of(payload))
-    ph = phase_begin(comm, "on_node_bcast", nbytes_of(payload))
-    payload = yield from shm_bcast(shm, payload, 0, tag + 1)
-    phase_end(comm, ph)
+    payload = yield from in_phase(
+        comm, "on_node_bcast",
+        shm_bcast(shm, payload, 0, tag + 1), nbytes_of(payload))
     return payload
 
 
 def hier_reduce(comm, payload: Any, op, root: int, tag: int):
     """Leader-based reduce: on-node reduce → inter-leader reduce → root."""
-    from repro.mpi.collectives.reduce import reduce_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
-
     shm, bridge = hier_comms(comm)
     placement = comm.ctx.placement
     root_world = comm.world_rank_of(root)
@@ -236,9 +227,9 @@ def hier_reduce(comm, payload: Any, op, root: int, tag: int):
     root_on_my_node = shm.group.contains(root_world)
 
     # Stage 1: on-node reduce to the shm leader.
-    ph = phase_begin(comm, "on_node_reduce", nbytes_of(payload))
-    partial = yield from reduce_binomial(shm, payload, op, 0, tag)
-    phase_end(comm, ph)
+    partial = yield from in_phase(
+        comm, "on_node_reduce",
+        reduce_binomial(shm, payload, op, 0, tag), nbytes_of(payload))
     # Stage 2: inter-leader reduce to the root-node leader.
     result = None
     if bridge is not None:
@@ -248,25 +239,23 @@ def hier_reduce(comm, payload: Any, op, root: int, tag: int):
                 for w in bridge.group.world_ranks()
                 if placement.node_of(w) == root_node
             )
-            ph = phase_begin(comm, "bridge_exchange", nbytes_of(partial))
-            result = yield from reduce_binomial(
-                bridge, partial, op, root_bridge, tag
-            )
-            phase_end(comm, ph)
+            result = yield from in_phase(
+                comm, "bridge_exchange",
+                reduce_binomial(bridge, partial, op, root_bridge, tag),
+                nbytes_of(partial))
         else:
             result = partial
     # Stage 3: forward to the true root if it is not its node's leader.
     if root_shm_rank == 0 and root_on_my_node:
         return result if i_am_root else None
     if shm.rank == 0 and root_on_my_node:
-        ph = phase_begin(comm, "root_forward", nbytes_of(result))
-        yield from shm.send(result, root_shm_rank, tag=tag + 2)
-        phase_end(comm, ph)
+        yield from in_phase(
+            comm, "root_forward",
+            shm.send(result, root_shm_rank, tag=tag + 2), nbytes_of(result))
         return None
     if i_am_root:
-        ph = phase_begin(comm, "root_forward")
-        result = yield from shm.recv(source=0, tag=tag + 2)
-        phase_end(comm, ph)
+        result = yield from in_phase(
+            comm, "root_forward", shm.recv(source=0, tag=tag + 2))
         return result
     return None
 
@@ -274,21 +263,18 @@ def hier_reduce(comm, payload: Any, op, root: int, tag: int):
 def hier_allreduce(comm, payload: Any, op, tag: int, bridge_allreduce):
     """Leader-based allreduce: on-node reduce → bridge allreduce →
     on-node broadcast."""
-    from repro.mpi.collectives.reduce import reduce_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
-
     shm, bridge = hier_comms(comm)
-    ph = phase_begin(comm, "on_node_reduce", nbytes_of(payload))
-    partial = yield from reduce_binomial(shm, payload, op, 0, tag)
-    phase_end(comm, ph)
+    partial = yield from in_phase(
+        comm, "on_node_reduce",
+        reduce_binomial(shm, payload, op, 0, tag), nbytes_of(payload))
     if bridge is not None and bridge.size > 1:
-        ph = phase_begin(comm, "bridge_exchange", nbytes_of(partial))
-        partial = yield from bridge_allreduce(bridge, partial, op, tag)
-        phase_end(comm, ph)
+        partial = yield from in_phase(
+            comm, "bridge_exchange",
+            bridge_allreduce(bridge, partial, op, tag), nbytes_of(partial))
     shm_bcast = _select_shm_bcast(shm, nbytes_of(payload))
-    ph = phase_begin(comm, "on_node_bcast", nbytes_of(payload))
-    result = yield from shm_bcast(shm, partial, 0, tag + 1)
-    phase_end(comm, ph)
+    result = yield from in_phase(
+        comm, "on_node_bcast",
+        shm_bcast(shm, partial, 0, tag + 1), nbytes_of(payload))
     return result
 
 
@@ -300,10 +286,6 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     gathers its slice, exchanges on its own bridge communicator, then the
     leaders share results on-node and broadcast to their slices.
     """
-    from repro.mpi.collectives.allgather import allgather_ring
-    from repro.mpi.collectives.gather import gather_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
-
     cache = comm.hier_cache
     key = f"ml{leaders_per_node}"
     if key not in cache:
@@ -338,9 +320,9 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     shm, slice_comm, bridge, leaders_comm, k = cache[key]
 
     # Stage 1: gather within each slice.
-    ph = phase_begin(comm, "on_node_gather", nbytes_of(payload))
-    local = yield from gather_binomial(slice_comm, payload, 0, tag)
-    phase_end(comm, ph)
+    local = yield from in_phase(
+        comm, "on_node_gather",
+        gather_binomial(slice_comm, payload, 0, tag), nbytes_of(payload))
     if slice_comm.rank == 0:
         slice_blocks = BlockSet(
             {
@@ -352,9 +334,9 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
         slice_blocks = None
     # Stage 2: each leader exchanges on its own bridge.
     if bridge is not None and bridge.size > 1:
-        ph = phase_begin(comm, "bridge_exchange", slice_blocks.nbytes)
-        exchanged = yield from select_bridge(bridge, slice_blocks, tag)
-        phase_end(comm, ph)
+        exchanged = yield from in_phase(
+            comm, "bridge_exchange",
+            select_bridge(bridge, slice_blocks, tag), slice_blocks.nbytes)
         part = BlockSet()
         for node_set in exchanged.blocks.values():
             part.merge(node_set)
@@ -364,9 +346,9 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
         part = None
     # Stage 3: leaders merge partial results on-node.
     if leaders_comm is not None and leaders_comm.size > 1:
-        ph = phase_begin(comm, "leader_merge", part.nbytes)
-        shared = yield from allgather_ring(leaders_comm, part, tag + 1)
-        phase_end(comm, ph)
+        shared = yield from in_phase(
+            comm, "leader_merge",
+            allgather_ring(leaders_comm, part, tag + 1), part.nbytes)
         part = BlockSet()
         for piece in shared.blocks.values():
             part.merge(piece)
@@ -375,9 +357,8 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
     # recvcounts make possible in the real code.)
     total = nbytes_of(payload) * comm.size
     shm_bcast = _select_shm_bcast(slice_comm, total)
-    ph = phase_begin(comm, "on_node_bcast", total)
-    full = yield from shm_bcast(slice_comm, part, 0, tag + 2)
-    phase_end(comm, ph)
+    full = yield from in_phase(
+        comm, "on_node_bcast", shm_bcast(slice_comm, part, 0, tag + 2), total)
     return full
 
 
@@ -397,9 +378,6 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
     Phase spans carry ``level`` ("socket" / "node" / "bridge") so the
     critical-path decomposition can attribute cross-socket time.
     """
-    from repro.mpi.collectives.gather import gather_binomial
-    from repro.mpi.collectives.registry import phase_begin, phase_end
-
     cache = comm.hier_cache
     if "s3l" not in cache:
         _shm, bridge = hier_comms(comm)
@@ -423,10 +401,9 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
     sock, sleaders, bridge = cache["s3l"]
 
     # Stage 1: gather blocks at the socket leader (intra-socket p2p).
-    ph = phase_begin(comm, "socket_gather", nbytes_of(payload),
-                     level="socket")
-    local = yield from gather_binomial(sock, payload, 0, tag)
-    phase_end(comm, ph)
+    local = yield from in_phase(
+        comm, "socket_gather", gather_binomial(sock, payload, 0, tag),
+        nbytes_of(payload), level="socket")
     sock_blocks = None
     if sock.rank == 0:
         sock_blocks = BlockSet(
@@ -440,12 +417,10 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
     node_blocks = None
     if sleaders is not None:
         if sleaders.size > 1:
-            ph = phase_begin(comm, "node_gather", sock_blocks.nbytes,
-                             level="node")
-            gathered = yield from gather_binomial(
-                sleaders, sock_blocks, 0, tag + 1
-            )
-            phase_end(comm, ph)
+            gathered = yield from in_phase(
+                comm, "node_gather",
+                gather_binomial(sleaders, sock_blocks, 0, tag + 1),
+                sock_blocks.nbytes, level="node")
             if sleaders.rank == 0:
                 node_blocks = BlockSet()
                 for piece in gathered.blocks.values():
@@ -456,10 +431,10 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
     full = None
     if bridge is not None:
         if bridge.size > 1:
-            ph = phase_begin(comm, "bridge_exchange", node_blocks.nbytes,
-                             level="bridge")
-            exchanged = yield from select_bridge(bridge, node_blocks, tag + 2)
-            phase_end(comm, ph)
+            exchanged = yield from in_phase(
+                comm, "bridge_exchange",
+                select_bridge(bridge, node_blocks, tag + 2),
+                node_blocks.nbytes, level="bridge")
             full = BlockSet()
             for node_set in exchanged.blocks.values():
                 full.merge(node_set)
@@ -470,12 +445,12 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
     # Stage 4: node leader broadcasts the result to its socket leaders.
     if sleaders is not None and sleaders.size > 1:
         shm_bcast = _select_shm_bcast(sleaders, total_nbytes)
-        ph = phase_begin(comm, "node_bcast", total_nbytes, level="node")
-        full = yield from shm_bcast(sleaders, full, 0, tag + 3)
-        phase_end(comm, ph)
+        full = yield from in_phase(
+            comm, "node_bcast",
+            shm_bcast(sleaders, full, 0, tag + 3), total_nbytes, level="node")
     # Stage 5: socket leaders broadcast within their socket.
     shm_bcast = _select_shm_bcast(sock, total_nbytes)
-    ph = phase_begin(comm, "socket_bcast", total_nbytes, level="socket")
-    full = yield from shm_bcast(sock, full, 0, tag + 4)
-    phase_end(comm, ph)
+    full = yield from in_phase(
+        comm, "socket_bcast",
+        shm_bcast(sock, full, 0, tag + 4), total_nbytes, level="socket")
     return full

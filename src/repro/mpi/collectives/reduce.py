@@ -23,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.mpi.collectives.allgather import allgather_recursive_doubling
 from repro.mpi.constants import ReduceOp
 from repro.mpi.datatypes import Bytes
 
@@ -172,8 +173,6 @@ def allreduce_rabenseifner(comm, payload: Any, op: ReduceOp, tag: int):
         my_lo, my_hi = keep_lo, keep_hi
         mask //= 2
     # Allgather of reduced segments by recursive doubling.
-    from repro.mpi.collectives.allgather import allgather_recursive_doubling
-
     gathered = yield from allgather_recursive_doubling(
         comm, segments[rank], tag + 1
     )

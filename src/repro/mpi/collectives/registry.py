@@ -68,7 +68,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
-from repro.mpi.collectives import hierarchical as hier
 from repro.mpi.collectives.allgather import (
     allgather_bruck,
     allgather_recursive_doubling,
@@ -136,6 +135,7 @@ __all__ = [
     "trace_end",
     "phase_begin",
     "phase_end",
+    "in_phase",
     "bridge_allgatherv",
     "ENV_POLICY",
     "ENV_OP_PREFIX",
@@ -601,6 +601,24 @@ def phase_begin(
 phase_end = trace_end
 
 
+def in_phase(comm, phase: str, body, nbytes: int = 0,
+             level: str | None = None):
+    """Coroutine *body* run as the nested phase span *phase* (see
+    :func:`phase_begin`) — *body* itself where no phase span is
+    recorded, so an untraced run opens nothing and stacks no frame."""
+    tracer = comm.ctx.trace
+    if tracer is None or not tracer.wants("phase"):
+        return body
+    return _spanned(comm, phase, body, nbytes, level)
+
+
+def _spanned(comm, phase: str, body, nbytes: int, level: str | None):
+    span = phase_begin(comm, phase, nbytes, level)
+    result = yield from body
+    phase_end(comm, span)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Stage helpers used by composite (hierarchical / hybrid) algorithms
 # ---------------------------------------------------------------------------
@@ -615,23 +633,17 @@ BRIDGE_ALLREDUCE = ("recursive_doubling", "rabenseifner", "ring")
 SHM_BCAST = ("binomial", "scatter_allgather")
 
 
-def _vector_overhead(comm, blocks: int):
-    tuning = comm.ctx.tuning
-    cost = tuning.vector_block_overhead * blocks
-    if cost > 0:
-        yield comm.ctx.engine.pause(cost)
-
-
 def bridge_allgatherv(bridge, node_blocks, tag: int, total: int):
     """Coroutine: inter-leader exchange used inside hierarchical
     allgathers — a flat v-variant selected by the bridge's policy.
 
     Node aggregates have equal size only for regular ppn; the v-variant
     is required in general (paper §4.1)."""
-    req = CollRequest(op="allgatherv", nbytes=total // max(bridge.size, 1),
-                      total=total)
-    algo = policy_of(bridge).select(bridge, req, BRIDGE_ALLGATHERV)
-    yield from _vector_overhead(bridge, bridge.size)
+    req = CollRequest("allgatherv", total // max(bridge.size, 1), total)
+    algo = bridge.ctx.policy.select(bridge, req, BRIDGE_ALLGATHERV)
+    vector = bridge.ctx.tuning.vector_block_overhead * bridge.size
+    if vector > 0:
+        yield bridge.ctx.engine.pause(vector)
     result = yield from algo.fn(bridge, node_blocks, tag, total)
     return result
 
@@ -639,22 +651,28 @@ def bridge_allgatherv(bridge, node_blocks, tag: int, total: int):
 def _bridge_bcast(bridge, payload, root: int, tag: int, nbytes: int):
     """Coroutine: inter-leader broadcast stage (flat algorithm chosen by
     the bridge's policy from the top-level message size)."""
-    req = CollRequest(op="bcast", nbytes=nbytes, total=nbytes, root=root)
-    algo = policy_of(bridge).select(bridge, req, BRIDGE_BCAST)
+    req = CollRequest("bcast", nbytes, nbytes, root)
+    algo = bridge.ctx.policy.select(bridge, req, BRIDGE_BCAST)
     return algo.fn(bridge, payload, root, tag)
 
 
 def _bridge_allreduce(bridge, payload, op, tag: int, nbytes: int):
     """Coroutine: inter-leader allreduce stage (flat algorithm chosen by
     the bridge's policy from the top-level message size)."""
-    req = CollRequest(op="allreduce", nbytes=nbytes, total=nbytes)
-    algo = policy_of(bridge).select(bridge, req, BRIDGE_ALLREDUCE)
+    req = CollRequest("allreduce", nbytes, nbytes)
+    algo = bridge.ctx.policy.select(bridge, req, BRIDGE_ALLREDUCE)
     return algo.fn(bridge, payload, op, tag)
 
 
 # ---------------------------------------------------------------------------
 # Runners: adapt algorithms to the per-op descriptor conventions
 # ---------------------------------------------------------------------------
+
+# The hierarchical algorithms import the request type, the stage
+# candidate sets and the phase spans above from this module at load
+# time, so they are imported once those exist.
+from repro.mpi.collectives import hierarchical as hier  # noqa: E402
+
 
 def _run_gather_bcast_v(comm, payload, tag, total):
     return allgatherv_gather_bcast(comm, payload, tag)
@@ -716,23 +734,18 @@ def _run_smp_allreduce(comm, payload, op, tag):
 
 
 def _run_barrier_smp(comm, tag):
-    tuning = comm.ctx.tuning
     shm, bridge = hier.hier_comms(comm)
     if shm.size > 1:
-        span = phase_begin(comm, "on_node_arrive")
-        yield from barrier_shm_flags(shm, tag)
-        phase_end(comm, span)
+        yield from in_phase(comm, "on_node_arrive",
+                            barrier_shm_flags(shm, tag))
     if bridge is not None and bridge.size > 1:
-        span = phase_begin(comm, "bridge_exchange")
-        yield from barrier_dissemination(bridge, tag)
-        phase_end(comm, span)
+        yield from in_phase(comm, "bridge_exchange",
+                            barrier_dissemination(bridge, tag))
     if shm.size > 1:
         # Release phase: one flag store observed by each child.
-        span = phase_begin(comm, "on_node_release")
-        yield from barrier_shm_flags(
-            shm, tag, rounds_cost=tuning.shm_barrier_flag, phase="release"
-        )
-        phase_end(comm, span)
+        yield from in_phase(comm, "on_node_release", barrier_shm_flags(
+            shm, tag, rounds_cost=comm.ctx.tuning.shm_barrier_flag,
+            phase="release"))
 
 
 def _run_barrier_dissemination(comm, tag):

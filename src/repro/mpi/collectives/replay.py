@@ -72,13 +72,14 @@ runs per dispatch (``docs/performance.md``, "Keying").
 Bodies — built on the live branch only
 --------------------------------------
 A dispatch reaches :meth:`ReplaySession.run` as a recipe, ``make(*args)``
-— :meth:`Comm._timed` over the ``run_*`` function, or a ``hy_*``
-function and its arguments — never as a built coroutine.  The session
-builds the body only where the dispatch runs live (released, late, or on
-a communicator without a lane), so a hit builds no body: per
-rank it runs the call's entry, its park and wake, and its align.
-``Comm._timed`` stays the one profiler; what a hit adds to a profile is
-its record's increments, bound once per plan.
+— the call's ``run_*`` dispatch coroutine, or a ``hy_*`` function, and
+its arguments — never as a built coroutine.  The session builds the
+body only where the dispatch runs live (released, late, or on a
+communicator without a lane), so a hit builds no body, draws no tag and
+sizes no payload: per rank it runs the call's entry, its park and wake,
+and its align.  A live ``run_*`` body charges the rank's profile
+itself; what a hit adds to a profile is its record's increments, bound
+once per plan.
 
 Safety — quiescence and fall-through
 ------------------------------------
@@ -395,15 +396,15 @@ class _Window:
 
     def _waiting(self, rank: int) -> bool:
         """*rank* does nothing: it waits in its world ``Comm.align()``,
-        or is parked at the entry of a world dispatch not decided yet
-        (the next call of a loop without aligns)."""
+        or is parked at the entry of a world dispatch not decided yet —
+        the next call of a loop without aligns, gated or not."""
         comm = self.job.contexts[rank].world
         gate = comm._shared._align
         if (gate is not None and gate.seq == comm._gate_seq
                 and gate.slots[rank] is not None):
             return True
         return any(
-            rank in pend.arrivals and pend.decided is None
+            rank in pend.arrivals and pend.decided != "live"
             for lane in self.job.replay._lanes.values() if lane is not None
             for pend in lane.pending.values()
         )

@@ -471,55 +471,27 @@ class Comm:
         return indices, [requests[i].event.value for i in indices]
 
     # -- collectives ---------------------------------------------------------
+    # A blocking collective returns its one dispatch coroutine, the
+    # ``run_*`` body of :mod:`repro.mpi.collectives`, which draws the
+    # tag, sizes the payload, selects, runs the algorithm and charges the
+    # rank's profile itself.  When the job replays
+    # (:mod:`repro.mpi.collectives.replay`), the session gets that
+    # coroutine's function and arguments instead and builds it only on
+    # its live branch, so a hit draws, sizes and builds nothing (every
+    # rank of a hit skips its draw alike, so later tags still match);
+    # the public call's argument tuple keys the dispatch.  Non-blocking
+    # collectives draw their tag at issue and pass no call: they still
+    # park (the decision is collective) but never replay.
     def _next_coll_tag(self) -> int:
         self._coll_seq += 1
         return MAX_INTERNAL_TAG + self._coll_seq
 
-    def _timed(self, op: str, nbytes: int, fn, args: tuple):
-        """Coroutine: run ``fn(*args)`` and charge it to this rank's
-        profile — the one profiler of every collective."""
-        ctx = self.ctx
-        t0 = ctx.engine.now
-        result = yield from fn(*args)
-        ctx.profile.record(op, nbytes, ctx.engine.now - t0)
-        return result
-
-    def _collective(self, op: str, nbytes: int, fn, args: tuple,
-                    call: tuple | None = None):
-        """Single collective entry point; returns the coroutine to drive.
-
-        Every collective — blocking or non-blocking — runs through here,
-        so per-operation profiling is uniform; the dispatch layer records
-        the matching trace entry (op, algorithm, policy, bytes) for the
-        same call.  ``fn(*args)`` is the ``run_*`` body, and the profiled
-        body ``_timed(op, nbytes, fn, args)`` is built only where the
-        dispatch runs live: :meth:`_timed` is the only profiler.  When
-        the job replays (:mod:`repro.mpi.collectives.replay`), the
-        session gets the recipe instead of the body and builds it only
-        on its live branch — a hit builds nothing; *call* is then the
-        public call's argument tuple, which keys the dispatch; the
-        session measures a record on a live run of the call itself.
-        Non-blocking collectives leave it None: they still park (the
-        decision is collective) but never replay.  Tags are drawn by the
-        caller, at call time, so a hit keeps every later tag aligned.
-
-        Per-op byte conventions (see :mod:`repro.mpi.profiler`):
-        rooted/scan family charge the local message size; allgather
-        charges ``nbytes * size``; allgatherv charges the agreed sum of
-        per-rank sizes; scatter charges the root's total payload;
-        alltoall charges this rank's total send volume; barrier is zero.
-        """
-        sess = self.ctx.job.replay
-        if sess is None:
-            return self._timed(op, nbytes, fn, args)
-        return sess.run(self, op, call, self._timed, (op, nbytes, fn, args))
-
     def barrier(self):
         """Barrier over all member ranks (coroutine)."""
-        return self._collective(
-            "barrier", 0, _coll.run_barrier, (self, self._next_coll_tag()),
-            (),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_barrier(self)
+        return sess.run(self, "barrier", (), _coll.run_barrier, (self,))
 
     def align(self):
         """Coroutine: zero-virtual-cost rendezvous of all member ranks.
@@ -544,42 +516,43 @@ class Comm:
 
     def bcast(self, payload: Any, root: int = 0):
         """Broadcast from *root*; returns the payload on every rank."""
-        return self._collective(
-            "bcast", nbytes_of(payload), _coll.run_bcast,
-            (self, payload, root, self._next_coll_tag()), (payload, root),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_bcast(self, payload, root)
+        return sess.run(self, "bcast", (payload, root), _coll.run_bcast,
+                        (self, payload, root))
 
     def gather(self, payload: Any, root: int = 0):
         """Gather to *root*; returns list of payloads (None elsewhere)."""
-        return self._collective(
-            "gather", nbytes_of(payload), _coll.run_gather,
-            (self, payload, root, self._next_coll_tag()), (payload, root),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_gather(self, payload, root)
+        return sess.run(self, "gather", (payload, root), _coll.run_gather,
+                        (self, payload, root))
 
     def gatherv(self, payload: Any, root: int = 0):
         """Irregular gather to *root* (per-rank sizes may differ)."""
-        return self._collective(
-            "gatherv", nbytes_of(payload), _coll.run_gather,
-            (self, payload, root, self._next_coll_tag(), True),
-            (payload, root),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_gather(self, payload, root, None, "gatherv")
+        return sess.run(self, "gatherv", (payload, root), _coll.run_gather,
+                        (self, payload, root, None, "gatherv"))
 
     def scatter(self, payloads: list[Any] | None, root: int = 0):
         """Scatter list *payloads* (significant at root); returns own part."""
-        nbytes = (
-            sum(nbytes_of(p) for p in payloads) if payloads is not None else 0
-        )
-        return self._collective(
-            "scatter", nbytes, _coll.run_scatter,
-            (self, payloads, root, self._next_coll_tag()), (payloads, root),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_scatter(self, payloads, root)
+        return sess.run(self, "scatter", (payloads, root), _coll.run_scatter,
+                        (self, payloads, root))
 
     def allgather(self, payload: Any):
         """Regular allgather; returns the list of per-rank payloads."""
-        return self._collective(
-            "allgather", nbytes_of(payload) * self.size, _coll.run_allgather,
-            (self, payload, self._next_coll_tag()), (payload,),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_allgather(self, payload)
+        return sess.run(self, "allgather", (payload,), _coll.run_allgather,
+                        (self, payload))
 
     def allgatherv(self, payload: Any):
         """Irregular allgather (per-rank sizes may differ).
@@ -591,109 +564,89 @@ class Comm:
         return self._allgatherv("allgatherv", payload,
                                 self._next_coll_tag(), (payload,))
 
-    def _allgatherv(self, op: str, payload: Any, tag: int, call):
+    def _allgatherv(self, name: str, payload: Any, tag: int, call):
         """Coroutine of :meth:`allgatherv` and :meth:`iallgatherv`: arrive
         at the size gate, one shared event, which the body waits for; a
         replayed rank parks at once instead (:meth:`ReplaySession.run`)."""
         total = nbytes_of(payload)
-        if self.size == 1:
-            return self._collective(op, total, _coll.run_allgatherv,
-                                    (self, payload, tag, total), call)
-        gate = self._shared.arrive(("agv_total", tag), self.rank, total,
-                                   _coll._sum_of)
+        if self.size > 1:
+            total = self._shared.arrive(("agv_total", tag), self.rank, total,
+                                        _coll._sum_of)
         sess = self.ctx.job.replay
         if sess is None:
-            return self._after_gate(gate, op, payload, tag)
-        return sess.run(self, op, call, self._after_gate,
-                        (gate, op, payload, tag))
-
-    def _after_gate(self, gate: Event, op: str, payload: Any, tag: int):
-        """Coroutine: the profiled body on the total *gate* agrees."""
-        total = gate._value if gate.processed else (yield gate)
-        return (yield from self._timed(
-            op, total, _coll.run_allgatherv, (self, payload, tag, total)))
+            return _coll.run_allgatherv(total, self, payload, tag, name)
+        return sess.run(self, name, call, _coll.run_allgatherv,
+                        (total, self, payload, tag, name))
 
     def reduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0):
         """Reduce to *root*; returns the reduction there, None elsewhere."""
-        return self._collective(
-            "reduce", nbytes_of(payload), _coll.run_reduce,
-            (self, payload, op, root, self._next_coll_tag()),
-            (payload, op, root),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_reduce(self, payload, op, root)
+        return sess.run(self, "reduce", (payload, op, root), _coll.run_reduce,
+                        (self, payload, op, root))
+
+    def _reduction(self, coll: str, payload: Any, op: ReduceOp):
+        """Coroutine of the rootless reduction *coll* (the registry op)."""
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_reduction(self, coll, payload, op)
+        return sess.run(self, coll, (payload, op), _coll.run_reduction,
+                        (self, coll, payload, op))
 
     def allreduce(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Allreduce; returns the reduction on every rank."""
-        return self._collective(
-            "allreduce", nbytes_of(payload), _coll.run_reduction,
-            (self, "allreduce", payload, op, self._next_coll_tag()),
-            (payload, op),
-        )
+        return self._reduction("allreduce", payload, op)
 
     def alltoall(self, payloads: list[Any]):
         """All-to-all personalized exchange; returns received list."""
-        return self._collective(
-            "alltoall", sum(nbytes_of(p) for p in payloads),
-            _coll.run_alltoall,
-            (self, payloads, self._next_coll_tag()), (payloads,),
-        )
+        sess = self.ctx.job.replay
+        if sess is None:
+            return _coll.run_alltoall(self, payloads)
+        return sess.run(self, "alltoall", (payloads,), _coll.run_alltoall,
+                        (self, payloads))
 
     def scan(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Inclusive prefix reduction."""
-        return self._collective(
-            "scan", nbytes_of(payload), _coll.run_reduction,
-            (self, "scan", payload, op, self._next_coll_tag()), (payload, op),
-        )
+        return self._reduction("scan", payload, op)
 
     def exscan(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Exclusive prefix reduction (None on rank 0)."""
-        return self._collective(
-            "exscan", nbytes_of(payload), _coll.run_reduction,
-            (self, "exscan", payload, op, self._next_coll_tag()),
-            (payload, op),
-        )
+        return self._reduction("exscan", payload, op)
 
     def reduce_scatter(self, payload: Any, op: ReduceOp = ReduceOp.SUM):
         """Block reduce-scatter: returns this rank's reduced block."""
-        return self._collective(
-            "reduce_scatter", nbytes_of(payload), _coll.run_reduction,
-            (self, "reduce_scatter", payload, op, self._next_coll_tag()),
-            (payload, op),
-        )
+        return self._reduction("reduce_scatter", payload, op)
 
     # -- non-blocking collectives ------------------------------------------
-    def _icoll(self, name: str, nbytes: int, fn, args: tuple) -> CollRequest:
-        """Spawn a collective as a background process (MPI-3 style).
+    def _icoll(self, name: str, fn, *args) -> CollRequest:
+        """Spawn collective ``fn(self, *args, tag, name)`` as a background
+        process (MPI-3 style), its tag drawn now, at issue.
 
-        The spawned generator still runs through :meth:`_collective`, so
-        non-blocking collectives appear in the profile under their own
+        Non-blocking collectives appear in the profile under their own
         ``i``-prefixed op names (time = issue-to-completion span).  The
         engine interleaves all live processes, so the pending collective
         progresses whenever this rank is suspended (compute delays
         included) — asynchronous progress for free.  Span contexts and
         the ordering rules live in :mod:`repro.mpi.nonblocking`."""
-        return spawn_collective(
-            self, name, self._collective(name, nbytes, fn, args)
-        )
+        args = (self, *args, self._next_coll_tag(), name)
+        sess = self.ctx.job.replay
+        if sess is None:
+            return spawn_collective(self, name, fn(*args))
+        return spawn_collective(self, name,
+                                sess.run(self, name, None, fn, args))
 
     def ibarrier(self) -> CollRequest:
         """Non-blocking barrier; wait on the returned request."""
-        return self._icoll(
-            "ibarrier", 0, _coll.run_barrier, (self, self._next_coll_tag()),
-        )
+        return self._icoll("ibarrier", _coll.run_barrier)
 
     def ibcast(self, payload: Any, root: int = 0) -> CollRequest:
         """Non-blocking broadcast; request value is the payload."""
-        return self._icoll(
-            "ibcast", nbytes_of(payload), _coll.run_bcast,
-            (self, payload, root, self._next_coll_tag()),
-        )
+        return self._icoll("ibcast", _coll.run_bcast, payload, root)
 
     def iallgather(self, payload: Any) -> CollRequest:
         """Non-blocking allgather; request value is the payload list."""
-        return self._icoll(
-            "iallgather", nbytes_of(payload) * self.size,
-            _coll.run_allgather, (self, payload, self._next_coll_tag()),
-        )
+        return self._icoll("iallgather", _coll.run_allgather, payload)
 
     def iallgatherv(self, payload: Any) -> CollRequest:
         """Non-blocking irregular allgather; request value is the list.
@@ -713,18 +666,13 @@ class Comm:
                 root: int = 0) -> CollRequest:
         """Non-blocking reduce; request value is the reduction at *root*
         (None elsewhere)."""
-        return self._icoll(
-            "ireduce", nbytes_of(payload), _coll.run_reduce,
-            (self, payload, op, root, self._next_coll_tag()),
-        )
+        return self._icoll("ireduce", _coll.run_reduce, payload, op, root)
 
     def iallreduce(self, payload: Any,
                    op: ReduceOp = ReduceOp.SUM) -> CollRequest:
         """Non-blocking allreduce; request value is the result."""
-        return self._icoll(
-            "iallreduce", nbytes_of(payload), _coll.run_reduction,
-            (self, "allreduce", payload, op, self._next_coll_tag()),
-        )
+        return self._icoll("iallreduce", _coll.run_reduction, "allreduce",
+                           payload, op)
 
     # -- communicator management ----------------------------------------------
     def _gate(self, op: str, value: Any, reducer):

@@ -1,8 +1,9 @@
 """Per-rank communication profiling (PMPI-style interposition).
 
-Every collective — blocking or non-blocking — runs through
-:meth:`Comm._collective` and records into the rank's
-:class:`CommProfile`; :func:`aggregate_profiles` merges the per-rank
+Every collective — blocking or non-blocking — records into the rank's
+:class:`CommProfile` from its dispatch coroutine (the ``run_*`` bodies
+of :mod:`repro.mpi.collectives`, and ``HybridContext``'s non-blocking
+hybrid calls); :func:`aggregate_profiles` merges the per-rank
 records into a job-wide summary.  The applications use this to report
 the communication fraction of their runtime (the quantity the paper's
 Figs 11-12 ratios are made of).
@@ -49,11 +50,6 @@ class OpStats:
     bytes: float = 0.0
     time: float = 0.0
 
-    def record(self, nbytes: float, seconds: float) -> None:
-        self.calls += 1
-        self.bytes += nbytes
-        self.time += seconds
-
     def merged(self, other: "OpStats") -> "OpStats":
         return OpStats(
             calls=self.calls + other.calls,
@@ -78,7 +74,9 @@ class CommProfile:
         stats = self.ops.get(op)
         if stats is None:
             stats = self.ops[op] = OpStats()
-        stats.record(nbytes, seconds)
+        stats.calls += 1
+        stats.bytes += nbytes
+        stats.time += seconds
 
     @property
     def total_time(self) -> float:

@@ -1,9 +1,10 @@
 """A replay hit builds no live body.
 
-A collective hands the replay session the recipe of its body —
-``Comm._timed`` over the ``run_*`` function, or the ``hy_*`` function
-and its arguments — and the session builds it only where the dispatch
-runs live.  So in an aligned OSU loop the bodies built are those of the
+A collective hands the replay session the recipe of its body — its
+``run_*`` dispatch coroutine's function and arguments, or the ``hy_*``
+function and its — and the session builds it only where the dispatch
+runs live; the call's payload is sized in that body, so a hit sizes
+nothing either.  So in an aligned OSU loop the bodies built are those of the
 live dispatches (the warm-up, and a shape's first occurrence where it
 is not the warm-up), one per rank each, however many repetitions hit;
 and the profiles the hits add without a body equal replay-off's, rank
@@ -20,8 +21,9 @@ import repro.core.hierarchy
 from repro.bench.osu import hybrid_allgather_program, pure_allgather_program
 from repro.machine.placement import Placement
 from repro.machine.presets import hazel_hen
+from repro.mpi import collectives
+from repro.mpi import comm as commlib
 from repro.mpi.collectives import replay as replaylib
-from repro.mpi.comm import Comm
 from repro.mpi.runtime import MPIJob
 
 REPS = 8
@@ -50,22 +52,23 @@ def _job(case, replay):
 
 @pytest.fixture()
 def built(monkeypatch):
-    """Bodies built per operation: ``Comm._timed`` calls by op name, and
-    ``hy_allgather`` constructions."""
+    """Bodies built per operation: the ``run_*`` dispatch coroutines of
+    ``Comm``'s collectives by op, and ``hy_allgather`` constructions."""
     counts: dict[str, int] = {}
-    timed = Comm._timed
 
-    def counted_timed(self, op, *rest):
-        counts[op] = counts.get(op, 0) + 1
-        return timed(self, op, *rest)
+    def counting(op, fn):
+        def counted(*args, **kwargs):
+            counts[op] = counts.get(op, 0) + 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(Comm, "_timed", counted_timed)
-    hy_allgather = repro.core.allgather.hy_allgather
+        return counted
 
-    def counted_hy_allgather(*args, **kwargs):
-        counts["hy_allgather"] = counts.get("hy_allgather", 0) + 1
-        return hy_allgather(*args, **kwargs)
-
+    for op in ("allgather", "allgatherv"):
+        name = f"run_{op}"
+        monkeypatch.setattr(collectives, name,
+                            counting(op, getattr(collectives, name)))
+    counted_hy_allgather = counting("hy_allgather",
+                                    repro.core.allgather.hy_allgather)
     for module in (repro.core.allgather, repro.core.hierarchy):
         monkeypatch.setattr(module, "hy_allgather", counted_hy_allgather,
                             raising=False)
@@ -90,3 +93,30 @@ def test_a_hit_builds_no_body(case, built):
     assert [ctx.profile.summary() for ctx in job.contexts] == [
         ctx.profile.summary() for ctx in off_job.contexts
     ]
+
+
+def test_a_hit_sizes_no_payload(monkeypatch):
+    """An aligned 50-rep pure allgather loop sizes its payload in its
+    live dispatches only, once per rank each: neither ``Comm`` nor the
+    dispatch coroutine sizes it on a hit."""
+    sized = [0]
+
+    def counted(nbytes_of):
+        def nbytes(payload):
+            sized[0] += 1
+            return nbytes_of(payload)
+
+        return nbytes
+
+    for module in (commlib, collectives):
+        monkeypatch.setattr(module, "nbytes_of", counted(module.nbytes_of))
+    replaylib.clear_cache()
+    job = MPIJob(
+        hazel_hen(3), pure_allgather_program, placement=Placement.block(3, 4),
+        payload="cost-only", replay="loop",
+        program_kwargs={"nbytes_per_rank": 512, "reps": 50},
+    )
+    result = job.run()
+    assert (result.replay_misses, result.replay_hits) == (1, 50)
+    live = 1 + (result.replay_hits if job.replay.verify else 0)
+    assert sized[0] == live * len(job.contexts)
