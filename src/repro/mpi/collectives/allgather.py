@@ -12,6 +12,7 @@ communication operations in MPICH", IJHPCA 2005.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any
 
 from repro.mpi.collectives.blocks import BlockSet
@@ -35,7 +36,7 @@ def allgather_recursive_doubling(comm, payload: Any, tag: int, total=None):
     size, rank = comm.size, comm.rank
     if not _is_pof2(size):
         raise ValueError("recursive doubling requires power-of-two size")
-    mine = BlockSet({rank: payload})
+    mine = BlockSet.single(rank, payload)
     if size == 1:
         return mine
     distance = 1
@@ -56,26 +57,21 @@ def allgather_bruck(comm, payload: Any, tag: int, total=None):
     vector/bookkeeping overhead).
     """
     size, rank = comm.size, comm.rank
-    mine = BlockSet({rank: payload})
-    if size == 1:
-        return mine
-    # ordered[i] = block of rank (rank + i) mod size; grows each round.
-    ordered: list[tuple[int, Any]] = [(rank, payload)]
+    # mine holds the blocks of rank, rank + 1, ... (mod size) in that
+    # order.  A round sends its first send_count blocks (all of them but
+    # in a non-power-of-two size's last round) and appends the partner's
+    # first ones: those of rank + pof, rank + pof + 1, ...
+    mine = BlockSet.single(rank, payload)
     pof = 1
     while pof < size:
         send_count = min(pof, size - pof)
-        dst = (rank - pof) % size
-        src = (rank + pof) % size
-        chunk = BlockSet(dict(ordered[:send_count]))
-        incoming = yield comm.exchange(chunk, dst, src, tag)
-        # Incoming block i belongs to rank (rank + pof + i) mod size.
-        blocks = incoming.blocks
-        for i in range(send_count):
-            owner = (rank + pof + i) % size
-            ordered.append((owner, blocks[owner]))
+        chunk = mine if send_count == pof else BlockSet(
+            dict(islice(mine.blocks.items(), send_count)))
+        incoming = yield comm.exchange(
+            chunk, (rank - pof) % size, (rank + pof) % size, tag)
+        mine.merge(incoming)
         pof <<= 1
-    result = BlockSet(dict(ordered[:size]))
-    return result
+    return mine
 
 
 def allgather_ring(comm, payload: Any, tag: int, total=None):
@@ -84,7 +80,7 @@ def allgather_ring(comm, payload: Any, tag: int, total=None):
     Bandwidth-optimal for large messages; latency scales linearly in p.
     """
     size, rank = comm.size, comm.rank
-    mine = BlockSet({rank: payload})
+    mine = BlockSet.single(rank, payload)
     if size == 1:
         return mine
     right = (rank + 1) % size

@@ -27,10 +27,12 @@ class BlockSet:
     ``nbytes`` is maintained incrementally: blocks only ever enter via
     the constructor, :meth:`add` or :meth:`merge` (never mutate
     ``blocks`` directly), so the total never needs a rescan — at paper
-    scale the allgather algorithms consult it millions of times.
+    scale the allgather algorithms consult it millions of times, and a
+    cost-only send can share the owner map (:meth:`sim_snapshot`).
+    ``meta`` is never changed after construction.
     """
 
-    __slots__ = ("blocks", "meta", "nbytes")
+    __slots__ = ("blocks", "meta", "nbytes", "_shared")
 
     def __init__(
         self,
@@ -45,6 +47,7 @@ class BlockSet:
         #: Total payload bytes across all blocks — a plain slot (not a
         #: property) because the size oracle reads it millions of times.
         self.nbytes = total
+        self._shared = False  # blocks is another set's too: copy to change
 
     @classmethod
     def single(cls, owner: int, payload: Any) -> "BlockSet":
@@ -56,6 +59,17 @@ class BlockSet:
         new.nbytes = (
             payload.nbytes if type(payload) is Bytes else nbytes_of(payload)
         )
+        new._shared = False
+        return new
+
+    @classmethod
+    def of(cls, blocks: dict[int, Any], nbytes: int) -> "BlockSet":
+        """A set over *blocks* itself, whose members total *nbytes*."""
+        new = cls.__new__(cls)
+        new.blocks = blocks
+        new.meta = {}
+        new.nbytes = nbytes
+        new._shared = False
         return new
 
     def sim_clone(self) -> "BlockSet":
@@ -69,20 +83,26 @@ class BlockSet:
         }
         new.meta = dict(self.meta)
         new.nbytes = self.nbytes
+        new._shared = False
         return new
 
     def sim_snapshot(self) -> "BlockSet":
-        """Shallow snapshot for cost-only sends: the member payloads are
-        shared, only the owner map is copied (insulating the receiver
-        from post-send ``add``/``merge`` on the sender's set)."""
+        """Shallow snapshot for cost-only sends: a set over the same
+        owner map and member payloads.  Whichever of the two is changed
+        next copies the map first, so the receiver never sees the
+        sender's post-send ``add``/``merge``, and a set its sender drops
+        or only forwards is never copied."""
         new = BlockSet.__new__(BlockSet)
-        new.blocks = dict(self.blocks)
-        new.meta = dict(self.meta)
+        new.blocks = self.blocks
+        new.meta = self.meta
         new.nbytes = self.nbytes
+        new._shared = self._shared = True
         return new
 
     def add(self, owner: int, payload: Any) -> None:
         """Insert a block, refusing silent overwrite of a different one."""
+        if self._shared:  # copy-on-write
+            self.blocks, self._shared = dict(self.blocks), False
         if owner in self.blocks:
             raise KeyError(f"block for rank {owner} already present")
         self.blocks[owner] = payload
@@ -90,6 +110,8 @@ class BlockSet:
 
     def merge(self, other: "BlockSet") -> None:
         """Union another block set into this one."""
+        if self._shared:  # copy-on-write
+            self.blocks, self._shared = dict(self.blocks), False
         blocks = self.blocks
         others = other.blocks
         # The common case (ring/recursive-doubling rounds) is a disjoint

@@ -23,7 +23,7 @@ def gather_binomial(comm, payload: Any, root: int, tag: int):
     """
     size, rank = comm.size, comm.rank
     vrank = (rank - root) % size
-    carried = BlockSet({rank: payload})
+    carried = BlockSet.single(rank, payload)
     mask = 1
     while mask < size:
         if vrank & mask:
@@ -47,9 +47,9 @@ def gather_linear(comm, payload: Any, root: int, tag: int):
     """
     size, rank = comm.size, comm.rank
     if rank != root:
-        yield from comm.send(BlockSet({rank: payload}), root, tag=tag)
+        yield from comm.send(BlockSet.single(rank, payload), root, tag=tag)
         return None
-    carried = BlockSet({rank: payload})
+    carried = BlockSet.single(rank, payload)
     reqs = [
         comm.irecv(source=peer, tag=tag) for peer in range(size) if peer != root
     ]

@@ -145,12 +145,10 @@ def hier_allgather(comm, payload: Any, tag: int, select_bridge,
         comm, "on_node_gather",
         gather_binomial(shm, payload, 0, tag), nbytes_of(payload))
     if shm.rank == 0:
-        node_blocks = BlockSet(
-            {
-                _parent_rank_of(comm, shm, sub): blk
-                for sub, blk in local.blocks.items()
-            }
-        )
+        node_blocks = BlockSet.of({
+            _parent_rank_of(comm, shm, sub): blk
+            for sub, blk in local.blocks.items()
+        }, local.nbytes)
     else:
         node_blocks = None
     # Stage 2: leaders exchange aggregated node blocks.
@@ -324,12 +322,10 @@ def multileader_allgather(comm, payload: Any, tag: int, leaders_per_node: int,
         comm, "on_node_gather",
         gather_binomial(slice_comm, payload, 0, tag), nbytes_of(payload))
     if slice_comm.rank == 0:
-        slice_blocks = BlockSet(
-            {
-                comm.group.rank_of(slice_comm.world_rank_of(sub)): blk
-                for sub, blk in local.blocks.items()
-            }
-        )
+        slice_blocks = BlockSet.of({
+            comm.group.rank_of(slice_comm.world_rank_of(sub)): blk
+            for sub, blk in local.blocks.items()
+        }, local.nbytes)
     else:
         slice_blocks = None
     # Stage 2: each leader exchanges on its own bridge.
@@ -406,12 +402,10 @@ def smp_3level_allgather(comm, payload: Any, tag: int, select_bridge,
         nbytes_of(payload), level="socket")
     sock_blocks = None
     if sock.rank == 0:
-        sock_blocks = BlockSet(
-            {
-                comm.group.rank_of(sock.world_rank_of(sub)): blk
-                for sub, blk in local.blocks.items()
-            }
-        )
+        sock_blocks = BlockSet.of({
+            comm.group.rank_of(sock.world_rank_of(sub)): blk
+            for sub, blk in local.blocks.items()
+        }, local.nbytes)
     # Stage 2: socket leaders gather at the node leader (one
     # cross-socket hop per non-leader socket).
     node_blocks = None

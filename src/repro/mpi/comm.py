@@ -227,13 +227,13 @@ class Comm:
 
     # -- point-to-point ------------------------------------------------------
     def _p2p_begin(self, op: str, peer: int, payload: Any = None):
-        """Open a p2p wait span (trace detail ``"p2p"`` only).
+        """Open a p2p wait span (trace detail ``"p2p"`` only; an untraced
+        run makes no call).
 
-        The payload is sized lazily — only when the span is actually
-        recorded — so untraced runs never pay for ``nbytes_of``.
+        The payload is sized lazily: only when the span is recorded.
         """
         tracer = self.ctx.trace
-        if tracer is None or not tracer.wants("p2p"):
+        if not tracer.wants("p2p"):
             return None
         return tracer.begin({
             "t": self.ctx.engine.now,
@@ -245,18 +245,37 @@ class Comm:
             "nbytes": nbytes_of(payload) if payload is not None else 0,
         })
 
-    def _p2p_end(self, span) -> None:
-        if span is not None:
-            self.ctx.trace.end(span, self.ctx.engine.now)
+    def _post_send(self, payload: Any, dest: int, tag: int) -> Event:
+        """Check *dest* and post a send; returns its completion event."""
+        ranks = self._world_ranks
+        if not 0 <= dest < len(ranks):
+            self._check_peer(dest)
+        ctx = self.ctx
+        return ctx.msg_engine.post_send(
+            self._shared.id, ctx.world_rank, self.rank, ranks[dest],
+            payload, tag,
+        )
+
+    def _post_recv(self, buf: Any, source: int, tag: int) -> Event:
+        """Check *source* and post a receive; returns its event, whose
+        value is ``(payload, Status)``."""
+        if source != ANY_SOURCE and not 0 <= source < len(self._world_ranks):
+            self._check_peer(source)
+        ctx = self.ctx
+        return ctx.msg_engine.post_recv(
+            self._shared.id, ctx.world_rank, source, tag, buf,
+        )
 
     def send(self, payload: Any, dest: int, tag: int = 0):
         """Blocking send (coroutine)."""
         if dest == PROC_NULL:
             return
-        span = self._p2p_begin("send", dest, payload)
-        req = self.isend(payload, dest, tag)
-        yield req.event
-        self._p2p_end(span)
+        ctx = self.ctx
+        span = None if ctx.trace is None else self._p2p_begin(
+            "send", dest, payload)
+        yield self._post_send(payload, dest, tag)
+        if span is not None:
+            ctx.trace.end(span, ctx.engine.now)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; returns a :class:`Request`."""
@@ -264,34 +283,30 @@ class Comm:
             ev = Event(self.ctx.engine, name="send.null")
             ev.succeed(None)
             return Request(ev, "send")
-        ranks = self._world_ranks
-        if not 0 <= dest < len(ranks):
-            self._check_peer(dest)
-        ctx = self.ctx
-        done = ctx.msg_engine.post_send(
-            self._shared.id, ctx.world_rank, self.rank, ranks[dest],
-            payload, tag,
-        )
-        return Request(done, "send")
+        return Request(self._post_send(payload, dest, tag), "send")
 
     def recv(self, buf: Any = None, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive (coroutine); returns the payload."""
-        payload, _status = yield from self.recv_status(buf, source, tag)
-        return payload
+        return self._recv(buf, source, tag, False)
 
     def recv_status(
         self, buf: Any = None, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ):
         """Blocking receive returning ``(payload, Status)``."""
+        return self._recv(buf, source, tag, True)
+
+    def _recv(self, buf: Any, source: int, tag: int, with_status: bool):
+        """The coroutine behind :meth:`recv` and :meth:`recv_status`."""
         if source == PROC_NULL:
-            return None, Status(source=PROC_NULL, tag=tag, nbytes=0)
-        span = self._p2p_begin("recv", source)
-        req = self.irecv(buf, source, tag)
-        payload, status = yield req.event
+            status = Status(source=PROC_NULL, tag=tag, nbytes=0)
+            return (None, status) if with_status else None
+        ctx = self.ctx
+        span = None if ctx.trace is None else self._p2p_begin("recv", source)
+        payload, status = yield self._post_recv(buf, source, tag)
         if span is not None:
             span["nbytes"] = status.nbytes
-        self._p2p_end(span)
-        return payload, status
+            ctx.trace.end(span, ctx.engine.now)
+        return (payload, status) if with_status else payload
 
     def irecv(
         self, buf: Any = None, source: int = ANY_SOURCE, tag: int = ANY_TAG
@@ -301,13 +316,7 @@ class Comm:
             ev = Event(self.ctx.engine, name="recv.null")
             ev.succeed((None, Status(source=PROC_NULL, tag=tag, nbytes=0)))
             return Request(ev, "recv")
-        if source != ANY_SOURCE and not 0 <= source < len(self._world_ranks):
-            self._check_peer(source)
-        ctx = self.ctx
-        ev = ctx.msg_engine.post_recv(
-            self._shared.id, ctx.world_rank, source, tag, buf,
-        )
-        return Request(ev, "recv")
+        return Request(self._post_recv(buf, source, tag), "recv")
 
     def sendrecv(
         self,
@@ -319,10 +328,13 @@ class Comm:
         recvtag: int = ANY_TAG,
     ):
         """Simultaneous send and receive (coroutine); returns payload."""
-        span = self._p2p_begin("sendrecv", dest, sendpayload)
+        ctx = self.ctx
+        span = None if ctx.trace is None else self._p2p_begin(
+            "sendrecv", dest, sendpayload)
         payload = yield self.exchange(sendpayload, dest, source, sendtag,
                                       recvtag, recvbuf)
-        self._p2p_end(span)
+        if span is not None:
+            ctx.trace.end(span, ctx.engine.now)
         return payload
 
     def exchange(self, payload: Any, dest: int, source: int, tag: int,

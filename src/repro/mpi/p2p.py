@@ -36,10 +36,11 @@ from typing import Any, NamedTuple
 
 from repro.machine.model import Machine
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.datatypes import clone, copy_into, nbytes_of, snapshot
+from repro.mpi.datatypes import Bytes, clone, copy_into, nbytes_of, snapshot
 from repro.mpi.errors import MPIError, TruncationError
 from repro.simulator import Engine, Event
 from repro.simulator.engine import _PENDING
+from repro.simulator.resources import _Transfer
 
 __all__ = ["MessageEngine", "Request", "Status"]
 
@@ -168,29 +169,27 @@ class _Message:
     def _start(self) -> None:
         me = self.me
         if self.intra:
-            machine = me.machine
-            node = machine.spec.node
-            tp = machine.transport
-            src_sock = machine.socket_of(self.src_world)
-            dst_sock = machine.socket_of(self.dst_world)
-            latency = node.shm_latency * tp.latency_scale
+            src_sock = me._socket_of[self.src_world]
+            dst_sock = me._socket_of[self.dst_world]
+            latency = me._shm_latency
             if self.eager:
-                self.left = tp.eager_copies - 1
-                chan = machine._socket_mem[self.src_node][src_sock]
+                self.left = me._eager_copies - 1
+                chan = me._socket_mem[self.src_node][src_sock]
             else:
-                self.left = tp.rdv_copies
-                chan = machine._socket_mem[self.src_node][dst_sock]
+                self.left = me._rdv_copies
+                chan = me._socket_mem[self.src_node][dst_sock]
             self.chan = self.first = chan
             if src_sock != dst_sock:
-                latency += node.xsocket_latency
-                self.first = machine._xsocket[self.src_node]
+                latency += me._xsocket_latency
+                self.first = me._xsocket[self.src_node]
             me.engine.call_later(latency, self._copy)
         elif self.eager:
             self.left = _RX_PENDING
             self._nics(self._tx_done, self._rx_done)
         else:
-            me.engine.call_later(me.machine.network.rendezvous_latency(
-                self.src_node, self.dst_node), self._handshaken)
+            pair = (self.src_node, self.dst_node)
+            me.engine.call_later((me._routes.get(pair) or me._route(pair))[1],
+                                 self._handshaken)
 
     def _copy(self) -> None:
         """The next staged copy of the sender's chain, or, after the
@@ -206,12 +205,12 @@ class _Message:
         machine.intra_bytes += nbytes
         chan = self.first
         self.first = self.chan
-        chan.transfer(2.0 * nbytes, self._copy)
+        _Transfer(chan, 2.0 * nbytes, self._copy)
 
     def _nics(self, tx_then, rx_then) -> None:
-        net = self.me.machine.network
-        net._tx[self.src_node].transfer(self.nbytes, tx_then)
-        net._rx[self.dst_node].transfer(self.nbytes, rx_then)
+        me = self.me
+        _Transfer(me._tx[self.src_node], self.nbytes, tx_then)
+        _Transfer(me._rx[self.dst_node], self.nbytes, rx_then)
 
     def _tx_done(self) -> None:
         # Eager: the sender completes once its NIC has injected.  This
@@ -245,11 +244,12 @@ class _Message:
 
     def _propagate(self) -> None:
         me = self.me
-        me.engine.call_later(me.machine.network.latency(
-            self.src_node, self.dst_node), self._landed)
+        pair = (self.src_node, self.dst_node)
+        me.engine.call_later((me._routes.get(pair) or me._route(pair))[0],
+                             self._landed)
 
     def _landed(self) -> None:
-        stats = self.me.machine.network.stats
+        stats = self.me._net_stats
         stats.messages += 1
         stats.bytes += self.nbytes
         if self.eager:
@@ -293,16 +293,17 @@ class _Message:
         # socket link for a cross-socket pair; with two-copy CICO the
         # copy-in already crossed and the copy-out stays on the
         # receiver's socket.
-        machine = self.me.machine
-        dst_sock = machine.socket_of(self.dst_world)
-        if (machine.transport.eager_copies == 1
-                and machine.socket_of(self.src_world) != dst_sock):
-            chan = machine._xsocket[self.dst_node]
+        me = self.me
+        dst_sock = me._socket_of[self.dst_world]
+        if (me._eager_copies == 1
+                and me._socket_of[self.src_world] != dst_sock):
+            chan = me._xsocket[self.dst_node]
         else:
-            chan = machine._socket_mem[self.dst_node][dst_sock]
+            chan = me._socket_mem[self.dst_node][dst_sock]
+        machine = me.machine
         machine.intra_copies += 1
         machine.intra_bytes += self.nbytes
-        chan.transfer(2.0 * self.nbytes, self._copied)
+        _Transfer(chan, 2.0 * self.nbytes, self._copied)
 
     def _copied(self) -> None:
         recv = self.recv
@@ -386,8 +387,27 @@ class MessageEngine:
         #: Message step chains scheduled but not finished (sender and
         #: delivery count one each); replay vetoes while non-zero.
         self.in_flight = 0
-        # Hot-path caches (one attribute hop instead of three per send).
+        # What every message reads of the machine, read once per job:
+        # the placement is bound before the job builds this engine.
         self._eager_threshold = machine.spec.network.eager_threshold
+        self._node_of = machine.placement._node_of
+        self._socket_of = [machine.socket_of(rank) for rank in
+                           range(machine.placement.num_ranks)]
+        node, tp, net = machine.spec.node, machine.transport, machine.network
+        self._shm_latency = node.shm_latency * tp.latency_scale
+        self._xsocket_latency = node.xsocket_latency
+        self._eager_copies, self._rdv_copies = tp.eager_copies, tp.rdv_copies
+        self._socket_mem, self._xsocket = machine._socket_mem, machine._xsocket
+        self._tx, self._rx, self._net_stats = net._tx, net._rx, net.stats
+        #: ``(latency, rendezvous handshake)`` per node pair a message
+        #: crossed, filled on first use (:meth:`_route`).
+        self._routes: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def _route(self, pair: tuple[int, int]) -> tuple[float, float]:
+        net = self.machine.network
+        route = self._routes[pair] = (net.latency(*pair),
+                                      net.rendezvous_latency(*pair))
+        return route
 
     # -- send ------------------------------------------------------------
     def post_send(
@@ -402,17 +422,20 @@ class MessageEngine:
     ) -> Event | _Round:
         """Post a send; returns the sender-completion event, or *done*,
         the :class:`_Round` it completes instead."""
-        # set by the runtime at job start
-        node_of = self.machine._placement._node_of
-        nbytes = nbytes_of(payload)
+        node_of = self._node_of
+        if type(payload) is Bytes:
+            nbytes = payload.nbytes  # a size marker is its own snapshot
+        else:
+            nbytes = nbytes_of(payload)
+            payload = self._snapshot(payload)
         if done is None:
             # Event names are static: per-message f-strings cost more
             # than the rest of the bookkeeping combined at paper scale.
             done = Event(self.engine, "send.done")
         msg = _Message(
-            self, src_world, src_comm_rank, dst_world, tag,
-            self._snapshot(payload), nbytes, nbytes <= self._eager_threshold,
-            node_of[src_world], node_of[dst_world], done,
+            self, src_world, src_comm_rank, dst_world, tag, payload, nbytes,
+            nbytes <= self._eager_threshold, node_of[src_world],
+            node_of[dst_world], done,
         )
         self.sent_messages += 1
         self.sent_bytes += nbytes
@@ -424,7 +447,8 @@ class MessageEngine:
         self.pending_total += 1
         self.in_flight += 1
         self.engine._defer(msg._send)
-        self._try_match(q)
+        if q.pending_recvs:
+            self._try_match(q)
         return done
 
     # -- recv ------------------------------------------------------------
@@ -450,26 +474,20 @@ class MessageEngine:
             q = self._queues[key] = _MatchQueue()
         q.pending_recvs.append(rec)
         self.pending_total += 1
-        self._try_match(q)
+        if q.pending_sends:
+            self._try_match(q)
         return done
 
     # -- matching ----------------------------------------------------------
-    @staticmethod
-    def _matches(recv: _RecvRec, send: _Message) -> bool:
-        src_ok = recv.source == ANY_SOURCE or recv.source == send.src_comm_rank
-        tag_ok = recv.tag == ANY_TAG or recv.tag == send.tag
-        return src_ok and tag_ok
-
     def _try_match(self, q: _MatchQueue) -> None:
         # Pair the earliest-posted receive with the earliest-posted
         # matching send (MPI non-overtaking order).  One forward pass over
         # the receives suffices: succeed()/spawn() are deferred (nothing
         # is appended mid-scan), and consuming a send can never enable an
-        # *earlier* receive that already failed to match.
+        # *earlier* receive that already failed to match.  Called only
+        # with both queues non-empty.
         sends = q.pending_sends
         recvs = q.pending_recvs
-        if not sends or not recvs:
-            return
         if len(recvs) == 1 and len(sends) == 1:
             # Single pending pair — by far the dominant case in the
             # collective sweeps (every post_send/post_recv immediately
@@ -486,18 +504,17 @@ class MessageEngine:
                 self._start_delivery(send, recv)
             return
         for recv in list(recvs):
-            chosen = None
+            source, tag = recv.source, recv.tag
             for send in sends:
-                if self._matches(recv, send):
-                    chosen = send
+                if (source == ANY_SOURCE or source == send.src_comm_rank) and (
+                        tag == ANY_TAG or tag == send.tag):
+                    recvs.remove(recv)
+                    sends.remove(send)
+                    self.pending_total -= 2
+                    self._start_delivery(send, recv)
                     break
-            if chosen is not None:
-                recvs.remove(recv)
-                sends.remove(chosen)
-                self.pending_total -= 2
-                self._start_delivery(chosen, recv)
-                if not sends:
-                    return
+            if not sends:
+                return
 
     def _start_delivery(self, send: _Message, recv: _RecvRec) -> None:
         if self.tracer is not None:

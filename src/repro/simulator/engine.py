@@ -618,7 +618,18 @@ class Engine:
             ev._state = _TRIGGERED
             ev._value = value
             ev._poolable = True
-        self._push((self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK, ev)
+        # _push inlined, here and in call_later(): one frame per entry.
+        now = self.now
+        time = (now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK
+        if time <= now:
+            self._defer(ev)
+        else:
+            bucket = self._timed.get(time)
+            if bucket is None:
+                self._timed[time] = [ev]
+                heappush(self._heap, time)
+            else:
+                bucket.append(ev)
         return ev
 
     def pooled(self) -> Event:
@@ -652,7 +663,17 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._push((self.now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK, fn)
+        now = self.now
+        time = (now * _INV_TICK + _ceil(delay * _INV_TICK)) * TICK
+        if time <= now:
+            self._defer(fn)
+        else:
+            bucket = self._timed.get(time)
+            if bucket is None:
+                self._timed[time] = [fn]
+                heappush(self._heap, time)
+            else:
+                bucket.append(fn)
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process executing *generator*."""
@@ -671,7 +692,8 @@ class Engine:
     def _push(self, time: float, item: Any) -> None:
         """Schedule *item* (an Event or a callable) at absolute *time*:
         into the FIFO when that is now, else at the end of its
-        timestamp's bucket.  Every timed entry is scheduled here."""
+        timestamp's bucket.  The hot :meth:`pause` and :meth:`call_later`
+        inline this body."""
         if time <= self.now:
             self._defer(item)
         else:
@@ -725,9 +747,11 @@ class Engine:
         been processed — either because the next timed entry lies
         strictly in the future or because the queue drained.  It may schedule new
         work at the current time (processed before time moves) or in the
-        future.  Hooks are one-shot and run in registration order; a hook
-        that re-registers itself without scheduling work is an error (the
-        run loop would spin at the same timestamp).
+        future.  Hooks are one-shot and run in registration order.  A hook
+        that re-registers itself while a later entry is pending, without
+        scheduling work at the current time, raises
+        :class:`SimulationError` (it would spin at the same timestamp);
+        one re-registered as the queue drains waits for the next run.
 
         The collective replay layer uses this as its decision point: all
         ranks that entered a dispatch at the same timestamp have parked
@@ -792,6 +816,10 @@ class Engine:
             if not deferred:
                 if self._advance_hooks:
                     self._run_advance_hooks()
+                    if self._advance_hooks and not deferred:
+                        raise SimulationError(
+                            f"advance hook {self._advance_hooks[0]!r} "
+                            f"re-armed with nothing to run at t={self.now!r}")
                     continue
                 time = heappop(self._heap)
                 if time < self.now:  # pragma: no cover - defensive
@@ -863,6 +891,12 @@ class Engine:
                         self._event_count += count
                         count = 0
                         self._run_advance_hooks()
+                        if hooks and not deferred:
+                            # Time cannot advance past a re-armed hook:
+                            # with nothing to run first, it would spin.
+                            raise SimulationError(
+                                f"advance hook {hooks[0]!r} re-armed with "
+                                f"nothing to run at t={now!r}")
                         continue
                     if until is not None and time > until:
                         # Deferred entries are always at ``now`` <= until;

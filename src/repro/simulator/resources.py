@@ -17,7 +17,6 @@ Three primitives cover everything the machine model needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from repro.simulator.engine import (
     _TRIGGERED,
@@ -130,52 +129,31 @@ class BandwidthChannel:
         self.name = name
         self._xfer_name = name + ".xfer"
         self._stream_bw = self.bandwidth / self.streams
+        self._defer = engine._defer
         #: Stream slots held, and transfers waiting for one (FIFO).
         self._in_use = 0
         self._waiters: deque[_Transfer] = deque()
 
-    @property
-    def stream_bandwidth(self) -> float:
-        """Bytes/second available to a single transfer."""
-        return self._stream_bw
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Uncontended duration of a transfer of *nbytes*."""
-        return nbytes / self._stream_bw
-
-    def transfer(self, nbytes: float, then: Callable[[], None] | None = None
-                 ) -> Event | None:
-        """Move *nbytes* through the channel; returns a completion event
-        to ``yield`` on, or, given *then*, schedules ``then()`` as the
-        completion entry instead.  Either way the queue entries — start,
-        grant, the timed step for its duration (none when zero), completion —
-        are those of the generator process this once was.
+    def transfer(self, nbytes: float) -> Event:
+        """Move *nbytes* through the channel; returns the completion
+        event to ``yield`` on.  The queue entries — start, grant, the
+        timed step for its duration (none when zero), completion — are
+        those of the generator process this once was.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if then is None:
-            done = Event(self.engine, self._xfer_name)
-            _Transfer(self, nbytes, done)
-            return done
-        _Transfer(self, nbytes, then)
-        return None
-
-    @property
-    def queued(self) -> int:
-        """Transfers waiting for a slot."""
-        return len(self._waiters)
-
-    @property
-    def active(self) -> int:
-        """Transfers currently in flight."""
-        return self._in_use
+        done = Event(self.engine, self._xfer_name)
+        _Transfer(self, nbytes, done)
+        return done
 
 
 class _Transfer:
     """One transfer through a :class:`BandwidthChannel`: the start step
     takes a stream slot or queues for one, the grant step waits out the
     duration, the finish passes the slot on and triggers *done* (an
-    :class:`Event`) or schedules it (a callable)."""
+    :class:`Event`) or schedules it (a callable).  Building one queues
+    its start; the message path (:mod:`repro.mpi.p2p`) builds them
+    directly, with a non-negative size and a callable."""
 
     __slots__ = ("channel", "nbytes", "done")
 
@@ -183,13 +161,13 @@ class _Transfer:
         self.channel = channel
         self.nbytes = nbytes
         self.done = done
-        channel.engine._defer(self._start)
+        channel._defer(self._start)
 
     def _start(self) -> None:
         ch = self.channel
         if not ch._waiters and ch._in_use < ch.streams:
             ch._in_use += 1
-            ch.engine._defer(self._grant)
+            ch._defer(self._grant)
         else:
             ch._waiters.append(self)
 
@@ -203,18 +181,18 @@ class _Transfer:
 
     def _finish(self) -> None:
         ch = self.channel
-        engine = ch.engine
+        defer = ch._defer
         waiters = ch._waiters
         if waiters:
             # The freed slot passes straight to the next waiter.
-            engine._defer(waiters.popleft()._grant)
+            defer(waiters.popleft()._grant)
         else:
             ch._in_use -= 1
         done = self.done
         if type(done) is Event:
             done._state = _TRIGGERED
             done._value = self.nbytes
-        engine._defer(done)
+        defer(done)
 
 
 class TokenBucket:

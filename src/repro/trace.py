@@ -15,7 +15,7 @@ instance) collect structured records in virtual time:
   a job) — the ingredient the hidden-vs-exposed overlap analysis of
   :mod:`repro.analysis.critical_path` needs;
 * **instant events** — the pre-span record shape, still accepted
-  everywhere for backward compatibility.
+  everywhere for backward compatibility (no ``kind``: a dispatch).
 
 Non-blocking collectives run as background processes in their own span
 *context*: their spans nest among themselves (the dispatch span covers
@@ -244,11 +244,6 @@ class Tracer:
         return f"Tracer(detail={self.detail!r}, records={len(self.records)})"
 
 
-def _kind(rec: dict) -> str:
-    """Record kind; instant records predating spans count as dispatch."""
-    return rec.get("kind", "dispatch")
-
-
 def summarize(trace: list[dict]) -> dict[tuple[str, str], dict]:
     """Aggregate dispatch records by (operation, algorithm).
 
@@ -261,7 +256,7 @@ def summarize(trace: list[dict]) -> dict[tuple[str, str], dict]:
         lambda: {"calls": 0, "bytes": 0}
     )
     for rec in trace:
-        if _kind(rec) != "dispatch":
+        if rec.get("kind", "dispatch") != "dispatch":
             continue
         key = (rec["op"], rec["algo"])
         out[key]["calls"] += 1
@@ -319,6 +314,11 @@ def _assign_tracks(trace: list[dict]) -> tuple[dict[int, int], int]:
     return track_of, max_track
 
 
+#: The record fields a Chrome event carries in its ``args``, in order.
+_CHROME_ARGS = ("comm", "nbytes", "policy", "phase", "wait", "sid",
+                "parent", "peer", "level", "replayed")
+
+
 def to_chrome_trace(trace: list[dict]) -> dict:
     """Convert trace records to the Chrome trace-event JSON format.
 
@@ -339,26 +339,25 @@ def to_chrome_trace(trace: list[dict]) -> dict:
     lifted: set[tuple[int, int]] = set()
     events: list[dict[str, Any]] = []
     for rec in trace:
-        args = {
-            k: rec[k]
-            for k in ("comm", "nbytes", "policy", "phase", "wait",
-                      "sid", "parent", "peer", "level", "replayed")
-            if k in rec
-        }
-        kind = args["kind"] = _kind(rec)
-        track = track_of.get(rec.get("sid"), 0)
-        if track:
-            lifted.add((rec["rank"], track))
+        args = {k: rec[k] for k in _CHROME_ARGS if k in rec}
+        kind = args["kind"] = rec.get("kind", "dispatch")
+        tid = rec["rank"]
+        if max_track:
+            track = track_of.get(rec.get("sid"), 0)
+            if track:
+                lifted.add((tid, track))
+                tid += track * stride
         event: dict[str, Any] = {
             "name": _event_name(rec, kind),
             "ts": rec["t"] * 1e6,
             "pid": 0,
-            "tid": rec["rank"] + track * stride,
+            "tid": tid,
             "args": args,
         }
-        if rec.get("dur") is not None:
+        dur = rec.get("dur")
+        if dur is not None:
             event["ph"] = "X"
-            event["dur"] = rec["dur"] * 1e6
+            event["dur"] = dur * 1e6
         else:
             event["ph"] = "i"
             event["s"] = "t"  # thread scoped
@@ -416,7 +415,7 @@ def format_timeline(trace: list[dict], width: int = 72,
         dur_s = f"{dur * 1e6:>9.2f}" if dur is not None else f"{'-':>9}"
         lines.append(
             f"{rec['t'] * 1e6:>10.2f}  {dur_s}  {rec['rank']:>4}  "
-            f"{_event_name(rec, _kind(rec)):<32} {bar}"
+            f"{_event_name(rec, rec.get('kind', 'dispatch')):<32} {bar}"
         )
     if len(ordered) > max_rows:
         lines.append(f"... (+{len(ordered) - max_rows} more records)")

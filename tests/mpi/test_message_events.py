@@ -21,13 +21,17 @@ tables:
 * the SHA-256 of the p2p-detail span stream of one mixed program (an
   unexpected message, an ``ANY_SOURCE`` fan-in, a truncating receive
   and an off-node rendezvous), and of a run of ``sendrecv`` shifts,
-  which pin order, not just counts.
+  which pin order, not just counts;
+* the SHA-256 of the entry timeline (``engine.now`` at every entry the
+  engine takes) of that mixed program and of each 4x12 dispatch job,
+  which pins when every entry runs, not just how many there are.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from repro.machine.presets import hazel_hen, hazel_hen_2s
 from repro.machine.transport import TRANSPORTS
 from repro.mpi import ANY_SOURCE, Bytes, TruncationError, run_program
 from repro.mpi.constants import PROC_NULL
+from repro.simulator import Engine
 from tests.helpers import UNDER_VERIFY
 
 EAGER, RENDEZVOUS = 64, 65536  # hazel_hen's eager threshold is 8 KiB
@@ -156,6 +161,23 @@ MIXED = {
     "returns": "[[6.0, [2, 3, 1, 'truncated']], None, None, None]",
     "span_sha256":
         "2407b1bafe698fe6d230033ea9ba8abe019e6065cabde071419007f8896fe26e",
+}
+
+#: Entry timelines: ``(entries, SHA-256 of their times)`` of the mixed
+#: program and of each 4x12 4 KiB dispatch job (empty job included).
+TIMELINE = {
+    "mixed": (118, "bf25b10bc6a115763e89372a5c6f1fa1"
+                   "1ddfa7fb92e75485c5f474e10df63fd3"),
+    "allgather": (8988, "5a0f6c9fbf11c21622b3b189bbdbafc3"
+                        "3fba20afb669f1355e9fd4f620626daa"),
+    "alltoall": (41118, "dc12a6811c63466949905e296139300e"
+                        "3ee0122542e6240d587e5a723a66ac0d"),
+    "allreduce": (1788, "8b0ef672c874e8f883c164c6d82f3fad"
+                        "e234d865dc62cbe65d4a80a6ef6f8021"),
+    "barrier": (328, "c9b508abf17afe5dec0a18559818f25e"
+                     "316e1ae88164c6eb94007ef09a0b7d70"),
+    "bcast": (943, "651f0d63513c05fa34ebfa0dd488995f"
+                   "c1ee44505133965eb6ff168acdd85e3f"),
 }
 
 
@@ -365,6 +387,49 @@ def _summary(result) -> dict:
     }
 
 
+class _Timeline(deque):
+    """The engine's same-time FIFO, noting ``engine.now`` each time it
+    hands out an entry: every entry the engine takes leaves through
+    :meth:`popleft`."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.times = []
+
+    def popleft(self):
+        self.times.append(self.engine.now)
+        return super().popleft()
+
+
+@pytest.fixture
+def timelines(monkeypatch):
+    """Every engine built while the test runs records its timeline."""
+    made = []
+    init = Engine.__init__
+
+    def recording(self):
+        init(self)
+        self._deferred = _Timeline(self)
+        self._defer = self._deferred.append
+        made.append(self._deferred)
+
+    monkeypatch.setattr(Engine, "__init__", recording)
+    return made
+
+
+def timeline(timelines, case: str) -> tuple:
+    """``(entries, SHA-256 of the repr of each entry's time)`` of one
+    job: the mixed program or a 4x12 dispatch."""
+    if case == "mixed":
+        mixed()
+    else:
+        _events(hazel_hen(4), Placement.block(4, 12), _collective, op=case)
+    (line,) = timelines
+    return len(line.times), hashlib.sha256(
+        "\n".join(map(repr, line.times)).encode()).hexdigest()
+
+
 def test_every_machine_is_pinned():
     assert sorted(PER_MESSAGE) == sorted(MACHINES)
 
@@ -387,6 +452,11 @@ def test_entries_per_replayed_repetition(case):
 
 def test_mixed_program_span_stream():
     assert mixed() == MIXED
+
+
+@pytest.mark.parametrize("case", sorted(TIMELINE))
+def test_entry_timeline(timelines, case):
+    assert timeline(timelines, case) == TIMELINE[case]
 
 
 @pytest.mark.parametrize("shape", sorted(PER_ROUND), ids=lambda shape:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.simulator import (
@@ -191,3 +194,73 @@ class TestRunSemantics:
         engine.spawn(proc())
         engine.run(until=1.0)
         assert fired == [True]
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail with TimeoutError instead of hanging past *seconds*."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSpinningAdvanceHook:
+    """A hook that re-arms itself and schedules nothing would run again
+    at the same time forever; the engine names it instead."""
+
+    def _arm(self, engine):
+        def spin():
+            engine.on_time_advance(spin)
+
+        engine.call_later(1.0, lambda: engine.on_time_advance(spin))
+        engine.call_later(2.0, lambda: None)
+
+    def test_run_raises(self, engine):
+        self._arm(engine)
+        with _deadline(10), pytest.raises(SimulationError, match="re-armed"):
+            engine.run()
+        assert engine.now == 1.0
+
+    def test_step_raises(self, engine):
+        self._arm(engine)
+        engine.step()
+        with _deadline(10), pytest.raises(SimulationError, match="re-armed"):
+            engine.step()
+
+    def test_a_hook_rearmed_behind_work_runs_again(self, engine):
+        calls = []
+
+        def hook():
+            calls.append(engine.now)
+            if len(calls) < 3:
+                engine.call_later(0.0, lambda: None)
+                engine.on_time_advance(hook)
+
+        engine.call_later(1.0, lambda: engine.on_time_advance(hook))
+        engine.call_later(2.0, lambda: None)
+        with _deadline(10):
+            engine.run()
+        assert calls == [1.0, 1.0, 1.0]
+        assert engine.now == 2.0
+
+    def test_a_hook_rearmed_as_the_queue_drains_lets_run_return(self, engine):
+        calls = []
+
+        def hook():
+            calls.append(engine.now)
+            engine.on_time_advance(hook)
+
+        engine.call_later(1.0, lambda: engine.on_time_advance(hook))
+        with _deadline(10):
+            engine.run()
+            assert calls == [1.0]
+            engine.run()
+        assert calls == [1.0, 1.0]

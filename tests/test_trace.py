@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from repro.bench.osu import hybrid_allgather_program, pure_allgather_program
+from repro.machine.placement import Placement
+from repro.machine.presets import hazel_hen
 from repro.mpi import Bytes, run_program
 from repro.mpi.profiler import aggregate_profiles
 from repro.trace import (
@@ -138,6 +142,41 @@ def test_chrome_trace_schema(tmp_path):
     path = tmp_path / "trace.json"
     save_chrome_trace(result.trace, str(path))
     assert json.loads(path.read_text())["traceEvents"]
+
+
+#: ``(events, SHA-256 of the sorted-key JSON, SHA-256 of the JSON as
+#: written)`` of the Chrome export of a p2p-detail traced 4x12
+#: ``hazel_hen`` OSU allgather, 4 KiB per rank.
+CHROME = {
+    "pure": (2892, "b1c55c65924e005970da80e646f376e8"
+                   "301b4b2436431c7a9ab717187b8bcc03",
+             "b0a4e37f4199c44c41522b7a2ce1fcbc"
+             "3b8896847ad57c5b8832aee3b08175fa"),
+    "hybrid": (864, "fda8794b3ea3815c24cad47ca30c5ab4"
+                    "ae37e8d860eca0764b03b6e83a196260",
+               "cf92e04f0d6bd170be16ce8f66ce9dbe"
+               "4cd953bb0ea958a3d0d54dfeadd21eb5"),
+}
+
+
+def chrome_export(variant: str) -> tuple:
+    program = {"pure": pure_allgather_program,
+               "hybrid": hybrid_allgather_program}[variant]
+    result = run_program(hazel_hen(4), None, program,
+                         placement=Placement.block(4, 12),
+                         payload="cost-only", replay=False, trace="p2p",
+                         program_kwargs={"nbytes_per_rank": 4096,
+                                         "reps": 2, "warmup": 1})
+    doc = to_chrome_trace(result.trace)
+    return (len(doc["traceEvents"]),
+            hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+            # Key order too: save_chrome_trace dumps the document as is.
+            hashlib.sha256(json.dumps(doc).encode()).hexdigest())
+
+
+@pytest.mark.parametrize("variant", sorted(CHROME))
+def test_chrome_export_is_pinned(variant):
+    assert chrome_export(variant) == CHROME[variant]
 
 
 def test_chrome_trace_nesting_balanced():
